@@ -2,7 +2,8 @@
 // rewrites -> physical planning -> (parallel) pipeline execution, against a
 // generated suppliers-and-parts database. The cache-miss fixtures price the
 // whole compile+run path; the cache-hit fixtures isolate what the LRU plan
-// cache saves; the oracle fixture is the tuple-at-a-time interpreter
+// cache saves; the comma-join fixture prices a hash join extracted from a
+// WHERE clause; the oracle fixture is the tuple-at-a-time interpreter
 // baseline the Session replaced as the default path.
 //
 // scripts/run_benchmarks.sh runs this binary into
@@ -152,6 +153,35 @@ BENCHMARK(BM_SessionPrepared_InSubquery)
     ->ArgNames({"suppliers", "parts"})
     ->Args({512, 32})
     ->Args({2048, 64})
+    ->Unit(benchmark::kMicrosecond);
+
+// The fleet-size comma join (4000 suppliers x 64 parts, a 50-supplier
+// filter) at plan-cache hit, with the filter written inline as one more
+// join conjunct (arg 0) and inside a derived table (arg 1). Join
+// extraction plans both as a hash equi-join below a pushed-down filter.
+void BM_SessionCommaJoin(benchmark::State& state) {
+  static const char* kTexts[] = {
+      "SELECT s.s#, p.color FROM supplies AS s, parts AS p "
+      "WHERE s.p# = p.p# AND s.s# <= 50",
+      "SELECT s.s#, p.color FROM (SELECT s#, p# FROM supplies WHERE s# <= 50) AS s, "
+      "parts AS p WHERE s.p# = p.p#"};
+  const char* sql = kTexts[state.range(0)];
+  Session session;
+  FillTables(4000, 64, &session, nullptr);
+  (void)session.Execute(sql);  // warm the plan cache
+  for (auto _ : state) {
+    Result<QueryResult> result = session.Execute(sql);
+    if (!result.ok()) {
+      state.SkipWithError(result.error().c_str());
+      break;
+    }
+    benchmark::DoNotOptimize(result.value().rows);
+  }
+}
+BENCHMARK(BM_SessionCommaJoin)
+    ->ArgName("derived_table")
+    ->Arg(0)
+    ->Arg(1)
     ->Unit(benchmark::kMicrosecond);
 
 }  // namespace

@@ -43,9 +43,12 @@
 #                                fixpoint, and execution of the plan each
 #                                mode picks for a union-divisor query Law 1
 #                                makes searchable but greedy cannot reach
+#   Every benchmark runs 5 repetitions and reports only the aggregates
+#   (mean, median, stddev, cv); the merged files compare medians. Every
+#   output's "context" records num_cpus, build_type, compiler and git_sha.
 #   Compare runs with benchmark's own tools/compare.py, or just diff the
-#   real_time fields. QUOTIENT_BENCH_THREADS overrides the parallel A/B's
-#   high thread count (default: nproc, min 2).
+#   median real_time fields. QUOTIENT_BENCH_THREADS overrides the parallel
+#   A/B's high thread count (default: nproc, min 2).
 set -euo pipefail
 
 repo_root="$(cd "$(dirname "$0")/.." && pwd)"
@@ -61,13 +64,24 @@ cmake --build "${build_dir}" -j "$(nproc)" \
 
 mkdir -p "${out_dir}"
 
+# Provenance stamped into every output (google benchmark adds num_cpus).
+build_type="Release"
+compiler_file="$(ls "${build_dir}"/CMakeFiles/*/CMakeCXXCompiler.cmake | head -n 1)"
+compiler="$(sed -n 's/^set(CMAKE_CXX_COMPILER_ID "\(.*\)")$/\1/p' "${compiler_file}")"
+compiler+="-$(sed -n 's/^set(CMAKE_CXX_COMPILER_VERSION "\(.*\)")$/\1/p' "${compiler_file}")"
+git_sha="$(git -C "${repo_root}" rev-parse --short HEAD 2>/dev/null || echo unknown)"
+if ! git -C "${repo_root}" diff --quiet HEAD 2>/dev/null; then git_sha+="-dirty"; fi
+stamp="build_type=${build_type},compiler=${compiler},git_sha=${git_sha}"
+repeat=(--benchmark_repetitions=5 --benchmark_report_aggregates_only=true
+        "--benchmark_context=${stamp}")
+
 run_bench() {  # binary mode out_file [extra args...]
   local binary="$1" mode="$2" out_file="$3"
   shift 3
   QUOTIENT_EXEC_MODE="${mode}" "${build_dir}/${binary}" \
     --benchmark_out="${out_file}" \
     --benchmark_out_format=json \
-    --benchmark_min_time=0.2 "$@"
+    --benchmark_min_time=0.2 "${repeat[@]}" "$@"
 }
 
 run_bench_threads() {  # binary threads out_file [extra args...]
@@ -76,7 +90,7 @@ run_bench_threads() {  # binary threads out_file [extra args...]
   QUOTIENT_EXEC_MODE=parallel QUOTIENT_THREADS="${threads}" "${build_dir}/${binary}" \
     --benchmark_out="${out_file}" \
     --benchmark_out_format=json \
-    --benchmark_min_time=0.2 "$@"
+    --benchmark_min_time=0.2 "${repeat[@]}" "$@"
 }
 
 # Canonical trajectory files (batched is the engine default).
@@ -139,22 +153,40 @@ run_bench_threads bench_law13_partitioned_great_divide 1 "${out_dir}/.law13_par1
 run_bench_threads bench_law13_partitioned_great_divide "${par_threads}" "${out_dir}/.law13_parN.json"
 
 # Merge into one comparison file: real_time per mode plus the speedup.
-PAR_THREADS="${par_threads}" python3 - "${out_dir}" <<'PY'
+PAR_THREADS="${par_threads}" BUILD_TYPE="${build_type}" COMPILER="${compiler}" \
+  GIT_SHA="${git_sha}" python3 - "${out_dir}" <<'PY'
 import json, sys, os
 
 out_dir = sys.argv[1]
+context = {
+    "num_cpus": os.cpu_count(),
+    "build_type": os.environ["BUILD_TYPE"],
+    "compiler": os.environ["COMPILER"],
+    "git_sha": os.environ["GIT_SHA"],
+}
+
+
+def write(name, doc):
+    """Writes one merged output, stamped with the run's provenance."""
+    with open(os.path.join(out_dir, name), "w") as f:
+        json.dump({"context": context, **doc}, f, indent=1)
+
 pairs = [
     ("division", "BENCH_division.json", "BENCH_division_tuple.json"),
     ("law10_semijoin", ".law10_batch.json", ".law10_tuple.json"),
     ("law13_partitioned_great_divide", ".law13_batch.json", ".law13_tuple.json"),
 ]
 
-def times(path):
+def medians(path):
+    """The median-aggregate rows of one output, keyed by benchmark name."""
     with open(os.path.join(out_dir, path)) as f:
         doc = json.load(f)
-    return {b["name"]: b["real_time"]
-            for b in doc.get("benchmarks", [])
-            if b.get("run_type", "iteration") == "iteration"}
+    return {b["run_name"]: b for b in doc.get("benchmarks", [])
+            if b.get("aggregate_name") == "median"}
+
+
+def times(path):
+    return {name: b["real_time"] for name, b in medians(path).items()}
 
 comparison = []
 for suite, batch_file, tuple_file in pairs:
@@ -171,8 +203,7 @@ for suite, batch_file, tuple_file in pairs:
             "speedup": round(t / b, 3) if b > 0 else None,
         })
 
-with open(os.path.join(out_dir, "BENCH_batched.json"), "w") as f:
-    json.dump({"comparison": comparison}, f, indent=1)
+write("BENCH_batched.json", {"comparison": comparison})
 
 hash_speedups = [c["speedup"] for c in comparison
                  if c["suite"] == "division" and "Hash" in c["name"]]
@@ -203,21 +234,15 @@ for suite, one_file, n_file in par_pairs:
             "speedup": round(t1 / tn, 3) if tn > 0 else None,
         })
 
-with open(os.path.join(out_dir, "BENCH_parallel.json"), "w") as f:
-    json.dump({"threads_n": threads_n, "comparison": par_comparison}, f, indent=1)
+write("BENCH_parallel.json", {"threads_n": threads_n, "comparison": par_comparison})
 
 # Concurrent sessions: one row per (workload, sessions, pool size), with
 # aggregate throughput. The bench reports items_per_second across all
 # session threads under UseRealTime, i.e. statements/second for the fleet.
 def session_rows(path, pool):
-    with open(os.path.join(out_dir, path)) as f:
-        doc = json.load(f)
     rows = []
-    for b in doc.get("benchmarks", []):
-        if b.get("run_type", "iteration") != "iteration":
-            continue
+    for name, b in medians(path).items():
         # Names look like "BM_ConcurrentSessions_CachedDivide/real_time/threads:4".
-        name = b["name"]
         sessions = 1
         for part in name.split("/"):
             if part.startswith("threads:"):
@@ -233,8 +258,7 @@ def session_rows(path, pool):
 
 concurrency = session_rows(".conc_pool1.json", 1) + \
     session_rows(".conc_poolN.json", int(threads_n))
-with open(os.path.join(out_dir, "BENCH_concurrency.json"), "w") as f:
-    json.dump({"pool_threads_n": threads_n, "results": concurrency}, f, indent=1)
+write("BENCH_concurrency.json", {"pool_threads_n": threads_n, "results": concurrency})
 
 best = {}
 for row in concurrency:
@@ -290,8 +314,7 @@ robustness = {
     "admission_queued_handoff_us": round(admission_handoff, 3)
                                    if admission_handoff else None,
 }
-with open(os.path.join(out_dir, "BENCH_robustness.json"), "w") as f:
-    json.dump(robustness, f, indent=1)
+write("BENCH_robustness.json", robustness)
 if robustness["hash_division_1024_16"]["overhead_pct"] is not None:
     print(f"governor overhead on HashDivision/1024/16: "
           f"{robustness['hash_division_1024_16']['overhead_pct']:+.2f}%"
@@ -324,8 +347,7 @@ for workload in ("Divide", "GroupBy", "SemiJoin"):
         "cold_us": round(cold, 3) if cold is not None else None,
         "warm_speedup": round(off_t / warm, 3) if warm > 0 else None,
     })
-with open(os.path.join(out_dir, "BENCH_recycler.json"), "w") as f:
-    json.dump({"results": recycler}, f, indent=1)
+write("BENCH_recycler.json", {"results": recycler})
 for row in recycler:
     print(f"recycler {row['workload']}: warm {row['warm_speedup']:.2f}x off "
           f"({row['off_us']:.0f} us -> {row['warm_us']:.0f} us)")
@@ -344,4 +366,4 @@ rm -f "${out_dir}"/.law1[03]_*.json "${out_dir}"/.div_par*.json "${out_dir}"/.co
 echo "Wrote ${out_dir}/BENCH_division.json, BENCH_division_tuple.json," \
      "BENCH_key_codec.json, BENCH_batched.json, BENCH_parallel.json," \
      "BENCH_sql.json, BENCH_concurrency.json, BENCH_robustness.json," \
-     "BENCH_recycler.json and BENCH_txn.json"
+     "BENCH_recycler.json, BENCH_txn.json and BENCH_optimizer.json"

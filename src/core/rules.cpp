@@ -395,6 +395,47 @@ PlanPtr ApplyExample4(const PlanPtr& node, const RewriteContext&) {
       LogicalOp::ThetaJoin(left, gd->left(), node->predicate()), gd->right());
 }
 
+// ------------------------------------------------------ Join extraction ----
+PlanPtr ApplyJoinExtraction(const PlanPtr& node, const RewriteContext&) {
+  if (node->kind() != Kind::kSelect) return nullptr;
+  const PlanPtr& join = node->child(0);
+  if (join->kind() != Kind::kProduct && join->kind() != Kind::kThetaJoin) return nullptr;
+  const Schema& left = join->left()->schema();
+  const Schema& right = join->right()->schema();
+  std::vector<std::string> left_names = left.Names();
+  std::vector<std::string> right_names = right.Names();
+  // One-side conjuncts move below the join; the cross-side rest splits into
+  // hash keys and the residual that stays on top.
+  std::vector<ExprPtr> conjuncts, left_only, right_only, cross;
+  Expr::SplitConjuncts(node->predicate(), &conjuncts);
+  for (const ExprPtr& conjunct : conjuncts) {
+    if (PredicateOver(conjunct, left_names)) {
+      left_only.push_back(conjunct);
+    } else if (PredicateOver(conjunct, right_names)) {
+      right_only.push_back(conjunct);
+    } else {
+      cross.push_back(conjunct);
+    }
+  }
+  EquiJoinSplit split = SplitEquiJoin(cross, left, right);
+  if (left_only.empty() && right_only.empty() && split.left_keys.empty()) return nullptr;
+
+  PlanPtr new_left = join->left();
+  if (!left_only.empty()) new_left = LogicalOp::Select(new_left, Expr::AndAll(left_only));
+  PlanPtr new_right = join->right();
+  if (!right_only.empty()) new_right = LogicalOp::Select(new_right, Expr::AndAll(right_only));
+  std::vector<ExprPtr> condition;
+  if (join->kind() == Kind::kThetaJoin) condition.push_back(join->predicate());
+  for (size_t i = 0; i < split.left_keys.size(); ++i) {
+    condition.push_back(Expr::ColEqCol(split.left_keys[i], split.right_keys[i]));
+  }
+  PlanPtr joined = condition.empty()
+                       ? LogicalOp::Product(new_left, new_right)
+                       : LogicalOp::ThetaJoin(new_left, new_right, Expr::AndAll(condition));
+  if (split.residual.empty()) return joined;
+  return LogicalOp::Select(joined, Expr::AndAll(split.residual));
+}
+
 // ------------------------------------------------- Healy expansion rule ----
 PlanPtr ApplyHealyExpansion(const PlanPtr& node, const RewriteContext&) {
   if (node->kind() != Kind::kDivide) return nullptr;
@@ -522,6 +563,13 @@ RulePtr MakeExample4JoinPushRule() {
       "push an equi-join below the great divide to shrink the dividend (Example 4)"};
   return Rule(kInfo, ApplyExample4);
 }
+RulePtr MakeJoinExtractionRule() {
+  static constexpr RuleInfo kInfo{
+      "join-extraction", 0, "\u03c3\u03b8(r \u00d7 s) or \u03c3\u03b8(r \u22c8 s)",
+      "push one-side conjuncts below the join and hash on cross-side equalities instead of "
+      "materializing the product"};
+  return Rule(kInfo, ApplyJoinExtraction);
+}
 RulePtr MakeDivideToHealyExpansionRule() {
   static constexpr RuleInfo kInfo{
       "divide-to-healy-expansion", 0, "r1 \u00f7 r2",
@@ -537,6 +585,8 @@ std::vector<RulePtr> DefaultRuleSet() {
   rules.push_back(MakeLaw15DivisorSelectionRule());
   rules.push_back(MakeLaw4ReplicateSelectionRule());
   rules.push_back(MakeLaw16ReplicateSelectionRule());
+  // Comma joins: σ over × becomes pushed selections plus a hash-joinable ⋈.
+  rules.push_back(MakeJoinExtractionRule());
   // Structural rules over products, joins and set operations.
   rules.push_back(MakeLaw9ProductRule());  // before Law 8: strictly stronger when it fires
   rules.push_back(MakeLaw8ProductRule());

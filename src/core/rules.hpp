@@ -68,6 +68,7 @@ RulePtr MakeLaw15DivisorSelectionRule();  // σp(C) through ÷*
 RulePtr MakeLaw16ReplicateSelectionRule();// σp(B) on ÷*-divisor replicated
 RulePtr MakeLaw17ProductRule();           // ÷* through ×
 RulePtr MakeExample4JoinPushRule();       // equi-join through ÷* (Example 4)
+RulePtr MakeJoinExtractionRule();         // σθ over × or ⋈ → pushed σ + equi-join keys
 
 /// Baseline (not part of the default optimizing set): expands ÷ into
 /// Healy's basic-algebra form. Used to *demonstrate* why first-class
@@ -75,7 +76,8 @@ RulePtr MakeExample4JoinPushRule();       // equi-join through ÷* (Example 4)
 RulePtr MakeDivideToHealyExpansionRule();
 
 /// The default optimizing rule set, in a deliberate order: selection
-/// pushdowns first, then structural rules, then the grouped special cases.
+/// pushdowns first, then join extraction (so the structural rules see its
+/// joins), then structural rules, then the grouped special cases.
 /// Law 1 (pipelining) and Example 1 (the paper's "extreme case") are
 /// deliberately excluded — they reshape rather than shrink work — but are
 /// available above for targeted use.

@@ -217,8 +217,11 @@ NodeEst Estimate_(const PlanPtr& plan, const Catalog& catalog, const StatsCache&
       }
       NodeEst out;
       out.card = l.card * r.card * selectivity;
-      // Hash equi-joins touch each input once; conservative middle ground.
-      out.cost = l.cost + r.cost + l.card + r.card + out.card;
+      // The planner hashes on the cross-side equalities, touching each
+      // input once; without one it runs a nested loop over every pair.
+      bool hashed = !SplitEquiJoin(conjuncts, op.child(0)->schema(), op.child(1)->schema())
+                         .left_keys.empty();
+      out.cost = l.cost + r.cost + (hashed ? l.card + r.card + out.card : l.card * r.card);
       out.distinct = merged.distinct;
       CapDistinct(&out);
       return out;

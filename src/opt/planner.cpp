@@ -18,35 +18,6 @@ namespace quotient {
 
 namespace {
 
-/// Detects a conjunction of cross-side column equalities; fills the key
-/// column names when eligible.
-bool IsEquiJoinCondition(const ExprPtr& condition, const Schema& left, const Schema& right,
-                         std::vector<std::string>* left_keys,
-                         std::vector<std::string>* right_keys) {
-  std::vector<ExprPtr> conjuncts;
-  Expr::SplitConjuncts(condition, &conjuncts);
-  for (const ExprPtr& conjunct : conjuncts) {
-    if (conjunct->kind() != Expr::Kind::kCompare || conjunct->cmp_op() != CmpOp::kEq) {
-      return false;
-    }
-    const ExprPtr& l = conjunct->left();
-    const ExprPtr& r = conjunct->right();
-    if (l->kind() != Expr::Kind::kColumn || r->kind() != Expr::Kind::kColumn) return false;
-    const std::string& lc = l->column_name();
-    const std::string& rc = r->column_name();
-    if (left.Contains(lc) && right.Contains(rc)) {
-      left_keys->push_back(lc);
-      right_keys->push_back(rc);
-    } else if (left.Contains(rc) && right.Contains(lc)) {
-      left_keys->push_back(rc);
-      right_keys->push_back(lc);
-    } else {
-      return false;
-    }
-  }
-  return !left_keys->empty();
-}
-
 /// Healy's expansion of r1 ÷ r2 as a logical plan over the original
 /// subplans: πA(r1) − πA((πA(r1) × r2) − r1).
 PlanPtr HealyExpansion(const PlanPtr& dividend, const PlanPtr& divisor) {
@@ -183,24 +154,26 @@ IterPtr BuildNode(const PlanPtr& plan, const Catalog& catalog, const PlannerOpti
       return std::make_unique<CrossProductIterator>(child(0),
                                                     child(1));
     case LogicalOp::Kind::kThetaJoin: {
-      std::vector<std::string> left_keys, right_keys;
-      if (IsEquiJoinCondition(op.predicate(), op.child(0)->schema(), op.child(1)->schema(),
-                              &left_keys, &right_keys)) {
-        std::string key_context = "keys=";
-        FingerprintNames(left_keys, &key_context);
-        key_context += '/';
-        FingerprintNames(right_keys, &key_context);
-        auto join = std::make_unique<EquiJoinIterator>(child(0),
-                                                       child(1),
-                                                       std::move(left_keys),
-                                                       std::move(right_keys));
-        join->SetRecycle(
-            BuildSideRecycleSpec("join.equi", op.child(1), key_context, catalog, options));
-        return join;
+      // Hash on the cross-side equalities and filter the rest above the
+      // join; only a condition without any equality runs as a nested loop.
+      std::vector<ExprPtr> conjuncts;
+      Expr::SplitConjuncts(op.predicate(), &conjuncts);
+      EquiJoinSplit split =
+          SplitEquiJoin(conjuncts, op.child(0)->schema(), op.child(1)->schema());
+      if (split.left_keys.empty()) {
+        return std::make_unique<NestedLoopJoinIterator>(child(0), child(1), op.predicate());
       }
-      return std::make_unique<NestedLoopJoinIterator>(child(0),
-                                                      child(1),
-                                                      op.predicate());
+      std::string key_context = "keys=";
+      FingerprintNames(split.left_keys, &key_context);
+      key_context += '/';
+      FingerprintNames(split.right_keys, &key_context);
+      auto join = std::make_unique<EquiJoinIterator>(child(0), child(1),
+                                                     std::move(split.left_keys),
+                                                     std::move(split.right_keys));
+      join->SetRecycle(
+          BuildSideRecycleSpec("join.equi", op.child(1), key_context, catalog, options));
+      if (split.residual.empty()) return join;
+      return std::make_unique<FilterIterator>(std::move(join), Expr::AndAll(split.residual));
     }
     case LogicalOp::Kind::kNaturalJoin: {
       auto join = std::make_unique<HashJoinIterator>(child(0),

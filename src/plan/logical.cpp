@@ -1,6 +1,8 @@
 #include "plan/logical.hpp"
 
 #include <algorithm>
+#include <optional>
+#include <utility>
 
 #include "util/status.hpp"
 
@@ -370,6 +372,33 @@ PlanPtr BindPlanParameters(const PlanPtr& plan, const std::vector<Value>& params
 void CollectScanTables(const PlanPtr& plan, std::set<std::string>* out) {
   if (plan->kind() == LogicalOp::Kind::kScan) out->insert(plan->table());
   for (const PlanPtr& child : plan->children()) CollectScanTables(child, out);
+}
+
+EquiJoinSplit SplitEquiJoin(const std::vector<ExprPtr>& conjuncts, const Schema& left,
+                            const Schema& right) {
+  EquiJoinSplit split;
+  for (const ExprPtr& conjunct : conjuncts) {
+    if (conjunct->kind() == Expr::Kind::kCompare && conjunct->cmp_op() == CmpOp::kEq &&
+        conjunct->left()->kind() == Expr::Kind::kColumn &&
+        conjunct->right()->kind() == Expr::Kind::kColumn) {
+      std::string lc = conjunct->left()->column_name();
+      std::string rc = conjunct->right()->column_name();
+      if (!left.Contains(lc)) std::swap(lc, rc);
+      std::optional<size_t> li = left.IndexOf(lc);
+      std::optional<size_t> ri = right.IndexOf(rc);
+      if (li && ri) {
+        ValueType type = left.attribute(*li).type;
+        if (type == right.attribute(*ri).type &&
+            (type == ValueType::kInt || type == ValueType::kString)) {
+          split.left_keys.push_back(std::move(lc));
+          split.right_keys.push_back(std::move(rc));
+          continue;
+        }
+      }
+    }
+    split.residual.push_back(conjunct);
+  }
+  return split;
 }
 
 }  // namespace quotient

@@ -115,6 +115,20 @@ class LogicalOp {
   std::vector<AggSpec> aggs_;                  // kGroupBy
 };
 
+/// A join condition split for hash execution. Every conjunct equating a
+/// left column with a right column of the same int or string type becomes
+/// one key pair; every other conjunct is residual, in condition order. The
+/// type restriction keeps hashing exact: predicate comparison coerces int
+/// against real and throws on mismatched types, and reals hash by bit
+/// pattern (-0.0 and 0.0 compare equal but hash apart).
+struct EquiJoinSplit {
+  std::vector<std::string> left_keys;
+  std::vector<std::string> right_keys;
+  std::vector<ExprPtr> residual;
+};
+EquiJoinSplit SplitEquiJoin(const std::vector<ExprPtr>& conjuncts, const Schema& left,
+                            const Schema& right);
+
 // ---- prepared-statement parameter slots --------------------------------
 // A parameterized statement lowers once into a plan whose predicates carry
 // Expr::Kind::kParam placeholders; each execution substitutes the bound
