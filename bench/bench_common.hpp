@@ -6,41 +6,12 @@
 
 #include <benchmark/benchmark.h>
 
-#include <cstdio>
-#include <cstdlib>
-#include <string_view>
-
 #include "algebra/generator.hpp"
 #include "exec/batch.hpp"
 #include "plan/catalog.hpp"
 
 namespace quotient {
 namespace bench {
-
-/// Applies QUOTIENT_EXEC_MODE ("parallel" | "batch" | "tuple") before
-/// main() runs, so scripts/run_benchmarks.sh can A/B the execution
-/// disciplines with the same binaries (every bench includes this header, so
-/// the initializer runs in each of them). The worker count for "parallel"
-/// comes from QUOTIENT_THREADS (exec/scheduler.hpp).
-inline const bool kExecModeFromEnv = [] {
-  if (const char* mode = std::getenv("QUOTIENT_EXEC_MODE")) {
-    if (std::string_view(mode) == "tuple") {
-      SetExecMode(ExecMode::kTuple);
-    } else if (std::string_view(mode) == "batch") {
-      SetExecMode(ExecMode::kBatch);
-    } else if (std::string_view(mode) == "parallel") {
-      SetExecMode(ExecMode::kParallel);
-    } else {
-      // A typo here would silently record default-mode numbers under the
-      // wrong label in an A/B comparison — refuse to run instead.
-      std::fprintf(stderr,
-                   "QUOTIENT_EXEC_MODE must be 'parallel', 'batch' or 'tuple', got '%s'\n",
-                   mode);
-      std::exit(1);
-    }
-  }
-  return true;
-}();
 
 /// A dividend r1(a, b) with `groups` quotient candidates over a B-domain of
 /// `domain` values at the given density, plus a divisor r2(b) of size
@@ -49,8 +20,7 @@ inline const bool kExecModeFromEnv = [] {
 ///
 /// The table encodings model the catalog's per-base-table dictionary cache:
 /// they are built once per workload (outside the timed loop), exactly like
-/// a production query hitting already-encoded base tables, and are ignored
-/// by ExecMode::kTuple runs.
+/// a production query hitting already-encoded base tables.
 struct DivisionWorkload {
   Relation dividend;
   Relation divisor;

@@ -24,8 +24,7 @@ void BM_DivisionAlgorithm(benchmark::State& state, DivisionAlgorithm algorithm) 
   size_t divisor_size = static_cast<size_t>(state.range(1));
   auto workload = MakeDivisionWorkload(groups, /*domain=*/64, divisor_size);
   // The encodings model base tables whose dictionaries are already cached by
-  // the catalog (built once above, outside the timed loop). kTuple runs take
-  // the PR 1 paths and never touch them.
+  // the catalog (built once above, outside the timed loop).
   for (auto _ : state) {
     Relation q = ExecDivide(workload.dividend, workload.divisor, algorithm,
                             workload.dividend_enc, workload.divisor_enc);

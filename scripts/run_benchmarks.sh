@@ -4,11 +4,8 @@
 #
 # Usage: scripts/run_benchmarks.sh [output-dir]
 #   Writes to output-dir (default: bench-results/):
-#     BENCH_division.json        division algorithms, batched execution
-#     BENCH_division_tuple.json  same binary forced to tuple-at-a-time
+#     BENCH_division.json        division algorithms at QUOTIENT_THREADS=1
 #     BENCH_key_codec.json       key-codec microbenchmarks
-#     BENCH_batched.json         per-benchmark batched vs tuple comparison
-#                                (division + law benches), with speedups
 #     BENCH_parallel.json        QUOTIENT_THREADS=1 vs N A/B of the
 #                                morsel-driven parallel executor
 #                                (docs/parallel_execution.md)
@@ -75,37 +72,22 @@ stamp="build_type=${build_type},compiler=${compiler},git_sha=${git_sha}"
 repeat=(--benchmark_repetitions=5 --benchmark_report_aggregates_only=true
         "--benchmark_context=${stamp}")
 
-run_bench() {  # binary mode out_file [extra args...]
-  local binary="$1" mode="$2" out_file="$3"
-  shift 3
-  QUOTIENT_EXEC_MODE="${mode}" "${build_dir}/${binary}" \
-    --benchmark_out="${out_file}" \
-    --benchmark_out_format=json \
-    --benchmark_min_time=0.2 "${repeat[@]}" "$@"
-}
-
 run_bench_threads() {  # binary threads out_file [extra args...]
   local binary="$1" threads="$2" out_file="$3"
   shift 3
-  QUOTIENT_EXEC_MODE=parallel QUOTIENT_THREADS="${threads}" "${build_dir}/${binary}" \
+  QUOTIENT_THREADS="${threads}" "${build_dir}/${binary}" \
     --benchmark_out="${out_file}" \
     --benchmark_out_format=json \
     --benchmark_min_time=0.2 "${repeat[@]}" "$@"
 }
 
-# Canonical trajectory files (batched is the engine default).
-run_bench bench_division_algorithms batch "${out_dir}/BENCH_division.json"
-run_bench bench_key_codec batch "${out_dir}/BENCH_key_codec.json"
+# Canonical trajectory files, single-threaded (thread count is the only
+# execution knob).
+run_bench_threads bench_division_algorithms 1 "${out_dir}/BENCH_division.json"
+run_bench_threads bench_key_codec 1 "${out_dir}/BENCH_key_codec.json"
 
-# A/B: the same binaries under tuple-at-a-time execution.
-run_bench bench_division_algorithms tuple "${out_dir}/BENCH_division_tuple.json"
-run_bench bench_law10_semijoin batch "${out_dir}/.law10_batch.json"
-run_bench bench_law10_semijoin tuple "${out_dir}/.law10_tuple.json"
-run_bench bench_law13_partitioned_great_divide batch "${out_dir}/.law13_batch.json"
-run_bench bench_law13_partitioned_great_divide tuple "${out_dir}/.law13_tuple.json"
-
-# A/B the morsel-driven parallel executor: the same binaries in parallel
-# mode at 1 worker vs N workers (the Law 13 partitioned bench also scales
+# A/B the morsel-driven parallel executor: the same binaries at 1 worker
+# vs N workers (the Law 13 partitioned bench also scales
 # its pool-scheduled partitions).
 par_threads="${QUOTIENT_BENCH_THREADS:-$(nproc)}"
 if [ "${par_threads}" -lt 2 ]; then par_threads=2; fi
@@ -143,7 +125,7 @@ run_bench_threads bench_txn "${par_threads}" "${out_dir}/BENCH_txn.json"
 # Cost-guided rewrite search: Optimize() greedy vs search on a law-rich
 # plan (compile-time overhead), and execution of each mode's chosen plan on
 # a union-divisor workload only the search rule set can rewrite (Law 1).
-run_bench bench_optimizer batch "${out_dir}/BENCH_optimizer.json"
+run_bench_threads bench_optimizer 1 "${out_dir}/BENCH_optimizer.json"
 
 run_bench_threads bench_division_algorithms 1 "${out_dir}/.div_par1.json"
 run_bench_threads bench_division_algorithms "${par_threads}" "${out_dir}/.div_parN.json"
@@ -152,7 +134,8 @@ run_bench_threads bench_law10_semijoin "${par_threads}" "${out_dir}/.law10_parN.
 run_bench_threads bench_law13_partitioned_great_divide 1 "${out_dir}/.law13_par1.json"
 run_bench_threads bench_law13_partitioned_great_divide "${par_threads}" "${out_dir}/.law13_parN.json"
 
-# Merge into one comparison file: real_time per mode plus the speedup.
+# Merge the A/B runs into comparison files: real_time per side plus the
+# speedup.
 PAR_THREADS="${par_threads}" BUILD_TYPE="${build_type}" COMPILER="${compiler}" \
   GIT_SHA="${git_sha}" python3 - "${out_dir}" <<'PY'
 import json, sys, os
@@ -171,12 +154,6 @@ def write(name, doc):
     with open(os.path.join(out_dir, name), "w") as f:
         json.dump({"context": context, **doc}, f, indent=1)
 
-pairs = [
-    ("division", "BENCH_division.json", "BENCH_division_tuple.json"),
-    ("law10_semijoin", ".law10_batch.json", ".law10_tuple.json"),
-    ("law13_partitioned_great_divide", ".law13_batch.json", ".law13_tuple.json"),
-]
-
 def medians(path):
     """The median-aggregate rows of one output, keyed by benchmark name."""
     with open(os.path.join(out_dir, path)) as f:
@@ -188,31 +165,7 @@ def medians(path):
 def times(path):
     return {name: b["real_time"] for name, b in medians(path).items()}
 
-comparison = []
-for suite, batch_file, tuple_file in pairs:
-    batched, tuple_at_a_time = times(batch_file), times(tuple_file)
-    for name in batched:
-        if name not in tuple_at_a_time:
-            continue
-        b, t = batched[name], tuple_at_a_time[name]
-        comparison.append({
-            "suite": suite,
-            "name": name,
-            "batched_us": round(b, 3),
-            "tuple_us": round(t, 3),
-            "speedup": round(t / b, 3) if b > 0 else None,
-        })
-
-write("BENCH_batched.json", {"comparison": comparison})
-
-hash_speedups = [c["speedup"] for c in comparison
-                 if c["suite"] == "division" and "Hash" in c["name"]]
-if hash_speedups:
-    print(f"hash-division speedup (batched vs tuple): "
-          f"min {min(hash_speedups):.2f}x / "
-          f"median {sorted(hash_speedups)[len(hash_speedups)//2]:.2f}x")
-
-# Parallel A/B: 1 worker vs N workers, same parallel-mode binaries.
+# Parallel A/B: 1 worker vs N workers, same binaries.
 par_pairs = [
     ("division", ".div_par1.json", ".div_parN.json"),
     ("law10_semijoin", ".law10_par1.json", ".law10_parN.json"),
@@ -363,7 +316,7 @@ rm -f "${out_dir}"/.law1[03]_*.json "${out_dir}"/.div_par*.json "${out_dir}"/.co
       "${out_dir}"/.robustness_raw.json "${out_dir}"/.spill_raw.json \
       "${out_dir}"/.recycler_raw.json
 
-echo "Wrote ${out_dir}/BENCH_division.json, BENCH_division_tuple.json," \
-     "BENCH_key_codec.json, BENCH_batched.json, BENCH_parallel.json," \
+echo "Wrote ${out_dir}/BENCH_division.json," \
+     "BENCH_key_codec.json, BENCH_parallel.json," \
      "BENCH_sql.json, BENCH_concurrency.json, BENCH_robustness.json," \
      "BENCH_recycler.json, BENCH_txn.json and BENCH_optimizer.json"

@@ -8,20 +8,12 @@ namespace {
 
 constexpr size_t kDefaultBatchRows = 1024;
 
-std::atomic<ExecMode>& ExecModeFlag() {
-  static std::atomic<ExecMode> mode{ExecMode::kParallel};
-  return mode;
-}
-
 std::atomic<size_t>& BatchRowsFlag() {
   static std::atomic<size_t> rows{kDefaultBatchRows};
   return rows;
 }
 
 }  // namespace
-
-ExecMode GetExecMode() { return ExecModeFlag().load(std::memory_order_relaxed); }
-void SetExecMode(ExecMode mode) { ExecModeFlag().store(mode, std::memory_order_relaxed); }
 
 size_t GetBatchRows() { return BatchRowsFlag().load(std::memory_order_relaxed); }
 void SetBatchRows(size_t rows) {
@@ -40,12 +32,6 @@ std::shared_ptr<const TableEncoding> TableEncoding::Build(const Relation& relati
     for (const Tuple& t : relation.tuples()) col.ids.push_back(col.dict.GetOrAdd(t[c]));
   }
   return encoding;
-}
-
-void Batch::AppendOwnedRow(Tuple t) {
-  owned_.push_back(std::make_unique<Tuple>(std::move(t)));
-  row_refs_.push_back(owned_.back().get());
-  ++rows_;
 }
 
 void Batch::ToTuple(size_t row, Tuple* out) const {

@@ -6,20 +6,17 @@
 // dictionary ids (plus a Value spill representation for attributes that are
 // not dictionary-encoded), so the hot operators — division, great divide,
 // joins, grouping, deduplication — run tight per-batch array loops instead
-// of one virtual Next() call per tuple. Dictionary ids come from per-table
+// of one virtual call per tuple. Dictionary ids come from per-table
 // column dictionaries (TableEncoding, cached by plan/catalog), and batch-
 // level key packing reuses the key_codec machinery of PR 1: translation
 // arrays map a table dictionary's ids straight into an operator's KeyCodec /
 // IncrementalKeyEncoder id space, replacing a Value hash per row with an
 // array load per row.
 //
-// Three execution disciplines coexist behind the Iterator interface:
-//   ExecMode::kParallel — NextBatch() pipelines with morsel-parallel
-//                         blocking drains (the default; exec/pipeline.hpp);
-//   ExecMode::kBatch    — the same NextBatch() pipelines, strictly serial;
-//   ExecMode::kTuple    — the PR 1 tuple-at-a-time paths, kept alive as the
-//                         semantics reference the property tests cross-check
-//                         against and as the benchmark baseline.
+// NextBatch() is the only pull contract between operators; the pipeline
+// executor (exec/pipeline.hpp) decides serial vs morsel-parallel drains from
+// the thread count alone, and ResultCursor (api/session.hpp) is the one row
+// adapter, at the API edge.
 
 #include <algorithm>
 #include <cstdint>
@@ -31,35 +28,19 @@
 
 namespace quotient {
 
-/// Which pull discipline drains plans (ExecuteToRelation) and internal
-/// operator builds. Process-wide; set before executing, not mid-plan.
-///   kParallel — the default: batched pipelines whose blocking drains run
-///               morsel-parallel over the worker pool (exec/pipeline.hpp,
-///               exec/scheduler.hpp); bit-identical to kBatch at any
-///               thread count by the chunk-ordered merge discipline.
-///   kBatch    — strictly serial batched execution (the PR 2 discipline),
-///               kept as the single-threaded reference and A/B baseline.
-///   kTuple    — tuple-at-a-time execution (the PR 1 discipline), the
-///               semantics reference the property tests cross-check.
-enum class ExecMode { kBatch, kTuple, kParallel };
-
-ExecMode GetExecMode();
-void SetExecMode(ExecMode mode);
-
 /// Target rows per batch (default 1024). Property tests shrink this to probe
 /// batch-boundary edge cases; values are clamped to >= 1.
 size_t GetBatchRows();
 void SetBatchRows(size_t rows);
 
-/// RAII helpers so tests can sweep modes/sizes without leaking state.
-struct ScopedExecMode {
-  explicit ScopedExecMode(ExecMode mode) : saved(GetExecMode()) { SetExecMode(mode); }
-  ~ScopedExecMode() { SetExecMode(saved); }
-  ExecMode saved;
-};
+/// RAII guard so tests can sweep batch sizes without leaking state;
+/// non-copyable like the other Scoped* knob guards, so an accidental copy
+/// cannot restore twice.
 struct ScopedBatchRows {
   explicit ScopedBatchRows(size_t rows) : saved(GetBatchRows()) { SetBatchRows(rows); }
   ~ScopedBatchRows() { SetBatchRows(saved); }
+  ScopedBatchRows(const ScopedBatchRows&) = delete;
+  ScopedBatchRows& operator=(const ScopedBatchRows&) = delete;
   size_t saved;
 };
 
@@ -84,8 +65,8 @@ struct TableEncoding {
 using TableEncodingPtr = std::shared_ptr<const TableEncoding>;
 
 /// One output column of a Batch: either dictionary-encoded (`dict` set, one
-/// uint32 id per row) or a plain Value vector (the spill representation used
-/// by the legacy adapter and for computed/join-copied attributes).
+/// uint32 id per row) or a plain Value vector (the representation used for
+/// computed and join-copied attributes).
 struct BatchColumn {
   const ValueDict* dict = nullptr;  // non-owning; owner outlives the batch
   std::vector<uint32_t> ids;
@@ -104,8 +85,7 @@ struct BatchColumn {
 ///
 ///  * columnar — num_columns() BatchColumns, each encoded or Value-typed;
 ///  * row view — pointers to Tuples in stable storage (a materialized
-///    Relation, an operator's results vector, or the batch's own owned-row
-///    store filled by the legacy Next() adapter).
+///    Relation or an operator's results vector).
 ///
 /// A selection vector filters either layout without moving data: filters
 /// and semi joins mark qualifying physical row indices instead of copying
@@ -119,7 +99,6 @@ class Batch {
     columns_.resize(num_cols);
     for (BatchColumn& c : columns_) c.Clear();
     row_refs_.clear();
-    owned_.clear();
     ClearSelection();
   }
 
@@ -129,7 +108,6 @@ class Batch {
     rows_ = 0;
     columns_.clear();
     row_refs_.clear();
-    owned_.clear();
     ClearSelection();
   }
 
@@ -160,8 +138,6 @@ class Batch {
     row_refs_.push_back(t);
     ++rows_;
   }
-  /// Appends a tuple owned by the batch (the legacy Next() adapter path).
-  void AppendOwnedRow(Tuple t);
 
   /// Copies physical row `row` out as a Tuple (clears `out` first).
   void ToTuple(size_t row, Tuple* out) const;
@@ -186,11 +162,6 @@ class Batch {
   size_t rows_ = 0;
   std::vector<BatchColumn> columns_;
   std::vector<const Tuple*> row_refs_;
-  // Backing store for AppendOwnedRow: the unique_ptr indirection keeps each
-  // Tuple's address stable while the vector grows (row_refs_ point at the
-  // pointees). Do NOT flatten to std::vector<Tuple> — reallocation would
-  // dangle row_refs_.
-  std::vector<std::unique_ptr<Tuple>> owned_;
   std::vector<uint32_t> sel_;
   bool has_sel_ = false;
 };
@@ -227,7 +198,7 @@ class IdTranslator {
 
 /// Appends a batch's key columns into a building (unsealed) KeyCodec:
 /// encoded columns go through per-column translation arrays, Value columns
-/// fall back to one dictionary intern per row (the tuple-at-a-time cost).
+/// fall back to one dictionary intern per row.
 class BatchCodecAppender {
  public:
   BatchCodecAppender(KeyCodec* codec, const std::vector<size_t>* indices)

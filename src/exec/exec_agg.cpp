@@ -181,47 +181,25 @@ std::shared_ptr<GroupingArtifact> HashAggregateIterator::BuildArtifact() {
 
   // Online hash aggregation: group keys are incrementally dictionary-encoded
   // and interned to dense group numbers; per-group aggregate states live in
-  // one flat array. Nothing is materialized but the output. The batch and
-  // parallel paths resolve group keys through translation arrays into the
-  // same encoder id space, so grouping is identical across modes.
+  // one flat array. Nothing is materialized but the output. Serial and
+  // chunked drains resolve group keys through translation arrays into the
+  // same encoder id space, so grouping is identical at every thread count.
   GroupState groups(group_indices_.size());
   const size_t na = aggs_.size();
-  bool pipelined = false;
-
-  if (UseTupleDrain(*child_)) {
-    SmallByteKey spill;
-    while (const Tuple* t = child_->NextRef()) {
-      uint32_t gid;
-      if (groups.encoder.fits64()) {
-        gid = groups.groups64.Intern(groups.encoder.Encode64(*t, &group_indices_));
-      } else {
-        groups.encoder.EncodeSpill(*t, &group_indices_, &spill);
-        gid = groups.groups_spill.Intern(spill);
-      }
-      if (size_t{gid} * na >= groups.states.size()) groups.states.resize(groups.states.size() + na);
-      for (size_t j = 0; j < na; ++j) {
-        AggAccumulate(aggs_[j], (*t)[arg_indices_[j]], &groups.states[size_t{gid} * na + j]);
-      }
-    }
-  } else {
-    // Parallel merges re-associate additions; only exact (integer) sums may
-    // take the chunked path.
-    bool exact = true;
-    for (size_t j = 0; j < na; ++j) {
-      if (aggs_[j].fn != AggFunc::kSum && aggs_[j].fn != AggFunc::kAvg) continue;
-      if (child_->schema().attribute(arg_indices_[j]).type != ValueType::kInt) exact = false;
-    }
-    AggregateSink sink(&groups, &aggs_, &group_indices_, &arg_indices_, exact);
-    RecordPipelineDop(RunPipeline(*child_, sink).dop);
-    pipelined = true;
+  // Parallel merges re-associate additions; only exact (integer) sums may
+  // take the chunked path.
+  bool exact = true;
+  for (size_t j = 0; j < na; ++j) {
+    if (aggs_[j].fn != AggFunc::kSum && aggs_[j].fn != AggFunc::kAvg) continue;
+    if (child_->schema().attribute(arg_indices_[j]).type != ValueType::kInt) exact = false;
   }
+  AggregateSink sink(&groups, &aggs_, &group_indices_, &arg_indices_, exact);
+  RecordPipelineDop(RunPipeline(*child_, sink).dop);
 
   size_t num_groups = groups.num_groups();
-  if (pipelined) {
-    // Mirror the sink's retained group-state charge so publication can hand
-    // it from the building query to the recycler's budget.
-    art->extra_charge = num_groups * (group_indices_.size() + na) * 8;
-  }
+  // Mirror the sink's retained group-state charge so publication can hand
+  // it from the building query to the recycler's budget.
+  art->extra_charge = num_groups * (group_indices_.size() + na) * 8;
   if (group_names_.empty() && num_groups == 0) {
     // GγF with no group attributes produces one global row even for empty
     // input (count = 0, sum/min/max/avg NULL).
@@ -260,13 +238,6 @@ void HashAggregateIterator::Open() {
     if (cached) grouping_ = std::static_pointer_cast<const GroupingArtifact>(cached);
   }
   if (!grouping_) grouping_ = BuildArtifact();
-}
-
-bool HashAggregateIterator::Next(Tuple* out) {
-  if (position_ >= grouping_->rows.size()) return false;
-  *out = grouping_->rows[position_++];
-  CountRow();
-  return true;
 }
 
 bool HashAggregateIterator::NextBatch(Batch* out) {

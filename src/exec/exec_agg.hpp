@@ -21,7 +21,6 @@ class HashAggregateIterator : public Iterator {
 
   const Schema& schema() const override { return schema_; }
   void Open() override;
-  bool Next(Tuple* out) override;
   bool NextBatch(Batch* out) override;
   void Close() override;
   const char* name() const override { return "HashAggregate"; }

@@ -1,5 +1,6 @@
 #include "exec/exec_basic.hpp"
 
+#include "exec/query_context.hpp"
 #include "util/status.hpp"
 
 namespace quotient {
@@ -18,11 +19,6 @@ std::vector<size_t> ReorderIndices(const Schema& to, const Schema& from) {
   indices.reserve(to.size());
   for (const Attribute& a : to.attributes()) indices.push_back(from.IndexOfOrThrow(a.name));
   return indices;
-}
-
-Tuple MaybeReorder(const Tuple& t, const std::vector<size_t>& indices) {
-  if (indices.empty()) return t;
-  return ProjectTuple(t, indices);
 }
 
 /// Copies the active-position rows `picks` of `in` into a compact columnar
@@ -97,37 +93,20 @@ void BuildKeySet(Iterator& right, const std::vector<size_t>& right_reorder,
   size_t expected = right.EstimatedRows();
   if (encoder.fits64()) set64.reserve(expected);
   const std::vector<size_t>* reorder = right_reorder.empty() ? nullptr : &right_reorder;
-  if (GetExecMode() != ExecMode::kTuple) {
-    BatchIncrementalKeyer keyer(&encoder, encoder.num_cols());
-    Batch batch;
-    std::vector<uint64_t> keys64;
-    std::vector<SmallByteKey> keys_spill;
-    while (right.NextBatch(&batch)) {
-      keyer.Keys(batch, reorder, &keys64, &keys_spill);
-      if (encoder.fits64()) {
-        set64.insert(keys64.begin(), keys64.end());
-      } else {
-        set_spill.insert(keys_spill.begin(), keys_spill.end());
-      }
-    }
-    return;
-  }
-  SmallByteKey spill;
-  while (const Tuple* t = right.NextRef()) {
+  BatchIncrementalKeyer keyer(&encoder, encoder.num_cols());
+  Batch batch;
+  std::vector<uint64_t> keys64;
+  std::vector<SmallByteKey> keys_spill;
+  while (right.NextBatch(&batch)) {
+    GovernorPoll();
+    GovernorFaultPoint("pipeline.drain");
+    keyer.Keys(batch, reorder, &keys64, &keys_spill);
     if (encoder.fits64()) {
-      set64.insert(encoder.Encode64(*t, reorder));
+      set64.insert(keys64.begin(), keys64.end());
     } else {
-      encoder.EncodeSpill(*t, reorder, &spill);
-      set_spill.insert(spill);
+      set_spill.insert(keys_spill.begin(), keys_spill.end());
     }
   }
-}
-
-bool RelationScan::Next(Tuple* out) {
-  if (position_ >= relation_->size()) return false;
-  *out = relation_->tuples()[position_++];
-  CountRow();
-  return true;
 }
 
 bool RelationScan::NextBatch(Batch* out) {
@@ -191,26 +170,6 @@ void FilterIterator::Open() {
   residual_ = residual.empty() ? nullptr : Expr::AndAll(std::move(residual));
   residual_bound_ =
       residual_ ? std::make_unique<BoundExpr>(residual_, child_->schema()) : nullptr;
-}
-
-bool FilterIterator::Next(Tuple* out) {
-  while (child_->Next(out)) {
-    if (bound_->EvalBool(*out)) {
-      CountRow();
-      return true;
-    }
-  }
-  return false;
-}
-
-const Tuple* FilterIterator::NextRef() {
-  while (const Tuple* t = child_->NextRef()) {
-    if (bound_->EvalBool(*t)) {
-      CountRow();
-      return t;
-    }
-  }
-  return nullptr;
 }
 
 bool FilterIterator::RowPasses(const Batch& batch, uint32_t row) {
@@ -289,24 +248,6 @@ void ProjectIterator::Open() {
   keyer_ = std::make_unique<BatchIncrementalKeyer>(&encoder_, indices_.size());
 }
 
-bool ProjectIterator::Next(Tuple* out) {
-  SmallByteKey spill;
-  while (const Tuple* t = child_->NextRef()) {
-    // Dedup on the encoded key; only materialize the projection for fresh
-    // keys.
-    bool fresh = encoder_.fits64()
-                     ? seen64_.insert(encoder_.Encode64(*t, &indices_)).second
-                     : (encoder_.EncodeSpill(*t, &indices_, &spill),
-                        seen_spill_.insert(spill).second);
-    if (fresh) {
-      *out = ProjectTuple(*t, indices_);
-      CountRow();
-      return true;
-    }
-  }
-  return false;
-}
-
 bool ProjectIterator::NextBatch(Batch* out) {
   while (child_->NextBatch(&in_batch_)) {
     keyer_->Keys(in_batch_, &indices_, &keys64_, &keys_spill_);
@@ -336,12 +277,6 @@ RenameIterator::RenameIterator(IterPtr child,
   schema_ = Schema(std::move(attributes));
 }
 
-bool RenameIterator::Next(Tuple* out) {
-  if (!child_->Next(out)) return false;
-  CountRow();
-  return true;
-}
-
 UnionIterator::UnionIterator(IterPtr left, IterPtr right)
     : left_(std::move(left)),
       right_(std::move(right)),
@@ -356,34 +291,6 @@ void UnionIterator::Open() {
   seen64_.clear();
   seen_spill_.clear();
   keyer_ = std::make_unique<BatchIncrementalKeyer>(&encoder_, encoder_.num_cols());
-}
-
-bool UnionIterator::NextAligned(Tuple* out) {
-  if (!on_right_) {
-    if (left_->Next(out)) return true;
-    on_right_ = true;
-  }
-  Tuple t;
-  if (right_->Next(&t)) {
-    *out = MaybeReorder(t, right_reorder_);
-    return true;
-  }
-  return false;
-}
-
-bool UnionIterator::Next(Tuple* out) {
-  SmallByteKey spill;
-  while (NextAligned(out)) {
-    bool fresh = encoder_.fits64()
-                     ? seen64_.insert(encoder_.Encode64(*out, nullptr)).second
-                     : (encoder_.EncodeSpill(*out, nullptr, &spill),
-                        seen_spill_.insert(spill).second);
-    if (fresh) {
-      CountRow();
-      return true;
-    }
-  }
-  return false;
 }
 
 bool UnionIterator::EmitFresh(const Batch& in, const std::vector<size_t>* col_map, Batch* out) {
@@ -436,25 +343,6 @@ void IntersectIterator::Open() {
   BuildKeySet(*right_, right_reorder_, encoder_, build64_, build_spill_);
 }
 
-bool IntersectIterator::Next(Tuple* out) {
-  SmallByteKey spill;
-  while (left_->Next(out)) {
-    bool hit;
-    if (encoder_.fits64()) {
-      uint64_t key = encoder_.Encode64(*out, nullptr);
-      hit = build64_.count(key) && emitted64_.insert(key).second;
-    } else {
-      encoder_.EncodeSpill(*out, nullptr, &spill);
-      hit = build_spill_.count(spill) && emitted_spill_.insert(spill).second;
-    }
-    if (hit) {
-      CountRow();
-      return true;
-    }
-  }
-  return false;
-}
-
 bool IntersectIterator::NextBatch(Batch* out) {
   while (left_->NextBatch(out)) {
     keyer_->Keys(*out, nullptr, &keys64_, &keys_spill_);
@@ -496,25 +384,6 @@ void DifferenceIterator::Open() {
   BuildKeySet(*right_, right_reorder_, encoder_, build64_, build_spill_);
 }
 
-bool DifferenceIterator::Next(Tuple* out) {
-  SmallByteKey spill;
-  while (left_->Next(out)) {
-    bool keep;
-    if (encoder_.fits64()) {
-      uint64_t key = encoder_.Encode64(*out, nullptr);
-      keep = !build64_.count(key) && emitted64_.insert(key).second;
-    } else {
-      encoder_.EncodeSpill(*out, nullptr, &spill);
-      keep = !build_spill_.count(spill) && emitted_spill_.insert(spill).second;
-    }
-    if (keep) {
-      CountRow();
-      return true;
-    }
-  }
-  return false;
-}
-
 bool DifferenceIterator::NextBatch(Batch* out) {
   while (left_->NextBatch(out)) {
     keyer_->Keys(*out, nullptr, &keys64_, &keys_spill_);
@@ -549,26 +418,20 @@ void CrossProductIterator::Open() {
   right_->Open();
   right_rows_.clear();
   right_rows_.reserve(right_->EstimatedRows());
-  while (const Tuple* t = right_->NextRef()) right_rows_.push_back(*t);
-  have_left_ = false;
-  right_pos_ = 0;
+  DrainRows(*right_, &right_rows_);
+  GovernorCharge(right_rows_.size() * (right_->schema().size() + 2) * 8);
+  cursor_.Reset();
 }
 
-bool CrossProductIterator::Next(Tuple* out) {
+bool CrossProductIterator::NextBatch(Batch* out) {
   if (right_rows_.empty()) return false;
-  while (true) {
-    if (!have_left_) {
-      if (!left_->Next(&current_left_)) return false;
-      have_left_ = true;
-      right_pos_ = 0;
-    }
-    if (right_pos_ < right_rows_.size()) {
-      *out = ConcatTuples(current_left_, right_rows_[right_pos_++]);
-      CountRow();
-      return true;
-    }
-    have_left_ = false;
-  }
+  size_t emitted = EmitPairs(
+      *left_, cursor_, left_->schema().size(), right_->schema().size(), [](PairCursor&) {},
+      [&](size_t) { return &right_rows_; },
+      [](const Batch&, uint32_t, const Tuple&) { return true; }, out);
+  if (emitted == 0) return false;
+  CountRows(emitted);
+  return true;
 }
 
 void CrossProductIterator::Close() {

@@ -16,6 +16,86 @@ inline std::shared_ptr<const Relation> BorrowRelation(const Relation& r) {
   return std::shared_ptr<const Relation>(std::shared_ptr<const Relation>(), &r);
 }
 
+/// Resume cursor of the pairing kernel shared by × and the joins: the
+/// current left batch, its per-active-row right-bucket ids (hash joins
+/// only), and where emission stopped — so one left row may span several
+/// output batches.
+struct PairCursor {
+  Batch in;                    // current left batch
+  std::vector<uint32_t> keys;  // right-bucket id per active row (hash joins)
+  size_t pos = 0;              // next active-row index to emit from
+  size_t match_pos = 0;        // next right candidate for that row
+  bool valid = false;          // `in` holds an undrained batch
+
+  void Reset() {
+    pos = 0;
+    match_pos = 0;
+    valid = false;
+  }
+};
+
+/// The pairing kernel: pulls left batches (running `prepare(cursor)` on each
+/// fresh one), and emits (left row × right tuple) pairs into a columnar
+/// output batch of at most GetBatchRows() rows. `rights(i)` gives the right
+/// candidates of active row i (nullptr = none); `keep(batch, row, right)`
+/// filters each candidate. Left columns stay dictionary-encoded when the
+/// input batch is; right tuples are appended as Value columns. Returns the
+/// rows emitted (0 = end of stream).
+template <typename Prepare, typename Rights, typename Keep>
+size_t EmitPairs(Iterator& left, PairCursor& st, size_t num_left, size_t num_right,
+                 Prepare&& prepare, Rights&& rights, Keep&& keep, Batch* out) {
+  const size_t target = GetBatchRows();
+  std::vector<const uint32_t*> src_ids(num_left);
+  while (true) {
+    if (!st.valid) {
+      if (!left.NextBatch(&st.in)) return 0;
+      prepare(st);
+      st.pos = 0;
+      st.match_pos = 0;
+      st.valid = true;
+    }
+    // Bind the output layout to this input batch (per-batch, so mixed
+    // row-view and columnar left streams stay consistent), hoisting each
+    // encoded column's id array out of the emit loop.
+    out->Reset(num_left + num_right);
+    for (size_t c = 0; c < num_left; ++c) {
+      const BatchColumn* enc = st.in.EncodedColumn(c);
+      src_ids[c] = enc != nullptr ? enc->ids.data() : nullptr;
+      if (enc != nullptr) out->column(c).dict = enc->dict;
+    }
+    size_t emitted = 0;
+    size_t active = st.in.ActiveRows();
+    while (st.pos < active && emitted < target) {
+      const std::vector<Tuple>* candidates = rights(st.pos);
+      size_t count = candidates != nullptr ? candidates->size() : 0;
+      uint32_t row = st.in.RowAt(st.pos);
+      while (st.match_pos < count && emitted < target) {
+        const Tuple& right = (*candidates)[st.match_pos++];
+        if (!keep(st.in, row, right)) continue;
+        for (size_t c = 0; c < num_left; ++c) {
+          BatchColumn& ocol = out->column(c);
+          if (src_ids[c] != nullptr) {
+            ocol.ids.push_back(src_ids[c][row]);
+          } else {
+            ocol.values.push_back(st.in.At(row, c));
+          }
+        }
+        for (size_t c = 0; c < num_right; ++c) {
+          out->column(num_left + c).values.push_back(right[c]);
+        }
+        ++emitted;
+      }
+      if (st.match_pos >= count) {
+        ++st.pos;
+        st.match_pos = 0;
+      }
+    }
+    out->set_rows(emitted);
+    if (st.pos >= active) st.Reset();
+    if (emitted > 0) return emitted;
+  }
+}
+
 /// Scans a materialized relation (base table or intermediate). With a
 /// TableEncoding attached (the catalog cache, or an explicitly shared
 /// encoding), NextBatch() emits dictionary-id columns by copying id spans;
@@ -30,12 +110,6 @@ class RelationScan : public Iterator {
   void Open() override {
     ResetCount();
     position_ = 0;
-  }
-  bool Next(Tuple* out) override;
-  const Tuple* NextRef() override {
-    if (position_ >= relation_->size()) return nullptr;
-    CountRow();
-    return &relation_->tuples()[position_++];
   }
   bool NextBatch(Batch* out) override;
   void Close() override {}
@@ -70,8 +144,6 @@ class FilterIterator : public Iterator {
 
   const Schema& schema() const override { return child_->schema(); }
   void Open() override;
-  bool Next(Tuple* out) override;
-  const Tuple* NextRef() override;
   bool NextBatch(Batch* out) override;
   void Close() override { child_->Close(); }
   const char* name() const override { return "Filter"; }
@@ -109,7 +181,6 @@ class ProjectIterator : public Iterator {
 
   const Schema& schema() const override { return schema_; }
   void Open() override;
-  bool Next(Tuple* out) override;
   bool NextBatch(Batch* out) override;
   void Close() override;
   const char* name() const override { return "Project"; }
@@ -120,9 +191,8 @@ class ProjectIterator : public Iterator {
   IterPtr child_;
   Schema schema_;
   std::vector<size_t> indices_;
-  // Streaming dedup on incrementally encoded keys (see key_codec.hpp). The
-  // batch path resolves keys through BatchIncrementalKeyer into the SAME
-  // encoder id space, so both paths dedup identically.
+  // Streaming dedup on incrementally encoded keys (see key_codec.hpp),
+  // resolved per batch through BatchIncrementalKeyer.
   IncrementalKeyEncoder encoder_;
   std::unordered_set<uint64_t, FlatKeyHash> seen64_;
   std::unordered_set<SmallByteKey, FlatKeyHash> seen_spill_;
@@ -141,12 +211,6 @@ class RenameIterator : public Iterator {
   void Open() override {
     ResetCount();
     child_->Open();
-  }
-  bool Next(Tuple* out) override;
-  const Tuple* NextRef() override {
-    const Tuple* t = child_->NextRef();
-    if (t != nullptr) CountRow();
-    return t;
   }
   bool NextBatch(Batch* out) override {
     // Renaming is schema-only; batches pass through untouched.
@@ -171,7 +235,6 @@ class UnionIterator : public Iterator {
 
   const Schema& schema() const override { return left_->schema(); }
   void Open() override;
-  bool Next(Tuple* out) override;
   bool NextBatch(Batch* out) override;
   void Close() override;
   const char* name() const override { return "Union"; }
@@ -181,7 +244,6 @@ class UnionIterator : public Iterator {
   }
 
  private:
-  bool NextAligned(Tuple* out);
   bool EmitFresh(const Batch& in, const std::vector<size_t>* col_map, Batch* out);
 
   IterPtr left_;
@@ -205,7 +267,6 @@ class IntersectIterator : public Iterator {
 
   const Schema& schema() const override { return left_->schema(); }
   void Open() override;
-  bool Next(Tuple* out) override;
   bool NextBatch(Batch* out) override;
   void Close() override;
   const char* name() const override { return "Intersect"; }
@@ -234,7 +295,6 @@ class DifferenceIterator : public Iterator {
 
   const Schema& schema() const override { return left_->schema(); }
   void Open() override;
-  bool Next(Tuple* out) override;
   bool NextBatch(Batch* out) override;
   void Close() override;
   const char* name() const override { return "Difference"; }
@@ -254,14 +314,18 @@ class DifferenceIterator : public Iterator {
   std::vector<SmallByteKey> keys_spill_;
 };
 
-/// × (right side materialized).
+/// × (right side materialized). NextBatch() pairs each left row of the
+/// current left batch with every right row into columnar output batches of
+/// at most GetBatchRows() rows; left columns stay dictionary-encoded when
+/// the input batch is, right columns are copied Values. A resume cursor
+/// lets one left row span several output batches.
 class CrossProductIterator : public Iterator {
  public:
   CrossProductIterator(IterPtr left, IterPtr right);
 
   const Schema& schema() const override { return schema_; }
   void Open() override;
-  bool Next(Tuple* out) override;
+  bool NextBatch(Batch* out) override;
   void Close() override;
   const char* name() const override { return "CrossProduct"; }
   std::vector<Iterator*> InputIterators() override { return {left_.get(), right_.get()}; }
@@ -272,13 +336,11 @@ class CrossProductIterator : public Iterator {
   IterPtr right_;
   Schema schema_;
   std::vector<Tuple> right_rows_;
-  Tuple current_left_;
-  bool have_left_ = false;
-  size_t right_pos_ = 0;
+  PairCursor cursor_;
 };
 
 /// Shared build-side helper for ∩ / −: drains `right` into an encoded key
-/// set (mode-aware: tuples in ExecMode::kTuple, batches otherwise).
+/// set.
 void BuildKeySet(Iterator& right, const std::vector<size_t>& right_reorder,
                  IncrementalKeyEncoder& encoder,
                  std::unordered_set<uint64_t, FlatKeyHash>& set64,

@@ -234,23 +234,14 @@ const char* DivisionIterator::name() const { return DivisionAlgorithmName(algori
 
 std::shared_ptr<DivisionBuildArtifact> DivisionIterator::BuildDivisorArtifact() {
   // Build pipeline: dictionary-encode the divisor's B tuples. Each drain
-  // picks its discipline per pipeline (exec/pipeline.hpp): tuple-at-a-time
-  // for tiny inputs and ExecMode::kTuple, serial batches in kBatch, and
-  // morsel-parallel chunk states merged in chunk order in kParallel.
+  // is sized per pipeline (exec/pipeline.hpp): serial batches at one
+  // thread, morsel-parallel chunk states merged in chunk order otherwise.
   auto art = std::make_shared<DivisionBuildArtifact>();
   divisor_->Open();
   art->codec = KeyCodec(divisor_idx_.size());
   art->codec.Reserve(divisor_->EstimatedRows());
-  if (UseTupleDrain(*divisor_)) {
-    GovernorTicker ticker;
-    while (const Tuple* t = divisor_->NextRef()) {
-      ticker.Tick();
-      art->codec.Add(*t, divisor_idx_);
-    }
-  } else {
-    CodecAppendSink sink(&art->codec, &divisor_idx_);
-    RecordPipelineDop(RunPipeline(*divisor_, sink).dop);
-  }
+  CodecAppendSink sink(&art->codec, &divisor_idx_);
+  RecordPipelineDop(RunPipeline(*divisor_, sink).dop);
   art->codec.Seal();
   art->numbers.Build(art->codec);
   return art;
@@ -277,18 +268,9 @@ std::shared_ptr<DivisionProbeArtifact> DivisionIterator::BuildProbeArtifact(
   size_t expected = dividend_->EstimatedRows();
   art->a_codec.Reserve(expected);
   art->row_b.Reserve(expected);
-  if (UseTupleDrain(*dividend_)) {
-    GovernorTicker ticker;
-    while (const Tuple* row = dividend_->NextRef()) {
-      ticker.Tick();
-      art->a_codec.Add(*row, a_idx_);
-      art->row_b.PushBack(build.numbers.Probe(*row, b_idx_));  // kNotFound == kMissB
-    }
-  } else {
-    ProbeAppendSink sink(&art->a_codec, &a_idx_, &build.numbers, &build.codec, &b_idx_,
-                         &art->row_b);
-    RecordPipelineDop(RunPipeline(*dividend_, sink).dop);
-  }
+  ProbeAppendSink sink(&art->a_codec, &a_idx_, &build.numbers, &build.codec, &b_idx_,
+                       &art->row_b);
+  RecordPipelineDop(RunPipeline(*dividend_, sink).dop);
   art->a_codec.Seal();
   art->divisor_count = build.numbers.count();
   return art;
@@ -354,13 +336,6 @@ void DivisionIterator::Open() {
     KeyInterner<K> candidates;
     run(candidates);
   });
-}
-
-bool DivisionIterator::Next(Tuple* out) {
-  if (position_ >= results_.size()) return false;
-  *out = results_[position_++];
-  CountRow();
-  return true;
 }
 
 bool DivisionIterator::NextBatch(Batch* out) {

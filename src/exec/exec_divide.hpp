@@ -52,20 +52,19 @@ const char* DivisionAlgorithmName(DivisionAlgorithm algorithm);
 /// two flat arrays — per-row A keys and per-row divisor numbers — instead of
 /// hash tables keyed by materialized Tuples.
 ///
-/// In batched modes both drains consume encoded batches: dictionary ids
-/// from the scans translate into the division's codecs through per-column
-/// translation arrays (see docs/batched_execution.md), so the per-row probe
-/// cost drops from a Value hash to an array load. In ExecMode::kParallel
-/// each drain is a pipeline (exec/pipeline.hpp): the input's id spans run
+/// Both drains consume encoded batches: dictionary ids from the scans
+/// translate into the division's codecs through per-column translation
+/// arrays (see docs/batched_execution.md), so the per-row probe cost is an
+/// array load, not a Value hash. Each drain is a pipeline
+/// (exec/pipeline.hpp): with several threads the input's id spans run
 /// morsel-parallel into per-chunk codec/probe states that merge in chunk
-/// order, so results are bit-identical to the serial disciplines.
+/// order, so results are bit-identical at every thread count.
 class DivisionIterator : public Iterator {
  public:
   DivisionIterator(IterPtr dividend, IterPtr divisor, DivisionAlgorithm algorithm);
 
   const Schema& schema() const override { return schema_; }
   void Open() override;
-  bool Next(Tuple* out) override;
   bool NextBatch(Batch* out) override;
   void Close() override;
   const char* name() const override;
@@ -106,7 +105,7 @@ class DivisionIterator : public Iterator {
 
 /// Convenience: run one algorithm on materialized relations. Optional
 /// pre-built table encodings (TableEncoding::Build or a catalog cache) let
-/// repeated calls skip re-encoding the inputs in batch mode.
+/// repeated calls skip re-encoding the inputs.
 Relation ExecDivide(const Relation& dividend, const Relation& divisor,
                     DivisionAlgorithm algorithm, TableEncodingPtr dividend_enc = nullptr,
                     TableEncodingPtr divisor_enc = nullptr);

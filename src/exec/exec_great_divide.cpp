@@ -55,8 +55,8 @@ GreatDivideIterator::GreatDivideIterator(IterPtr dividend, IterPtr divisor,
 
 std::shared_ptr<GreatDivideBuildArtifact> GreatDivideIterator::BuildDivisorArtifact() {
   // Build pipeline: dictionary-encode the divisor's B and C columns (one
-  // pass feeding both codecs) and number both key spaces densely. Drain
-  // discipline per pipeline: see exec/pipeline.hpp.
+  // pass feeding both codecs) and number both key spaces densely
+  // (exec/pipeline.hpp).
   auto art = std::make_shared<GreatDivideBuildArtifact>();
   divisor_->Open();
   art->b_codec = KeyCodec(divisor_b_idx_.size());
@@ -64,16 +64,9 @@ std::shared_ptr<GreatDivideBuildArtifact> GreatDivideIterator::BuildDivisorArtif
   size_t divisor_expected = divisor_->EstimatedRows();
   art->b_codec.Reserve(divisor_expected);
   art->c_codec.Reserve(divisor_expected);
-  if (UseTupleDrain(*divisor_)) {
-    while (const Tuple* t = divisor_->NextRef()) {
-      art->b_codec.Add(*t, divisor_b_idx_);
-      art->c_codec.Add(*t, divisor_c_idx_);
-    }
-  } else {
-    CodecAppendSink sink(&art->b_codec, &divisor_b_idx_);
-    sink.AddTarget(&art->c_codec, &divisor_c_idx_);
-    RecordPipelineDop(RunPipeline(*divisor_, sink).dop);
-  }
+  CodecAppendSink sink(&art->b_codec, &divisor_b_idx_);
+  sink.AddTarget(&art->c_codec, &divisor_c_idx_);
+  RecordPipelineDop(RunPipeline(*divisor_, sink).dop);
   art->b_codec.Seal();
   art->c_codec.Seal();
 
@@ -112,16 +105,9 @@ std::shared_ptr<GreatDivideProbeArtifact> GreatDivideIterator::BuildProbeArtifac
   size_t expected = dividend_->EstimatedRows();
   art->a_codec.Reserve(expected);
   art->row_b.Reserve(expected);
-  if (UseTupleDrain(*dividend_)) {
-    while (const Tuple* row = dividend_->NextRef()) {
-      art->a_codec.Add(*row, a_idx_);
-      art->row_b.PushBack(art->build->b.Probe(*row, b_idx_));
-    }
-  } else {
-    ProbeAppendSink sink(&art->a_codec, &a_idx_, &art->build->b, &art->build->b_codec, &b_idx_,
-                         &art->row_b);
-    RecordPipelineDop(RunPipeline(*dividend_, sink).dop);
-  }
+  ProbeAppendSink sink(&art->a_codec, &a_idx_, &art->build->b, &art->build->b_codec, &b_idx_,
+                       &art->row_b);
+  RecordPipelineDop(RunPipeline(*dividend_, sink).dop);
   art->a_codec.Seal();
   art->a.Build(art->a_codec);
   return art;
@@ -221,13 +207,6 @@ void GreatDivideIterator::RunGroupAtATime(const GreatDivideBuildArtifact& build,
   }
 }
 
-bool GreatDivideIterator::Next(Tuple* out) {
-  if (position_ >= results_.size()) return false;
-  *out = results_[position_++];
-  CountRow();
-  return true;
-}
-
 bool GreatDivideIterator::NextBatch(Batch* out) {
   if (!EmitResultBatch(results_, &position_, out)) return false;
   CountRows(out->ActiveRows());
@@ -269,7 +248,7 @@ Relation GreatDividePartitioned(const Relation& dividend, const Relation& diviso
 
   // One shared dividend encoding: workers translate from it instead of each
   // re-encoding the full dividend (read-only after Build, so no locking).
-  if (dividend_enc == nullptr && GetExecMode() != ExecMode::kTuple) {
+  if (dividend_enc == nullptr) {
     dividend_enc = TableEncoding::Build(dividend);
   }
 
@@ -317,15 +296,20 @@ void SetContainmentJoinIterator::Open() {
   left_->Open();
   right_->Open();
 
-  Tuple t;
-  std::vector<std::pair<uint64_t, Tuple>> lhs;
-  while (left_->Next(&t)) lhs.emplace_back(SetSignature(t[left_idx_].as_set()), t);
-  std::vector<std::pair<uint64_t, Tuple>> rhs;
-  while (right_->Next(&t)) rhs.emplace_back(SetSignature(t[right_idx_].as_set()), t);
+  std::vector<Tuple> lhs;
+  DrainRows(*left_, &lhs);
+  std::vector<Tuple> rhs;
+  DrainRows(*right_, &rhs);
+  std::vector<uint64_t> rhs_sigs;
+  rhs_sigs.reserve(rhs.size());
+  for (const Tuple& t2 : rhs) rhs_sigs.push_back(SetSignature(t2[right_idx_].as_set()));
 
-  for (const auto& [sig1, t1] : lhs) {
+  for (const Tuple& t1 : lhs) {
     const std::vector<Value>& s1 = t1[left_idx_].as_set();
-    for (const auto& [sig2, t2] : rhs) {
+    uint64_t sig1 = SetSignature(s1);
+    for (size_t j = 0; j < rhs.size(); ++j) {
+      const Tuple& t2 = rhs[j];
+      uint64_t sig2 = rhs_sigs[j];
       // Signature filter: containment implies sig2's bits ⊆ sig1's bits.
       if ((sig1 & sig2) != sig2) continue;
       const std::vector<Value>& s2 = t2[right_idx_].as_set();
@@ -334,13 +318,6 @@ void SetContainmentJoinIterator::Open() {
       }
     }
   }
-}
-
-bool SetContainmentJoinIterator::Next(Tuple* out) {
-  if (position_ >= results_.size()) return false;
-  *out = results_[position_++];
-  CountRow();
-  return true;
 }
 
 bool SetContainmentJoinIterator::NextBatch(Batch* out) {

@@ -25,7 +25,6 @@ class GreatDivideIterator : public Iterator {
 
   const Schema& schema() const override { return schema_; }
   void Open() override;
-  bool Next(Tuple* out) override;
   bool NextBatch(Batch* out) override;
   void Close() override;
   const char* name() const override { return GreatDivideAlgorithmName(algorithm_); }
@@ -77,8 +76,7 @@ Relation GreatDividePartitioned(const Relation& dividend, const Relation& diviso
                                 size_t threads, TableEncodingPtr dividend_enc = nullptr);
 
 /// Convenience: run one algorithm on materialized relations. Optional
-/// pre-built table encodings let repeated calls skip re-encoding inputs in
-/// batch mode.
+/// pre-built table encodings let repeated calls skip re-encoding inputs.
 Relation ExecGreatDivide(const Relation& dividend, const Relation& divisor,
                          GreatDivideAlgorithm algorithm,
                          TableEncodingPtr dividend_enc = nullptr,
@@ -94,7 +92,6 @@ class SetContainmentJoinIterator : public Iterator {
 
   const Schema& schema() const override { return schema_; }
   void Open() override;
-  bool Next(Tuple* out) override;
   bool NextBatch(Batch* out) override;
   void Close() override;
   const char* name() const override { return "SetContainmentJoin"; }

@@ -1,6 +1,7 @@
 #include "exec/exec_join.hpp"
 
 #include "exec/pipeline.hpp"
+#include "exec/query_context.hpp"
 
 namespace quotient {
 
@@ -13,71 +14,23 @@ std::vector<size_t> IndicesOf(const Schema& schema, const std::vector<std::strin
   return indices;
 }
 
-/// Core batched probe loop shared by the hash joins: pulls left batches,
-/// resolves their keys in one pass (BatchKeyProbe), and emits matching
-/// (left row × bucket tuple) pairs into a columnar output batch of at most
-/// GetBatchRows() rows. Left columns stay dictionary-encoded when the input
-/// batch is; bucket tuples are appended as Value columns. Oversized buckets
-/// resume via the state's match cursor. Returns rows emitted (0 = end).
-size_t JoinEmitBatch(Iterator& left, BatchKeyProbe& probe, JoinProbeState& st,
+/// Batched probe shared by the hash joins: the pairing kernel over the
+/// build buckets, resolving each fresh left batch's keys in one pass
+/// (BatchKeyProbe). Oversized buckets resume via the cursor's match index.
+size_t JoinEmitBatch(Iterator& left, BatchKeyProbe& probe, PairCursor& st,
                      const std::vector<std::vector<Tuple>>& buckets, size_t num_left,
                      size_t num_right, Batch* out) {
-  const size_t target = GetBatchRows();
-  while (true) {
-    if (!st.valid) {
-      if (!left.NextBatch(&st.in)) return 0;
-      st.keys.clear();
-      probe.Resolve(st.in, &st.keys);
-      st.pos = 0;
-      st.match_pos = 0;
-      st.valid = true;
-    }
-    // Bind the output layout to this input batch (per-batch, so mixed
-    // row-view and columnar left streams stay consistent), hoisting each
-    // encoded column's id array out of the emit loop.
-    out->Reset(num_left + num_right);
-    std::vector<const uint32_t*> src_ids(num_left, nullptr);
-    for (size_t c = 0; c < num_left; ++c) {
-      if (const BatchColumn* enc = st.in.EncodedColumn(c)) {
-        out->column(c).dict = enc->dict;
-        src_ids[c] = enc->ids.data();
-      }
-    }
-    size_t emitted = 0;
-    size_t active = st.in.ActiveRows();
-    while (st.pos < active && emitted < target) {
-      uint32_t key = st.keys[st.pos];
-      if (key == KeyNumbering::kNotFound) {
-        ++st.pos;
-        st.match_pos = 0;
-        continue;
-      }
-      const std::vector<Tuple>& bucket = buckets[key];
-      uint32_t row = st.in.RowAt(st.pos);
-      while (st.match_pos < bucket.size() && emitted < target) {
-        const Tuple& right = bucket[st.match_pos++];
-        for (size_t c = 0; c < num_left; ++c) {
-          BatchColumn& ocol = out->column(c);
-          if (src_ids[c] != nullptr) {
-            ocol.ids.push_back(src_ids[c][row]);
-          } else {
-            ocol.values.push_back(st.in.At(row, c));
-          }
-        }
-        for (size_t c = 0; c < num_right; ++c) {
-          out->column(num_left + c).values.push_back(right[c]);
-        }
-        ++emitted;
-      }
-      if (st.match_pos >= bucket.size()) {
-        ++st.pos;
-        st.match_pos = 0;
-      }
-    }
-    out->set_rows(emitted);
-    if (st.pos >= active) st.Reset();
-    if (emitted > 0) return emitted;
-  }
+  return EmitPairs(
+      left, st, num_left, num_right,
+      [&](PairCursor& c) {
+        c.keys.clear();
+        probe.Resolve(c.in, &c.keys);
+      },
+      [&](size_t i) -> const std::vector<Tuple>* {
+        uint32_t key = st.keys[i];
+        return key == KeyNumbering::kNotFound ? nullptr : &buckets[key];
+      },
+      [](const Batch&, uint32_t, const Tuple&) { return true; }, out);
 }
 
 }  // namespace
@@ -100,20 +53,13 @@ std::shared_ptr<JoinBuildArtifact> HashJoinIterator::BuildArtifact() {
   std::vector<Tuple> rest_rows;
   rest_rows.reserve(right_->EstimatedRows());
   // Build pipeline: key columns into the codec plus the projected rest of
-  // each build row, drained per exec/pipeline.hpp's discipline choice.
-  if (UseTupleDrain(*right_)) {
-    while (const Tuple* t = right_->NextRef()) {
-      art->codec.Add(*t, right_key_);
-      rest_rows.push_back(ProjectTuple(*t, right_rest_));
-    }
-  } else {
-    JoinBuildSink sink(&art->codec, &right_key_, &right_rest_, &rest_rows);
-    PipelineStats stats = RunPipeline(*right_, sink);
-    RecordPipelineDop(stats.dop);
-    // Mirror the sink's materialized-tuple charge so publication can hand
-    // it from the building query to the recycler's budget.
-    art->extra_charge = stats.rows * (right_rest_.size() + 2) * 8;
-  }
+  // each build row (exec/pipeline.hpp).
+  JoinBuildSink sink(&art->codec, &right_key_, &right_rest_, &rest_rows);
+  PipelineStats stats = RunPipeline(*right_, sink);
+  RecordPipelineDop(stats.dop);
+  // Mirror the sink's materialized-tuple charge so publication can hand
+  // it from the building query to the recycler's budget.
+  art->extra_charge = stats.rows * (right_rest_.size() + 2) * 8;
   art->codec.Seal();
   art->numbering.Build(art->codec);
   art->buckets.assign(art->numbering.count(), {});
@@ -136,31 +82,12 @@ void HashJoinIterator::Open() {
     if (cached) build_ = std::static_pointer_cast<const JoinBuildArtifact>(cached);
   }
   if (!build_) build_ = BuildArtifact();
-  matches_ = nullptr;
-  match_pos_ = 0;
   probe_.Bind(&build_->numbering, &build_->codec, &left_key_);
-  state_.Reset();
-}
-
-bool HashJoinIterator::Next(Tuple* out) {
-  while (true) {
-    if (matches_ != nullptr && match_pos_ < matches_->size()) {
-      *out = ConcatTuples(current_left_, (*matches_)[match_pos_++]);
-      CountRow();
-      return true;
-    }
-    matches_ = nullptr;
-    if (!left_->Next(&current_left_)) return false;
-    uint32_t id = build_->numbering.Probe(current_left_, left_key_);
-    if (id != KeyNumbering::kNotFound) {
-      matches_ = &build_->buckets[id];
-      match_pos_ = 0;
-    }
-  }
+  cursor_.Reset();
 }
 
 bool HashJoinIterator::NextBatch(Batch* out) {
-  size_t emitted = JoinEmitBatch(*left_, probe_, state_, build_->buckets,
+  size_t emitted = JoinEmitBatch(*left_, probe_, cursor_, build_->buckets,
                                  left_->schema().size(), right_rest_.size(), out);
   if (emitted == 0) return false;
   CountRows(emitted);
@@ -186,29 +113,27 @@ void NestedLoopJoinIterator::Open() {
   bound_ = std::make_unique<BoundExpr>(condition_, schema_);
   right_rows_.clear();
   right_rows_.reserve(right_->EstimatedRows());
-  while (const Tuple* t = right_->NextRef()) right_rows_.push_back(*t);
-  have_left_ = false;
-  right_pos_ = 0;
+  DrainRows(*right_, &right_rows_);
+  GovernorCharge(right_rows_.size() * (right_->schema().size() + 2) * 8);
+  cursor_.Reset();
 }
 
-bool NestedLoopJoinIterator::Next(Tuple* out) {
+bool NestedLoopJoinIterator::NextBatch(Batch* out) {
   if (right_rows_.empty()) return false;
-  while (true) {
-    if (!have_left_) {
-      if (!left_->Next(&current_left_)) return false;
-      have_left_ = true;
-      right_pos_ = 0;
-    }
-    while (right_pos_ < right_rows_.size()) {
-      Tuple candidate = ConcatTuples(current_left_, right_rows_[right_pos_++]);
-      if (bound_->EvalBool(candidate)) {
-        *out = std::move(candidate);
-        CountRow();
-        return true;
-      }
-    }
-    have_left_ = false;
-  }
+  const size_t num_left = left_->schema().size();
+  size_t emitted = EmitPairs(
+      *left_, cursor_, num_left, right_->schema().size(), [](PairCursor&) {},
+      [&](size_t) { return &right_rows_; },
+      [&](const Batch& in, uint32_t row, const Tuple& right) {
+        candidate_.resize(num_left);
+        for (size_t c = 0; c < num_left; ++c) candidate_[c] = in.At(row, c);
+        candidate_.insert(candidate_.end(), right.begin(), right.end());
+        return bound_->EvalBool(candidate_);
+      },
+      out);
+  if (emitted == 0) return false;
+  CountRows(emitted);
+  return true;
 }
 
 void NestedLoopJoinIterator::Close() {
@@ -234,17 +159,10 @@ std::shared_ptr<JoinBuildArtifact> EquiJoinIterator::BuildArtifact() {
   std::vector<Tuple> right_rows;
   right_rows.reserve(right_->EstimatedRows());
   // Build pipeline: key columns into the codec plus whole build rows.
-  if (UseTupleDrain(*right_)) {
-    while (const Tuple* t = right_->NextRef()) {
-      art->codec.Add(*t, right_key_);
-      right_rows.push_back(*t);
-    }
-  } else {
-    JoinBuildSink sink(&art->codec, &right_key_, /*proj=*/nullptr, &right_rows);
-    PipelineStats stats = RunPipeline(*right_, sink);
-    RecordPipelineDop(stats.dop);
-    art->extra_charge = stats.rows * (right_->schema().size() + 2) * 8;
-  }
+  JoinBuildSink sink(&art->codec, &right_key_, /*proj=*/nullptr, &right_rows);
+  PipelineStats stats = RunPipeline(*right_, sink);
+  RecordPipelineDop(stats.dop);
+  art->extra_charge = stats.rows * (right_->schema().size() + 2) * 8;
   art->codec.Seal();
   art->numbering.Build(art->codec);
   art->buckets.assign(art->numbering.count(), {});
@@ -265,31 +183,12 @@ void EquiJoinIterator::Open() {
     if (cached) build_ = std::static_pointer_cast<const JoinBuildArtifact>(cached);
   }
   if (!build_) build_ = BuildArtifact();
-  matches_ = nullptr;
-  match_pos_ = 0;
   probe_.Bind(&build_->numbering, &build_->codec, &left_key_);
-  state_.Reset();
-}
-
-bool EquiJoinIterator::Next(Tuple* out) {
-  while (true) {
-    if (matches_ != nullptr && match_pos_ < matches_->size()) {
-      *out = ConcatTuples(current_left_, (*matches_)[match_pos_++]);
-      CountRow();
-      return true;
-    }
-    matches_ = nullptr;
-    if (!left_->Next(&current_left_)) return false;
-    uint32_t id = build_->numbering.Probe(current_left_, left_key_);
-    if (id != KeyNumbering::kNotFound) {
-      matches_ = &build_->buckets[id];
-      match_pos_ = 0;
-    }
-  }
+  cursor_.Reset();
 }
 
 bool EquiJoinIterator::NextBatch(Batch* out) {
-  size_t emitted = JoinEmitBatch(*left_, probe_, state_, build_->buckets,
+  size_t emitted = JoinEmitBatch(*left_, probe_, cursor_, build_->buckets,
                                  left_->schema().size(), right_->schema().size(), out);
   if (emitted == 0) return false;
   CountRows(emitted);
@@ -314,19 +213,11 @@ std::shared_ptr<JoinBuildArtifact> HashSemiJoinIterator::BuildArtifact() {
   right_->Open();
   art->codec = KeyCodec(right_key_.size());
   art->codec.Reserve(right_->EstimatedRows());
-  art->right_empty = true;
   // Build pipeline: the key codec doubles as the membership set.
-  if (UseTupleDrain(*right_)) {
-    while (const Tuple* t = right_->NextRef()) {
-      art->right_empty = false;
-      art->codec.Add(*t, right_key_);
-    }
-  } else {
-    CodecAppendSink sink(&art->codec, &right_key_);
-    PipelineStats stats = RunPipeline(*right_, sink);
-    RecordPipelineDop(stats.dop);
-    art->right_empty = stats.rows == 0;
-  }
+  CodecAppendSink sink(&art->codec, &right_key_);
+  PipelineStats stats = RunPipeline(*right_, sink);
+  RecordPipelineDop(stats.dop);
+  art->right_empty = stats.rows == 0;
   art->codec.Seal();
   art->numbering.Build(art->codec);
   return art;
@@ -344,19 +235,6 @@ void HashSemiJoinIterator::Open() {
   }
   if (!build_) build_ = BuildArtifact();
   probe_.Bind(&build_->numbering, &build_->codec, &left_key_);
-}
-
-bool HashSemiJoinIterator::Next(Tuple* out) {
-  while (left_->Next(out)) {
-    bool matched = left_key_.empty()
-                       ? !build_->right_empty
-                       : build_->numbering.Probe(*out, left_key_) != KeyNumbering::kNotFound;
-    if (matched != anti_) {
-      CountRow();
-      return true;
-    }
-  }
-  return false;
 }
 
 bool HashSemiJoinIterator::NextBatch(Batch* out) {

@@ -4,29 +4,12 @@
 
 #include "algebra/predicate.hpp"
 #include "exec/batch.hpp"
+#include "exec/exec_basic.hpp"
 #include "exec/iterator.hpp"
 #include "exec/key_codec.hpp"
 #include "exec/recycler.hpp"
 
 namespace quotient {
-
-/// Shared batched-probe state of the hash joins: the current left batch,
-/// its per-row dense key ids (BatchKeyProbe resolves one batch at a time in
-/// a tight loop), and the resume cursor for buckets larger than what fits
-/// in one output batch.
-struct JoinProbeState {
-  Batch in;                       // current left batch
-  std::vector<uint32_t> keys;     // dense right-key id per active row
-  size_t pos = 0;                 // next active-row index to emit from
-  size_t match_pos = 0;           // next bucket entry for that row
-  bool valid = false;             // `in` holds an undrained batch
-
-  void Reset() {
-    pos = 0;
-    match_pos = 0;
-    valid = false;
-  }
-};
 
 /// Hash natural join on the common attribute names (build on the right,
 /// probe with the left). Output schema: attrs(left) ++ (attrs(right) −
@@ -44,7 +27,6 @@ class HashJoinIterator : public Iterator {
 
   const Schema& schema() const override { return schema_; }
   void Open() override;
-  bool Next(Tuple* out) override;
   bool NextBatch(Batch* out) override;
   void Close() override;
   const char* name() const override { return "HashJoin"; }
@@ -71,24 +53,21 @@ class HashJoinIterator : public Iterator {
   // rows' right_rest projections (projected once at build, not per emitted
   // row). Possibly shared with concurrent executions through the recycler.
   std::shared_ptr<const JoinBuildArtifact> build_;
-
-  Tuple current_left_;
-  const std::vector<Tuple>* matches_ = nullptr;
-  size_t match_pos_ = 0;
-  // Batch path.
   BatchKeyProbe probe_;
-  JoinProbeState state_;
+  PairCursor cursor_;
 };
 
 /// Nested-loop theta join (right side materialized); handles arbitrary
 /// conditions. Output schema: attrs(left) ++ attrs(right) (disjoint names).
+/// NextBatch() runs the × pairing kernel, evaluating the condition on each
+/// candidate (left row, right row) before emitting it.
 class NestedLoopJoinIterator : public Iterator {
  public:
   NestedLoopJoinIterator(IterPtr left, IterPtr right, ExprPtr condition);
 
   const Schema& schema() const override { return schema_; }
   void Open() override;
-  bool Next(Tuple* out) override;
+  bool NextBatch(Batch* out) override;
   void Close() override;
   const char* name() const override { return "NestedLoopJoin"; }
   std::vector<Iterator*> InputIterators() override { return {left_.get(), right_.get()}; }
@@ -101,9 +80,8 @@ class NestedLoopJoinIterator : public Iterator {
   ExprPtr condition_;
   std::unique_ptr<BoundExpr> bound_;
   std::vector<Tuple> right_rows_;
-  Tuple current_left_;
-  bool have_left_ = false;
-  size_t right_pos_ = 0;
+  PairCursor cursor_;
+  Tuple candidate_;  // scratch (left row ++ right row) for the condition
 };
 
 /// Hash equi-join on explicit key columns (for theta joins whose condition
@@ -117,7 +95,6 @@ class EquiJoinIterator : public Iterator {
 
   const Schema& schema() const override { return schema_; }
   void Open() override;
-  bool Next(Tuple* out) override;
   bool NextBatch(Batch* out) override;
   void Close() override;
   const char* name() const override { return "EquiJoin"; }
@@ -137,13 +114,8 @@ class EquiJoinIterator : public Iterator {
   std::vector<size_t> right_key_;
   RecycleSpec recycle_;
   // Build side; buckets hold full right rows (theta-join semantics).
-  std::shared_ptr<const JoinBuildArtifact> build_;
-  Tuple current_left_;
-  const std::vector<Tuple>* matches_ = nullptr;
-  size_t match_pos_ = 0;
-  // Batch path.
-  BatchKeyProbe probe_;
-  JoinProbeState state_;
+  std::shared_ptr<const JoinBuildArtifact> build_;  BatchKeyProbe probe_;
+  PairCursor cursor_;
 };
 
 /// Hash semi-join r1 ⋉ r2 on the common attribute names. With no common
@@ -155,7 +127,6 @@ class HashSemiJoinIterator : public Iterator {
 
   const Schema& schema() const override { return left_->schema(); }
   void Open() override;
-  bool Next(Tuple* out) override;
   bool NextBatch(Batch* out) override;
   void Close() override;
   const char* name() const override { return anti_ ? "HashAntiJoin" : "HashSemiJoin"; }
@@ -179,7 +150,6 @@ class HashSemiJoinIterator : public Iterator {
   // The key numbering doubles as the membership set: a probe hit means the
   // left key equals some right key. Buckets stay empty for semi joins.
   std::shared_ptr<const JoinBuildArtifact> build_;
-  // Batch path.
   BatchKeyProbe probe_;
   std::vector<uint32_t> batch_keys_;
 };

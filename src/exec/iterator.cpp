@@ -4,39 +4,23 @@
 
 namespace quotient {
 
-bool Iterator::NextBatch(Batch* out) {
-  // Legacy adapter: wraps the tuple-at-a-time interface so non-batched
-  // operators keep working inside batched pipelines. Rows are owned by the
-  // batch (NextRef pointees die on the next pull, so they cannot be
-  // batched by reference). Next() counts rows itself — no CountRows here.
-  out->ResetRows();
-  size_t target = GetBatchRows();
+void DrainRows(Iterator& it, std::vector<Tuple>* rows) {
+  Batch batch;
   Tuple t;
-  while (out->rows() < target && Next(&t)) out->AppendOwnedRow(std::move(t));
-  return out->rows() > 0;
+  while (it.NextBatch(&batch)) {
+    GovernorPoll();
+    GovernorFaultPoint("pipeline.drain");
+    for (size_t i = 0; i < batch.ActiveRows(); ++i) {
+      batch.ToTuple(batch.RowAt(i), &t);
+      rows->push_back(std::move(t));
+    }
+  }
 }
 
 Relation ExecuteToRelation(Iterator& it) {
   it.Open();
   std::vector<Tuple> tuples;
-  if (GetExecMode() != ExecMode::kTuple) {
-    Batch batch;
-    Tuple t;
-    while (it.NextBatch(&batch)) {
-      GovernorPoll();
-      for (size_t i = 0; i < batch.ActiveRows(); ++i) {
-        batch.ToTuple(batch.RowAt(i), &t);
-        tuples.push_back(std::move(t));
-      }
-    }
-  } else {
-    Tuple t;
-    GovernorTicker ticker;
-    while (it.Next(&t)) {
-      ticker.Tick();
-      tuples.push_back(t);
-    }
-  }
+  DrainRows(it, &tuples);
   it.Close();
   return Relation(it.schema(), std::move(tuples));
 }
@@ -70,7 +54,7 @@ void Render(Iterator& it, std::string* out, int indent) {
   *out += it.name();
   *out += "  rows=" + std::to_string(it.rows_produced());
   // Degree of parallelism of this operator's pipeline drains (recorded by
-  // the pipeline executor; 0 = tuple-mode or streaming operator).
+  // the pipeline executor; 0 = streaming operator).
   if (it.pipeline_dop() > 0) *out += "  dop=" + std::to_string(it.pipeline_dop());
   *out += "  " + it.schema().ToString() + "\n";
   for (Iterator* child : it.InputIterators()) Render(*child, out, indent + 1);

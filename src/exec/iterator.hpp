@@ -11,9 +11,9 @@
 
 namespace quotient {
 
-/// Volcano-style physical operator: Open / Next / Close, tuple at a time,
-/// plus the batched contract NextBatch() that moves ~GetBatchRows() rows per
-/// virtual call as columns of dictionary ids (see docs/batched_execution.md).
+/// Physical operator: Open / NextBatch / Close. NextBatch() is the only
+/// pull contract: it moves ~GetBatchRows() rows per virtual call as columns
+/// of dictionary ids or row views (see docs/batched_execution.md).
 /// Every iterator counts the tuples it produces; ExecStats aggregates those
 /// counters over a plan so benchmarks can report intermediate-result sizes
 /// (the quantity the Leinders/Van den Bussche result in §6 is about).
@@ -23,31 +23,16 @@ class Iterator {
 
   /// The output schema; valid before Open().
   virtual const Schema& schema() const = 0;
-  /// Acquires resources / builds hash tables. Must be called before Next().
+  /// Acquires resources / builds hash tables. Must be called before
+  /// NextBatch().
   virtual void Open() = 0;
-  /// Produces the next tuple; returns false at end of stream.
-  virtual bool Next(Tuple* out) = 0;
-
-  /// Zero-copy variant of Next(): returns a pointer to the next tuple, or
-  /// nullptr at end of stream. The pointee is only valid until the next
-  /// Next()/NextRef() call. Operators that materialize their input (hash
-  /// builds, blocking divisions) drain children through this to avoid a
-  /// Tuple copy per row; scans and pass-through operators override it.
-  virtual const Tuple* NextRef() {
-    return Next(&ref_scratch_) ? &ref_scratch_ : nullptr;
-  }
 
   /// Batched pull: fills `out` with the next 1..GetBatchRows() active rows
   /// (batch-producing operators may emit more when forwarding a child batch
   /// whose selection they only narrow). Returns false at end of stream —
   /// a true return always carries at least one active row. The batch's
   /// contents are valid until the next NextBatch() call on this iterator.
-  ///
-  /// The default adapter wraps Next(), so every operator participates in
-  /// batched plans; operators with a columnar fast path override it. Within
-  /// one Open() a caller must commit to one pull discipline — mixing Next()
-  /// and NextBatch() pulls on the same iterator double-consumes the stream.
-  virtual bool NextBatch(Batch* out);
+  virtual bool NextBatch(Batch* out) = 0;
 
   /// Releases resources; the iterator may be re-Opened afterwards.
   virtual void Close() = 0;
@@ -87,14 +72,12 @@ class Iterator {
   /// Pipeline-executor accounting hook: credits rows produced when a
   /// parallel pipeline reads morsel spans straight from storage instead of
   /// pulling this operator's NextBatch. Keeps EXPLAIN row totals identical
-  /// across execution modes and thread counts.
+  /// across thread counts.
   void AddProducedRows(size_t n) { CountRows(n); }
 
  protected:
-  void CountRow() { rows_produced_.fetch_add(1, std::memory_order_relaxed); }
-  /// Batch producers count active rows, not batches, so ExplainTree and
-  /// TotalRowsProduced stay comparable across execution modes. The Next()
-  /// adapter must NOT call this — the wrapped Next() already counts.
+  /// Operators count active rows, not batches, so ExplainTree and
+  /// TotalRowsProduced stay comparable across batch sizes.
   void CountRows(size_t n) { rows_produced_.fetch_add(n, std::memory_order_relaxed); }
   /// Clears the row counter AND the recorded pipeline parallelism; every
   /// operator calls this at the top of Open().
@@ -112,14 +95,16 @@ class Iterator {
   size_t pipeline_dop_ = 0;
 
  private:
-  Tuple ref_scratch_;  // backing storage for the default NextRef()
   double cost_rows_hint_ = 0;
 };
 
 using IterPtr = std::unique_ptr<Iterator>;
 
-/// Drains `it` (Open/.../Close) into a canonical Relation, pulling tuples
-/// in ExecMode::kTuple and batches otherwise (kBatch and kParallel).
+/// Pulls every remaining batch of an Open()ed `it` and appends its active
+/// rows to `rows`, polling the governor once per batch.
+void DrainRows(Iterator& it, std::vector<Tuple>* rows);
+
+/// Drains `it` (Open/.../Close) into a canonical Relation.
 Relation ExecuteToRelation(Iterator& it);
 
 /// Sum of rows_produced over the whole plan (call after draining).
@@ -129,7 +114,7 @@ size_t TotalRowsProduced(Iterator& root);
 size_t MaxRowsProduced(Iterator& root);
 
 /// Largest pipeline degree of parallelism recorded anywhere in the plan
-/// (0 when every drain ran tuple-at-a-time).
+/// (0 when the plan has no blocking drain).
 size_t MaxPipelineDop(Iterator& root);
 
 /// Indented operator tree with per-operator row counts, for EXPLAIN ANALYZE

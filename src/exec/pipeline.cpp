@@ -13,15 +13,9 @@ namespace quotient {
 namespace {
 
 constexpr size_t kDefaultMorselRows = 4096;
-constexpr size_t kDefaultSerialRowThreshold = 64;
 
 std::atomic<size_t>& MorselRowsFlag() {
   static std::atomic<size_t> rows{kDefaultMorselRows};
-  return rows;
-}
-
-std::atomic<size_t>& SerialThresholdFlag() {
-  static std::atomic<size_t> rows{kDefaultSerialRowThreshold};
   return rows;
 }
 
@@ -86,37 +80,14 @@ void SetMorselRows(size_t rows) {
   MorselRowsFlag().store(rows == 0 ? 1 : rows, std::memory_order_relaxed);
 }
 
-size_t GetSerialRowThreshold() {
-  return SerialThresholdFlag().load(std::memory_order_relaxed);
-}
-void SetSerialRowThreshold(size_t rows) {
-  SerialThresholdFlag().store(rows, std::memory_order_relaxed);
-}
-
 PipelineChoice ChoosePipeline(const Iterator& child) {
   PipelineChoice choice;
-  ExecMode mode = GetExecMode();
-  if (mode == ExecMode::kTuple) {
-    choice.tuple = true;
-    return choice;
-  }
-  if (mode != ExecMode::kParallel) return choice;
-  size_t threshold = GetSerialRowThreshold();
-  // Threshold 0 disables every estimate-driven choice, not just the tuple
-  // cutoff: tests set it to force the full parallel machinery on fixtures
-  // far smaller than any sane worker cap would allow.
-  if (threshold == 0) return choice;
-  size_t estimated = child.EstimatedRows();
   double hint = child.cost_rows_hint();
   // The cost-model estimate accounts for selectivity and division/join
   // shrinkage; EstimatedRows() is only a structural upper bound. Prefer
   // the model when the planner supplied it.
-  double rows = hint > 0 ? hint : static_cast<double>(estimated);
-  if (rows <= 0) return choice;  // unknown: batched, uncapped
-  if (rows <= static_cast<double>(threshold)) {
-    choice.tuple = true;
-    return choice;
-  }
+  double rows = hint > 0 ? hint : static_cast<double>(child.EstimatedRows());
+  if (rows <= 0) return choice;  // unknown: uncapped
   // Cap workers so each gets at least ~two morsels of estimated work —
   // fan-out past that points pays scheduling and merge cost for nothing.
   size_t threads = GetExecThreads();
@@ -133,11 +104,8 @@ PipelineChoice ChoosePipeline(const Iterator& child) {
   return choice;
 }
 
-bool UseTupleDrain(const Iterator& child) { return ChoosePipeline(child).tuple; }
-
 PipelineStats RunPipeline(Iterator& child, PipelineSink& sink) {
-  bool parallel = GetExecMode() == ExecMode::kParallel && GetExecThreads() > 1 &&
-                  !OnWorkerThread() && sink.AllowParallel();
+  bool parallel = GetExecThreads() > 1 && !OnWorkerThread() && sink.AllowParallel();
   if (!parallel) return DrainSerial(child, sink);
   PipelineChoice choice = ChoosePipeline(child);
   size_t threads = GetExecThreads();
@@ -177,7 +145,7 @@ PipelineStats RunPipeline(Iterator& child, PipelineSink& sink) {
     }
     // The span reads bypassed the chain's NextBatch methods; credit every
     // bypassed operator with the rows it forwarded so EXPLAIN totals match
-    // the serial disciplines exactly.
+    // the serial drain exactly.
     for (Iterator* op : source.chain) op->AddProducedRows(rows);
 
     PipelineStats stats;

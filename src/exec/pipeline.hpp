@@ -6,18 +6,17 @@
 // streams a blocking operator fully drains during Open(): hash-table
 // builds, division codec drains, grouping, set-operation build sides. Each
 // such drain is "source → streaming ops → sink", and RunPipeline executes
-// it under the current ExecMode:
+// it in one of two shapes, decided by the thread count alone:
 //
-//   kTuple    — the operators' own tuple-at-a-time reference drains (the
-//               callers skip RunPipeline entirely, see UseTupleDrain);
-//   kBatch    — serial batched pull, exactly the PR 2 discipline;
-//   kParallel — morsel-driven: the source's rows are split into contiguous
-//               chunks of id spans, a worker pool (exec/scheduler.hpp) runs
-//               the batch kernels per chunk into per-chunk partial sink
-//               states, and the partials are merged in chunk-index order.
+//   serial  — one thread (or a drain already on a pool worker): batches fold
+//             straight into the sink;
+//   chunked — morsel-driven: the source's rows are split into contiguous
+//             chunks of id spans, a worker pool (exec/scheduler.hpp) runs
+//             the batch kernels per chunk into per-chunk partial sink
+//             states, and the partials are merged in chunk-index order.
 //
-// The chunk-ordered merge is what makes parallel execution bit-identical to
-// serial batch execution at every thread count: iterating chunks in index
+// The chunk-ordered merge is what makes chunked drains bit-identical to
+// serial ones at every thread count: iterating chunks in index
 // order and rows within a chunk in row order visits the input in exactly
 // the serial row order, so dictionary ids, candidate numberings, group
 // numbers, and result emission order all come out the same. Law 13's
@@ -42,17 +41,9 @@ namespace quotient {
 size_t GetMorselRows();
 void SetMorselRows(size_t rows);
 
-/// Inputs at or under this estimated row count drain tuple-at-a-time even
-/// in ExecMode::kParallel: batch/morsel setup costs more than it saves on
-/// tiny inputs (the minimal cost-based ExecMode choice from the ROADMAP).
-/// Default 64; 0 disables the heuristic (tests use this to force the
-/// parallel path on small fixtures).
-size_t GetSerialRowThreshold();
-void SetSerialRowThreshold(size_t rows);
-
-/// RAII guards for the two knobs above. Like ScopedExecThreads they restore
-/// on any unwind (a faulted or cancelled test must not poison the process
-/// globals for the rest of the suite) and are non-copyable so an accidental
+/// RAII guard for the knob above. Like ScopedExecThreads it restores on any
+/// unwind (a faulted or cancelled test must not poison the process
+/// globals for the rest of the suite) and is non-copyable so an accidental
 /// copy cannot restore twice.
 struct ScopedMorselRows {
   explicit ScopedMorselRows(size_t rows) : saved(GetMorselRows()) { SetMorselRows(rows); }
@@ -61,42 +52,22 @@ struct ScopedMorselRows {
   ScopedMorselRows& operator=(const ScopedMorselRows&) = delete;
   size_t saved;
 };
-struct ScopedSerialRowThreshold {
-  explicit ScopedSerialRowThreshold(size_t rows) : saved(GetSerialRowThreshold()) {
-    SetSerialRowThreshold(rows);
-  }
-  ~ScopedSerialRowThreshold() { SetSerialRowThreshold(saved); }
-  ScopedSerialRowThreshold(const ScopedSerialRowThreshold&) = delete;
-  ScopedSerialRowThreshold& operator=(const ScopedSerialRowThreshold&) = delete;
-  size_t saved;
-};
 
 /// Costed per-pipeline execution choice (the cost-driven physical choices
-/// from the ROADMAP): drain discipline, worker cap, and morsel-size floor,
-/// derived from the pipeline source's cost-model cardinality
-/// (Iterator::cost_rows_hint, set by the planner from opt/cost.hpp) with
-/// EstimatedRows() as the structural fallback. Defaults reproduce the
-/// legacy behavior exactly — and are always returned when the serial row
-/// threshold is 0, the setting tests use to force the parallel path on
-/// small fixtures regardless of estimates.
+/// from the ROADMAP): worker cap and morsel-size floor, derived from the
+/// pipeline source's cost-model cardinality (Iterator::cost_rows_hint, set
+/// by the planner from opt/cost.hpp) with EstimatedRows() as the structural
+/// fallback. Both only resize chunks, so results stay bit-identical.
 struct PipelineChoice {
-  /// Drain tuple-at-a-time (estimate at or under the serial threshold).
-  bool tuple = false;
   /// Cap on workers for this pipeline; 0 = no cap (use GetExecThreads()).
-  /// Realized by growing chunks, so results stay bit-identical.
   size_t workers = 0;
   /// Extra floor on rows per chunk; 0 = the global GetMorselRows() floor.
   size_t morsel_rows = 0;
 };
 
 /// Decided once per pipeline drain, so one operator may drain a tiny
-/// divisor tuple-wise while morsel-parallelizing a large dividend.
+/// divisor serially while morsel-parallelizing a large dividend.
 PipelineChoice ChoosePipeline(const Iterator& child);
-
-/// True when a blocking operator should drain `child` with its
-/// tuple-at-a-time reference path: always in ExecMode::kTuple, and in
-/// ExecMode::kParallel when ChoosePipeline picks the tuple discipline.
-bool UseTupleDrain(const Iterator& child);
 
 /// Partial state of one chunk of a parallel pipeline. Chunks are created
 /// up front, written by exactly one worker task, and merged in chunk-index
@@ -107,7 +78,7 @@ class SinkChunk {
 };
 
 /// Where a pipeline's rows land: a blocking operator's build state. A sink
-/// must implement both disciplines —
+/// must implement both drain shapes —
 ///   ConsumeSerial : fold batches straight into the final state (serial
 ///                   runs pay zero partial/merge overhead);
 ///   MakeChunk / Consume / Merge : per-chunk partial states for parallel
@@ -133,8 +104,8 @@ struct PipelineStats {
   size_t dop = 1;     // worker parallelism usable for those chunks
 };
 
-/// Drains `child` (already Open()ed) into `sink` under the current
-/// ExecMode; see the file comment for the disciplines. Parallel runs
+/// Drains `child` (already Open()ed) into `sink`; see the file comment for
+/// the serial and chunked shapes. Chunked runs
 /// require the pipeline's source rows to be chunkable: a RelationScan
 /// source (under any chain of pass-through ρ) is split into id-span
 /// morsels read directly from storage; any other source is drained

@@ -17,7 +17,7 @@ thread_local QueryContext* tls_query_context = nullptr;
 /// tests/test_governor.cpp in step with this list.
 const std::vector<std::string> kKnownSites = {
     "scheduler.task",       // worker-pool task admission (exec/scheduler.cpp)
-    "pipeline.drain",       // serial pipeline drain, per batch (exec/pipeline.cpp)
+    "pipeline.drain",       // serial drains, per batch (exec/{pipeline,iterator,exec_basic}.cpp)
     "pipeline.morsel",      // parallel morsel read, per batch (exec/pipeline.cpp)
     "pipeline.merge",       // chunk-ordered sink merge (exec/pipeline.cpp)
     "sink.codec_append",    // divisor/build codec appends (exec/pipeline.cpp)

@@ -20,7 +20,7 @@
 // not recyclable (their content is not captured by the serialization). DDL
 // bumps a table's data version, so a stale artifact simply stops being
 // addressable; Database::Ddl additionally calls InvalidateTables for
-// memory hygiene. Execution mode is deliberately NOT part of the key: the
+// memory hygiene. The thread count is deliberately NOT part of the key: the
 // chunk-ordered parallel merges make build state bit-identical to serial
 // at every thread count (docs/parallel_execution.md).
 //

@@ -15,7 +15,7 @@
 
 namespace quotient {
 
-/// Degree of parallelism for ExecMode::kParallel pipelines. Initialized on
+/// Degree of parallelism for pipeline drains, the only execution knob. Initialized on
 /// first use from QUOTIENT_THREADS (falling back to
 /// std::thread::hardware_concurrency), clamped to >= 1. 1 means parallel
 /// plumbing runs inline on the calling thread.

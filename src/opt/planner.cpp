@@ -37,8 +37,8 @@ PlanPtr HealyExpansion(const PlanPtr& dividend, const PlanPtr& divisor) {
 /// artifact, probe_key the full probe state that additionally captures the
 /// dividend drain. The physical algorithm is deliberately absent from both
 /// keys — every division algorithm runs over the same encoded state — and so
-/// is the execution mode (chunk-ordered merges make build state bit-identical
-/// across modes and thread counts, docs/parallel_execution.md). The tag
+/// is the thread count (chunk-ordered merges make build state bit-identical
+/// at every thread count, docs/parallel_execution.md). The tag
 /// ("div"/"gd") selects the artifact type the adopting iterator casts to, so
 /// it must differ wherever the concrete artifact struct differs.
 RecycleSpec DivideRecycleSpec(const std::string& tag, const LogicalOp& op,
@@ -123,15 +123,13 @@ IterPtr BuildNode(const PlanPtr& plan, const Catalog& catalog, const PlannerOpti
   const LogicalOp& op = *plan;
   switch (op.kind()) {
     case LogicalOp::Kind::kScan:
-      // Batched and parallel plans scan through the catalog's cached
-      // per-table dictionary encoding, so repeated queries share encode
-      // work across Open()s and morsel workers share one immutable table
-      // encoding. The scan holds an OWNING handle to the relation, so a
+      // Scans read through the catalog's cached per-table dictionary
+      // encoding, so repeated queries share encode work across Open()s and
+      // morsel workers share one immutable table encoding. The scan holds an OWNING handle to the relation, so a
       // plan built against one catalog snapshot stays valid after DDL
       // publishes a newer one (api/database.hpp).
-      return std::make_unique<RelationScan>(
-          catalog.GetShared(op.table()),
-          GetExecMode() != ExecMode::kTuple ? catalog.Encoding(op.table()) : nullptr);
+      return std::make_unique<RelationScan>(catalog.GetShared(op.table()),
+                                            catalog.Encoding(op.table()));
     case LogicalOp::Kind::kValues:
       return std::make_unique<RelationScan>(
           std::make_shared<const Relation>(op.values()));
@@ -244,12 +242,10 @@ IterPtr Build(const PlanPtr& plan, const Catalog& catalog, const PlannerOptions&
   // Tag the operator with its cost-model cardinality so the executor's
   // per-pipeline choices (ChoosePipeline, exec/pipeline.hpp) see through
   // filters and divisions instead of trusting structural upper bounds.
-  // Only the parallel executor consults the hints, so the other modes skip
-  // the estimation pass. Harvests stay cheap: a scan's BuildNode above just
+  // Harvests stay cheap: a scan's BuildNode above just
   // warmed the catalog's encoding cache, so the stats layer reads dictionary
   // sizes instead of rescanning data (opt/stats.hpp).
-  if (context != nullptr && context->stats != nullptr &&
-      GetExecMode() == ExecMode::kParallel) {
+  if (context != nullptr && context->stats != nullptr) {
     built->set_cost_rows_hint(EstimatePlan(plan, catalog, *context->stats).cardinality);
   }
   return built;

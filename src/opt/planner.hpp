@@ -35,7 +35,7 @@ struct PlannerOptions {
 /// Lowers a logical plan to a Volcano iterator tree over `catalog`.
 /// ThetaJoins whose condition is a conjunction of cross-side column
 /// equalities become hash equi-joins; other conditions fall back to a
-/// nested-loop join. In parallel mode every operator also gets a
+/// nested-loop join. Every operator also gets a
 /// cost-model cardinality hint (Iterator::cost_rows_hint) driving the
 /// executor's per-pipeline choices; `stats` feeds those estimates (pass
 /// the snapshot's cache to share harvests across queries — a transient

@@ -19,11 +19,9 @@ namespace {
 /// All lowering rejections are SqlError throws converted to Result at the
 /// boundary; the Session uses the message as the oracle-fallback reason.
 ///
-/// The resolution/translation helpers below deliberately mirror (rather
-/// than share) sql/binder.cpp: the binder is the frozen §4-plannable-subset
-/// front end with its own tested error surface, while this compiler evolves
-/// toward the oracle interpreter's exact naming and coverage. Keep the
-/// suffix-match rule in TryResolve in sync with both if it ever changes.
+/// The resolution helpers below follow the oracle interpreter's exact
+/// naming; keep the suffix-match rule in TryResolve in sync with
+/// sql/interp.cpp if it ever changes.
 [[noreturn]] void Unsupported(const std::string& what) { throw SqlError(what); }
 
 /// Finds the unique qualified attribute matching a (possibly qualified)

@@ -10,11 +10,13 @@ namespace sql {
 /// Compiles a parsed query into a logical plan whose execution through the
 /// rewrite engine + physical planner reproduces the oracle interpreter
 /// (sql::ExecuteQueryOracle) bit for bit — schemas, output names, and set
-/// semantics included. This is the Session front door's compiler; the older
-/// BindQuery (sql/binder.hpp) is its conservative ancestor and is kept for
-/// the plannable-§4-subset tests.
+/// semantics included. This is the one SQL compile path: the Session front
+/// door and the plannable-§4 tests both go through it.
 ///
-/// Coverage beyond the binder:
+/// Coverage:
+///   * FROM with base tables, derived tables, comma joins, and DIVIDE BY
+///     ... ON (equality conditions only, per §4),
+///   * GROUP BY plain columns with COUNT/SUM/MIN/MAX/AVG and HAVING,
 ///   * SELECT * (qualifiers stripped exactly like the interpreter),
 ///   * uncorrelated IN / NOT IN subqueries as semi-/anti-joins,
 ///   * equality-correlated EXISTS / NOT EXISTS as semi-/anti-joins,

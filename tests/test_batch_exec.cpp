@@ -1,10 +1,10 @@
-// Batched columnar execution (docs/batched_execution.md) must be
-// indistinguishable from tuple-at-a-time execution: these property tests
-// run the same physical plans under ExecMode::kBatch and ExecMode::kTuple
-// and require identical relations AND identical per-operator row counts,
-// across batch sizes that straddle every boundary (1, 1023, 1024, 1025),
-// empty inputs, string keys, and keys wide enough to take the SmallByteKey
-// spill path.
+// Batched columnar execution (docs/batched_execution.md) must reproduce the
+// reference algebra: these property tests run the same physical plans at
+// batch sizes that straddle every boundary (1, 3, 1023, 1024, 1025) and
+// require the relation plan::Evaluate computes AND per-operator row counts
+// identical across batch sizes, over empty inputs, string keys, and keys
+// wide enough to take the SmallByteKey spill path. The PairKernel suite
+// covers the × and nested-loop join batch kernels at threads {1, 4}.
 
 #include <gtest/gtest.h>
 
@@ -16,6 +16,7 @@
 #include "exec/exec_basic.hpp"
 #include "exec/exec_divide.hpp"
 #include "exec/exec_great_divide.hpp"
+#include "exec/scheduler.hpp"
 #include "opt/planner.hpp"
 #include "paper_fixtures.hpp"
 #include "plan/evaluate.hpp"
@@ -25,31 +26,31 @@ namespace {
 
 const size_t kBoundarySizes[] = {1, 3, 1023, 1024, 1025};
 
-/// Runs `plan` in tuple mode (the PR 1 reference) and in batch mode at each
-/// boundary batch size; the relation and the plan-wide row accounting must
-/// match exactly.
-void ExpectModeAgreement(const PlanPtr& plan, const Catalog& catalog,
-                         const PlannerOptions& options = {}) {
-  Relation reference;
-  ExecProfile reference_profile;
-  {
-    ScopedExecMode tuple_mode(ExecMode::kTuple);
-    reference = ExecutePlan(plan, catalog, options, &reference_profile);
-  }
-  // Tuple mode must agree with the semantics oracle.
-  EXPECT_EQ(reference, Evaluate(plan, catalog));
-
-  ScopedExecMode batch_mode(ExecMode::kBatch);
+/// Runs `plan` single-threaded at each boundary batch size; every result
+/// must equal plan::Evaluate (the reference algebra), and the plan-wide row
+/// accounting must not depend on the batch size.
+void ExpectBatchSizeAgreement(const PlanPtr& plan, const Catalog& catalog,
+                              const PlannerOptions& options = {}) {
+  const Relation reference = Evaluate(plan, catalog);
+  ScopedExecThreads serial(1);
+  ExecProfile first_profile;
+  bool first = true;
   for (size_t batch_rows : kBoundarySizes) {
     ScopedBatchRows scoped(batch_rows);
     ExecProfile profile;
     Relation result = ExecutePlan(plan, catalog, options, &profile);
     EXPECT_EQ(result, reference) << "batch_rows=" << batch_rows;
-    EXPECT_EQ(profile.total_rows, reference_profile.total_rows)
-        << "rows_produced accounting diverged at batch_rows=" << batch_rows << "\ntuple:\n"
-        << reference_profile.explain << "batch:\n"
+    if (first) {
+      first_profile = profile;
+      first = false;
+      continue;
+    }
+    EXPECT_EQ(profile.total_rows, first_profile.total_rows)
+        << "rows_produced accounting diverged at batch_rows=" << batch_rows << "\nbatch_rows="
+        << kBoundarySizes[0] << ":\n"
+        << first_profile.explain << "batch_rows=" << batch_rows << ":\n"
         << profile.explain;
-    EXPECT_EQ(profile.max_rows, reference_profile.max_rows) << "batch_rows=" << batch_rows;
+    EXPECT_EQ(profile.max_rows, first_profile.max_rows) << "batch_rows=" << batch_rows;
   }
 }
 
@@ -74,7 +75,7 @@ TEST(BatchExecProperty, DivisionAllAlgorithmsAllBatchSizes) {
         DivisionAlgorithm::kSortCount, DivisionAlgorithm::kNestedLoop}) {
     PlannerOptions options;
     options.division = algorithm;
-    ExpectModeAgreement(plan, catalog, options);
+    ExpectBatchSizeAgreement(plan, catalog, options);
   }
 }
 
@@ -86,7 +87,7 @@ TEST(BatchExecProperty, GreatDivideBothAlgorithms) {
        {GreatDivideAlgorithm::kHash, GreatDivideAlgorithm::kGroup}) {
     PlannerOptions options;
     options.great_divide = algorithm;
-    ExpectModeAgreement(plan, catalog, options);
+    ExpectBatchSizeAgreement(plan, catalog, options);
   }
 }
 
@@ -98,15 +99,15 @@ TEST(BatchExecProperty, FilterProjectPipeline) {
                                 Expr::Compare(CmpOp::kNe, Expr::Column("a"), Expr::Column("b")));
   PlanPtr plan = LogicalOp::Project(
       LogicalOp::Select(LogicalOp::Scan(catalog, "r1"), predicate), {"a"});
-  ExpectModeAgreement(plan, catalog);
+  ExpectBatchSizeAgreement(plan, catalog);
 }
 
 TEST(BatchExecProperty, FilterKeepsNothingAndEverything) {
   Catalog catalog = SuppliersCatalog();
-  ExpectModeAgreement(LogicalOp::Select(LogicalOp::Scan(catalog, "r1"),
+  ExpectBatchSizeAgreement(LogicalOp::Select(LogicalOp::Scan(catalog, "r1"),
                                         Expr::ColCmp("a", CmpOp::kLt, V(-1))),
                       catalog);
-  ExpectModeAgreement(LogicalOp::Select(LogicalOp::Scan(catalog, "r1"),
+  ExpectBatchSizeAgreement(LogicalOp::Select(LogicalOp::Scan(catalog, "r1"),
                                         Expr::ColCmp("a", CmpOp::kGe, V(0))),
                       catalog);
 }
@@ -116,15 +117,15 @@ TEST(BatchExecProperty, JoinsAcrossBatchSizes) {
   PlanPtr r1 = LogicalOp::Scan(catalog, "r1");
   PlanPtr spj = LogicalOp::Scan(catalog, "spj");
   // Natural join on the shared attribute names.
-  ExpectModeAgreement(
+  ExpectBatchSizeAgreement(
       LogicalOp::NaturalJoin(r1, LogicalOp::Rename(spj, {{"s", "a"}, {"p", "x"}})), catalog);
   // Theta equi-join keeps both key columns.
-  ExpectModeAgreement(LogicalOp::ThetaJoin(spj, LogicalOp::Rename(spj, {{"s", "s2"}, {"p", "p2"}}),
+  ExpectBatchSizeAgreement(LogicalOp::ThetaJoin(spj, LogicalOp::Rename(spj, {{"s", "s2"}, {"p", "p2"}}),
                                            Expr::ColEqCol("p", "p2")),
                       catalog);
   // Semi and anti joins.
-  ExpectModeAgreement(LogicalOp::SemiJoin(r1, LogicalOp::Scan(catalog, "r2")), catalog);
-  ExpectModeAgreement(LogicalOp::AntiJoin(r1, LogicalOp::Scan(catalog, "r2")), catalog);
+  ExpectBatchSizeAgreement(LogicalOp::SemiJoin(r1, LogicalOp::Scan(catalog, "r2")), catalog);
+  ExpectBatchSizeAgreement(LogicalOp::AntiJoin(r1, LogicalOp::Scan(catalog, "r2")), catalog);
 }
 
 TEST(BatchExecProperty, SetOperationsWithReorderedSchemas) {
@@ -135,9 +136,9 @@ TEST(BatchExecProperty, SetOperationsWithReorderedSchemas) {
   PlanPtr left = LogicalOp::Scan(catalog, "r1");
   PlanPtr right = LogicalOp::Project(
       LogicalOp::Rename(LogicalOp::Scan(catalog, "r1b"), {}), {"b", "a"});
-  ExpectModeAgreement(LogicalOp::Union(left, right), catalog);
-  ExpectModeAgreement(LogicalOp::Intersect(left, right), catalog);
-  ExpectModeAgreement(LogicalOp::Difference(left, right), catalog);
+  ExpectBatchSizeAgreement(LogicalOp::Union(left, right), catalog);
+  ExpectBatchSizeAgreement(LogicalOp::Intersect(left, right), catalog);
+  ExpectBatchSizeAgreement(LogicalOp::Difference(left, right), catalog);
 }
 
 TEST(BatchExecProperty, GroupByAggregates) {
@@ -145,11 +146,11 @@ TEST(BatchExecProperty, GroupByAggregates) {
   PlanPtr plan = LogicalOp::GroupBy(
       LogicalOp::Scan(catalog, "r1"), {"a"},
       {{AggFunc::kCount, "", "n"}, {AggFunc::kMax, "b", "max_b"}, {AggFunc::kAvg, "b", "avg_b"}});
-  ExpectModeAgreement(plan, catalog);
+  ExpectBatchSizeAgreement(plan, catalog);
   // Global aggregate (no group attributes) over a nonempty and empty input.
   PlanPtr global = LogicalOp::GroupBy(LogicalOp::Scan(catalog, "r1"), {},
                                       {{AggFunc::kCount, "", "n"}});
-  ExpectModeAgreement(global, catalog);
+  ExpectBatchSizeAgreement(global, catalog);
 }
 
 TEST(BatchExecProperty, EmptyInputsEverywhere) {
@@ -162,12 +163,12 @@ TEST(BatchExecProperty, EmptyInputsEverywhere) {
   PlanPtr empty_b = LogicalOp::Scan(catalog, "empty_b");
   PlanPtr r1 = LogicalOp::Scan(catalog, "r1");
   PlanPtr r2 = LogicalOp::Scan(catalog, "r2");
-  ExpectModeAgreement(LogicalOp::Divide(empty_ab, r2), catalog);
-  ExpectModeAgreement(LogicalOp::Divide(r1, empty_b), catalog);  // r1 ÷ ∅ = πA(r1)
-  ExpectModeAgreement(LogicalOp::NaturalJoin(r1, empty_ab), catalog);
-  ExpectModeAgreement(LogicalOp::Union(r1, empty_ab), catalog);
-  ExpectModeAgreement(LogicalOp::Difference(empty_ab, r1), catalog);
-  ExpectModeAgreement(LogicalOp::GroupBy(empty_ab, {"a"}, {{AggFunc::kCount, "", "n"}}),
+  ExpectBatchSizeAgreement(LogicalOp::Divide(empty_ab, r2), catalog);
+  ExpectBatchSizeAgreement(LogicalOp::Divide(r1, empty_b), catalog);  // r1 ÷ ∅ = πA(r1)
+  ExpectBatchSizeAgreement(LogicalOp::NaturalJoin(r1, empty_ab), catalog);
+  ExpectBatchSizeAgreement(LogicalOp::Union(r1, empty_ab), catalog);
+  ExpectBatchSizeAgreement(LogicalOp::Difference(empty_ab, r1), catalog);
+  ExpectBatchSizeAgreement(LogicalOp::GroupBy(empty_ab, {"a"}, {{AggFunc::kCount, "", "n"}}),
                       catalog);
 }
 
@@ -178,9 +179,9 @@ TEST(BatchExecProperty, StringKeysAndMixedTypes) {
   catalog.Put("r2", StringifyAttribute(gen.Divisor(5, 16), "b"));
   PlanPtr plan = LogicalOp::Divide(LogicalOp::Scan(catalog, "r1"),
                                    LogicalOp::Scan(catalog, "r2"));
-  ExpectModeAgreement(plan, catalog);
+  ExpectBatchSizeAgreement(plan, catalog);
   // String-valued filter through the verdict cache.
-  ExpectModeAgreement(LogicalOp::Select(LogicalOp::Scan(catalog, "r1"),
+  ExpectBatchSizeAgreement(LogicalOp::Select(LogicalOp::Scan(catalog, "r1"),
                                         Expr::ColCmp("b", CmpOp::kEq, V("v3"))),
                       catalog);
 }
@@ -205,9 +206,9 @@ TEST(BatchExecProperty, WideKeysHitSpillPath) {
   catalog.Put("wide_divisor", Relation(r1.schema().Project(b_names), std::move(divisor_rows)));
   PlanPtr plan = LogicalOp::Divide(LogicalOp::Scan(catalog, "wide"),
                                    LogicalOp::Scan(catalog, "wide_divisor"));
-  ExpectModeAgreement(plan, catalog);
+  ExpectBatchSizeAgreement(plan, catalog);
   // Wide projection dedup takes the encoder's spill representation too.
-  ExpectModeAgreement(LogicalOp::Project(LogicalOp::Scan(catalog, "wide"), b_names), catalog);
+  ExpectBatchSizeAgreement(LogicalOp::Project(LogicalOp::Scan(catalog, "wide"), b_names), catalog);
 }
 
 TEST(BatchExecProperty, RandomizedPlansAgainstOracle) {
@@ -221,19 +222,18 @@ TEST(BatchExecProperty, RandomizedPlansAgainstOracle) {
                           Expr::ColCmp("a", CmpOp::kGe, V(gen.UniformInt(0, 3)))),
         LogicalOp::Scan(catalog, "r2"));
     ScopedBatchRows scoped(static_cast<size_t>(gen.UniformInt(1, 64)));
-    ScopedExecMode batch_mode(ExecMode::kBatch);
     EXPECT_EQ(ExecutePlan(plan, catalog), Evaluate(plan, catalog)) << "round " << round;
   }
 }
 
-TEST(BatchExecProperty, HealyExpansionAgreesAcrossModes) {
+TEST(BatchExecProperty, HealyExpansionAgreesAcrossBatchSizes) {
   // The basic-algebra simulation exercises ×, − and π together.
   Catalog catalog = SuppliersCatalog();
   PlanPtr plan = LogicalOp::Divide(LogicalOp::Scan(catalog, "spj"),
                                    LogicalOp::Scan(catalog, "parts"));
   PlannerOptions options;
   options.expand_divide = true;
-  ExpectModeAgreement(plan, catalog, options);
+  ExpectBatchSizeAgreement(plan, catalog, options);
 }
 
 // --- batch plumbing unit tests ---------------------------------------------
@@ -246,7 +246,6 @@ TEST(BatchUnit, ScanEmitsEncodedBatchesFromCatalogEncoding) {
   ASSERT_NE(encoding, nullptr);
   EXPECT_EQ(encoding->rows, r.size());
 
-  ScopedExecMode batch_mode(ExecMode::kBatch);
   ScopedBatchRows two(2);
   RelationScan scan(BorrowRelation(catalog.Get("t")), encoding);
   scan.Open();
@@ -280,25 +279,38 @@ TEST(BatchUnit, CatalogEncodingIsCachedAndInvalidatedByPut) {
   EXPECT_EQ(first->rows, 3u) << "old encoding stays valid for holders of the shared_ptr";
 }
 
-TEST(BatchUnit, AdapterWrapsTupleOnlyIterators) {
-  // CrossProductIterator has no batch override; the base adapter must batch
-  // its Next() stream without double counting.
+TEST(BatchUnit, CrossProductEmitsBoundedColumnarBatches) {
+  // One left row pairs with three right rows, so at two rows per batch
+  // every left row spans two output batches; the encoded left column stays
+  // encoded and rows are counted once, not per batch.
   Relation left = Relation::Parse("a", "1; 2; 3");
-  Relation right = Relation::Parse("x", "7; 8");
-  ScopedExecMode batch_mode(ExecMode::kBatch);
-  ScopedBatchRows four(4);
-  CrossProductIterator it(std::make_unique<RelationScan>(BorrowRelation(left)),
-                          std::make_unique<RelationScan>(BorrowRelation(right)));
-  Relation result = ExecuteToRelation(it);
-  EXPECT_EQ(result.size(), 6u);
-  EXPECT_EQ(it.rows_produced(), 6u);
+  Relation right = Relation::Parse("x", "7; 8; 9");
+  ScopedBatchRows two(2);
+  CrossProductIterator it(
+      std::make_unique<RelationScan>(BorrowRelation(left), TableEncoding::Build(left)),
+      std::make_unique<RelationScan>(BorrowRelation(right)));
+  it.Open();
+  Batch batch;
+  std::vector<Tuple> rows;
+  Tuple t;
+  while (it.NextBatch(&batch)) {
+    EXPECT_LE(batch.ActiveRows(), 2u);
+    EXPECT_NE(batch.EncodedColumn(0), nullptr);
+    EXPECT_EQ(batch.EncodedColumn(1), nullptr);
+    for (size_t i = 0; i < batch.ActiveRows(); ++i) {
+      batch.ToTuple(batch.RowAt(i), &t);
+      rows.push_back(t);
+    }
+  }
+  it.Close();
+  EXPECT_EQ(Relation(it.schema(), std::move(rows)), Product(left, right));
+  EXPECT_EQ(it.rows_produced(), 9u);
 }
 
 TEST(BatchUnit, SelectionVectorSurvivesPassThroughOperators) {
   // Filter marks survivors via selection; Rename forwards the batch as-is.
   Catalog catalog;
   catalog.Put("t", Relation::Parse("a, b", "1,1; 2,2; 3,3; 4,4"));
-  ScopedExecMode batch_mode(ExecMode::kBatch);
   PlanPtr plan = LogicalOp::Rename(
       LogicalOp::Select(LogicalOp::Scan(catalog, "t"), Expr::ColCmp("a", CmpOp::kGt, V(2))),
       {{"a", "a2"}});
@@ -310,13 +322,115 @@ TEST(BatchUnit, ExplainTreeCountsRowsNotBatches) {
   Catalog catalog = SuppliersCatalog();
   PlanPtr plan = LogicalOp::Divide(LogicalOp::Scan(catalog, "r1"),
                                    LogicalOp::Scan(catalog, "r2"));
-  ScopedExecMode batch_mode(ExecMode::kBatch);
   ScopedBatchRows seven(7);
   ExecProfile profile;
   Relation result = ExecutePlan(plan, catalog, {}, &profile);
   size_t scans_total = catalog.Get("r1").size() + catalog.Get("r2").size();
   EXPECT_EQ(profile.total_rows, scans_total + result.size())
       << profile.explain;
+}
+
+// --- × and nested-loop join batch kernels -----------------------------------
+
+/// Runs `plan` at threads {1, 4} and batch sizes small enough that right
+/// sides and per-left-row outputs span several batches; every result must
+/// equal plan::Evaluate, and the physical plan must contain `op`.
+void ExpectPairKernelMatches(const PlanPtr& plan, const Catalog& catalog, const char* op) {
+  const Relation reference = Evaluate(plan, catalog);
+  for (size_t threads : {size_t{1}, size_t{4}}) {
+    ScopedExecThreads scoped_threads(threads);
+    for (size_t batch_rows : {size_t{1}, size_t{2}, size_t{3}, size_t{1024}}) {
+      ScopedBatchRows scoped_batches(batch_rows);
+      ExecProfile profile;
+      Relation result = ExecutePlan(plan, catalog, {}, &profile);
+      EXPECT_EQ(result, reference) << "threads=" << threads << " batch_rows=" << batch_rows
+                                   << "\n" << profile.explain;
+      EXPECT_NE(profile.explain.find(op), std::string::npos) << profile.explain;
+    }
+  }
+}
+
+Catalog PairCatalog() {
+  Catalog catalog;
+  catalog.Put("l", Relation::Parse("a, b", "1,1; 2,4; 3,9; 4,16; 5,25"));
+  catalog.Put("r", Relation::Parse("x, y:string", "1,p; 2,q; 3,r; 5,s; 8,t; 13,u; 21,v"));
+  catalog.Put("empty_l", Relation(Schema::Parse("a, b")));
+  catalog.Put("empty_r", Relation(Schema::Parse("x, y:string")));
+  return catalog;
+}
+
+/// θ without any cross-side equality: the planner keeps a nested loop.
+ExprPtr Residual() {
+  return Expr::Compare(CmpOp::kLt, Expr::Column("a"), Expr::Column("x"));
+}
+
+TEST(PairKernel, EmptyLeftAndEmptyRight) {
+  Catalog catalog = PairCatalog();
+  PlanPtr l = LogicalOp::Scan(catalog, "l");
+  PlanPtr r = LogicalOp::Scan(catalog, "r");
+  PlanPtr empty_l = LogicalOp::Scan(catalog, "empty_l");
+  PlanPtr empty_r = LogicalOp::Scan(catalog, "empty_r");
+  ExpectPairKernelMatches(LogicalOp::Product(empty_l, r), catalog, "CrossProduct");
+  ExpectPairKernelMatches(LogicalOp::Product(l, empty_r), catalog, "CrossProduct");
+  ExpectPairKernelMatches(LogicalOp::ThetaJoin(empty_l, r, Residual()), catalog,
+                          "NestedLoopJoin");
+  ExpectPairKernelMatches(LogicalOp::ThetaJoin(l, empty_r, Residual()), catalog,
+                          "NestedLoopJoin");
+}
+
+TEST(PairKernel, RightSideAndPerLeftRowOutputSpanBatches) {
+  // Seven right rows: at batch sizes 1-3 the right drain spans several
+  // batches, and each left row's output exceeds GetBatchRows(), so the
+  // resume cursor carries one left row across output batches.
+  Catalog catalog = PairCatalog();
+  PlanPtr l = LogicalOp::Scan(catalog, "l");
+  PlanPtr r = LogicalOp::Scan(catalog, "r");
+  ExpectPairKernelMatches(LogicalOp::Product(l, r), catalog, "CrossProduct");
+  ExpectPairKernelMatches(LogicalOp::ThetaJoin(l, r, Residual()), catalog, "NestedLoopJoin");
+}
+
+TEST(PairKernel, EncodedAndRowViewInputs) {
+  // Scans are encoded (catalog dictionaries); Values nodes scan as row
+  // views. Cover every pairing of the two layouts.
+  Catalog catalog = PairCatalog();
+  PlanPtr l = LogicalOp::Scan(catalog, "l");
+  PlanPtr r = LogicalOp::Scan(catalog, "r");
+  PlanPtr l_rows = LogicalOp::Values(catalog.Get("l"), "l_rows");
+  PlanPtr r_rows = LogicalOp::Values(catalog.Get("r"), "r_rows");
+  for (const auto& [left, right] : std::vector<std::pair<PlanPtr, PlanPtr>>{
+           {l, r}, {l_rows, r}, {l, r_rows}, {l_rows, r_rows}}) {
+    ExpectPairKernelMatches(LogicalOp::Product(left, right), catalog, "CrossProduct");
+    ExpectPairKernelMatches(LogicalOp::ThetaJoin(left, right, Residual()), catalog,
+                            "NestedLoopJoin");
+  }
+  // A filtered left side arrives with a selection vector.
+  PlanPtr filtered = LogicalOp::Select(l, Expr::ColCmp("b", CmpOp::kGe, V(4)));
+  ExpectPairKernelMatches(LogicalOp::Product(filtered, r), catalog, "CrossProduct");
+  ExpectPairKernelMatches(LogicalOp::ThetaJoin(filtered, r, Residual()), catalog,
+                          "NestedLoopJoin");
+}
+
+TEST(PairKernel, NestedLoopResidualPredicates) {
+  Catalog catalog = PairCatalog();
+  PlanPtr l = LogicalOp::Scan(catalog, "l");
+  PlanPtr r = LogicalOp::Scan(catalog, "r");
+  // Cross-side arithmetic, a disjunction, and a condition no pair meets.
+  ExpectPairKernelMatches(
+      LogicalOp::ThetaJoin(
+          l, r,
+          Expr::Compare(CmpOp::kGe, Expr::Column("b"),
+                        Expr::Arith(Expr::Kind::kMul, Expr::Column("x"), Expr::Literal(V(2))))),
+      catalog, "NestedLoopJoin");
+  ExpectPairKernelMatches(
+      LogicalOp::ThetaJoin(l, r,
+                           Expr::Or(Expr::Compare(CmpOp::kGt, Expr::Column("a"),
+                                                  Expr::Column("x")),
+                                    Expr::ColCmp("y", CmpOp::kEq, V("t")))),
+      catalog, "NestedLoopJoin");
+  ExpectPairKernelMatches(
+      LogicalOp::ThetaJoin(l, r,
+                           Expr::Compare(CmpOp::kGt, Expr::Column("a"), Expr::Column("b"))),
+      catalog, "NestedLoopJoin");
 }
 
 }  // namespace

@@ -92,7 +92,6 @@ void RunCorpus(const std::shared_ptr<Database>& db, const Expected& expected, in
 }
 
 TEST(SessionConcurrent, DifferentialCorpusAcrossEightSessions) {
-  ScopedSerialRowThreshold no_serial(0);  // force the parallel drains
   ScopedExecThreads pool(4);              // one worker pool shared by all
   std::shared_ptr<Database> db = MakeSharedDatabase();
   Expected expected = OracleAnswers(db->snapshot()->catalog());

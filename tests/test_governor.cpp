@@ -17,6 +17,8 @@
 #include "exec/pipeline.hpp"
 #include "exec/query_context.hpp"
 #include "exec/scheduler.hpp"
+#include "opt/cost.hpp"
+#include "plan/logical.hpp"
 #include "util/status.hpp"
 
 namespace quotient {
@@ -53,7 +55,6 @@ struct ScopedDisarm {
 
 TEST(GovernorTest, CancelFromAnotherThreadDeliversCancelledAndPoolSurvives) {
   ScopedExecThreads threads(8);
-  ScopedSerialRowThreshold no_serial(0);  // force the parallel morsel path
   ScopedMorselRows morsels(64);
   ScopedBatchRows batches(64);
   Session session = MakeDivisionSession({}, /*groups=*/4000, /*divisor=*/48);
@@ -152,23 +153,74 @@ TEST(GovernorTest, ProfileAndExplainAnalyzeReportGovernorAccounting) {
   EXPECT_TRUE(found) << "EXPLAIN ANALYZE output lacks a governor line";
 }
 
+// A join build whose cost estimate is tiny but whose input is not: `k = 0`
+// on a column with ~50k distinct values is estimated at rows/distinct ≈ 2
+// rows, yet the value 0 covers 50k rows. The build must still drain as a
+// governed pipeline — its fault site fires and its materialized rows are
+// charged to the statement — whatever the estimate says.
+TEST(GovernorTest, MisEstimatedJoinBuildIsPolledAndCharged) {
+  constexpr int64_t kSkewRows = 50000;
+  std::vector<Tuple> skew_rows;
+  for (int64_t i = 0; i < kSkewRows; ++i) skew_rows.push_back({V(0), V(i)});
+  for (int64_t i = 1; i <= kSkewRows; ++i) skew_rows.push_back({V(i), V(-i)});
+  Catalog catalog;
+  catalog.Put("skew", Relation(Schema::Parse("k, v"), std::move(skew_rows)));
+  catalog.Put("probe", Relation::Parse("w", "0; 7; 49999; 123456"));
+  const ExprPtr hot = Expr::ColCmp("k", CmpOp::kEq, V(0));
+  ASSERT_LE(EstimatePlan(LogicalOp::Select(LogicalOp::Scan(catalog, "skew"), hot), catalog)
+                .cardinality,
+            64.0)
+      << "the build side must look tiny to the cost model";
+
+  const std::string sql =
+      "SELECT p.w, s.k FROM probe AS p, skew AS s WHERE s.k = 0 AND p.w = s.v";
+  for (size_t threads : {size_t{1}, size_t{4}}) {
+    SCOPED_TRACE("threads=" + std::to_string(threads));
+    ScopedExecThreads scoped_threads(threads);
+    FaultInjector injector;
+    ScopedDisarm disarm(&injector);
+    SessionOptions options;
+    options.fault_injector = &injector;
+    Session session(options);
+    ASSERT_TRUE(session.CreateTable("skew", catalog.Get("skew")).ok());
+    ASSERT_TRUE(session.CreateTable("probe", catalog.Get("probe")).ok());
+
+    injector.Arm("sink.join_build", 1);
+    Result<QueryResult> faulted = session.Execute(sql);
+    ASSERT_FALSE(faulted.ok()) << "the build drain never reached its fault site";
+    EXPECT_EQ(faulted.status().message(), "injected fault at sink.join_build");
+
+    injector.Disarm();
+    Result<QueryResult> result = session.Execute(sql);
+    ASSERT_TRUE(result.ok()) << result.error();
+    EXPECT_EQ(result.value().rows, Relation::FromRows("w:int, k:int", {{V(0), V(0)},
+                                                                        {V(7), V(0)},
+                                                                        {V(49999), V(0)}}));
+    EXPECT_NE(result.value().profile.explain.find("EquiJoin"), std::string::npos)
+        << result.value().profile.explain;
+    // The build materializes one (v, k) row per hot key: 2 columns plus the
+    // sink's 2-word row overhead, 8 bytes each.
+    EXPECT_GE(result.value().profile.rows_charged_bytes, size_t{kSkewRows} * (2 + 2) * 8);
+  }
+}
+
 TEST(GovernorTest, ScopedKnobGuardsRestoreOnUnwind) {
   const size_t threads0 = GetExecThreads();
   const size_t morsel0 = GetMorselRows();
-  const size_t serial0 = GetSerialRowThreshold();
+  const size_t batch0 = GetBatchRows();
   try {
     ScopedExecThreads threads(threads0 + 3);
     ScopedMorselRows morsels(morsel0 + 7);
-    ScopedSerialRowThreshold serial(serial0 + 11);
+    ScopedBatchRows batches(batch0 + 11);
     EXPECT_EQ(GetExecThreads(), threads0 + 3);
     EXPECT_EQ(GetMorselRows(), morsel0 + 7);
-    EXPECT_EQ(GetSerialRowThreshold(), serial0 + 11);
+    EXPECT_EQ(GetBatchRows(), batch0 + 11);
     throw std::runtime_error("unwind");
   } catch (const std::runtime_error&) {
   }
   EXPECT_EQ(GetExecThreads(), threads0);
   EXPECT_EQ(GetMorselRows(), morsel0);
-  EXPECT_EQ(GetSerialRowThreshold(), serial0);
+  EXPECT_EQ(GetBatchRows(), batch0);
 }
 
 TEST(GovernorTest, LoadCsvFileFailureNamesPathAndReason) {
@@ -209,7 +261,6 @@ TEST(FaultInjectionTest, NthHitSemantics) {
 // state. Sites off this workload's path simply never fire (the statement
 // succeeds), which the assertions below allow.
 TEST(FaultInjectionTest, SweepAllSitesUnwindsCleanAcrossThreadCounts) {
-  ScopedSerialRowThreshold no_serial(0);  // exercise the parallel sinks
   ScopedMorselRows morsels(32);
   ScopedBatchRows batches(32);
 
@@ -331,7 +382,6 @@ TEST(FaultInjectionTest, SnapshotPublishFaultLeavesPreviousCatalogLive) {
 }
 
 TEST(FaultInjectionTest, AggregateSinkSiteFiresOnGroupByStatements) {
-  ScopedSerialRowThreshold no_serial(0);
   ScopedMorselRows morsels(32);
   ScopedBatchRows batches(32);
   for (size_t threads : {size_t{1}, size_t{8}}) {

@@ -74,7 +74,6 @@ CompileInfo ExpectAllAgree(const Catalog& catalog, const std::string& query) {
   for (size_t threads : {1u, 4u}) {
     for (bool recycler : {true, false}) {
       ScopedExecThreads scoped_threads(threads);
-      ScopedSerialRowThreshold no_serial(0);  // force the parallel drains
       Session session = MakeSession(catalog, recycler);
       for (int run = 0; run < 2; ++run) {
         Result<QueryResult> result = session.Execute(query);
@@ -249,7 +248,6 @@ TEST(JoinExtraction, PreparedParameterInPushedConjunct) {
   for (size_t threads : {1u, 4u}) {
     for (bool recycler : {true, false}) {
       ScopedExecThreads scoped_threads(threads);
-      ScopedSerialRowThreshold no_serial(0);
       Session session = MakeSession(catalog, recycler);
       Result<PreparedStatement> prepared = session.Prepare(templ);
       ASSERT_TRUE(prepared.ok()) << prepared.error();
@@ -305,7 +303,6 @@ TEST(JoinExtraction, PlannerHashesMixedThetaJoin) {
   PlanPtr join = LogicalOp::ThetaJoin(s, p, mixed);
   for (size_t threads : {1u, 4u}) {
     ScopedExecThreads scoped_threads(threads);
-    ScopedSerialRowThreshold no_serial(0);
     ExecProfile profile;
     EXPECT_EQ(ExecutePlan(join, catalog, {}, &profile), Evaluate(join, catalog));
     // The equality hashes; the inequality filters the join's output.

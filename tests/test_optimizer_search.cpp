@@ -94,8 +94,6 @@ TEST_F(OptimizerSearchTest, SearchOnOffDifferentialAcrossThreadCounts) {
   search_off.search = false;
   Optimizer searched(catalog_, search_on);
   Optimizer greedy(catalog_, search_off);
-  ScopedExecMode parallel(ExecMode::kParallel);
-  ScopedSerialRowThreshold force_pipelines(0);
   ScopedMorselRows morsels(16);
   ScopedBatchRows batches(64);
   for (const PlanPtr& plan : Corpus()) {

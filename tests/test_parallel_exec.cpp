@@ -1,12 +1,10 @@
 // Morsel-driven parallel execution (docs/parallel_execution.md) must be
-// indistinguishable from the serial disciplines: these property tests run
-// the same physical plans under ExecMode::kParallel at threads ∈ {1, 2, 3,
-// 8} — with the serial-row-threshold heuristic disabled and morsels shrunk
-// so even the paper's fixtures split into many chunks — and require
-// relations AND per-operator row accounting identical to both serial batch
-// (ExecMode::kBatch) and tuple-at-a-time (ExecMode::kTuple) execution.
-// The chunk-ordered merge makes this exact, not just set-equal: Relation
-// equality is tuple-order-sensitive.
+// invisible in results: these property tests run the same physical plans
+// at threads ∈ {1, 2, 3, 8} — with morsels shrunk so even small fixtures
+// split into many chunks — and require the relation plan::Evaluate computes
+// (the reference algebra) AND per-operator row accounting identical to the
+// single-threaded run. The chunk-ordered merge makes this exact, not just
+// set-equal: Relation equality is tuple-order-sensitive.
 
 #include <gtest/gtest.h>
 
@@ -14,6 +12,7 @@
 #include <stdexcept>
 #include <thread>
 
+#include "algebra/divide.hpp"
 #include "algebra/generator.hpp"
 #include "algebra/ops.hpp"
 #include "exec/batch.hpp"
@@ -31,41 +30,30 @@ namespace {
 
 const size_t kThreadCounts[] = {1, 2, 3, 8};
 
-/// Runs `plan` under kTuple (the semantics reference) and kBatch (the
-/// serial batch reference), then under kParallel at every thread count with
-/// the pipeline path forced on (threshold 0, small morsels). Relations and
-/// plan-wide row accounting must match exactly everywhere.
+/// Runs `plan` at every thread count with small morsels and batches. Each
+/// result must equal plan::Evaluate, and the plan-wide row accounting must
+/// match the single-threaded run exactly.
 void ExpectParallelAgreement(const PlanPtr& plan, const Catalog& catalog,
                              const PlannerOptions& options = {}, size_t batch_rows = 128,
                              size_t morsel_rows = 16) {
-  Relation reference;
-  ExecProfile reference_profile;
-  {
-    ScopedExecMode tuple_mode(ExecMode::kTuple);
-    reference = ExecutePlan(plan, catalog, options, &reference_profile);
-  }
-  {
-    ScopedExecMode batch_mode(ExecMode::kBatch);
-    ExecProfile profile;
-    Relation result = ExecutePlan(plan, catalog, options, &profile);
-    EXPECT_EQ(result, reference) << "serial batch diverged from tuple";
-    EXPECT_EQ(profile.total_rows, reference_profile.total_rows);
-  }
-
-  ScopedExecMode parallel_mode(ExecMode::kParallel);
-  ScopedSerialRowThreshold force_pipelines(0);
+  const Relation reference = Evaluate(plan, catalog);
   ScopedMorselRows morsels(morsel_rows);
   ScopedBatchRows batches(batch_rows);
+  ExecProfile serial_profile;
   for (size_t threads : kThreadCounts) {
     ScopedExecThreads scoped(threads);
     ExecProfile profile;
     Relation result = ExecutePlan(plan, catalog, options, &profile);
     EXPECT_EQ(result, reference) << "threads=" << threads;
-    EXPECT_EQ(profile.total_rows, reference_profile.total_rows)
-        << "rows_produced accounting diverged at threads=" << threads << "\ntuple:\n"
-        << reference_profile.explain << "parallel:\n"
+    if (threads == 1) {
+      serial_profile = profile;
+      continue;
+    }
+    EXPECT_EQ(profile.total_rows, serial_profile.total_rows)
+        << "rows_produced accounting diverged at threads=" << threads << "\nthreads=1:\n"
+        << serial_profile.explain << "threads=" << threads << ":\n"
         << profile.explain;
-    EXPECT_EQ(profile.max_rows, reference_profile.max_rows) << "threads=" << threads;
+    EXPECT_EQ(profile.max_rows, serial_profile.max_rows) << "threads=" << threads;
   }
 }
 
@@ -151,6 +139,13 @@ TEST(ParallelExecProperty, JoinsAllThreadCounts) {
                           /*batch_rows=*/16, /*morsel_rows=*/8);
   ExpectParallelAgreement(LogicalOp::AntiJoin(r1, LogicalOp::Scan(catalog, "r2")), catalog, {},
                           /*batch_rows=*/16, /*morsel_rows=*/8);
+  // Build sides large enough for several workers, so the join-build and
+  // semi-join sinks run their chunked Consume/Merge paths.
+  PlanPtr r1_renamed = LogicalOp::Rename(r1, {{"a", "a2"}, {"b", "b2"}});
+  ExpectParallelAgreement(LogicalOp::ThetaJoin(r1, r1_renamed, Expr::ColEqCol("b", "b2")),
+                          catalog, {}, /*batch_rows=*/16, /*morsel_rows=*/8);
+  ExpectParallelAgreement(LogicalOp::SemiJoin(LogicalOp::Scan(catalog, "r2"), r1), catalog, {},
+                          /*batch_rows=*/16, /*morsel_rows=*/8);
 }
 
 TEST(ParallelExecProperty, GroupByAggregates) {
@@ -235,8 +230,6 @@ TEST(ParallelExecProperty, StringKeysAndSpillPath) {
 
 TEST(ParallelExecProperty, RandomizedPlansAgainstOracle) {
   DataGen gen(0xF00D);
-  ScopedExecMode parallel_mode(ExecMode::kParallel);
-  ScopedSerialRowThreshold force_pipelines(0);
   for (int round = 0; round < 12; ++round) {
     Catalog catalog;
     catalog.Put("r1", gen.Dividend(gen.UniformInt(0, 16), gen.UniformInt(1, 10), 0.4));
@@ -259,8 +252,8 @@ TEST(ParallelExecProperty, PartitionedGreatDivideMatchesSingleThread) {
   DataGen gen(0x1A13);
   Relation dividend = gen.Dividend(50, 24, 0.4);
   Relation divisor = gen.GreatDivisor(6, 24, 0.3);
-  ScopedExecMode parallel_mode(ExecMode::kParallel);
-  Relation reference = ExecGreatDivide(dividend, divisor, GreatDivideAlgorithm::kHash);
+  Relation reference = GreatDivideSCD(dividend, divisor);
+  ASSERT_EQ(ExecGreatDivide(dividend, divisor, GreatDivideAlgorithm::kHash), reference);
   for (size_t partitions : {1, 2, 3, 5}) {
     for (size_t threads : kThreadCounts) {
       ScopedExecThreads scoped(threads);
@@ -274,34 +267,38 @@ TEST(ParallelExecProperty, PartitionedGreatDivideMatchesSingleThread) {
 
 TEST(ParallelExecUnit, ExplainReportsDegreeOfParallelism) {
   Catalog catalog = WorkloadCatalog();
-  PlanPtr plan = LogicalOp::Divide(LogicalOp::Scan(catalog, "r1"),
-                                   LogicalOp::Scan(catalog, "r2"));
-  ScopedExecMode parallel_mode(ExecMode::kParallel);
-  ScopedSerialRowThreshold force_pipelines(0);
+  PlanPtr r1 = LogicalOp::Scan(catalog, "r1");
+  PlanPtr r2 = LogicalOp::Scan(catalog, "r2");
   ScopedMorselRows morsels(8);
   ScopedBatchRows batches(8);
   ScopedExecThreads threads(4);
-  ExecProfile profile;
-  ExecutePlan(plan, catalog, {}, &profile);
-  EXPECT_GE(profile.max_dop, 2u) << profile.explain;
-  EXPECT_NE(profile.explain.find("dop="), std::string::npos) << profile.explain;
-  EXPECT_NE(profile.pipelines.find("pipeline 0"), std::string::npos) << profile.pipelines;
-  EXPECT_NE(profile.pipelines.find("dop="), std::string::npos) << profile.pipelines;
+  // A division (codec + probe sinks), a join build and a semi-join build.
+  for (const PlanPtr& plan :
+       {LogicalOp::Divide(r1, r2),
+        LogicalOp::ThetaJoin(r2, LogicalOp::Rename(r1, {{"b", "b2"}}),
+                             Expr::ColEqCol("b", "b2")),
+        LogicalOp::SemiJoin(r2, r1)}) {
+    ExecProfile profile;
+    ExecutePlan(plan, catalog, {}, &profile);
+    EXPECT_GE(profile.max_dop, 2u) << profile.explain;
+    EXPECT_NE(profile.explain.find("dop="), std::string::npos) << profile.explain;
+    EXPECT_NE(profile.pipelines.find("pipeline 0"), std::string::npos) << profile.pipelines;
+    EXPECT_NE(profile.pipelines.find("dop="), std::string::npos) << profile.pipelines;
+  }
 }
 
-TEST(ParallelExecUnit, SerialRowThresholdFallsBackToTupleDrains) {
-  // Tiny inputs under the threshold drain tuple-at-a-time: no pipeline dop
-  // is recorded anywhere in the plan.
+TEST(ParallelExecUnit, TinyInputDrainsSerially) {
+  // Inputs far below two morsels per worker get a worker cap of one: the
+  // drains run serially even with four threads, and EXPLAIN records dop 1.
   Catalog catalog = WorkloadCatalog();
   PlanPtr plan = LogicalOp::Divide(LogicalOp::Scan(catalog, "fig1_r1"),
                                    LogicalOp::Scan(catalog, "fig1_r2"));
-  ScopedExecMode parallel_mode(ExecMode::kParallel);
-  ScopedSerialRowThreshold threshold(1024);
   ScopedExecThreads threads(4);
   ExecProfile profile;
   Relation result = ExecutePlan(plan, catalog, {}, &profile);
   EXPECT_EQ(result, paper::Fig1Quotient());
-  EXPECT_EQ(profile.max_dop, 0u) << profile.explain;
+  EXPECT_EQ(profile.max_dop, 1u) << profile.explain;
+  EXPECT_NE(profile.explain.find("dop=1"), std::string::npos) << profile.explain;
 }
 
 TEST(ParallelExecUnit, PipelineDecompositionSplitsAtBreakers) {
@@ -379,15 +376,9 @@ TEST(ParallelExecProperty, PartitionedGreatDivideWithNestedParallelDrains) {
   DataGen gen(0xD1B);
   Relation dividend = gen.Dividend(120, 24, 0.4);
   Relation divisor = gen.GreatDivisor(5, 24, 0.3);
-  ScopedExecMode parallel_mode(ExecMode::kParallel);
-  ScopedSerialRowThreshold force_pipelines(0);
   ScopedMorselRows morsels(8);
   ScopedBatchRows batches(16);
-  Relation reference;
-  {
-    ScopedExecThreads one(1);
-    reference = GreatDividePartitioned(dividend, divisor, /*threads=*/3);
-  }
+  Relation reference = GreatDivideSCD(dividend, divisor);
   for (size_t threads : kThreadCounts) {
     ScopedExecThreads scoped(threads);
     EXPECT_EQ(GreatDividePartitioned(dividend, divisor, /*threads=*/3), reference)

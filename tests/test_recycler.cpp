@@ -53,7 +53,6 @@ std::shared_ptr<Database> MakeDatabase(size_t recycler_bytes) {
 }
 
 TEST(RecyclerTest, OnOffDifferentialBitIdenticalAcrossThreadCounts) {
-  ScopedSerialRowThreshold no_serial(0);  // exercise the pipelined sinks
   ScopedMorselRows morsels(32);
   ScopedBatchRows batches(32);
   for (size_t threads : {size_t{1}, size_t{8}}) {
@@ -256,7 +255,6 @@ struct ScopedDisarm {
 // message, leave the cache unpoisoned (the next execution succeeds, builds
 // fresh, and publishes), and behave identically at 1, 2, and 8 workers.
 TEST(RecyclerFaultTest, FaultedPublishNeverPoisonsTheCache) {
-  ScopedSerialRowThreshold no_serial(0);
   ScopedMorselRows morsels(32);
   ScopedBatchRows batches(32);
   for (const char* site : {"recycler.lookup", "recycler.publish"}) {

@@ -393,7 +393,6 @@ TEST_F(SessionTest, ExplainShowsAppliedLaws) {
 }
 
 TEST_F(SessionTest, ExplainAnalyzeShowsTheFullCompileAndRunStory) {
-  ScopedSerialRowThreshold no_serial(0);
   ScopedExecThreads threads(4);
   std::string query = std::string(kQ1) + " WHERE color = 'red'";
   ASSERT_TRUE(session_.Execute(query).ok());  // warm the cache
@@ -442,7 +441,6 @@ TEST_F(SessionTest, DeclaredMetadataReachesTheRewriteRules) {
 TEST_F(SessionTest, CompiledMatchesOracleAcrossThreadCounts) {
   for (size_t threads : {1u, 8u}) {
     ScopedExecThreads scoped(threads);
-    ScopedSerialRowThreshold no_serial(0);
     Result<QueryResult> result = session_.Execute(kQ1);
     ASSERT_TRUE(result.ok()) << result.error();
     EXPECT_EQ(result.value().rows, paper::Q1Answer()) << "threads " << threads;

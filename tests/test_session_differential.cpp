@@ -37,7 +37,6 @@ CompileInfo ExpectSessionMatchesOracle(const Catalog& catalog, const std::string
   CompileInfo info;
   for (size_t threads : {1u, 8u}) {
     ScopedExecThreads scoped_threads(threads);
-    ScopedSerialRowThreshold no_serial(0);  // force the parallel drains
     Session session = MakeSession(catalog);
     Result<QueryResult> compiled = session.Execute(query);
     EXPECT_EQ(compiled.ok(), oracle.ok())

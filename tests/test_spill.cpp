@@ -101,7 +101,6 @@ TEST(SpillTest, StoreWithoutContextStaysInMemory) {
 }
 
 TEST(SpillTest, ForcedSpillDivisionMatchesInMemoryResult) {
-  ScopedSerialRowThreshold no_serial(0);
   ScopedMorselRows morsels(32);
   ScopedBatchRows batches(32);
 
@@ -142,7 +141,6 @@ TEST(SpillTest, ForcedSpillDivisionMatchesInMemoryResult) {
 }
 
 TEST(SpillTest, ExplainAnalyzeReportsSpillCounters) {
-  ScopedSerialRowThreshold no_serial(0);
   Session session =
       MakeDivisionSession(ForcedSpillOptions(), /*groups=*/512, /*divisor=*/16);
   Result<QueryResult> analyzed =
@@ -162,7 +160,6 @@ TEST(SpillTest, ExplainAnalyzeReportsSpillCounters) {
 
 TEST(SpillTest, CancelMidSpillDeliversCancelledAndPoolSurvives) {
   ScopedExecThreads threads(8);
-  ScopedSerialRowThreshold no_serial(0);
   ScopedMorselRows morsels(64);
   ScopedBatchRows batches(64);
   Session session = MakeDivisionSession(ForcedSpillOptions(), /*groups=*/4000,
@@ -204,13 +201,11 @@ void ExpectSpilledMatchesInMemory(const Catalog& catalog, const std::string& que
   };
   Result<QueryResult> baseline = [&] {
     ScopedExecThreads threads(1);
-    ScopedSerialRowThreshold no_serial(0);
     Session plain = make_session({});
     return plain.Execute(query);
   }();
   for (size_t threads : {size_t{1}, size_t{8}}) {
     ScopedExecThreads scoped_threads(threads);
-    ScopedSerialRowThreshold no_serial(0);
     Session spilled = make_session(ForcedSpillOptions());
     Result<QueryResult> result = spilled.Execute(query);
     ASSERT_EQ(result.ok(), baseline.ok())
@@ -262,8 +257,6 @@ TEST(SpillDifferentialTest, GreatDivideBitIdenticalWithSpillForced) {
   DataGen gen(23);
   Relation dividend = gen.Dividend(200, /*domain=*/24, /*density=*/0.4);
   Relation divisor = gen.GreatDivisor(6, /*domain=*/24, /*density=*/0.3);
-  ScopedExecMode parallel_mode(ExecMode::kParallel);
-  ScopedSerialRowThreshold no_serial(0);
   for (GreatDivideAlgorithm algorithm :
        {GreatDivideAlgorithm::kHash, GreatDivideAlgorithm::kGroup}) {
     Relation reference = ExecGreatDivide(dividend, divisor, algorithm);
@@ -285,7 +278,6 @@ TEST(SpillDifferentialTest, GreatDivideBitIdenticalWithSpillForced) {
 // ---------------------------------------------------------------------------
 
 TEST(SpillFaultTest, SpillSitesUnwindIdenticallyAcrossThreadCounts) {
-  ScopedSerialRowThreshold no_serial(0);
   ScopedMorselRows morsels(32);
   ScopedBatchRows batches(32);
 

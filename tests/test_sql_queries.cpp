@@ -1,16 +1,17 @@
 // Section 4 end to end: the DIVIDE BY syntax (Q1, Q2), its equivalence with
 // the double-NOT-EXISTS formulation (Q3), and the plannable path through the
-// binder + rewrite engine + physical planner.
+// lowering compiler (sql::LowerSql) + rewrite engine + physical planner.
 
 #include <gtest/gtest.h>
 
 #include "algebra/generator.hpp"
+#include "api/session.hpp"
 #include "core/engine.hpp"
 #include "opt/planner.hpp"
 #include "paper_fixtures.hpp"
 #include "plan/evaluate.hpp"
-#include "sql/binder.hpp"
 #include "sql/interp.hpp"
+#include "sql/lower.hpp"
 
 namespace quotient {
 namespace {
@@ -85,7 +86,7 @@ TEST_F(SqlQueriesTest, Q1AndQ3AgreeOnRandomDatabases) {
 }
 
 TEST_F(SqlQueriesTest, Q1PlansToGreatDivideNode) {
-  Result<PlanPtr> plan = sql::PlanSql(kQ1, catalog_);
+  Result<PlanPtr> plan = sql::LowerSql(kQ1, catalog_);
   ASSERT_TRUE(plan.ok()) << plan.error();
   // The plan must contain a first-class GreatDivide operator.
   std::string rendered = plan.value()->ToString();
@@ -96,7 +97,7 @@ TEST_F(SqlQueriesTest, Q1PlansToGreatDivideNode) {
 }
 
 TEST_F(SqlQueriesTest, Q2PlansToSmallDivideNode) {
-  Result<PlanPtr> plan = sql::PlanSql(kQ2, catalog_);
+  Result<PlanPtr> plan = sql::LowerSql(kQ2, catalog_);
   ASSERT_TRUE(plan.ok()) << plan.error();
   std::string rendered = plan.value()->ToString();
   EXPECT_NE(rendered.find("Divide"), std::string::npos) << rendered;
@@ -107,15 +108,25 @@ TEST_F(SqlQueriesTest, Q2PlansToSmallDivideNode) {
 }
 
 TEST_F(SqlQueriesTest, Q3IsNotPlannable) {
-  // The binder refuses correlated EXISTS — the paper's observation that
-  // detecting division inside NOT EXISTS is hard for an optimizer.
-  Result<PlanPtr> plan = sql::PlanSql(kQ3, catalog_);
-  EXPECT_FALSE(plan.ok());
+  // The compiler refuses Q3's doubly nested correlated NOT EXISTS — the
+  // paper's observation that detecting division inside NOT EXISTS is hard
+  // for an optimizer — and the Session records that refusal as the reason
+  // it fell back to the oracle interpreter.
+  Result<PlanPtr> plan = sql::LowerSql(kQ3, catalog_);
+  ASSERT_FALSE(plan.ok());
+  Session session;
+  ASSERT_TRUE(session.CreateTable("supplies", paper::SuppliesTable()).ok());
+  ASSERT_TRUE(session.CreateTable("parts", paper::PartsTable()).ok());
+  Result<QueryResult> result = session.Execute(kQ3);
+  ASSERT_TRUE(result.ok()) << result.error();
+  EXPECT_FALSE(result.value().compile.compiled);
+  EXPECT_EQ(result.value().compile.fallback_reason, plan.error());
+  EXPECT_EQ(result.value().rows, paper::Q1Answer());
 }
 
 TEST_F(SqlQueriesTest, RewriteEngineOnPlannedQuery) {
   // σcolor='red'(Q1) — Law 15 pushes the C-selection into the divisor.
-  Result<PlanPtr> plan = sql::PlanSql(kQ1, catalog_);
+  Result<PlanPtr> plan = sql::LowerSql(kQ1, catalog_);
   ASSERT_TRUE(plan.ok());
   PlanPtr filtered = LogicalOp::Select(
       plan.value(), Expr::ColCmp("color", CmpOp::kEq, Value::Str("red")));
@@ -130,12 +141,18 @@ TEST_F(SqlQueriesTest, NonEquiOnClauseRejected) {
   Result<Relation> result = sql::ExecuteSql(
       "SELECT s# FROM supplies AS s DIVIDE BY parts AS p ON s.p# < p.p#", catalog_);
   EXPECT_FALSE(result.ok()) << "§4: non-equi ON conditions are disallowed";
+  EXPECT_FALSE(sql::LowerSql(
+                   "SELECT s# FROM supplies AS s DIVIDE BY parts AS p ON s.p# < p.p#", catalog_)
+                   .ok());
 }
 
 TEST_F(SqlQueriesTest, UnknownTableAndColumnErrors) {
   EXPECT_FALSE(sql::ExecuteSql("SELECT x FROM nosuch", catalog_).ok());
   EXPECT_FALSE(sql::ExecuteSql("SELECT nosuchcol FROM parts", catalog_).ok());
   EXPECT_FALSE(sql::ExecuteSql("SELECT FROM parts", catalog_).ok());
+  EXPECT_FALSE(sql::LowerSql("SELECT x FROM nosuch", catalog_).ok());
+  EXPECT_FALSE(sql::LowerSql("SELECT nosuchcol FROM parts", catalog_).ok());
+  EXPECT_FALSE(sql::LowerSql("SELECT FROM parts", catalog_).ok());
 }
 
 TEST_F(SqlQueriesTest, GroupByHavingAggregates) {
@@ -166,6 +183,10 @@ TEST_F(SqlQueriesTest, MultiAttributeDivideOn) {
       "SELECT a FROM r1 DIVIDE BY r2 ON r1.b = r2.b AND r1.c = r2.c", catalog);
   ASSERT_TRUE(result.ok()) << result.error();
   EXPECT_EQ(result.value(), Relation::Parse("a", "1; 3"));
+  Result<PlanPtr> plan =
+      sql::LowerSql("SELECT a FROM r1 DIVIDE BY r2 ON r1.b = r2.b AND r1.c = r2.c", catalog);
+  ASSERT_TRUE(plan.ok()) << plan.error();
+  EXPECT_EQ(ExecutePlan(plan.value(), catalog), result.value());
 }
 
 }  // namespace
