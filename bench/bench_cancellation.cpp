@@ -37,7 +37,7 @@ void BM_HashDivision(benchmark::State& state, bool governed) {
   for (auto _ : state) {
     std::optional<ScopedQueryContext> scope;
     if (governed) scope.emplace(&context);
-    Relation q = ExecDivide(workload.dividend, workload.divisor, DivisionAlgorithm::kHash,
+    Relation q = ExecDivide(workload.dividend, workload.divisor,
                             workload.dividend_enc, workload.divisor_enc);
     benchmark::DoNotOptimize(q);
   }

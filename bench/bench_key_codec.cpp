@@ -95,7 +95,7 @@ void BM_EncodedProbes(benchmark::State& state, bool string_b) {
 void BM_DivisionE2E(benchmark::State& state, bool string_b) {
   auto workload = MakeWorkload(static_cast<size_t>(state.range(0)), string_b);
   for (auto _ : state) {
-    Relation q = ExecDivide(workload.dividend, workload.divisor, DivisionAlgorithm::kHash);
+    Relation q = ExecDivide(workload.dividend, workload.divisor);
     benchmark::DoNotOptimize(q);
   }
   state.counters["rows"] = static_cast<double>(workload.dividend.size());

@@ -26,7 +26,7 @@ void BM_Law2Parallel(benchmark::State& state) {
     workers.reserve(threads);
     for (size_t i = 0; i < threads; ++i) {
       workers.emplace_back([&, i] {
-        partial[i] = ExecDivide(parts[i], workload.divisor, DivisionAlgorithm::kHash);
+        partial[i] = ExecDivide(parts[i], workload.divisor);
       });
     }
     for (std::thread& w : workers) w.join();

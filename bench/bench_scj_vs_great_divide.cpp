@@ -19,8 +19,7 @@ void BM_GreatDivideVertical(benchmark::State& state) {
       /*groups=*/static_cast<size_t>(state.range(0)), /*domain=*/40,
       /*divisor_groups=*/24);
   for (auto _ : state) {
-    Relation q = ExecGreatDivide(workload.dividend, workload.divisor,
-                                 GreatDivideAlgorithm::kHash);
+    Relation q = ExecGreatDivide(workload.dividend, workload.divisor);
     benchmark::DoNotOptimize(q);
   }
 }

@@ -37,7 +37,7 @@ void BM_HashDivision(benchmark::State& state, size_t spill_watermark) {
     QueryContext context;
     if (spill_watermark > 0) context.EnableSpill(spill_watermark, /*dir=*/"");
     ScopedQueryContext scope(&context);
-    Relation q = ExecDivide(workload.dividend, workload.divisor, DivisionAlgorithm::kHash,
+    Relation q = ExecDivide(workload.dividend, workload.divisor,
                             workload.dividend_enc, workload.divisor_enc);
     benchmark::DoNotOptimize(q);
     partitions = context.spill_partitions();

@@ -4,7 +4,8 @@
 #
 # Usage: scripts/run_benchmarks.sh [output-dir]
 #   Writes to output-dir (default: bench-results/):
-#     BENCH_division.json        division algorithms at QUOTIENT_THREADS=1
+#     BENCH_division.json        hash-division vs Healy's basic-algebra
+#                                simulation at QUOTIENT_THREADS=1
 #     BENCH_key_codec.json       key-codec microbenchmarks
 #     BENCH_parallel.json        QUOTIENT_THREADS=1 vs N A/B of the
 #                                morsel-driven parallel executor

@@ -58,7 +58,7 @@ std::string NormalizeSql(const std::vector<sql::Token>& tokens) {
 
 /// The shared plan cache is keyed on (options fingerprint, normalized SQL):
 /// sessions configured identically reuse each other's plans, sessions with
-/// different rule sets / planner algorithms / fallback policy never collide.
+/// different rule sets / search settings / fallback policy never collide.
 /// The '\n' separator cannot occur in normalized SQL (tokens are joined
 /// with single spaces).
 std::string OptionsFingerprint(const SessionOptions& options) {
@@ -67,11 +67,6 @@ std::string OptionsFingerprint(const SessionOptions& options) {
   fp += opt.use_rules ? 'R' : 'r';
   fp += opt.allow_runtime_checks ? 'C' : 'c';
   fp += options.allow_oracle_fallback ? 'F' : 'f';
-  fp += opt.planner.expand_divide ? 'X' : 'x';
-  fp += std::to_string(static_cast<int>(opt.planner.division));
-  fp += ':';
-  fp += std::to_string(static_cast<int>(opt.planner.great_divide));
-  fp += ':';
   fp += std::to_string(opt.max_rewrite_steps);
   fp += opt.search ? 'S' : 's';
   fp += ':';

@@ -46,7 +46,7 @@ namespace quotient {
 class Transaction;
 
 struct SessionOptions {
-  /// Rule set, cost guard, and physical-algorithm choices. Part of the plan
+  /// Rule set, cost guard, and search settings. Part of the plan
   /// cache key: sessions with different optimizer options never share
   /// cached plans.
   OptimizerOptions optimizer;

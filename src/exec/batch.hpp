@@ -242,8 +242,8 @@ class BatchKeyProbe {
 /// Per-row flat keys in an IncrementalKeyEncoder's id space (the streaming
 /// dedup / grouping discipline): translation arrays for encoded columns,
 /// per-row interning otherwise. The key space is canonical — identical to
-/// what Encode64/EncodeSpill produce for the same rows — so batches of mixed
-/// provenance dedup consistently.
+/// interning each row's values with InternValue and packing the ids with
+/// PackIds/SpillFromIds — so batches of mixed provenance dedup consistently.
 class BatchIncrementalKeyer {
  public:
   BatchIncrementalKeyer(IncrementalKeyEncoder* encoder, size_t num_cols)

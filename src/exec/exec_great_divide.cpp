@@ -1,7 +1,6 @@
 #include "exec/exec_great_divide.hpp"
 
 #include <algorithm>
-#include <unordered_set>
 
 #include "exec/exec_basic.hpp"
 #include "exec/pipeline.hpp"
@@ -28,17 +27,8 @@ uint64_t SetSignature(const std::vector<Value>& elements) {
 
 }  // namespace
 
-const char* GreatDivideAlgorithmName(GreatDivideAlgorithm algorithm) {
-  switch (algorithm) {
-    case GreatDivideAlgorithm::kHash: return "HashGreatDivide";
-    case GreatDivideAlgorithm::kGroup: return "GroupGreatDivide";
-  }
-  return "?";
-}
-
-GreatDivideIterator::GreatDivideIterator(IterPtr dividend, IterPtr divisor,
-                                         GreatDivideAlgorithm algorithm)
-    : dividend_(std::move(dividend)), divisor_(std::move(divisor)), algorithm_(algorithm) {
+GreatDivideIterator::GreatDivideIterator(IterPtr dividend, IterPtr divisor)
+    : dividend_(std::move(dividend)), divisor_(std::move(divisor)) {
   DivisionAttributes attrs =
       DivisionAttributeSets(dividend_->schema(), divisor_->schema(), /*allow_c=*/true);
   if (attrs.c.empty()) {
@@ -86,7 +76,7 @@ std::shared_ptr<GreatDivideProbeArtifact> GreatDivideIterator::BuildProbeArtifac
   auto art = std::make_shared<GreatDivideProbeArtifact>();
 
   // Divisor side first: adopt a cached build artifact or build (and keep)
-  // a private one — both algorithms read it, so the probe artifact pins it.
+  // a private one — the kernel reads it, so the probe artifact pins it.
   if (recycle_.recycler && !recycle_.build_key.empty()) {
     ArtifactPtr cached = recycle_.recycler->GetOrBuild(
         recycle_.build_key, recycle_.tables,
@@ -131,10 +121,7 @@ void GreatDivideIterator::Open() {
     probe_ = BuildProbeArtifact();
   }
 
-  switch (algorithm_) {
-    case GreatDivideAlgorithm::kHash: RunHash(*probe_->build, *probe_); break;
-    case GreatDivideAlgorithm::kGroup: RunGroupAtATime(*probe_->build, *probe_); break;
-  }
+  RunHash(*probe_->build, *probe_);
 }
 
 void GreatDivideIterator::RunHash(const GreatDivideBuildArtifact& build,
@@ -166,47 +153,6 @@ void GreatDivideIterator::RunHash(const GreatDivideBuildArtifact& build,
   }
 }
 
-void GreatDivideIterator::RunGroupAtATime(const GreatDivideBuildArtifact& build,
-                                          const GreatDivideProbeArtifact& probe) {
-  // Definition 4 executed literally: one small (counting) divide per divisor
-  // C group, re-scanning the encoded dividend per group. Group-stamped
-  // scratch arrays avoid re-zeroing between groups.
-  constexpr uint32_t kNoStamp = UINT32_MAX;
-  size_t k = build.c.count();
-
-  // Invert member_of: per group, its B numbers.
-  std::vector<std::vector<uint32_t>> group_members(k);
-  for (uint32_t b = 0; b < build.member_of.size(); ++b) {
-    for (uint32_t gid : build.member_of[b]) group_members[gid].push_back(b);
-  }
-
-  GovernorCharge((build.b.count() + 2 * probe.a.count()) * sizeof(uint32_t));
-  std::vector<uint32_t> b_stamp(build.b.count(), kNoStamp);
-  std::vector<uint32_t> cand_stamp(probe.a.count(), kNoStamp);
-  std::vector<uint32_t> cand_count(probe.a.count(), 0);
-  GovernorTicker ticker;
-  for (uint32_t gid = 0; gid < k; ++gid) {
-    for (uint32_t b : group_members[gid]) b_stamp[b] = gid;
-    uint32_t group_size = static_cast<uint32_t>(group_members[gid].size());
-    for (size_t i = 0; i < probe.row_b.rows(); ++i) {  // full dividend re-scan per group
-      ticker.Tick();
-      uint32_t b = probe.row_b.At(i);
-      if (b == KeyNumbering::kNotFound || b_stamp[b] != gid) continue;
-      uint32_t cand = probe.a.row_ids()[i];
-      if (cand_stamp[cand] != gid) {
-        cand_stamp[cand] = gid;
-        cand_count[cand] = 0;
-      }
-      cand_count[cand] += 1;
-    }
-    for (uint32_t cand = 0; cand < probe.a.count(); ++cand) {
-      if (cand_stamp[cand] == gid && cand_count[cand] == group_size) {
-        results_.push_back(ConcatTuples(probe.a.KeyTuple(cand), build.c.KeyTuple(gid)));
-      }
-    }
-  }
-}
-
 bool GreatDivideIterator::NextBatch(Batch* out) {
   if (!EmitResultBatch(results_, &position_, out)) return false;
   CountRows(out->ActiveRows());
@@ -221,12 +167,10 @@ void GreatDivideIterator::Close() {
 }
 
 Relation ExecGreatDivide(const Relation& dividend, const Relation& divisor,
-                         GreatDivideAlgorithm algorithm, TableEncodingPtr dividend_enc,
-                         TableEncodingPtr divisor_enc) {
+                         TableEncodingPtr dividend_enc, TableEncodingPtr divisor_enc) {
   GreatDivideIterator it(
       std::make_unique<RelationScan>(BorrowRelation(dividend), std::move(dividend_enc)),
-      std::make_unique<RelationScan>(BorrowRelation(divisor), std::move(divisor_enc)),
-      algorithm);
+      std::make_unique<RelationScan>(BorrowRelation(divisor), std::move(divisor_enc)));
   return ExecuteToRelation(it);
 }
 
@@ -263,7 +207,7 @@ Relation GreatDividePartitioned(const Relation& dividend, const Relation& diviso
       partial[i] = Relation(dividend.schema().Project(attrs.a).Concat(
           divisor.schema().Project(attrs.c)));
     } else {
-      partial[i] = ExecGreatDivide(dividend, part, GreatDivideAlgorithm::kHash, dividend_enc);
+      partial[i] = ExecGreatDivide(dividend, part, dividend_enc);
     }
   });
 

@@ -9,25 +9,20 @@
 
 namespace quotient {
 
-/// Physical great-divide algorithms (Rantzau et al. [36] style):
-///   kHash   — one pass over the dividend; each divisor B value knows which
-///             C-groups it belongs to; per (candidate, group) match counters.
-///   kGroup  — group-at-a-time: a small divide per divisor C-group
-///             (literally Definition 4); re-scans the dividend per group.
-enum class GreatDivideAlgorithm { kHash, kGroup };
-
-const char* GreatDivideAlgorithmName(GreatDivideAlgorithm algorithm);
-
-/// Blocking great-divide operator; output schema A ∪ C.
+/// Blocking hash great divide (Rantzau et al. [36] style); output schema
+/// A ∪ C. One pass over the dividend: each divisor B value knows which C
+/// groups it belongs to, and a (candidate × group) match-count matrix
+/// collects the hits; a pair qualifies when its count reaches the group's
+/// size.
 class GreatDivideIterator : public Iterator {
  public:
-  GreatDivideIterator(IterPtr dividend, IterPtr divisor, GreatDivideAlgorithm algorithm);
+  GreatDivideIterator(IterPtr dividend, IterPtr divisor);
 
   const Schema& schema() const override { return schema_; }
   void Open() override;
   bool NextBatch(Batch* out) override;
   void Close() override;
-  const char* name() const override { return GreatDivideAlgorithmName(algorithm_); }
+  const char* name() const override { return "HashGreatDivide"; }
   std::vector<Iterator*> InputIterators() override {
     return {dividend_.get(), divisor_.get()};
   }
@@ -37,7 +32,7 @@ class GreatDivideIterator : public Iterator {
   void SetRecycle(RecycleSpec spec) { recycle_ = std::move(spec); }
 
  private:
-  // The key-encoded inputs both algorithms run over live in the artifact
+  // The key-encoded inputs the kernel runs over live in the artifact
   // types (exec/recycler.hpp): divisor B values and C groups numbered
   // densely (GreatDivideBuildArtifact), every dividend row carrying its
   // candidate number and divisor-B number (GreatDivideProbeArtifact).
@@ -46,12 +41,9 @@ class GreatDivideIterator : public Iterator {
 
   void RunHash(const GreatDivideBuildArtifact& build,
                const GreatDivideProbeArtifact& probe);
-  void RunGroupAtATime(const GreatDivideBuildArtifact& build,
-                       const GreatDivideProbeArtifact& probe);
 
   IterPtr dividend_;
   IterPtr divisor_;
-  GreatDivideAlgorithm algorithm_;
   Schema schema_;
   std::vector<size_t> a_idx_;
   std::vector<size_t> b_idx_;
@@ -75,10 +67,9 @@ class GreatDivideIterator : public Iterator {
 Relation GreatDividePartitioned(const Relation& dividend, const Relation& divisor,
                                 size_t threads, TableEncodingPtr dividend_enc = nullptr);
 
-/// Convenience: run one algorithm on materialized relations. Optional
-/// pre-built table encodings let repeated calls skip re-encoding inputs.
+/// Convenience: great-divide materialized relations. Optional pre-built
+/// table encodings let repeated calls skip re-encoding inputs.
 Relation ExecGreatDivide(const Relation& dividend, const Relation& divisor,
-                         GreatDivideAlgorithm algorithm,
                          TableEncodingPtr dividend_enc = nullptr,
                          TableEncodingPtr divisor_enc = nullptr);
 

@@ -426,25 +426,7 @@ class IncrementalKeyEncoder {
   bool fits64() const { return dicts_.size() <= 2; }
   const ValueDict& dict(size_t col) const { return dicts_[col]; }
 
-  /// Key of `t`'s columns `indices` (nullptr = all of `t`), growing the
-  /// dictionaries as needed. Only valid when fits64().
-  uint64_t Encode64(const Tuple& t, const std::vector<size_t>* indices) {
-    uint64_t key = 0;
-    for (size_t c = 0; c < dicts_.size(); ++c) {
-      key |= uint64_t{dicts_[c].GetOrAdd(t[indices ? (*indices)[c] : c])} << (32 * c);
-    }
-    return key;
-  }
-
-  /// Spill form for keys of three or more columns.
-  void EncodeSpill(const Tuple& t, const std::vector<size_t>* indices, SmallByteKey* out) {
-    out->Clear();
-    for (size_t c = 0; c < dicts_.size(); ++c) {
-      out->PushId(dicts_[c].GetOrAdd(t[indices ? (*indices)[c] : c]));
-    }
-  }
-
-  /// Batch path: interns `v` into column `c`'s (growable) dictionary.
+  /// Interns `v` into column `c`'s (growable) dictionary; ids never move.
   uint32_t InternValue(size_t c, const Value& v) { return dicts_[c].GetOrAdd(v); }
 
   /// Packs pre-resolved per-column ids into the fixed 32-bit-field layout.
@@ -529,8 +511,8 @@ void WithKeyView(const KeyCodec& codec, F&& f) {
 /// Dense numbering of a sealed codec's build keys behind one non-template
 /// interface: picks the identity (single dictionary column), packed-64, or
 /// spill representation once at Build() time. Used where a branch per probe
-/// is cheap enough (great divide, joins, grouping); the division algorithms
-/// stay fully templated on the key representation instead.
+/// is cheap enough (great divide, joins, grouping); hash-division stays
+/// fully templated on the key representation instead.
 class KeyNumbering {
  public:
   static constexpr uint32_t kNotFound = UINT32_MAX;

@@ -87,8 +87,7 @@ inline size_t ApproxTupleBytes(const std::vector<Tuple>& rows) {
 }
 
 /// Divisor build side of the small divides (exec/exec_divide.cpp): the
-/// sealed divisor key codec plus its dense key numbering. Shared across all
-/// six division algorithms — the algorithm choice is not part of the key.
+/// sealed divisor key codec plus its dense key numbering.
 struct DivisionBuildArtifact : RecycledArtifact {
   KeyCodec codec;        // sealed divisor key codec
   KeyNumbering numbers;  // built in place against `codec`
@@ -103,7 +102,7 @@ struct DivisionBuildArtifact : RecycledArtifact {
 /// Dividend probe state of the small divides: the sealed dividend codec and
 /// the per-row divisor-key column. A probe hit skips BOTH drains (the
 /// divisor drain too — divisor_count carries the only divisor-side fact the
-/// algorithms need beyond what row_b encodes).
+/// kernel needs beyond what row_b encodes).
 struct DivisionProbeArtifact : RecycledArtifact {
   KeyCodec a_codec;          // sealed dividend key codec
   SpilledU32Store row_b{1};  // per dividend row: divisor key id (or miss)
@@ -148,8 +147,8 @@ struct GreatDivideBuildArtifact : RecycledArtifact {
 };
 
 /// Dividend probe state of the great divides. Unlike the small divide —
-/// where divisor_count is the only divisor-side fact the algorithms need —
-/// both great-divide algorithms read the full divisor-side state, so the
+/// where divisor_count is the only divisor-side fact the kernel needs —
+/// the great divide reads the full divisor-side state, so the
 /// probe artifact pins the build artifact it was probed against: a probe
 /// hit skips both drains.
 struct GreatDivideProbeArtifact : RecycledArtifact {

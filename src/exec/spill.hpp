@@ -112,9 +112,6 @@ class SpilledU32Store {
   /// disk if the governor is past the watermark.
   void Append(const uint32_t* ids, size_t nrows);
 
-  /// Stride-1 convenience append.
-  void PushBack(uint32_t id) { Append(&id, 1); }
-
   /// Pointer to row `row`'s `stride` ids; for spilled rows, served from a
   /// page cache and valid only until the next Row/At call.
   const uint32_t* Row(size_t row) const;

@@ -81,8 +81,7 @@ std::vector<int64_t> Apriori::CountViaGreatDivide(
   // §3: quotient = transactions ÷* candidates, then count tids per itemset.
   // Uses the physical hash great divide (one dividend pass) rather than the
   // definitional group-at-a-time evaluator.
-  Relation quotient = ExecGreatDivide(transactions_, CandidatesRelation(candidates),
-                                      GreatDivideAlgorithm::kHash);
+  Relation quotient = ExecGreatDivide(transactions_, CandidatesRelation(candidates));
   Relation counts = GroupBy(quotient, {"itemset"}, {{AggFunc::kCount, "tid", "support"}});
   std::vector<int64_t> support(candidates.size(), 0);
   size_t itemset_idx = counts.schema().IndexOfOrThrow("itemset");

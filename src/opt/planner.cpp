@@ -8,6 +8,8 @@
 
 #include "exec/exec_agg.hpp"
 #include "exec/exec_basic.hpp"
+#include "exec/exec_divide.hpp"
+#include "exec/exec_great_divide.hpp"
 #include "exec/exec_join.hpp"
 #include "exec/pipeline.hpp"
 #include "exec/query_context.hpp"
@@ -18,27 +20,15 @@ namespace quotient {
 
 namespace {
 
-/// Healy's expansion of r1 ÷ r2 as a logical plan over the original
-/// subplans: πA(r1) − πA((πA(r1) × r2) − r1).
-PlanPtr HealyExpansion(const PlanPtr& dividend, const PlanPtr& divisor) {
-  DivisionAttributes attrs =
-      DivisionAttributeSets(dividend->schema(), divisor->schema(), /*allow_c=*/false);
-  PlanPtr pa = LogicalOp::Project(dividend, attrs.a);
-  PlanPtr spoilers = LogicalOp::Project(
-      LogicalOp::Difference(LogicalOp::Product(pa, divisor), dividend), attrs.a);
-  return LogicalOp::Difference(pa, spoilers);
-}
-
 // Plan-fragment fingerprints (FingerprintPlan / VersionedFingerprint) live
 // in opt/fingerprint.{hpp,cpp}, shared between the artifact recycler's
 // cache keys and the rewrite memo's subtree deduplication.
 
 /// Composes the divisions' RecycleSpec: build_key addresses the divisor-side
 /// artifact, probe_key the full probe state that additionally captures the
-/// dividend drain. The physical algorithm is deliberately absent from both
-/// keys — every division algorithm runs over the same encoded state — and so
-/// is the thread count (chunk-ordered merges make build state bit-identical
-/// at every thread count, docs/parallel_execution.md). The tag
+/// dividend drain. The thread count is deliberately absent from both keys
+/// (chunk-ordered merges make build state bit-identical at every thread
+/// count, docs/parallel_execution.md). The tag
 /// ("div"/"gd") selects the artifact type the adopting iterator casts to, so
 /// it must differ wherever the concrete artifact struct differs.
 RecycleSpec DivideRecycleSpec(const std::string& tag, const LogicalOp& op,
@@ -193,12 +183,7 @@ IterPtr BuildNode(const PlanPtr& plan, const Catalog& catalog, const PlannerOpti
       return join;
     }
     case LogicalOp::Kind::kDivide: {
-      if (options.expand_divide) {
-        return Build(HealyExpansion(op.child(0), op.child(1)), catalog, options, context);
-      }
-      auto div = std::make_unique<DivisionIterator>(child(0),
-                                                    child(1),
-                                                    options.division);
+      auto div = std::make_unique<DivisionIterator>(child(0), child(1));
       div->SetRecycle(DivideRecycleSpec("div", op, catalog, options));
       return div;
     }
@@ -208,15 +193,11 @@ IterPtr BuildNode(const PlanPtr& plan, const Catalog& catalog, const PlannerOpti
         // Lowered to the same small-divide iterator — and the same "div"
         // keys: with identical children the encoded state is identical, so
         // ÷ and a C-free ÷* share artifacts.
-        auto div = std::make_unique<DivisionIterator>(child(0),
-                                                      child(1),
-                                                      options.division);
+        auto div = std::make_unique<DivisionIterator>(child(0), child(1));
         div->SetRecycle(DivideRecycleSpec("div", op, catalog, options));
         return div;
       }
-      auto gd = std::make_unique<GreatDivideIterator>(child(0),
-                                                      child(1),
-                                                      options.great_divide);
+      auto gd = std::make_unique<GreatDivideIterator>(child(0), child(1));
       gd->SetRecycle(DivideRecycleSpec("gd", op, catalog, options));
       return gd;
     }

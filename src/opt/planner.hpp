@@ -3,8 +3,6 @@
 #include <memory>
 #include <string>
 
-#include "exec/exec_divide.hpp"
-#include "exec/exec_great_divide.hpp"
 #include "exec/iterator.hpp"
 #include "exec/recycler.hpp"
 #include "plan/evaluate.hpp"
@@ -14,16 +12,11 @@ namespace quotient {
 
 class StatsCache;  // opt/stats.hpp
 
-/// How the planner lowers logical division nodes.
+/// What the planner attaches to the physical plan it builds. ÷ always
+/// lowers to hash-division and ÷* to the hash great divide; to run Healy's
+/// basic-algebra baseline instead, rewrite the logical plan with
+/// MakeDivideToHealyExpansionRule() (core/rules.hpp) before planning.
 struct PlannerOptions {
-  /// Physical algorithm for ÷ nodes.
-  DivisionAlgorithm division = DivisionAlgorithm::kHash;
-  /// Physical algorithm for ÷* nodes.
-  GreatDivideAlgorithm great_divide = GreatDivideAlgorithm::kHash;
-  /// Compile ÷ into Healy's basic-algebra expansion
-  /// πA(r1) − πA((πA(r1) × r2) − r1) instead of a first-class operator —
-  /// the baseline that exhibits quadratic intermediate results ([25], §6).
-  bool expand_divide = false;
   /// Cross-query artifact recycler (exec/recycler.hpp). When set, the
   /// planner attaches RecycleSpecs — plan-fragment fingerprints plus table
   /// data versions — to every blocking sink whose build side is a

@@ -12,6 +12,7 @@
 
 #include "algebra/generator.hpp"
 #include "algebra/ops.hpp"
+#include "core/engine.hpp"
 #include "exec/batch.hpp"
 #include "exec/exec_basic.hpp"
 #include "exec/exec_divide.hpp"
@@ -29,8 +30,7 @@ const size_t kBoundarySizes[] = {1, 3, 1023, 1024, 1025};
 /// Runs `plan` single-threaded at each boundary batch size; every result
 /// must equal plan::Evaluate (the reference algebra), and the plan-wide row
 /// accounting must not depend on the batch size.
-void ExpectBatchSizeAgreement(const PlanPtr& plan, const Catalog& catalog,
-                              const PlannerOptions& options = {}) {
+void ExpectBatchSizeAgreement(const PlanPtr& plan, const Catalog& catalog) {
   const Relation reference = Evaluate(plan, catalog);
   ScopedExecThreads serial(1);
   ExecProfile first_profile;
@@ -38,7 +38,7 @@ void ExpectBatchSizeAgreement(const PlanPtr& plan, const Catalog& catalog,
   for (size_t batch_rows : kBoundarySizes) {
     ScopedBatchRows scoped(batch_rows);
     ExecProfile profile;
-    Relation result = ExecutePlan(plan, catalog, options, &profile);
+    Relation result = ExecutePlan(plan, catalog, {}, &profile);
     EXPECT_EQ(result, reference) << "batch_rows=" << batch_rows;
     if (first) {
       first_profile = profile;
@@ -65,30 +65,18 @@ Catalog SuppliersCatalog() {
   return catalog;
 }
 
-TEST(BatchExecProperty, DivisionAllAlgorithmsAllBatchSizes) {
+TEST(BatchExecProperty, DivisionAllBatchSizes) {
   Catalog catalog = SuppliersCatalog();
   PlanPtr plan = LogicalOp::Divide(LogicalOp::Scan(catalog, "r1"),
                                    LogicalOp::Scan(catalog, "r2"));
-  for (DivisionAlgorithm algorithm :
-       {DivisionAlgorithm::kHash, DivisionAlgorithm::kHashTransposed,
-        DivisionAlgorithm::kMergeSort, DivisionAlgorithm::kHashCount,
-        DivisionAlgorithm::kSortCount, DivisionAlgorithm::kNestedLoop}) {
-    PlannerOptions options;
-    options.division = algorithm;
-    ExpectBatchSizeAgreement(plan, catalog, options);
-  }
+  ExpectBatchSizeAgreement(plan, catalog);
 }
 
-TEST(BatchExecProperty, GreatDivideBothAlgorithms) {
+TEST(BatchExecProperty, GreatDivideAllBatchSizes) {
   Catalog catalog = SuppliersCatalog();
   PlanPtr plan = LogicalOp::GreatDivide(LogicalOp::Scan(catalog, "r1"),
                                         LogicalOp::Scan(catalog, "gd"));
-  for (GreatDivideAlgorithm algorithm :
-       {GreatDivideAlgorithm::kHash, GreatDivideAlgorithm::kGroup}) {
-    PlannerOptions options;
-    options.great_divide = algorithm;
-    ExpectBatchSizeAgreement(plan, catalog, options);
-  }
+  ExpectBatchSizeAgreement(plan, catalog);
 }
 
 TEST(BatchExecProperty, FilterProjectPipeline) {
@@ -231,9 +219,12 @@ TEST(BatchExecProperty, HealyExpansionAgreesAcrossBatchSizes) {
   Catalog catalog = SuppliersCatalog();
   PlanPtr plan = LogicalOp::Divide(LogicalOp::Scan(catalog, "spj"),
                                    LogicalOp::Scan(catalog, "parts"));
-  PlannerOptions options;
-  options.expand_divide = true;
-  ExpectBatchSizeAgreement(plan, catalog, options);
+  RewriteEngine expand;
+  expand.Add(MakeDivideToHealyExpansionRule());
+  PlanPtr healy = expand.Rewrite(plan, RewriteContext{&catalog, false});
+  ASSERT_EQ(healy->ToString().find("Divide "), std::string::npos);
+  ASSERT_EQ(Evaluate(healy, catalog), Evaluate(plan, catalog));
+  ExpectBatchSizeAgreement(healy, catalog);
 }
 
 // --- batch plumbing unit tests ---------------------------------------------

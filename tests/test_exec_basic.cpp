@@ -6,6 +6,7 @@
 
 #include "algebra/generator.hpp"
 #include "algebra/ops.hpp"
+#include "core/engine.hpp"
 #include "exec/exec_agg.hpp"
 #include "exec/exec_basic.hpp"
 #include "exec/exec_join.hpp"
@@ -157,6 +158,17 @@ class PlannerTest : public ::testing::Test {
     catalog_.Put("r2", gen.Divisor(4, 10));
     catalog_.Put("gd", gen.GreatDivisor(3, 10, 0.4));
   }
+
+  /// Healy's basic-algebra baseline: `plan` with every ÷ expanded by the
+  /// rewrite rule, ready to plan and execute like any other plan.
+  PlanPtr HealyExpanded(const PlanPtr& plan) const {
+    RewriteEngine expand;
+    expand.Add(MakeDivideToHealyExpansionRule());
+    PlanPtr expanded = expand.Rewrite(plan, RewriteContext{&catalog_, false});
+    EXPECT_EQ(expanded->ToString().find("Divide "), std::string::npos);
+    return expanded;
+  }
+
   Catalog catalog_;
 };
 
@@ -188,32 +200,20 @@ TEST_F(PlannerTest, LoweringMatchesReferenceEvaluatorOnAllNodeKinds) {
   }
 }
 
-TEST_F(PlannerTest, AllDivisionAlgorithmsProduceSameResults) {
+TEST_F(PlannerTest, DivisionAndHealyExpansionProduceSameResults) {
   PlanPtr plan = LogicalOp::Divide(LogicalOp::Scan(catalog_, "r1"),
                                    LogicalOp::Scan(catalog_, "r2"));
   Relation expected = Evaluate(plan, catalog_);
-  for (DivisionAlgorithm algorithm :
-       {DivisionAlgorithm::kHash, DivisionAlgorithm::kHashTransposed,
-        DivisionAlgorithm::kMergeSort, DivisionAlgorithm::kHashCount,
-        DivisionAlgorithm::kSortCount, DivisionAlgorithm::kNestedLoop}) {
-    PlannerOptions options;
-    options.division = algorithm;
-    EXPECT_EQ(ExecutePlan(plan, catalog_, options), expected)
-        << DivisionAlgorithmName(algorithm);
-  }
-  PlannerOptions expand;
-  expand.expand_divide = true;
-  EXPECT_EQ(ExecutePlan(plan, catalog_, expand), expected) << "Healy expansion";
+  EXPECT_EQ(ExecutePlan(plan, catalog_), expected) << "HashDivision";
+  EXPECT_EQ(ExecutePlan(HealyExpanded(plan), catalog_), expected) << "Healy expansion";
 }
 
 TEST_F(PlannerTest, HealyExpansionInflatesIntermediateRows) {
   PlanPtr plan = LogicalOp::Divide(LogicalOp::Scan(catalog_, "r1"),
                                    LogicalOp::Scan(catalog_, "r2"));
   ExecProfile first_class, simulated;
-  PlannerOptions expand;
-  expand.expand_divide = true;
   ExecutePlan(plan, catalog_, {}, &first_class);
-  ExecutePlan(plan, catalog_, expand, &simulated);
+  ExecutePlan(HealyExpanded(plan), catalog_, {}, &simulated);
   EXPECT_GT(simulated.total_rows, first_class.total_rows)
       << "the basic-algebra simulation must touch more tuples ([25], §6)";
 }

@@ -1,5 +1,6 @@
-// Every physical division algorithm must agree with the reference algebra
-// (Codd's definition) on the paper's examples and on randomized inputs.
+// The physical hash division and hash great divide must agree with the
+// reference algebra (Codd's definition, SCD's great divide) on the paper's
+// examples and on randomized inputs.
 
 #include <gtest/gtest.h>
 
@@ -14,42 +15,40 @@
 namespace quotient {
 namespace {
 
-class DivisionAlgorithmTest : public ::testing::TestWithParam<DivisionAlgorithm> {};
-
-TEST_P(DivisionAlgorithmTest, Figure1) {
-  EXPECT_EQ(ExecDivide(paper::Fig1Dividend(), paper::Fig1Divisor(), GetParam()),
+TEST(HashDivisionTest, Figure1) {
+  EXPECT_EQ(ExecDivide(paper::Fig1Dividend(), paper::Fig1Divisor()),
             paper::Fig1Quotient());
 }
 
-TEST_P(DivisionAlgorithmTest, Figure4) {
-  EXPECT_EQ(ExecDivide(paper::Fig4Dividend(), paper::Fig4Divisor(), GetParam()),
+TEST(HashDivisionTest, Figure4) {
+  EXPECT_EQ(ExecDivide(paper::Fig4Dividend(), paper::Fig4Divisor()),
             paper::Fig4Quotient());
 }
 
-TEST_P(DivisionAlgorithmTest, EmptyDivisorYieldsAllCandidates) {
+TEST(HashDivisionTest, EmptyDivisorYieldsAllCandidates) {
   Relation r1 = paper::Fig1Dividend();
   Relation empty(Schema::Parse("b"));
-  EXPECT_EQ(ExecDivide(r1, empty, GetParam()), Project(r1, {"a"}));
+  EXPECT_EQ(ExecDivide(r1, empty), Project(r1, {"a"}));
 }
 
-TEST_P(DivisionAlgorithmTest, EmptyDividendYieldsEmptyQuotient) {
+TEST(HashDivisionTest, EmptyDividendYieldsEmptyQuotient) {
   Relation empty(Schema::Parse("a, b"));
-  EXPECT_TRUE(ExecDivide(empty, paper::Fig1Divisor(), GetParam()).empty());
+  EXPECT_TRUE(ExecDivide(empty, paper::Fig1Divisor()).empty());
 }
 
-TEST_P(DivisionAlgorithmTest, DivisorLargerThanEveryGroup) {
+TEST(HashDivisionTest, DivisorLargerThanEveryGroup) {
   Relation r1 = Relation::Parse("a, b", "1,1; 2,2");
   Relation r2 = Relation::Parse("b", "1; 2; 3");
-  EXPECT_TRUE(ExecDivide(r1, r2, GetParam()).empty());
+  EXPECT_TRUE(ExecDivide(r1, r2).empty());
 }
 
-TEST_P(DivisionAlgorithmTest, SingleGroupCoversDivisor) {
+TEST(HashDivisionTest, SingleGroupCoversDivisor) {
   Relation r1 = Relation::Parse("a, b", "7,1; 7,2; 7,3");
   Relation r2 = Relation::Parse("b", "1; 3");
-  EXPECT_EQ(ExecDivide(r1, r2, GetParam()), Relation::Parse("a", "7"));
+  EXPECT_EQ(ExecDivide(r1, r2), Relation::Parse("a", "7"));
 }
 
-TEST_P(DivisionAlgorithmTest, MultiAttributeAandB) {
+TEST(HashDivisionTest, MultiAttributeAandB) {
   // A = {a1, a2}, B = {b1, b2}.
   Relation r1 = Relation::Parse("a1, a2, b1, b2",
                                 "1,1,10,20; 1,1,11,21;"
@@ -57,40 +56,38 @@ TEST_P(DivisionAlgorithmTest, MultiAttributeAandB) {
                                 "2,1,10,20; 2,1,11,21; 2,1,12,22");
   Relation r2 = Relation::Parse("b1, b2", "10,20; 11,21");
   Relation expected = Relation::Parse("a1, a2", "1,1; 2,1");
-  EXPECT_EQ(ExecDivide(r1, r2, GetParam()), expected);
+  EXPECT_EQ(ExecDivide(r1, r2), expected);
 }
 
-TEST_P(DivisionAlgorithmTest, RandomizedAgainstReference) {
-  DataGen gen(0xD1Dull + static_cast<uint64_t>(GetParam()));
+TEST(HashDivisionTest, RandomizedAgainstReference) {
+  DataGen gen(0xD1Dull);
   for (int round = 0; round < 60; ++round) {
     Relation r1 = gen.Dividend(/*groups=*/gen.UniformInt(0, 12),
                                /*domain=*/gen.UniformInt(1, 10), /*density=*/0.4);
     Relation r2 = gen.Divisor(/*size=*/gen.UniformInt(0, 6), /*domain=*/10);
-    EXPECT_EQ(ExecDivide(r1, r2, GetParam()), DivideCodd(r1, r2))
+    EXPECT_EQ(ExecDivide(r1, r2), DivideCodd(r1, r2))
         << "round " << round << "\nr1:\n"
         << r1.ToString() << "r2:\n"
         << r2.ToString();
   }
 }
 
-TEST_P(DivisionAlgorithmTest, RandomizedStringBAgainstReference) {
+TEST(HashDivisionTest, RandomizedStringBAgainstReference) {
   // String-valued B domain: the key dictionaries intern strings instead of
-  // ints; every algorithm must still agree with the reference.
-  DivisionAlgorithm algorithm = GetParam();
-  DataGen gen(0x57Dull + static_cast<uint64_t>(algorithm));
+  // ints; the division must still agree with the reference.
+  DataGen gen(0x57Dull);
   for (int round = 0; round < 30; ++round) {
     Relation r1 = StringifyAttribute(
         gen.Dividend(gen.UniformInt(0, 10), gen.UniformInt(1, 9), 0.4), "b");
     Relation r2 = StringifyAttribute(gen.Divisor(gen.UniformInt(0, 6), 9), "b");
-    EXPECT_EQ(ExecDivide(r1, r2, algorithm), DivideCodd(r1, r2)) << "round " << round;
+    EXPECT_EQ(ExecDivide(r1, r2), DivideCodd(r1, r2)) << "round " << round;
   }
 }
 
-TEST_P(DivisionAlgorithmTest, RandomizedMixedTypeBAgainstReference) {
+TEST(HashDivisionTest, RandomizedMixedTypeBAgainstReference) {
   // B mixes an int, a real, and a string attribute: dictionary equality must
   // respect strict Value equality (Int(2) != Real(2.0)) per column.
-  DivisionAlgorithm algorithm = GetParam();
-  DataGen gen(0x317ull + static_cast<uint64_t>(algorithm));
+  DataGen gen(0x317ull);
   for (int round = 0; round < 30; ++round) {
     std::vector<Tuple> dividend_rows;
     size_t groups = static_cast<size_t>(gen.UniformInt(0, 8));
@@ -109,15 +106,14 @@ TEST_P(DivisionAlgorithmTest, RandomizedMixedTypeBAgainstReference) {
                               V("s" + std::to_string(gen.UniformInt(0, 3)))});
     }
     Relation r2(Schema::Parse("b1, b2:real, b3:string"), std::move(divisor_rows));
-    EXPECT_EQ(ExecDivide(r1, r2, algorithm), DivideCodd(r1, r2)) << "round " << round;
+    EXPECT_EQ(ExecDivide(r1, r2), DivideCodd(r1, r2)) << "round " << round;
   }
 }
 
-TEST_P(DivisionAlgorithmTest, WideBKeysExerciseSpillPath) {
+TEST(HashDivisionTest, WideBKeysExerciseSpillPath) {
   // 17+ B columns over a 10-value domain overflow the 64-bit key layout, so
   // the divisor codec takes the spill (SmallByteKey) representation.
-  DivisionAlgorithm algorithm = GetParam();
-  DataGen gen(0x5B111ull + static_cast<uint64_t>(algorithm));
+  DataGen gen(0x5B111ull);
   for (int round = 0; round < 3; ++round) {
     constexpr size_t kNumB = 18;
     // 18 B columns, each with hundreds of distinct values (≥9 bits): the
@@ -135,65 +131,44 @@ TEST_P(DivisionAlgorithmTest, WideBKeysExerciseSpillPath) {
     std::vector<std::string> b_names;
     for (size_t i = 1; i <= kNumB; ++i) b_names.push_back("b" + std::to_string(i));
     Relation r2(r1.schema().Project(b_names), std::move(divisor_rows));
-    EXPECT_EQ(ExecDivide(r1, r2, algorithm), DivideCodd(r1, r2)) << "round " << round;
+    EXPECT_EQ(ExecDivide(r1, r2), DivideCodd(r1, r2)) << "round " << round;
   }
 }
 
-TEST_P(DivisionAlgorithmTest, WideAKeysExerciseSpillPath) {
+TEST(HashDivisionTest, WideAKeysExerciseSpillPath) {
   // Many A columns: the candidate (quotient) codec spills instead.
-  DivisionAlgorithm algorithm = GetParam();
-  DataGen gen(0x5A111ull + static_cast<uint64_t>(algorithm));
+  DataGen gen(0x5A111ull);
   for (int round = 0; round < 3; ++round) {
     Relation r1 = gen.DividendWide(/*groups=*/40, /*num_a=*/18, /*num_b=*/1,
                                    /*domain=*/300, /*density=*/0.05);
     Relation r2 = gen.Divisor(/*size=*/3, /*domain=*/300);
-    EXPECT_EQ(ExecDivide(r1, r2, algorithm), DivideCodd(r1, r2)) << "round " << round;
+    EXPECT_EQ(ExecDivide(r1, r2), DivideCodd(r1, r2)) << "round " << round;
   }
 }
 
-INSTANTIATE_TEST_SUITE_P(AllAlgorithms, DivisionAlgorithmTest,
-                         ::testing::Values(DivisionAlgorithm::kHash,
-                                           DivisionAlgorithm::kHashTransposed,
-                                           DivisionAlgorithm::kMergeSort,
-                                           DivisionAlgorithm::kHashCount,
-                                           DivisionAlgorithm::kSortCount,
-                                           DivisionAlgorithm::kNestedLoop),
-                         [](const ::testing::TestParamInfo<DivisionAlgorithm>& info) {
-                           return DivisionAlgorithmName(info.param);
-                         });
-
-class GreatDivideAlgorithmTest : public ::testing::TestWithParam<GreatDivideAlgorithm> {};
-
-TEST_P(GreatDivideAlgorithmTest, Figure2) {
-  EXPECT_EQ(ExecGreatDivide(paper::Fig1Dividend(), paper::Fig2Divisor(), GetParam()),
+TEST(HashGreatDivideTest, Figure2) {
+  EXPECT_EQ(ExecGreatDivide(paper::Fig1Dividend(), paper::Fig2Divisor()),
             paper::Fig2Quotient());
 }
 
-TEST_P(GreatDivideAlgorithmTest, EmptyDivisorYieldsEmptyResult) {
+TEST(HashGreatDivideTest, EmptyDivisorYieldsEmptyResult) {
   // No divisor rows means no C groups, so the great divide is empty (this
   // regressed once as an out-of-bounds index on the empty count matrix).
   Relation r1 = paper::Fig1Dividend();
   Relation empty(Schema::Parse("b, c"));
-  EXPECT_EQ(ExecGreatDivide(r1, empty, GetParam()), GreatDivideSCD(r1, empty));
-  EXPECT_TRUE(ExecGreatDivide(r1, empty, GetParam()).empty());
+  EXPECT_EQ(ExecGreatDivide(r1, empty), GreatDivideSCD(r1, empty));
+  EXPECT_TRUE(ExecGreatDivide(r1, empty).empty());
 }
 
-TEST_P(GreatDivideAlgorithmTest, RandomizedAgainstReference) {
-  DataGen gen(0x6D1Dull + static_cast<uint64_t>(GetParam()));
+TEST(HashGreatDivideTest, RandomizedAgainstReference) {
+  DataGen gen(0x6D1Dull);
   for (int round = 0; round < 60; ++round) {
     Relation r1 = gen.Dividend(gen.UniformInt(0, 10), gen.UniformInt(1, 8), 0.45);
     Relation r2 = gen.GreatDivisor(gen.UniformInt(1, 5), 8, 0.3);
-    EXPECT_EQ(ExecGreatDivide(r1, r2, GetParam()), GreatDivideSCD(r1, r2))
+    EXPECT_EQ(ExecGreatDivide(r1, r2), GreatDivideSCD(r1, r2))
         << "round " << round;
   }
 }
-
-INSTANTIATE_TEST_SUITE_P(AllAlgorithms, GreatDivideAlgorithmTest,
-                         ::testing::Values(GreatDivideAlgorithm::kHash,
-                                           GreatDivideAlgorithm::kGroup),
-                         [](const ::testing::TestParamInfo<GreatDivideAlgorithm>& info) {
-                           return GreatDivideAlgorithmName(info.param);
-                         });
 
 TEST(GreatDividePartitioned, MatchesReferenceAcrossThreadCounts) {
   DataGen gen(0xAB12ull);

@@ -204,6 +204,48 @@ TEST(GovernorTest, MisEstimatedJoinBuildIsPolledAndCharged) {
   }
 }
 
+// Hash-division's seen-bitmap matrix is one row of |divisor| bits per
+// quotient candidate. With a multi-column A the candidates are interned as
+// the fill loop runs, so the matrix must be charged as its rows are added,
+// not from the (still empty) candidate count before the loop.
+TEST(GovernorTest, CompositeKeyDivisionChargesBitmapMatrix) {
+  constexpr int64_t kCandidates = 2000;
+  constexpr int64_t kDivisorSize = 8192;  // 1024 bitmap bytes per candidate
+  std::vector<Tuple> dividend_rows;
+  for (int64_t i = 0; i < kCandidates; ++i) {
+    dividend_rows.push_back({V(i), V(i % 7), V(i % kDivisorSize)});
+  }
+  std::vector<Tuple> divisor_rows;
+  for (int64_t b = 0; b < kDivisorSize; ++b) divisor_rows.push_back({V(b)});
+  Relation dividend(Schema::Parse("a1, a2, b"), std::move(dividend_rows));
+  Relation divisor(Schema::Parse("b"), std::move(divisor_rows));
+  const std::string sql = "SELECT a1, a2 FROM r1 AS x DIVIDE BY r2 AS y ON x.b = y.b";
+
+  for (size_t threads : {size_t{1}, size_t{4}}) {
+    SCOPED_TRACE("threads=" + std::to_string(threads));
+    ScopedExecThreads scoped_threads(threads);
+    Session session;
+    ASSERT_TRUE(session.CreateTable("r1", dividend).ok());
+    ASSERT_TRUE(session.CreateTable("r2", divisor).ok());
+    Result<QueryResult> result = session.Execute(sql);
+    ASSERT_TRUE(result.ok()) << result.error();
+    EXPECT_TRUE(result.value().rows.empty());
+    EXPECT_NE(result.value().profile.explain.find("HashDivision"), std::string::npos)
+        << result.value().profile.explain;
+    EXPECT_GE(result.value().profile.rows_charged_bytes,
+              size_t{kCandidates} * (kDivisorSize / 8));
+
+    SessionOptions budgeted;
+    budgeted.memory_budget_bytes = size_t{1} << 20;  // half the matrix
+    Session limited(budgeted);
+    ASSERT_TRUE(limited.CreateTable("r1", dividend).ok());
+    ASSERT_TRUE(limited.CreateTable("r2", divisor).ok());
+    Result<QueryResult> tripped = limited.Execute(sql);
+    ASSERT_FALSE(tripped.ok());
+    EXPECT_EQ(tripped.status().code(), StatusCode::kResourceExhausted);
+  }
+}
+
 TEST(GovernorTest, ScopedKnobGuardsRestoreOnUnwind) {
   const size_t threads0 = GetExecThreads();
   const size_t morsel0 = GetMorselRows();

@@ -15,6 +15,7 @@
 #include "algebra/divide.hpp"
 #include "algebra/generator.hpp"
 #include "algebra/ops.hpp"
+#include "core/engine.hpp"
 #include "exec/batch.hpp"
 #include "exec/exec_basic.hpp"
 #include "exec/exec_divide.hpp"
@@ -34,8 +35,7 @@ const size_t kThreadCounts[] = {1, 2, 3, 8};
 /// result must equal plan::Evaluate, and the plan-wide row accounting must
 /// match the single-threaded run exactly.
 void ExpectParallelAgreement(const PlanPtr& plan, const Catalog& catalog,
-                             const PlannerOptions& options = {}, size_t batch_rows = 128,
-                             size_t morsel_rows = 16) {
+                             size_t batch_rows = 128, size_t morsel_rows = 16) {
   const Relation reference = Evaluate(plan, catalog);
   ScopedMorselRows morsels(morsel_rows);
   ScopedBatchRows batches(batch_rows);
@@ -43,7 +43,7 @@ void ExpectParallelAgreement(const PlanPtr& plan, const Catalog& catalog,
   for (size_t threads : kThreadCounts) {
     ScopedExecThreads scoped(threads);
     ExecProfile profile;
-    Relation result = ExecutePlan(plan, catalog, options, &profile);
+    Relation result = ExecutePlan(plan, catalog, {}, &profile);
     EXPECT_EQ(result, reference) << "threads=" << threads;
     if (threads == 1) {
       serial_profile = profile;
@@ -74,34 +74,22 @@ Catalog WorkloadCatalog() {
   return catalog;
 }
 
-TEST(ParallelExecProperty, DivisionAllAlgorithmsAllThreadCounts) {
+TEST(ParallelExecProperty, DivisionAllThreadCounts) {
   Catalog catalog = WorkloadCatalog();
   for (const char* dividend : {"fig1_r1", "r1"}) {
     for (const char* divisor : {"fig1_r2", "r2"}) {
       PlanPtr plan = LogicalOp::Divide(LogicalOp::Scan(catalog, dividend),
                                        LogicalOp::Scan(catalog, divisor));
-      for (DivisionAlgorithm algorithm :
-           {DivisionAlgorithm::kHash, DivisionAlgorithm::kHashTransposed,
-            DivisionAlgorithm::kMergeSort, DivisionAlgorithm::kHashCount,
-            DivisionAlgorithm::kSortCount, DivisionAlgorithm::kNestedLoop}) {
-        PlannerOptions options;
-        options.division = algorithm;
-        ExpectParallelAgreement(plan, catalog, options, /*batch_rows=*/3, /*morsel_rows=*/4);
-      }
+      ExpectParallelAgreement(plan, catalog, /*batch_rows=*/3, /*morsel_rows=*/4);
     }
   }
 }
 
-TEST(ParallelExecProperty, GreatDivideBothAlgorithms) {
+TEST(ParallelExecProperty, GreatDivideAllThreadCounts) {
   Catalog catalog = WorkloadCatalog();
   PlanPtr plan = LogicalOp::GreatDivide(LogicalOp::Scan(catalog, "r1"),
                                         LogicalOp::Scan(catalog, "gd"));
-  for (GreatDivideAlgorithm algorithm :
-       {GreatDivideAlgorithm::kHash, GreatDivideAlgorithm::kGroup}) {
-    PlannerOptions options;
-    options.great_divide = algorithm;
-    ExpectParallelAgreement(plan, catalog, options, /*batch_rows=*/7, /*morsel_rows=*/8);
-  }
+  ExpectParallelAgreement(plan, catalog, /*batch_rows=*/7, /*morsel_rows=*/8);
 }
 
 TEST(ParallelExecProperty, FilterFeedsBufferedParallelPipeline) {
@@ -114,7 +102,7 @@ TEST(ParallelExecProperty, FilterFeedsBufferedParallelPipeline) {
   PlanPtr plan = LogicalOp::Divide(
       LogicalOp::Select(LogicalOp::Scan(catalog, "r1"), predicate),
       LogicalOp::Scan(catalog, "r2"));
-  ExpectParallelAgreement(plan, catalog, {}, /*batch_rows=*/5, /*morsel_rows=*/8);
+  ExpectParallelAgreement(plan, catalog, /*batch_rows=*/5, /*morsel_rows=*/8);
 }
 
 TEST(ParallelExecProperty, RenameChainStaysSplittable) {
@@ -124,7 +112,7 @@ TEST(ParallelExecProperty, RenameChainStaysSplittable) {
   PlanPtr plan = LogicalOp::NaturalJoin(
       LogicalOp::Scan(catalog, "r1"),
       LogicalOp::Rename(LogicalOp::Scan(catalog, "spj"), {{"s", "a"}, {"p", "x"}}));
-  ExpectParallelAgreement(plan, catalog, {}, /*batch_rows=*/3, /*morsel_rows=*/4);
+  ExpectParallelAgreement(plan, catalog, /*batch_rows=*/3, /*morsel_rows=*/4);
 }
 
 TEST(ParallelExecProperty, JoinsAllThreadCounts) {
@@ -134,17 +122,17 @@ TEST(ParallelExecProperty, JoinsAllThreadCounts) {
   ExpectParallelAgreement(
       LogicalOp::ThetaJoin(spj, LogicalOp::Rename(spj, {{"s", "s2"}, {"p", "p2"}}),
                            Expr::ColEqCol("p", "p2")),
-      catalog, {}, /*batch_rows=*/3, /*morsel_rows=*/4);
-  ExpectParallelAgreement(LogicalOp::SemiJoin(r1, LogicalOp::Scan(catalog, "r2")), catalog, {},
+      catalog, /*batch_rows=*/3, /*morsel_rows=*/4);
+  ExpectParallelAgreement(LogicalOp::SemiJoin(r1, LogicalOp::Scan(catalog, "r2")), catalog,
                           /*batch_rows=*/16, /*morsel_rows=*/8);
-  ExpectParallelAgreement(LogicalOp::AntiJoin(r1, LogicalOp::Scan(catalog, "r2")), catalog, {},
+  ExpectParallelAgreement(LogicalOp::AntiJoin(r1, LogicalOp::Scan(catalog, "r2")), catalog,
                           /*batch_rows=*/16, /*morsel_rows=*/8);
   // Build sides large enough for several workers, so the join-build and
   // semi-join sinks run their chunked Consume/Merge paths.
   PlanPtr r1_renamed = LogicalOp::Rename(r1, {{"a", "a2"}, {"b", "b2"}});
   ExpectParallelAgreement(LogicalOp::ThetaJoin(r1, r1_renamed, Expr::ColEqCol("b", "b2")),
-                          catalog, {}, /*batch_rows=*/16, /*morsel_rows=*/8);
-  ExpectParallelAgreement(LogicalOp::SemiJoin(LogicalOp::Scan(catalog, "r2"), r1), catalog, {},
+                          catalog, /*batch_rows=*/16, /*morsel_rows=*/8);
+  ExpectParallelAgreement(LogicalOp::SemiJoin(LogicalOp::Scan(catalog, "r2"), r1), catalog,
                           /*batch_rows=*/16, /*morsel_rows=*/8);
 }
 
@@ -157,11 +145,11 @@ TEST(ParallelExecProperty, GroupByAggregates) {
        {AggFunc::kMin, "b", "min_b"},
        {AggFunc::kMax, "b", "max_b"},
        {AggFunc::kAvg, "b", "avg_b"}});
-  ExpectParallelAgreement(plan, catalog, {}, /*batch_rows=*/9, /*morsel_rows=*/8);
+  ExpectParallelAgreement(plan, catalog, /*batch_rows=*/9, /*morsel_rows=*/8);
   // Global aggregate: one output row regardless of chunking.
   ExpectParallelAgreement(
       LogicalOp::GroupBy(LogicalOp::Scan(catalog, "r1"), {}, {{AggFunc::kCount, "", "n"}}),
-      catalog, {}, /*batch_rows=*/9, /*morsel_rows=*/8);
+      catalog, /*batch_rows=*/9, /*morsel_rows=*/8);
 }
 
 TEST(ParallelExecProperty, SetOperationsAndHealyExpansion) {
@@ -174,11 +162,14 @@ TEST(ParallelExecProperty, SetOperationsAndHealyExpansion) {
   ExpectParallelAgreement(LogicalOp::Intersect(left, right), catalog);
   ExpectParallelAgreement(LogicalOp::Difference(left, right), catalog);
   // Healy's basic-algebra expansion stacks ×, − and π over the pipelines.
-  PlannerOptions options;
-  options.expand_divide = true;
-  ExpectParallelAgreement(LogicalOp::Divide(LogicalOp::Scan(catalog, "fig1_r1"),
-                                            LogicalOp::Scan(catalog, "fig1_r2")),
-                          catalog, options, /*batch_rows=*/3, /*morsel_rows=*/4);
+  PlanPtr divide = LogicalOp::Divide(LogicalOp::Scan(catalog, "fig1_r1"),
+                                     LogicalOp::Scan(catalog, "fig1_r2"));
+  RewriteEngine expand;
+  expand.Add(MakeDivideToHealyExpansionRule());
+  PlanPtr healy = expand.Rewrite(divide, RewriteContext{&catalog, false});
+  ASSERT_EQ(healy->ToString().find("Divide "), std::string::npos);
+  ASSERT_EQ(Evaluate(healy, catalog), Evaluate(divide, catalog));
+  ExpectParallelAgreement(healy, catalog, /*batch_rows=*/3, /*morsel_rows=*/4);
 }
 
 TEST(ParallelExecProperty, EmptyInputsEverywhere) {
@@ -191,11 +182,11 @@ TEST(ParallelExecProperty, EmptyInputsEverywhere) {
   PlanPtr empty_b = LogicalOp::Scan(catalog, "empty_b");
   PlanPtr r1 = LogicalOp::Scan(catalog, "r1");
   PlanPtr r2 = LogicalOp::Scan(catalog, "r2");
-  ExpectParallelAgreement(LogicalOp::Divide(empty_ab, r2), catalog, {}, 2, 2);
-  ExpectParallelAgreement(LogicalOp::Divide(r1, empty_b), catalog, {}, 2, 2);
-  ExpectParallelAgreement(LogicalOp::NaturalJoin(r1, empty_ab), catalog, {}, 2, 2);
+  ExpectParallelAgreement(LogicalOp::Divide(empty_ab, r2), catalog, 2, 2);
+  ExpectParallelAgreement(LogicalOp::Divide(r1, empty_b), catalog, 2, 2);
+  ExpectParallelAgreement(LogicalOp::NaturalJoin(r1, empty_ab), catalog, 2, 2);
   ExpectParallelAgreement(LogicalOp::GroupBy(empty_ab, {"a"}, {{AggFunc::kCount, "", "n"}}),
-                          catalog, {}, 2, 2);
+                          catalog, 2, 2);
 }
 
 TEST(ParallelExecProperty, StringKeysAndSpillPath) {
@@ -205,7 +196,7 @@ TEST(ParallelExecProperty, StringKeysAndSpillPath) {
   catalog.Put("r2s", StringifyAttribute(gen.Divisor(5, 16), "b"));
   ExpectParallelAgreement(LogicalOp::Divide(LogicalOp::Scan(catalog, "r1s"),
                                             LogicalOp::Scan(catalog, "r2s")),
-                          catalog, {}, /*batch_rows=*/7, /*morsel_rows=*/8);
+                          catalog, /*batch_rows=*/7, /*morsel_rows=*/8);
 
   // 18 wide B columns force the divisor codec past 64 bits into
   // SmallByteKey spill keys; the chunk merges must translate those too.
@@ -225,7 +216,7 @@ TEST(ParallelExecProperty, StringKeysAndSpillPath) {
   catalog.Put("wide_divisor", Relation(wide.schema().Project(b_names), std::move(divisor_rows)));
   ExpectParallelAgreement(LogicalOp::Divide(LogicalOp::Scan(catalog, "wide"),
                                             LogicalOp::Scan(catalog, "wide_divisor")),
-                          catalog, {}, /*batch_rows=*/7, /*morsel_rows=*/8);
+                          catalog, /*batch_rows=*/7, /*morsel_rows=*/8);
 }
 
 TEST(ParallelExecProperty, RandomizedPlansAgainstOracle) {
@@ -253,7 +244,7 @@ TEST(ParallelExecProperty, PartitionedGreatDivideMatchesSingleThread) {
   Relation dividend = gen.Dividend(50, 24, 0.4);
   Relation divisor = gen.GreatDivisor(6, 24, 0.3);
   Relation reference = GreatDivideSCD(dividend, divisor);
-  ASSERT_EQ(ExecGreatDivide(dividend, divisor, GreatDivideAlgorithm::kHash), reference);
+  ASSERT_EQ(ExecGreatDivide(dividend, divisor), reference);
   for (size_t partitions : {1, 2, 3, 5}) {
     for (size_t threads : kThreadCounts) {
       ScopedExecThreads scoped(threads);

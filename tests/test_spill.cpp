@@ -96,7 +96,10 @@ TEST(SpillTest, StoreRoundTripsRowsAcrossPartitions) {
 
 TEST(SpillTest, StoreWithoutContextStaysInMemory) {
   SpilledU32Store store(/*stride=*/1);
-  for (uint32_t i = 0; i < 1000; ++i) store.PushBack(i * 7);
+  for (uint32_t i = 0; i < 1000; ++i) {
+    uint32_t id = i * 7;
+    store.Append(&id, 1);
+  }
   for (uint32_t i = 0; i < 1000; ++i) ASSERT_EQ(store.At(i), i * 7);
 }
 
@@ -252,24 +255,21 @@ TEST(SpillDifferentialTest, CorpusBitIdenticalWithSpillForced) {
 
 TEST(SpillDifferentialTest, GreatDivideBitIdenticalWithSpillForced) {
   // ÷* runs through its own encoded build (Encoded::row_b and the
-  // ProbeAppendSink); cover both physical algorithms at the exec layer,
-  // where a governed context with a tiny watermark forces every flush.
+  // ProbeAppendSink); cover it at the exec layer, where a governed context
+  // with a tiny watermark forces every flush.
   DataGen gen(23);
   Relation dividend = gen.Dividend(200, /*domain=*/24, /*density=*/0.4);
   Relation divisor = gen.GreatDivisor(6, /*domain=*/24, /*density=*/0.3);
-  for (GreatDivideAlgorithm algorithm :
-       {GreatDivideAlgorithm::kHash, GreatDivideAlgorithm::kGroup}) {
-    Relation reference = ExecGreatDivide(dividend, divisor, algorithm);
-    for (size_t threads : {size_t{1}, size_t{8}}) {
-      SCOPED_TRACE(std::string(GreatDivideAlgorithmName(algorithm)) +
-                   " threads=" + std::to_string(threads));
-      ScopedExecThreads scoped_threads(threads);
-      QueryContext ctx;
-      ctx.EnableSpill(/*watermark_bytes=*/1, /*dir=*/"");
-      ScopedQueryContext scope(&ctx);
-      EXPECT_EQ(ExecGreatDivide(dividend, divisor, algorithm), reference);
-      EXPECT_GT(ctx.spill_partitions(), 0u);
-    }
+  Relation reference = ExecGreatDivide(dividend, divisor);
+  ASSERT_EQ(reference, GreatDivideSCD(dividend, divisor));
+  for (size_t threads : {size_t{1}, size_t{8}}) {
+    SCOPED_TRACE("threads=" + std::to_string(threads));
+    ScopedExecThreads scoped_threads(threads);
+    QueryContext ctx;
+    ctx.EnableSpill(/*watermark_bytes=*/1, /*dir=*/"");
+    ScopedQueryContext scope(&ctx);
+    EXPECT_EQ(ExecGreatDivide(dividend, divisor), reference);
+    EXPECT_GT(ctx.spill_partitions(), 0u);
   }
 }
 
