@@ -4,12 +4,17 @@
 // whole compile+run path; the cache-hit fixtures isolate what the LRU plan
 // cache saves; the comma-join fixture prices a hash join extracted from a
 // WHERE clause; the oracle fixture is the tuple-at-a-time interpreter
-// baseline the Session replaced as the default path.
+// baseline the Session replaced as the default path; the windowed
+// prepared divide prices a dividend read as a span of the table's order.
 //
 // scripts/run_benchmarks.sh runs this binary into
 // bench-results/BENCH_sql.json.
 
 #include <benchmark/benchmark.h>
+
+#include <sstream>
+#include <string>
+#include <vector>
 
 #include "api/session.hpp"
 #include "bench_common.hpp"
@@ -181,6 +186,58 @@ void BM_SessionCommaJoin(benchmark::State& state) {
 BENCHMARK(BM_SessionCommaJoin)
     ->ArgName("derived_table")
     ->Arg(0)
+    ->Arg(1)
+    ->Unit(benchmark::kMicrosecond);
+
+/// Rows every scan of the plan read: the sum of "Scan"/"RangeScan" row
+/// counts in the operator profile.
+double RowsScanned(const ExecProfile& profile) {
+  // Each profile line reads "<operator>  rows=<n>  ...".
+  std::istringstream lines(profile.explain);
+  std::string op, count, rest;
+  double rows = 0;
+  while (lines >> op >> count && std::getline(lines, rest)) {
+    if (op == "Scan" || op == "RangeScan") rows += std::stod(count.substr(count.find('=') + 1));
+  }
+  return rows;
+}
+
+// A prepared small divide over 2048 suppliers x 64 parts whose supplier
+// window covers a quarter (arg 4) or all (arg 1) of the suppliers. The
+// window's bounds on s#, the leading column of supplies, make the dividend
+// a span of the table's canonical order, so rows scanned per execution
+// scale with the window instead of the table. The artifact recycler is
+// off: with it, every repeat of one window adopts the cached probe state
+// and scans nothing.
+void BM_SessionPrepared_WindowedDivide(benchmark::State& state) {
+  const int64_t suppliers = 2048;
+  DatabaseOptions options;
+  options.recycler_memory_bytes = 0;
+  Session session(std::make_shared<Database>(options));
+  FillTables(suppliers, 64, &session, nullptr);
+  Result<PreparedStatement> prepared = session.Prepare(
+      "SELECT s# FROM supplies AS s DIVIDE BY parts AS p ON s.p# = p.p# "
+      "WHERE s# >= ? AND s# < ?");
+  if (!prepared.ok()) {
+    state.SkipWithError(prepared.error().c_str());
+    return;
+  }
+  const std::vector<Value> window = {V(int64_t{1}), V(1 + suppliers / state.range(0))};
+  double scanned = 0;
+  for (auto _ : state) {
+    Result<QueryResult> result = prepared.value().Execute(window);
+    if (!result.ok()) {
+      state.SkipWithError(result.error().c_str());
+      break;
+    }
+    benchmark::DoNotOptimize(result.value().rows);
+    scanned = RowsScanned(result.value().profile);
+  }
+  state.counters["rows_scanned"] = scanned;
+}
+BENCHMARK(BM_SessionPrepared_WindowedDivide)
+    ->ArgName("window_fraction_inverse")
+    ->Arg(4)
     ->Arg(1)
     ->Unit(benchmark::kMicrosecond);
 

@@ -10,22 +10,6 @@ bool IsNumeric(const Value& v) {
   return v.type() == ValueType::kInt || v.type() == ValueType::kReal;
 }
 
-/// Three-way comparison with numeric coercion; throws on incomparable types.
-int ComparePredicateValues(const Value& a, const Value& b) {
-  if (IsNumeric(a) && IsNumeric(b)) {
-    double x = a.Numeric();
-    double y = b.Numeric();
-    if (x < y) return -1;
-    if (x > y) return 1;
-    return 0;
-  }
-  if (a.type() != b.type()) {
-    throw SchemaError("cannot compare " + a.ToString() + " (" + ValueTypeName(a.type()) +
-                      ") with " + b.ToString() + " (" + ValueTypeName(b.type()) + ")");
-  }
-  return a.Compare(b);
-}
-
 bool ApplyCmp(CmpOp op, int c) {
   switch (op) {
     case CmpOp::kEq: return c == 0;
@@ -71,6 +55,21 @@ bool ToBool(const Value& v) {
 }
 
 }  // namespace
+
+int ComparePredicateValues(const Value& a, const Value& b) {
+  if (IsNumeric(a) && IsNumeric(b)) {
+    double x = a.Numeric();
+    double y = b.Numeric();
+    if (x < y) return -1;
+    if (x > y) return 1;
+    return 0;
+  }
+  if (a.type() != b.type()) {
+    throw SchemaError("cannot compare " + a.ToString() + " (" + ValueTypeName(a.type()) +
+                      ") with " + b.ToString() + " (" + ValueTypeName(b.type()) + ")");
+  }
+  return a.Compare(b);
+}
 
 const char* CmpOpName(CmpOp op) {
   switch (op) {

@@ -14,6 +14,10 @@ namespace quotient {
 enum class CmpOp { kEq, kNe, kLt, kLe, kGt, kGe };
 
 const char* CmpOpName(CmpOp op);
+/// The three-way comparison every predicate comparison applies: numeric
+/// values (int or real) compare as doubles, other values only with their
+/// own type (Value::Compare); any other pair throws SchemaError.
+int ComparePredicateValues(const Value& a, const Value& b);
 /// The negated comparison (kLt -> kGe etc.), used to build σ¬p (Example 1).
 CmpOp NegateCmp(CmpOp op);
 

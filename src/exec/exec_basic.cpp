@@ -1,5 +1,7 @@
 #include "exec/exec_basic.hpp"
 
+#include <stdexcept>
+
 #include "exec/query_context.hpp"
 #include "util/status.hpp"
 
@@ -109,8 +111,19 @@ void BuildKeySet(Iterator& right, const std::vector<size_t>& right_reorder,
   }
 }
 
+void RelationScan::RestrictToSpan(size_t begin, size_t end) {
+  if (begin > end || end > relation_->size()) {
+    throw std::out_of_range("scan span [" + std::to_string(begin) + ", " +
+                            std::to_string(end) + ") is outside the relation's " +
+                            std::to_string(relation_->size()) + " rows");
+  }
+  begin_ = begin;
+  end_ = end;
+  ranged_ = true;
+}
+
 bool RelationScan::NextBatch(Batch* out) {
-  size_t n = relation_->size();
+  size_t n = TotalRows();
   if (position_ >= n) return false;
   size_t take = std::min(GetBatchRows(), n - position_);
   FillSpan(position_, take, out);
@@ -123,6 +136,7 @@ void RelationScan::FillSpan(size_t begin, size_t count, Batch* out) const {
   // Use the encoding only when its shape matches this relation exactly — a
   // stale or mis-wired encoding (e.g. swapped dividend/divisor arguments)
   // must degrade to the row view, not emit another table's dictionary ids.
+  size_t first = begin_ + begin;  // storage row of the read's first row
   if (encoding_ != nullptr && encoding_->rows == relation_->size() &&
       encoding_->columns.size() == relation_->schema().size()) {
     out->Reset(relation_->schema().size());
@@ -130,13 +144,13 @@ void RelationScan::FillSpan(size_t begin, size_t count, Batch* out) const {
       const ColumnEncoding& src = encoding_->columns[c];
       BatchColumn& col = out->column(c);
       col.dict = &src.dict;
-      col.ids.assign(src.ids.begin() + begin, src.ids.begin() + begin + count);
+      col.ids.assign(src.ids.begin() + first, src.ids.begin() + first + count);
     }
     out->set_rows(count);
   } else {
     // No (or stale) encoding: a zero-copy row view into canonical storage.
     out->ResetRows();
-    for (size_t i = 0; i < count; ++i) out->AppendRowRef(&relation_->tuples()[begin + i]);
+    for (size_t i = 0; i < count; ++i) out->AppendRowRef(&relation_->tuples()[first + i]);
   }
 }
 

@@ -100,11 +100,22 @@ size_t EmitPairs(Iterator& left, PairCursor& st, size_t num_left, size_t num_rig
 /// TableEncoding attached (the catalog cache, or an explicitly shared
 /// encoding), NextBatch() emits dictionary-id columns by copying id spans;
 /// otherwise batches are zero-copy row views into the relation's storage.
+///
+/// A scan may be restricted to a contiguous span [begin, end) of the
+/// relation's canonical (TupleLess) order: the planner turns comparisons on
+/// a base table's leading column into such a span (opt/planner.cpp). Row
+/// positions seen by NextBatch, FillSpan and TotalRows are then relative to
+/// the span, and EXPLAIN names the operator "RangeScan".
 class RelationScan : public Iterator {
  public:
   explicit RelationScan(std::shared_ptr<const Relation> relation,
                         TableEncodingPtr encoding = nullptr)
-      : relation_(std::move(relation)), encoding_(std::move(encoding)) {}
+      : relation_(std::move(relation)),
+        encoding_(std::move(encoding)),
+        end_(relation_->size()) {}
+
+  /// Restricts the scan to storage rows [begin, end); call before Open().
+  void RestrictToSpan(size_t begin, size_t end);
 
   const Schema& schema() const override { return relation_->schema(); }
   void Open() override {
@@ -113,22 +124,26 @@ class RelationScan : public Iterator {
   }
   bool NextBatch(Batch* out) override;
   void Close() override {}
-  const char* name() const override { return "Scan"; }
+  const char* name() const override { return ranged_ ? "RangeScan" : "Scan"; }
   std::vector<Iterator*> InputIterators() override { return {}; }
-  size_t EstimatedRows() const override { return relation_->size(); }
+  size_t EstimatedRows() const override { return TotalRows(); }
 
-  /// Morsel interface for the pipeline executor (exec/pipeline.hpp): total
-  /// storage rows, and a positionless span read. FillSpan is const and
-  /// touches only the immutable relation/encoding, so concurrent workers
-  /// may read disjoint (or even overlapping) spans. Does not count rows —
-  /// the executor credits the bypassed chain once per pipeline.
-  size_t TotalRows() const { return relation_->size(); }
+  /// Morsel interface for the pipeline executor (exec/pipeline.hpp): rows
+  /// in the span, and a positionless read of `count` rows starting `begin`
+  /// rows into the span. FillSpan is const and touches only the immutable
+  /// relation/encoding, so concurrent workers may read disjoint (or even
+  /// overlapping) spans. Does not count rows — the executor credits the
+  /// bypassed chain once per pipeline.
+  size_t TotalRows() const { return end_ - begin_; }
   void FillSpan(size_t begin, size_t count, Batch* out) const;
 
  private:
   std::shared_ptr<const Relation> relation_;
   TableEncodingPtr encoding_;
-  size_t position_ = 0;
+  size_t begin_ = 0;  // span of storage rows this scan reads
+  size_t end_ = 0;
+  bool ranged_ = false;
+  size_t position_ = 0;  // next row, relative to begin_
 };
 
 /// σ: emits child tuples satisfying the predicate.

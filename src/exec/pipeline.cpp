@@ -39,13 +39,7 @@ PipelineStats DrainSerial(Iterator& child, PipelineSink& sink) {
   return stats;
 }
 
-/// A pipeline source the executor can split into row-span morsels: a
-/// RelationScan under any chain of pass-through ρ operators. `chain` holds
-/// every bypassed operator (child down to the scan) for row-count credit.
-struct SplitSource {
-  RelationScan* scan = nullptr;
-  std::vector<Iterator*> chain;
-};
+}  // namespace
 
 SplitSource FindSplittableSource(Iterator& child) {
   SplitSource source;
@@ -64,6 +58,8 @@ SplitSource FindSplittableSource(Iterator& child) {
     it = rename->InputIterators()[0];
   }
 }
+
+namespace {
 
 /// Rows per chunk: at least a morsel (and at least one batch), at most
 /// ~4 chunks per worker so the merge loop stays short.

@@ -104,6 +104,19 @@ struct PipelineStats {
   size_t dop = 1;     // worker parallelism usable for those chunks
 };
 
+class RelationScan;  // exec/exec_basic.hpp
+
+/// A pipeline source the executor can split into row-span morsels: a
+/// RelationScan under any chain of pass-through ρ operators. `chain` holds
+/// every bypassed operator (child down to the scan) for row-count credit;
+/// `scan` is null when `child` is no such source.
+struct SplitSource {
+  RelationScan* scan = nullptr;
+  std::vector<Iterator*> chain;
+};
+
+SplitSource FindSplittableSource(Iterator& child);
+
 /// Drains `child` (already Open()ed) into `sink`; see the file comment for
 /// the serial and chunked shapes. Chunked runs
 /// require the pipeline's source rows to be chunkable: a RelationScan

@@ -89,6 +89,120 @@ void CountUses(const PlanPtr& plan, std::unordered_map<const LogicalOp*, int>* c
 IterPtr Build(const PlanPtr& plan, const Catalog& catalog, const PlannerOptions& options,
               BuildContext* context);
 
+/// A selection's comparisons on a base table's leading column, absorbed
+/// into the span [begin, end) of the table's canonical order: exactly the
+/// rows that pass every absorbed conjunct. `residual` keeps the rest.
+struct LeadingColumnSpan {
+  bool absorbed = false;
+  size_t begin = 0;
+  size_t end = 0;
+  std::vector<ExprPtr> residual;
+};
+
+/// `a op b` rewritten as `b op' a`.
+CmpOp MirrorCmp(CmpOp op) {
+  switch (op) {
+    case CmpOp::kLt: return CmpOp::kGt;
+    case CmpOp::kLe: return CmpOp::kGe;
+    case CmpOp::kGt: return CmpOp::kLt;
+    case CmpOp::kGe: return CmpOp::kLe;
+    default: return op;
+  }
+}
+
+bool IsNumericType(ValueType type) {
+  return type == ValueType::kInt || type == ValueType::kReal;
+}
+
+/// Absorbs every conjunct of σ's predicate of the form `col op literal` or
+/// `literal op col`, with op one of = < <= > >=, on the leading column of
+/// the base table under σ's ρ chain. A relation is stored sorted by
+/// TupleLess, so the sign of ComparePredicateValues(row[0], literal) — the
+/// comparison FilterIterator applies — is non-decreasing along storage
+/// order, and each bound is one partition point: the span is exact by
+/// construction, including int/real mixing and ints beyond 2^53. A
+/// conjunct is absorbed only where that comparison cannot throw on a row
+/// the span skips, so the Filter's errors are kept where they can occur.
+LeadingColumnSpan AbsorbLeadingColumnSpan(const LogicalOp& select, const Catalog& catalog,
+                                          const BuildContext& context) {
+  LeadingColumnSpan span;
+  // A shared ρ is materialized (BuildShared), so only an unshared chain
+  // builds down to the catalog scan.
+  const LogicalOp* input = select.child(0).get();
+  while (input->kind() == LogicalOp::Kind::kRename) {
+    auto uses = context.use_counts.find(input);
+    if (uses != context.use_counts.end() && uses->second > 1) return span;
+    input = input->child(0).get();
+  }
+  if (input->kind() != LogicalOp::Kind::kScan || select.schema().size() == 0) return span;
+  // ρ renames positionally: σ's column 0 is the table's leading column.
+  const Attribute& leading = select.schema().attribute(0);
+  std::shared_ptr<const Relation> table = catalog.GetShared(input->table());
+  const std::vector<Tuple>& rows = table->tuples();
+  // NULL sorts first, so the first row tells whether the column holds one;
+  // comparing NULL throws, and that error stays with the Filter.
+  if (!rows.empty() && rows.front()[0].is_null()) return span;
+
+  size_t begin = 0;
+  size_t end = rows.size();
+  std::vector<ExprPtr> conjuncts;
+  Expr::SplitConjuncts(select.predicate(), &conjuncts);
+  for (ExprPtr& conjunct : conjuncts) {
+    const Expr& e = *conjunct;
+    auto is_leading = [&](const Expr& side) {
+      return side.kind() == Expr::Kind::kColumn && side.column_name() == leading.name;
+    };
+    const Value* literal = nullptr;
+    bool literal_left = false;
+    if (e.kind() == Expr::Kind::kCompare && e.cmp_op() != CmpOp::kNe) {
+      if (e.right()->kind() == Expr::Kind::kLiteral && is_leading(*e.left())) {
+        literal = &e.right()->literal();
+      } else if (e.left()->kind() == Expr::Kind::kLiteral && is_leading(*e.right())) {
+        literal = &e.left()->literal();
+        literal_left = true;
+      }
+    }
+    bool comparable =
+        literal != nullptr &&
+        ((IsNumericType(leading.type) && IsNumericType(literal->type())) ||
+         (leading.type == ValueType::kString && literal->type() == ValueType::kString));
+    if (!comparable) {
+      span.residual.push_back(std::move(conjunct));
+      continue;
+    }
+    // `literal op col` is evaluated as Compare(literal, col); negating it
+    // and mirroring op gives the same verdict as `col op' literal`.
+    CmpOp op = literal_left ? MirrorCmp(e.cmp_op()) : e.cmp_op();
+    auto sign = [&](const Tuple& row) {
+      return literal_left ? -ComparePredicateValues(*literal, row[0])
+                          : ComparePredicateValues(row[0], *literal);
+    };
+    auto first_row = [&](auto&& before) {
+      return static_cast<size_t>(
+          std::partition_point(rows.begin(), rows.end(),
+                               [&](const Tuple& row) { return before(sign(row)); }) -
+          rows.begin());
+    };
+    size_t first_ge = first_row([](int c) { return c < 0; });   // first sign >= 0
+    size_t first_gt = first_row([](int c) { return c <= 0; });  // first sign > 0
+    switch (op) {
+      case CmpOp::kEq:
+        begin = std::max(begin, first_ge);
+        end = std::min(end, first_gt);
+        break;
+      case CmpOp::kLt: end = std::min(end, first_ge); break;
+      case CmpOp::kLe: end = std::min(end, first_gt); break;
+      case CmpOp::kGt: begin = std::max(begin, first_gt); break;
+      case CmpOp::kGe: begin = std::max(begin, first_ge); break;
+      case CmpOp::kNe: break;  // never absorbed
+    }
+    span.absorbed = true;
+  }
+  span.begin = begin;
+  span.end = std::max(begin, end);  // contradictory bounds: empty span
+  return span;
+}
+
 IterPtr BuildShared(const PlanPtr& plan, const Catalog& catalog,
                     const PlannerOptions& options, BuildContext* context) {
   bool shared = context != nullptr && context->use_counts[plan.get()] > 1 &&
@@ -123,9 +237,21 @@ IterPtr BuildNode(const PlanPtr& plan, const Catalog& catalog, const PlannerOpti
     case LogicalOp::Kind::kValues:
       return std::make_unique<RelationScan>(
           std::make_shared<const Relation>(op.values()));
-    case LogicalOp::Kind::kSelect:
-      return std::make_unique<FilterIterator>(child(0),
-                                              op.predicate());
+    case LogicalOp::Kind::kSelect: {
+      // σ over ρ*(Scan t) reads only the span its leading-column
+      // comparisons select, and the span stays morsel-splittable
+      // (exec/pipeline.cpp); a Filter keeps whatever was not absorbed.
+      LeadingColumnSpan span = AbsorbLeadingColumnSpan(op, catalog, *context);
+      IterPtr input = child(0);
+      RelationScan* scan = FindSplittableSource(*input).scan;
+      if (!span.absorbed || scan == nullptr) {
+        return std::make_unique<FilterIterator>(std::move(input), op.predicate());
+      }
+      scan->RestrictToSpan(span.begin, span.end);
+      if (span.residual.empty()) return input;
+      return std::make_unique<FilterIterator>(std::move(input),
+                                              Expr::AndAll(std::move(span.residual)));
+    }
     case LogicalOp::Kind::kProject:
       return std::make_unique<ProjectIterator>(child(0),
                                                op.columns());

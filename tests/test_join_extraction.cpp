@@ -143,16 +143,20 @@ TEST(JoinExtraction, ReadmeShapePlansFilterBelowEquiJoin) {
   std::string profile = OperatorProfile(catalog, kReadmeShape);
   EXPECT_FALSE(Contains(profile, "CrossProduct")) << profile;
   EXPECT_FALSE(Contains(profile, "NestedLoopJoin")) << profile;
-  // EquiJoin at depth d, the pushed Filter on its probe side one level down.
+  // EquiJoin at depth d. The pushed filter s.s# <= 20 sits on its probe
+  // side, σ over ρ(supplies): the planner absorbs it into the scan, so the
+  // probe side is Rename (one level down) over a RangeScan (two levels
+  // down), and no Filter is left anywhere.
   size_t join = profile.find("EquiJoin");
   ASSERT_NE(join, std::string::npos) << profile;
   size_t join_line = profile.rfind('\n', join) + 1;  // npos + 1 == 0
   size_t join_depth = join - join_line;
-  size_t filter = profile.find("Filter", join);
-  ASSERT_NE(filter, std::string::npos) << profile;
-  size_t filter_line = profile.rfind('\n', filter) + 1;
-  EXPECT_EQ(filter - filter_line, join_depth + 2) << profile;
-  EXPECT_FALSE(Contains(profile.substr(0, join_line), "Filter")) << profile;
+  size_t range = profile.find("RangeScan", join);
+  ASSERT_NE(range, std::string::npos) << profile;
+  size_t range_line = profile.rfind('\n', range) + 1;
+  EXPECT_EQ(range - range_line, join_depth + 4) << profile;
+  EXPECT_EQ(profile.find("RangeScan", range + 1), std::string::npos) << profile;
+  EXPECT_FALSE(Contains(profile, "Filter")) << profile;
 
   // EXPLAIN ANALYZE renders the same operator profile.
   Session session = MakeSession(catalog, /*recycler=*/true);
@@ -163,6 +167,7 @@ TEST(JoinExtraction, ReadmeShapePlansFilterBelowEquiJoin) {
   for (const Tuple& row : explained.value().rows.tuples()) text += row[1].as_str() + "\n";
   EXPECT_TRUE(Contains(text, "join-extraction")) << text;
   EXPECT_TRUE(Contains(text, "EquiJoin")) << text;
+  EXPECT_TRUE(Contains(text, "RangeScan")) << text;
   EXPECT_FALSE(Contains(text, "CrossProduct")) << text;
 }
 

@@ -267,6 +267,96 @@ TEST(TxnIsolationTest, CursorPinsItsSnapshotAcrossAConcurrentCommit) {
   EXPECT_EQ(reader.Execute("SELECT a FROM t").value().rows.size(), 5u);
 }
 
+/// A shared database with table w(k, v): k in 1..20, v in {0, 1}.
+std::shared_ptr<Database> MakeWindowDb() {
+  auto db = std::make_shared<Database>();
+  Session setup(db);
+  std::vector<Tuple> rows;
+  for (int64_t k = 1; k <= 20; ++k) {
+    for (int64_t v = 0; v <= 1; ++v) rows.push_back({V(k), V(v)});
+  }
+  EXPECT_TRUE(setup.CreateTable("w", Relation(Schema::Parse("k:int, v:int"), rows)).ok());
+  return db;
+}
+
+/// The rows of w(k, v) with lo <= k < hi in `table`.
+Relation Window(const Relation& table, int64_t lo, int64_t hi) {
+  std::vector<Tuple> rows;
+  for (const Tuple& row : table.tuples()) {
+    if (row[0].as_int() >= lo && row[0].as_int() < hi) rows.push_back(row);
+  }
+  return Relation(table.schema(), std::move(rows));
+}
+
+constexpr const char* kWindowSql = "SELECT k, v FROM w WHERE k >= 3 AND k < 10";
+
+TEST(TxnRangeScanTest, WindowedReadInsideATransactionSeesItsOwnWrites) {
+  auto db = MakeWindowDb();
+  Session session(db);
+  Session other(db);
+  ASSERT_TRUE(session.Execute("BEGIN").ok());
+  // Inserts inside, below and above the window; a delete inside it.
+  ASSERT_TRUE(session.Execute("INSERT INTO w VALUES (5, 7), (0, 7), (25, 7), (9, 7)").ok());
+  ASSERT_TRUE(session.Execute("DELETE FROM w WHERE k = 6").ok());
+  const Relation& overlay = session.catalog().Get("w");
+  ASSERT_EQ(overlay.size(), 40u + 4u - 2u);
+  Result<QueryResult> windowed = session.Execute(kWindowSql);
+  ASSERT_TRUE(windowed.ok()) << windowed.error();
+  EXPECT_EQ(windowed.value().rows, Window(overlay, 3, 10));
+  EXPECT_TRUE(windowed.value().rows.Contains({V(5), V(7)}));
+  EXPECT_TRUE(windowed.value().rows.Contains({V(9), V(7)}));
+  EXPECT_FALSE(windowed.value().rows.Contains({V(6), V(0)}));
+  EXPECT_EQ(windowed.value().rows.size(), 7u * 2u - 2u + 2u);
+  EXPECT_NE(windowed.value().profile.explain.find("RangeScan"), std::string::npos)
+      << windowed.value().profile.explain;
+
+  // Another session's windowed read sees none of it until the commit.
+  Result<QueryResult> before = other.Execute(kWindowSql);
+  ASSERT_TRUE(before.ok()) << before.error();
+  EXPECT_EQ(before.value().rows.size(), 14u);
+  ASSERT_TRUE(session.Execute("COMMIT").ok());
+  Result<QueryResult> after = other.Execute(kWindowSql);
+  ASSERT_TRUE(after.ok()) << after.error();
+  EXPECT_EQ(after.value().rows, windowed.value().rows);
+}
+
+TEST(TxnRangeScanTest, WindowedCursorKeepsItsPinnedSnapshotAcrossACommit) {
+  ScopedBatchRows batches(1);  // stream row-at-a-time so the commit interleaves
+  auto db = MakeWindowDb();
+  Session reader(db);
+  Session writer(db);
+  const Relation expected = Window(reader.catalog().Get("w"), 3, 10);
+
+  Result<ResultCursor> opened = reader.Query(kWindowSql);
+  ASSERT_TRUE(opened.ok()) << opened.error();
+  ResultCursor cursor = std::move(opened).value();
+  std::vector<Tuple> rows(1);
+  ASSERT_TRUE(cursor.Next(&rows[0]));
+
+  // The commit shifts every storage position of the window in the newer
+  // relation: rows land below, inside and above it, and one leaves it.
+  ASSERT_TRUE(writer.Execute("BEGIN").ok());
+  ASSERT_TRUE(writer.Execute("INSERT INTO w VALUES (0, 5), (2, 5), (4, 5), (40, 5)").ok());
+  ASSERT_TRUE(writer.Execute("DELETE FROM w WHERE k = 1 OR k = 8").ok());
+  ASSERT_TRUE(writer.Execute("COMMIT").ok());
+
+  // The span indexes the cursor's pinned relation, not the newer one.
+  Tuple row;
+  while (cursor.Next(&row)) rows.push_back(row);
+  EXPECT_TRUE(cursor.status().ok()) << cursor.status().message();
+  EXPECT_EQ(Relation(expected.schema(), rows), expected);
+  EXPECT_EQ(rows.size(), expected.size());
+  EXPECT_NE(cursor.Profile().explain.find("RangeScan"), std::string::npos)
+      << cursor.Profile().explain;
+
+  // A fresh statement reads the committed window.
+  Result<QueryResult> fresh = reader.Execute(kWindowSql);
+  ASSERT_TRUE(fresh.ok()) << fresh.error();
+  EXPECT_EQ(fresh.value().rows, Window(reader.catalog().Get("w"), 3, 10));
+  EXPECT_TRUE(fresh.value().rows.Contains({V(4), V(5)}));
+  EXPECT_FALSE(fresh.value().rows.Contains({V(8), V(0)}));
+}
+
 TEST(TxnIsolationTest, FirstCommitterWinsSecondGetsConflict) {
   auto db = MakeDb();
   Session a(db);
