@@ -1,6 +1,7 @@
 #include "algebra/relation.hpp"
 
 #include <algorithm>
+#include <cmath>
 #include <sstream>
 
 #include "util/status.hpp"
@@ -23,7 +24,15 @@ Value ParseLiteral(std::string_view text, ValueType type) {
   std::string s(Trim(text));
   switch (type) {
     case ValueType::kInt: return Value::Int(std::stoll(s));
-    case ValueType::kReal: return Value::Real(std::stod(s));
+    case ValueType::kReal: {
+      double real = std::stod(s);
+      // NaN compares equal to every number: it has no place in the
+      // canonical order.
+      if (std::isnan(real)) {
+        throw SchemaError("Relation::Parse: NaN is not a supported real value");
+      }
+      return Value::Real(real);
+    }
     case ValueType::kString: return Value::Str(s);
     default: throw SchemaError("Relation::Parse cannot parse values of type set/null");
   }

@@ -233,7 +233,7 @@ void HashAggregateIterator::Open() {
   // Close() on an unopened child is a no-op in every iterator).
   if (recycle_.recycler && !recycle_.build_key.empty()) {
     ArtifactPtr cached = recycle_.recycler->GetOrBuild(
-        recycle_.build_key, recycle_.tables,
+        recycle_.build_key, recycle_.build_shape, recycle_.tables,
         [&]() -> std::shared_ptr<RecycledArtifact> { return BuildArtifact(); });
     if (cached) grouping_ = std::static_pointer_cast<const GroupingArtifact>(cached);
   }

@@ -95,7 +95,7 @@ std::shared_ptr<DivisionBuildArtifact> DivisionIterator::BuildDivisorArtifact() 
 std::shared_ptr<const DivisionBuildArtifact> DivisionIterator::GetDivisorArtifact() {
   if (recycle_.recycler && !recycle_.build_key.empty()) {
     ArtifactPtr cached = recycle_.recycler->GetOrBuild(
-        recycle_.build_key, recycle_.tables,
+        recycle_.build_key, recycle_.build_shape, recycle_.tables,
         [&]() -> std::shared_ptr<RecycledArtifact> { return BuildDivisorArtifact(); });
     if (cached) return std::static_pointer_cast<const DivisionBuildArtifact>(cached);
   }
@@ -132,7 +132,7 @@ void DivisionIterator::Open() {
   // dividend, probing against the shared divisor table.
   if (recycle_.recycler && !recycle_.probe_key.empty()) {
     ArtifactPtr cached = recycle_.recycler->GetOrBuild(
-        recycle_.probe_key, recycle_.tables,
+        recycle_.probe_key, recycle_.probe_shape, recycle_.tables,
         [&]() -> std::shared_ptr<RecycledArtifact> {
           return BuildProbeArtifact(*GetDivisorArtifact());
         });

@@ -79,7 +79,7 @@ std::shared_ptr<GreatDivideProbeArtifact> GreatDivideIterator::BuildProbeArtifac
   // a private one — the kernel reads it, so the probe artifact pins it.
   if (recycle_.recycler && !recycle_.build_key.empty()) {
     ArtifactPtr cached = recycle_.recycler->GetOrBuild(
-        recycle_.build_key, recycle_.tables,
+        recycle_.build_key, recycle_.build_shape, recycle_.tables,
         [&]() -> std::shared_ptr<RecycledArtifact> { return BuildDivisorArtifact(); });
     if (cached) art->build = std::static_pointer_cast<const GreatDivideBuildArtifact>(cached);
   }
@@ -113,7 +113,7 @@ void GreatDivideIterator::Open() {
   // child is a no-op in every iterator).
   if (recycle_.recycler && !recycle_.probe_key.empty()) {
     ArtifactPtr cached = recycle_.recycler->GetOrBuild(
-        recycle_.probe_key, recycle_.tables,
+        recycle_.probe_key, recycle_.probe_shape, recycle_.tables,
         [&]() -> std::shared_ptr<RecycledArtifact> { return BuildProbeArtifact(); });
     probe_ = cached ? std::static_pointer_cast<const GreatDivideProbeArtifact>(cached)
                     : BuildProbeArtifact();

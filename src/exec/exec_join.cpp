@@ -77,7 +77,7 @@ void HashJoinIterator::Open() {
   // (it is never opened — Close() on an unopened child is a no-op).
   if (recycle_.recycler && !recycle_.build_key.empty()) {
     ArtifactPtr cached = recycle_.recycler->GetOrBuild(
-        recycle_.build_key, recycle_.tables,
+        recycle_.build_key, recycle_.build_shape, recycle_.tables,
         [&]() -> std::shared_ptr<RecycledArtifact> { return BuildArtifact(); });
     if (cached) build_ = std::static_pointer_cast<const JoinBuildArtifact>(cached);
   }
@@ -178,7 +178,7 @@ void EquiJoinIterator::Open() {
   build_.reset();
   if (recycle_.recycler && !recycle_.build_key.empty()) {
     ArtifactPtr cached = recycle_.recycler->GetOrBuild(
-        recycle_.build_key, recycle_.tables,
+        recycle_.build_key, recycle_.build_shape, recycle_.tables,
         [&]() -> std::shared_ptr<RecycledArtifact> { return BuildArtifact(); });
     if (cached) build_ = std::static_pointer_cast<const JoinBuildArtifact>(cached);
   }
@@ -229,7 +229,7 @@ void HashSemiJoinIterator::Open() {
   build_.reset();
   if (recycle_.recycler && !recycle_.build_key.empty()) {
     ArtifactPtr cached = recycle_.recycler->GetOrBuild(
-        recycle_.build_key, recycle_.tables,
+        recycle_.build_key, recycle_.build_shape, recycle_.tables,
         [&]() -> std::shared_ptr<RecycledArtifact> { return BuildArtifact(); });
     if (cached) build_ = std::static_pointer_cast<const JoinBuildArtifact>(cached);
   }

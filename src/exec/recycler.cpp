@@ -1,5 +1,6 @@
 #include "exec/recycler.hpp"
 
+#include <algorithm>
 #include <chrono>
 
 #include "exec/query_context.hpp"
@@ -14,6 +15,18 @@ void NoteRecyclerOutcome(bool hit) {
   if (QueryContext* ctx = CurrentQueryContext()) ctx->RecordRecycler(hit);
 }
 
+/// splitmix64's finalizer: spreads the planner's FNV-1a shape hash over all
+/// 64 bits, so the shard (high bits) and both probes (low bits of each
+/// half) are independent.
+uint64_t MixShape(uint64_t h) {
+  h ^= h >> 30;
+  h *= 0xbf58476d1ce4e5b9ull;
+  h ^= h >> 27;
+  h *= 0x94d049bb133111ebull;
+  h ^= h >> 31;
+  return h;
+}
+
 }  // namespace
 
 void JoinBuildArtifact::DetachBuildCharges() {
@@ -26,14 +39,33 @@ void GroupingArtifact::DetachBuildCharges() { GovernorRelease(extra_charge); }
 ArtifactRecycler::ArtifactRecycler(size_t memory_budget_bytes)
     : budget_(memory_budget_bytes) {}
 
-ArtifactPtr ArtifactRecycler::GetOrBuild(const std::string& key,
+bool ArtifactRecycler::Doorkeeper::Sight(uint64_t mixed_shape) {
+  const size_t probes[2] = {mixed_shape % kDoorkeeperBits,
+                            (mixed_shape >> 32) % kDoorkeeperBits};
+  bool seen = true;
+  for (size_t bit : probes) seen = seen && (words[bit / 64] >> (bit % 64) & 1);
+  if (seen) return true;
+  if (inserts == kDoorkeeperResetCount) {
+    std::fill(words.begin(), words.end(), 0);
+    inserts = 0;
+  }
+  for (size_t bit : probes) words[bit / 64] |= uint64_t{1} << (bit % 64);
+  ++inserts;
+  return false;
+}
+
+ArtifactPtr ArtifactRecycler::GetOrBuild(const std::string& key, uint64_t shape,
                                          const std::vector<std::string>& tables,
                                          const Builder& builder) {
   GovernorFaultPoint("recycler.lookup");
-  Shard& shard = shards_[ShardIndex(key)];
+  // Every version of a shape lives in one shard, beside its sightings.
+  const uint64_t mixed_shape = MixShape(shape);
+  const size_t shard_index = (mixed_shape >> 61) % kShards;
+  Shard& shard = shards_[shard_index];
   std::promise<ArtifactPtr> promise;
   std::shared_future<ArtifactPtr> future;
   bool is_builder = false;
+  bool admitted = false;
   {
     std::lock_guard<std::mutex> lock(shard.mutex);
     auto it = shard.index.find(key);
@@ -50,6 +82,7 @@ ArtifactPtr ArtifactRecycler::GetOrBuild(const std::string& key,
       future = promise.get_future().share();
       shard.building.emplace(key, future);
       is_builder = true;
+      admitted = shard.doorkeeper.Sight(mixed_shape);
     }
   }
 
@@ -93,9 +126,11 @@ ArtifactPtr ArtifactRecycler::GetOrBuild(const std::string& key,
   misses_.fetch_add(1, std::memory_order_relaxed);
   NoteRecyclerOutcome(/*hit=*/false);
 
-  const size_t bytes = built->ApproxBytes();
-  if (built->SpilledToDisk() || budget_ == 0 || bytes > budget_) {
-    rejected_.fetch_add(1, std::memory_order_relaxed);
+  // A first sighting, a spilled build and an oversized build all stay
+  // private to this query.
+  const size_t bytes = admitted ? built->ApproxBytes() : 0;
+  if (!admitted || built->SpilledToDisk() || budget_ == 0 || bytes > budget_) {
+    (admitted ? rejected_ : deferred_).fetch_add(1, std::memory_order_relaxed);
     {
       std::lock_guard<std::mutex> lock(shard.mutex);
       shard.building.erase(key);
@@ -116,7 +151,7 @@ ArtifactPtr ArtifactRecycler::GetOrBuild(const std::string& key,
   bytes_.fetch_add(bytes, std::memory_order_relaxed);
   published_.fetch_add(1, std::memory_order_relaxed);
   promise.set_value(shared);
-  EnforceBudget(ShardIndex(key), key);
+  EnforceBudget(shard_index, key);
   return shared;
 }
 
@@ -178,6 +213,7 @@ RecyclerStats ArtifactRecycler::stats() const {
   stats.hits = hits_.load(std::memory_order_relaxed);
   stats.misses = misses_.load(std::memory_order_relaxed);
   stats.published = published_.load(std::memory_order_relaxed);
+  stats.deferred = deferred_.load(std::memory_order_relaxed);
   stats.rejected = rejected_.load(std::memory_order_relaxed);
   stats.evictions = evictions_.load(std::memory_order_relaxed);
   stats.invalidated = invalidated_.load(std::memory_order_relaxed);

@@ -24,6 +24,18 @@
 // chunk-ordered parallel merges make build state bit-identical to serial
 // at every thread count (docs/parallel_execution.md).
 //
+// ADMISSION. A build is published only on the second sighting of its
+// fragment SHAPE: the key without the per-table data versions, hashed to 64
+// bits by the planner. The first sighting builds privately (the reject
+// path: the builder keeps its result and its governor charges), so a
+// fragment that never recurs never occupies the cache. Sightings live in a
+// per-shard doorkeeper in the manner of TinyLFU's (Einziger et al., ACM TOS
+// 2017): a fixed two-probe Bloom filter, cleared after a fixed number of
+// first sightings. Because the shape omits versions, a commit does not reset
+// admission for a fragment that already recurs. A false positive only
+// admits early; a reset never touches resident entries, because the index
+// lookup runs first.
+//
 // BUILD-ONCE. GetOrBuild mirrors Catalog::Encoding's promise/shared_future
 // discipline: the first query to miss becomes the builder, concurrent
 // requesters for the same key wait (polling their own governor, so
@@ -210,11 +222,14 @@ struct GroupingArtifact : RecycledArtifact {
 /// Aggregate counters, surfaced through Database::recycler_stats() and (per
 /// query) ExecProfile. Every GetOrBuild call counts as exactly one hit
 /// (served from cache, or adopted from a concurrent build) or one miss
-/// (built, whether or not the result was published).
+/// (built, whether or not the result was published). Every miss of a
+/// builder is exactly one of published, deferred or rejected; the remaining
+/// misses are waiters whose builder failed or kept its build private.
 struct RecyclerStats {
   size_t hits = 0;
   size_t misses = 0;
   size_t published = 0;    // builds inserted into the cache
+  size_t deferred = 0;     // first-sighting builds kept private (admission)
   size_t rejected = 0;     // builds not cached (spilled / over budget)
   size_t evictions = 0;
   size_t invalidated = 0;  // entries dropped by InvalidateTables
@@ -234,10 +249,12 @@ class ArtifactRecycler {
   /// Returns the artifact for `key`, running `builder` on a miss.
   /// Build-once: concurrent callers with the same key wait for the first
   /// builder and adopt its result. Returns nullptr only to a waiter whose
-  /// builder failed or whose result was rejected — the caller then builds
-  /// privately, without consulting the recycler again. `tables` is the
-  /// entry's invalidation domain (base tables the fragment scans).
-  ArtifactPtr GetOrBuild(const std::string& key,
+  /// builder failed or did not publish — the caller then builds
+  /// privately, without consulting the recycler again. `shape` is the
+  /// key's version-free shape hash: the build is published only if that
+  /// shape was sighted before. `tables` is the entry's invalidation domain
+  /// (base tables the fragment scans).
+  ArtifactPtr GetOrBuild(const std::string& key, uint64_t shape,
                          const std::vector<std::string>& tables,
                          const Builder& builder);
 
@@ -246,11 +263,20 @@ class ArtifactRecycler {
   /// promptly on DDL.
   void InvalidateTables(const std::vector<std::string>& tables);
 
-  /// Drops everything (benchmarks' cold-start reset).
+  /// Drops every resident artifact (benchmarks' cold-start reset). Shape
+  /// sightings are kept, so the next build of a recurring shape publishes.
   void Clear();
 
   RecyclerStats stats() const;
   size_t memory_budget_bytes() const { return budget_; }
+
+  static constexpr size_t kShards = 8;
+  /// Doorkeeper geometry, per shard: its bits, and the number of first
+  /// sightings after which it is cleared. Just before a clear at most 2048
+  /// of its 2^19 bits are set, so a new shape passes both probes (and is
+  /// admitted early) with probability under 2e-5.
+  static constexpr size_t kDoorkeeperBits = size_t{1} << 19;
+  static constexpr size_t kDoorkeeperResetCount = 1024;
 
  private:
   struct Entry {
@@ -260,18 +286,20 @@ class ArtifactRecycler {
     std::vector<std::string> tables;
   };
   using EntryList = std::list<Entry>;
+  /// Two-probe Bloom filter over mixed shape hashes.
+  struct Doorkeeper {
+    std::vector<uint64_t> words = std::vector<uint64_t>(kDoorkeeperBits / 64);
+    size_t inserts = 0;  // first sightings since the last clear
+    /// Records a sighting; true when the shape was (probably) seen before.
+    bool Sight(uint64_t mixed_shape);
+  };
   struct Shard {
     mutable std::mutex mutex;
     EntryList lru;  // front = most recently used
     std::unordered_map<std::string, EntryList::iterator> index;
     std::unordered_map<std::string, std::shared_future<ArtifactPtr>> building;
+    Doorkeeper doorkeeper;
   };
-
-  static constexpr size_t kShards = 8;
-
-  size_t ShardIndex(const std::string& key) const {
-    return std::hash<std::string>{}(key) % kShards;
-  }
 
   /// Evicts LRU entries until the global total fits the budget, starting at
   /// `start_shard` and sweeping the others one lock at a time. Never evicts
@@ -284,6 +312,7 @@ class ArtifactRecycler {
   std::atomic<size_t> hits_{0};
   std::atomic<size_t> misses_{0};
   std::atomic<size_t> published_{0};
+  std::atomic<size_t> deferred_{0};
   std::atomic<size_t> rejected_{0};
   std::atomic<size_t> evictions_{0};
   std::atomic<size_t> invalidated_{0};
@@ -295,11 +324,14 @@ class ArtifactRecycler {
 /// side, great-divide divisor state); probe_key, where meaningful,
 /// addresses the full probe-side artifact that additionally captures the
 /// dividend drain. An empty key means that state is not recyclable (VALUES
-/// leaves, '?' parameter slots, or no recycler configured).
+/// leaves, '?' parameter slots, or no recycler configured). Each key's shape
+/// hash is the same composition without the data versions (admission).
 struct RecycleSpec {
   std::shared_ptr<ArtifactRecycler> recycler;
   std::string build_key;
   std::string probe_key;
+  uint64_t build_shape = 0;
+  uint64_t probe_shape = 0;
   std::vector<std::string> tables;  // invalidation domain of both keys
 };
 

@@ -136,9 +136,10 @@ bool FingerprintPlan(const PlanPtr& plan, std::string* out) {
 }
 
 std::string VersionedFingerprint(const PlanPtr& plan, const Catalog& catalog,
-                                 std::vector<std::string>* tables) {
+                                 std::vector<std::string>* tables, std::string* shape) {
   std::string fp;
   if (!FingerprintPlan(plan, &fp)) return "";
+  *shape = fp;
   std::set<std::string> scans;
   CollectScanTables(plan, &scans);
   for (const std::string& t : scans) {
@@ -149,6 +150,15 @@ std::string VersionedFingerprint(const PlanPtr& plan, const Catalog& catalog,
     if (std::find(tables->begin(), tables->end(), t) == tables->end()) tables->push_back(t);
   }
   return fp;
+}
+
+uint64_t FingerprintHash(std::string_view text) {
+  uint64_t hash = 0xcbf29ce484222325ull;
+  for (unsigned char c : text) {
+    hash ^= c;
+    hash *= 0x100000001b3ull;
+  }
+  return hash;
 }
 
 }  // namespace quotient

@@ -13,11 +13,15 @@
 // Two consumers share this machinery:
 //   * the artifact recycler (exec/recycler.hpp) keys cross-query build
 //     state on VersionedFingerprint (fingerprint + per-table data
-//     versions), making stale artifacts unaddressable after DDL;
+//     versions), making stale artifacts unaddressable after DDL, and
+//     admits a fragment on the second sighting of its version-free shape
+//     (FingerprintHash of the plain fingerprint);
 //   * the rewrite memo (opt/memo.hpp) deduplicates logical subtrees the
 //     cost-guided search reaches through different law orders.
 
+#include <cstdint>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "plan/catalog.hpp"
@@ -43,8 +47,12 @@ bool FingerprintPlan(const PlanPtr& plan, std::string* out);
 /// table it scans (from the pinned snapshot catalog), making stale artifacts
 /// unaddressable after DDL. Returns "" when the subtree is not
 /// fingerprintable; otherwise also merges the scanned tables into `tables`
-/// (the cache entry's invalidation domain).
+/// (the cache entry's invalidation domain) and sets `*shape` to the plain,
+/// version-free fingerprint.
 std::string VersionedFingerprint(const PlanPtr& plan, const Catalog& catalog,
-                                 std::vector<std::string>* tables);
+                                 std::vector<std::string>* tables, std::string* shape);
+
+/// 64-bit FNV-1a hash of `text`: the recycler's fragment shape hash.
+uint64_t FingerprintHash(std::string_view text);
 
 }  // namespace quotient

@@ -30,18 +30,26 @@ namespace {
 /// (chunk-ordered merges make build state bit-identical at every thread
 /// count, docs/parallel_execution.md). The tag
 /// ("div"/"gd") selects the artifact type the adopting iterator casts to, so
-/// it must differ wherever the concrete artifact struct differs.
+/// it must differ wherever the concrete artifact struct differs. Each key
+/// has a shape hash beside it: the same composition over the version-free
+/// fingerprints, which the recycler's admission counts sightings of.
 RecycleSpec DivideRecycleSpec(const std::string& tag, const LogicalOp& op,
                               const Catalog& catalog, const PlannerOptions& options) {
   RecycleSpec spec;
   if (options.recycler == nullptr) return spec;
-  std::string divisor_fp = VersionedFingerprint(op.child(1), catalog, &spec.tables);
+  std::string divisor_shape;
+  std::string divisor_fp =
+      VersionedFingerprint(op.child(1), catalog, &spec.tables, &divisor_shape);
   if (divisor_fp.empty()) return spec;
   spec.recycler = options.recycler;
   spec.build_key = tag + ".build|" + divisor_fp;
-  std::string dividend_fp = VersionedFingerprint(op.child(0), catalog, &spec.tables);
+  spec.build_shape = FingerprintHash(tag + ".build|" + divisor_shape);
+  std::string dividend_shape;
+  std::string dividend_fp =
+      VersionedFingerprint(op.child(0), catalog, &spec.tables, &dividend_shape);
   if (!dividend_fp.empty()) {
     spec.probe_key = tag + ".probe|" + dividend_fp + "|" + divisor_fp;
+    spec.probe_shape = FingerprintHash(tag + ".probe|" + dividend_shape + "|" + divisor_shape);
   }
   return spec;
 }
@@ -55,10 +63,12 @@ RecycleSpec BuildSideRecycleSpec(const std::string& tag, const PlanPtr& build_si
                                  const PlannerOptions& options) {
   RecycleSpec spec;
   if (options.recycler == nullptr) return spec;
-  std::string fp = VersionedFingerprint(build_side, catalog, &spec.tables);
+  std::string shape;
+  std::string fp = VersionedFingerprint(build_side, catalog, &spec.tables, &shape);
   if (fp.empty()) return spec;
   spec.recycler = options.recycler;
   spec.build_key = tag + "|" + context + "|" + fp;
+  spec.build_shape = FingerprintHash(tag + "|" + context + "|" + shape);
   return spec;
 }
 

@@ -1,6 +1,7 @@
 #include "util/csv.hpp"
 
 #include <cerrno>
+#include <cmath>
 #include <cstring>
 #include <fstream>
 #include <sstream>
@@ -114,7 +115,17 @@ Result<Relation> RelationFromCsv(const std::string& text) {
       try {
         switch (schema.attribute(i).type) {
           case ValueType::kInt: tuple.push_back(Value::Int(std::stoll(cells[i]))); break;
-          case ValueType::kReal: tuple.push_back(Value::Real(std::stod(cells[i]))); break;
+          case ValueType::kReal: {
+            double real = std::stod(cells[i]);
+            // NaN compares equal to every number, so it has no place in the
+            // canonical order that sorted storage and range scans rely on.
+            if (std::isnan(real)) {
+              return Result<Relation>::Error("line " + std::to_string(line_number) +
+                                             ": NaN is not a supported real value");
+            }
+            tuple.push_back(Value::Real(real));
+            break;
+          }
           default: tuple.push_back(Value::Str(cells[i])); break;
         }
       } catch (const std::exception&) {

@@ -39,6 +39,22 @@ TEST(CsvTest, Errors) {
   EXPECT_FALSE(RelationFromCsv("s:string\n\"open\n").ok());  // unterminated quote
 }
 
+TEST(CsvTest, RejectsNaN) {
+  // NaN compares equal to every number, which would break the canonical
+  // order sorted storage and range scans depend on.
+  for (const char* cell : {"nan", "NAN", "-nan", "nan(0x1)"}) {
+    SCOPED_TRACE(cell);
+    Result<Relation> r = RelationFromCsv(std::string("x:real\n1.5\n") + cell + "\n");
+    ASSERT_FALSE(r.ok());
+    EXPECT_NE(r.error().find("line 3"), std::string::npos) << r.error();
+    EXPECT_NE(r.error().find("NaN"), std::string::npos) << r.error();
+  }
+  // Infinities are ordered, so they still load.
+  Result<Relation> inf = RelationFromCsv("x:real\ninf\n-inf\n");
+  ASSERT_TRUE(inf.ok()) << inf.error();
+  EXPECT_EQ(inf.value().size(), 2u);
+}
+
 TEST(CsvTest, EmptyRelationAndBlankLines) {
   Result<Relation> r = RelationFromCsv("a:int,b:int\n\n1,2\n\n");
   ASSERT_TRUE(r.ok()) << r.error();

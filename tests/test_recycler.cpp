@@ -1,8 +1,13 @@
 // Cross-query artifact recycler (exec/recycler.hpp, docs/recycler.md):
 // recycling on/off differential (bit-identical at 1 and 8 threads), DDL
 // invalidation, build-once under concurrent sessions, LRU eviction under a
-// byte budget, EXPLAIN ANALYZE surfacing, and the recycler.* fault sites
-// proving a faulted publish never poisons the cache.
+// byte budget, EXPLAIN ANALYZE surfacing, the recycler.* fault sites
+// proving a faulted publish never poisons the cache, and admission on the
+// second sighting of a fragment's version-free shape.
+//
+// A fragment is published only once its shape has been seen before, so
+// every test that expects a warm hit first runs a "sighting" execution,
+// which builds privately.
 
 #include <gtest/gtest.h>
 
@@ -18,6 +23,7 @@
 #include "exec/pipeline.hpp"
 #include "exec/query_context.hpp"
 #include "exec/scheduler.hpp"
+#include "opt/fingerprint.hpp"
 #include "opt/planner.hpp"
 
 namespace quotient {
@@ -70,19 +76,25 @@ TEST(RecyclerTest, OnOffDifferentialBitIdenticalAcrossThreadCounts) {
       ASSERT_TRUE(baseline.ok()) << baseline.error();
       EXPECT_EQ(baseline.value().profile.recycler_hits, 0u);
       EXPECT_EQ(baseline.value().profile.recycler_misses, 0u);
+      Result<QueryResult> sighting = recycled.Execute(sql);
+      ASSERT_TRUE(sighting.ok()) << sighting.error();
       Result<QueryResult> cold = recycled.Execute(sql);
       ASSERT_TRUE(cold.ok()) << cold.error();
       Result<QueryResult> warm = recycled.Execute(sql);
       ASSERT_TRUE(warm.ok()) << warm.error();
-      // Bit-identical: same rows in the same order, cold, warm, and with
-      // recycling disabled.
+      // Bit-identical: same rows in the same order, sighting, cold, warm,
+      // and with recycling disabled.
+      EXPECT_TRUE(sighting.value().rows.tuples() == baseline.value().rows.tuples());
       EXPECT_TRUE(cold.value().rows.tuples() == baseline.value().rows.tuples());
+      EXPECT_GT(sighting.value().profile.recycler_misses, 0u);
+      EXPECT_EQ(sighting.value().profile.recycler_hits, 0u);
       EXPECT_TRUE(warm.value().rows.tuples() == baseline.value().rows.tuples());
       EXPECT_GT(cold.value().profile.recycler_misses, 0u);
       EXPECT_GT(warm.value().profile.recycler_hits, 0u);
       EXPECT_EQ(warm.value().profile.recycler_misses, 0u);
     }
     EXPECT_GT(on->recycler_stats().published, 0u);
+    EXPECT_GT(on->recycler_stats().deferred, 0u);
     EXPECT_EQ(off->recycler_stats().published, 0u);
   }
 }
@@ -112,7 +124,9 @@ TEST(RecyclerTest, JoinBuildSidesRecycleAcrossPlanExecutions) {
   // Plan-level executions carry no QueryContext, so the per-query profile
   // counters stay zero; assert through the recycler's own stats deltas.
   for (const PlanPtr& plan : plans) {
+    Relation sighting = ExecutePlan(plan, catalog, on);  // built privately
     RecyclerStats before = on.recycler->stats();
+    EXPECT_GT(before.deferred, 0u);
     Relation baseline = ExecutePlan(plan, catalog, off);
     Relation cold = ExecutePlan(plan, catalog, on);
     RecyclerStats after_cold = on.recycler->stats();
@@ -121,6 +135,7 @@ TEST(RecyclerTest, JoinBuildSidesRecycleAcrossPlanExecutions) {
     EXPECT_GT(after_cold.misses, before.misses);
     EXPECT_GT(after_warm.hits, after_cold.hits);
     EXPECT_EQ(after_warm.misses, after_cold.misses);  // warm run missed nothing
+    EXPECT_TRUE(sighting.tuples() == baseline.tuples());
     EXPECT_TRUE(cold.tuples() == baseline.tuples());
     EXPECT_TRUE(warm.tuples() == baseline.tuples());
   }
@@ -130,7 +145,8 @@ TEST(RecyclerTest, JoinBuildSidesRecycleAcrossPlanExecutions) {
 TEST(RecyclerTest, DdlInvalidatesCachedArtifacts) {
   std::shared_ptr<Database> db = MakeDatabase(64ull << 20);
   Session session(db);
-  ASSERT_TRUE(session.Execute(kDivideSql).ok());
+  ASSERT_TRUE(session.Execute(kDivideSql).ok());  // sighting
+  ASSERT_TRUE(session.Execute(kDivideSql).ok());  // publishes
   Result<QueryResult> warm = session.Execute(kDivideSql);
   ASSERT_TRUE(warm.ok());
   EXPECT_GT(warm.value().profile.recycler_hits, 0u);
@@ -159,9 +175,14 @@ TEST(RecyclerTest, ConcurrentSessionsBuildOnce) {
   // Eight sessions race the same grouping statement; the aggregation
   // artifact must be built exactly once (one miss), with every other
   // session adopting it (seven hits) — the promise/shared_future discipline
-  // under real concurrency.
+  // under real concurrency. One serial execution first sights the shape,
+  // so the raced build is the publishing one.
   std::shared_ptr<Database> db = MakeDatabase(64ull << 20);
   const char* sql = "SELECT a, COUNT(b) AS n FROM r1 GROUP BY a";
+  ASSERT_TRUE(Session(db).Execute(sql).ok());
+  const RecyclerStats sighted = db->recycler_stats();
+  ASSERT_EQ(sighted.deferred, 1u);
+  ASSERT_EQ(sighted.published, 0u);
   constexpr size_t kSessions = 8;
   std::vector<Relation> results(kSessions);
   std::vector<Status> statuses(kSessions, Status::Ok());
@@ -185,9 +206,10 @@ TEST(RecyclerTest, ConcurrentSessionsBuildOnce) {
     EXPECT_TRUE(results[i].tuples() == results[0].tuples());
   }
   RecyclerStats stats = db->recycler_stats();
-  EXPECT_EQ(stats.misses, 1u);
-  EXPECT_EQ(stats.hits, kSessions - 1);
+  EXPECT_EQ(stats.misses - sighted.misses, 1u);
+  EXPECT_EQ(stats.hits - sighted.hits, kSessions - 1);
   EXPECT_EQ(stats.published, 1u);
+  EXPECT_EQ(stats.deferred, 1u);
 }
 
 TEST(RecyclerTest, EvictionKeepsResidentBytesUnderBudget) {
@@ -205,6 +227,12 @@ TEST(RecyclerTest, EvictionKeepsResidentBytesUnderBudget) {
                     .ok());
   }
   Session session(db);
+  for (int i = 0; i < 8; ++i) {  // sight every table's statement once
+    ASSERT_TRUE(
+        session.Execute("SELECT a, COUNT(b) AS n FROM t" + std::to_string(i) + " GROUP BY a")
+            .ok());
+  }
+  EXPECT_EQ(db->recycler_stats().bytes, 0u);
   for (int round = 0; round < 2; ++round) {
     for (int i = 0; i < 8; ++i) {
       std::string sql =
@@ -267,6 +295,8 @@ TEST(RecyclerFaultTest, FaultedPublishNeverPoisonsTheCache) {
       SessionOptions options;
       options.fault_injector = &injector;
       Session session(db, options);
+      ASSERT_TRUE(session.Execute(kDivideSql).ok());  // sighting, kept private
+      ASSERT_EQ(db->recycler_stats().entries, 0u);
 
       injector.Arm(site, 1);
       Result<QueryResult> faulted = session.Execute(kDivideSql);
@@ -287,6 +317,215 @@ TEST(RecyclerFaultTest, FaultedPublishNeverPoisonsTheCache) {
       EXPECT_GT(warm.value().profile.recycler_hits, 0u);
       EXPECT_TRUE(warm.value().rows.tuples() == rebuilt.value().rows.tuples());
     }
+  }
+}
+
+
+// ---- admission on the second sighting of a version-free shape ----
+
+/// Every miss of a serial run is exactly one of published, deferred or
+/// rejected (only waiters of a concurrent build escape the identity).
+void ExpectMissesAccounted(const RecyclerStats& stats) {
+  EXPECT_EQ(stats.deferred + stats.published + stats.rejected, stats.misses);
+}
+
+TEST(RecyclerAdmissionTest, DistinctLiteralsNeverPublish) {
+  // Every fragment of these statements carries its own literal, so no shape
+  // recurs: each build stays private and nothing becomes resident.
+  std::shared_ptr<Database> db = MakeDatabase(64ull << 20);
+  Session session(db);
+  constexpr int kStatements = 40;
+  size_t lookups = 0;
+  for (int k = 0; k < kStatements; ++k) {
+    Result<QueryResult> result = session.Execute(
+        "SELECT a, COUNT(b) AS n FROM r1 WHERE b < " + std::to_string(k) + " GROUP BY a");
+    ASSERT_TRUE(result.ok()) << result.error();
+    EXPECT_EQ(result.value().profile.recycler_hits, 0u);
+    lookups += result.value().profile.recycler_hits + result.value().profile.recycler_misses;
+  }
+  RecyclerStats stats = db->recycler_stats();
+  // hits + misses still count every lookup exactly once.
+  EXPECT_EQ(stats.hits + stats.misses, lookups);
+  EXPECT_EQ(stats.misses, static_cast<size_t>(kStatements));
+  EXPECT_EQ(stats.deferred, static_cast<size_t>(kStatements));
+  EXPECT_EQ(stats.published, 0u);
+  EXPECT_EQ(stats.bytes, 0u);
+  EXPECT_EQ(stats.entries, 0u);
+  ExpectMissesAccounted(stats);
+}
+
+TEST(RecyclerAdmissionTest, SecondSightingPublishesThirdAdopts) {
+  std::shared_ptr<Database> db = MakeDatabase(64ull << 20);
+  Session session(db);
+  const char* sql = "SELECT a, COUNT(b) AS n FROM r1 GROUP BY a";
+
+  Result<QueryResult> first = session.Execute(sql);
+  ASSERT_TRUE(first.ok()) << first.error();
+  RecyclerStats stats = db->recycler_stats();
+  EXPECT_EQ(first.value().profile.recycler_misses, 1u);
+  EXPECT_EQ(stats.deferred, 1u);
+  EXPECT_EQ(stats.published, 0u);
+  EXPECT_EQ(stats.bytes, 0u);
+  ExpectMissesAccounted(stats);
+
+  Result<QueryResult> second = session.Execute(sql);
+  ASSERT_TRUE(second.ok()) << second.error();
+  stats = db->recycler_stats();
+  EXPECT_EQ(second.value().profile.recycler_misses, 1u);
+  EXPECT_EQ(second.value().profile.recycler_hits, 0u);
+  EXPECT_EQ(stats.deferred, 1u);
+  EXPECT_EQ(stats.published, 1u);
+  EXPECT_GT(stats.bytes, 0u);
+  ExpectMissesAccounted(stats);
+
+  Result<QueryResult> third = session.Execute(sql);
+  ASSERT_TRUE(third.ok()) << third.error();
+  stats = db->recycler_stats();
+  EXPECT_EQ(third.value().profile.recycler_hits, 1u);
+  EXPECT_EQ(third.value().profile.recycler_misses, 0u);
+  EXPECT_EQ(stats.misses, 2u);
+  EXPECT_EQ(stats.published, 1u);
+  ExpectMissesAccounted(stats);
+
+  EXPECT_TRUE(second.value().rows.tuples() == first.value().rows.tuples());
+  EXPECT_TRUE(third.value().rows.tuples() == first.value().rows.tuples());
+}
+
+TEST(RecyclerAdmissionTest, CommitKeepsAdmissionOfARecurringShape) {
+  // The doorkeeper counts version-free shapes: after a commit to every
+  // scanned table, a text that already recurs publishes on its first read
+  // under the new data versions, without a fresh sighting.
+  const std::vector<const char*> texts = {kDivideSql,
+                                          "SELECT a, COUNT(b) AS n FROM r1 GROUP BY a"};
+  std::shared_ptr<Database> db = MakeDatabase(64ull << 20);
+  Session session(db);
+  for (const char* sql : texts) {
+    ASSERT_TRUE(session.Execute(sql).ok());  // sighting
+    ASSERT_TRUE(session.Execute(sql).ok());  // publishes
+  }
+  const RecyclerStats before = db->recycler_stats();
+  ASSERT_GT(before.published, 0u);
+
+  ASSERT_TRUE(session.Execute("BEGIN").ok());
+  ASSERT_TRUE(session.Execute("INSERT INTO r1 VALUES (9001, 1)").ok());
+  ASSERT_TRUE(session.Execute("INSERT INTO r2 VALUES (47)").ok());
+  ASSERT_TRUE(session.Execute("COMMIT").ok());
+
+  std::shared_ptr<Database> off = MakeDatabase(0);
+  ASSERT_TRUE(off->InsertRows("r1", {{Value::Int(9001), Value::Int(1)}}).ok());
+  ASSERT_TRUE(off->InsertRows("r2", {{Value::Int(47)}}).ok());
+  Session plain(off);
+  for (const char* sql : texts) {
+    SCOPED_TRACE(sql);
+    Result<QueryResult> after = session.Execute(sql);
+    ASSERT_TRUE(after.ok()) << after.error();
+    EXPECT_EQ(after.value().profile.recycler_hits, 0u);  // old versions are unaddressable
+    Result<QueryResult> warm = session.Execute(sql);
+    ASSERT_TRUE(warm.ok()) << warm.error();
+    EXPECT_GT(warm.value().profile.recycler_hits, 0u);
+    EXPECT_EQ(warm.value().profile.recycler_misses, 0u);
+    Result<QueryResult> baseline = plain.Execute(sql);
+    ASSERT_TRUE(baseline.ok()) << baseline.error();
+    EXPECT_TRUE(after.value().rows.tuples() == baseline.value().rows.tuples());
+    EXPECT_TRUE(warm.value().rows.tuples() == baseline.value().rows.tuples());
+  }
+  RecyclerStats stats = db->recycler_stats();
+  EXPECT_EQ(stats.published, 2 * before.published);  // every artifact again
+  EXPECT_EQ(stats.deferred, before.deferred);          // no fresh sighting
+  ExpectMissesAccounted(stats);
+}
+
+TEST(RecyclerAdmissionTest, OneOffShapesBeyondTheResetCountStayPrivate) {
+  // More distinct one-off shapes than every shard's doorkeeper holds before
+  // it clears: none is ever published, a shape seen twice still is, the
+  // clears never drop a resident entry, and they do forget sightings.
+  ArtifactRecycler recycler(64ull << 20);
+  auto build = [] {
+    auto artifact = std::make_shared<GroupingArtifact>();
+    artifact->rows.push_back(Tuple{Value::Int(1)});
+    return artifact;
+  };
+  auto get = [&](const std::string& key) {
+    return recycler.GetOrBuild(key, FingerprintHash(key), {"t"}, build);
+  };
+  ASSERT_NE(get("recurring"), nullptr);  // sighting
+  ASSERT_NE(get("recurring"), nullptr);  // publishes
+  ASSERT_EQ(recycler.stats().published, 1u);
+  const size_t resident = recycler.stats().bytes;
+  ASSERT_NE(get("forgotten"), nullptr);  // sighted once, before the clears
+
+  const size_t one_offs =
+      2 * ArtifactRecycler::kShards * ArtifactRecycler::kDoorkeeperResetCount;
+  for (size_t i = 0; i < one_offs; ++i) ASSERT_NE(get("one-off|" + std::to_string(i)), nullptr);
+  RecyclerStats stats = recycler.stats();
+  EXPECT_EQ(stats.published, 1u);
+  EXPECT_EQ(stats.deferred, one_offs + 2);
+  EXPECT_EQ(stats.bytes, resident);
+  EXPECT_EQ(stats.entries, 1u);
+  ExpectMissesAccounted(stats);
+
+  // The resident entry survived every clear...
+  get("recurring");
+  EXPECT_EQ(recycler.stats().hits, stats.hits + 1);
+  // ...a sighting from before them is forgotten, so its shape's next build
+  // is a first sighting again...
+  get("forgotten");
+  EXPECT_EQ(recycler.stats().deferred, stats.deferred + 1);
+  EXPECT_EQ(recycler.stats().published, 1u);
+  // ...and a shape sighted after them is admitted on its second sighting.
+  get("late");
+  get("late");
+  EXPECT_EQ(recycler.stats().published, 2u);
+}
+
+TEST(RecyclerAdmissionTest, ClearKeepsSightings) {
+  // The cold-start reset drops artifacts, not sightings: the next build of
+  // a shape seen before publishes again.
+  std::shared_ptr<Database> db = MakeDatabase(64ull << 20);
+  Session session(db);
+  const char* sql = "SELECT a, COUNT(b) AS n FROM r1 GROUP BY a";
+  ASSERT_TRUE(session.Execute(sql).ok());
+  ASSERT_TRUE(session.Execute(sql).ok());
+  ASSERT_EQ(db->recycler_stats().published, 1u);
+  db->ClearRecycler();
+  EXPECT_EQ(db->recycler_stats().bytes, 0u);
+  ASSERT_TRUE(session.Execute(sql).ok());
+  EXPECT_EQ(db->recycler_stats().published, 2u);
+  EXPECT_EQ(db->recycler_stats().deferred, 1u);
+}
+
+TEST(RecyclerAdmissionTest, BitIdenticalToRecyclerOffAcrossThreadCounts) {
+  // Recurring texts interleaved with one-offs: every execution, private,
+  // publishing or adopting, returns the recycler-off rows in the same order.
+  ScopedMorselRows morsels(32);
+  ScopedBatchRows batches(32);
+  std::vector<std::string> texts(kCorpus.begin(), kCorpus.end());
+  for (int k = 0; k < 3; ++k) {
+    texts.push_back("SELECT a FROM r1 AS x DIVIDE BY (SELECT b FROM r2 WHERE b > " +
+                    std::to_string(4 * k) + ") AS y ON x.b = y.b");
+  }
+  for (size_t threads : {size_t{1}, size_t{4}}) {
+    SCOPED_TRACE("threads=" + std::to_string(threads));
+    ScopedExecThreads scoped_threads(threads);
+    std::shared_ptr<Database> off = MakeDatabase(0);
+    std::shared_ptr<Database> on = MakeDatabase(64ull << 20);
+    Session plain(off);
+    Session recycled(on);
+    for (int pass = 0; pass < 3; ++pass) {
+      for (const std::string& sql : texts) {
+        SCOPED_TRACE(sql + " pass " + std::to_string(pass));
+        Result<QueryResult> baseline = plain.Execute(sql);
+        Result<QueryResult> got = recycled.Execute(sql);
+        ASSERT_TRUE(baseline.ok()) << baseline.error();
+        ASSERT_TRUE(got.ok()) << got.error();
+        EXPECT_TRUE(got.value().rows.tuples() == baseline.value().rows.tuples());
+      }
+    }
+    RecyclerStats stats = on->recycler_stats();
+    EXPECT_GT(stats.deferred, 0u);
+    EXPECT_GT(stats.published, 0u);
+    EXPECT_GT(stats.hits, 0u);
+    ExpectMissesAccounted(stats);
   }
 }
 

@@ -33,6 +33,12 @@ TEST(RelationTest, ParseEmptyAndErrors) {
   EXPECT_THROW(Relation(Schema::Parse("a"), {{V("x")}}), SchemaError);  // type
 }
 
+TEST(RelationTest, ParseRejectsNaN) {
+  EXPECT_THROW(Relation::Parse("x:real", "1.5; nan"), SchemaError);
+  EXPECT_THROW(Relation::Parse("a, x:real", "1, -NaN"), SchemaError);
+  EXPECT_EQ(Relation::Parse("x:real", "inf; -inf; 0.5").size(), 3u);
+}
+
 TEST(RelationTest, InsertKeepsCanonicalOrderAndDedupes) {
   Relation r(Schema::Parse("a"));
   r.Insert({V(5)});

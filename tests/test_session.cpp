@@ -424,6 +424,13 @@ TEST_F(SessionTest, CsvRoundTripThroughTheCatalog) {
   EXPECT_EQ(result.value().rows, Relation::FromRows("name:string", {{V("red")}}));
 }
 
+TEST_F(SessionTest, LoadCsvRejectsNaN) {
+  Status status = session_.LoadCsv("readings", "id:int,x:real\n1,0.5\n2,nan\n");
+  ASSERT_FALSE(status.ok());
+  EXPECT_NE(status.message().find("NaN"), std::string::npos) << status.message();
+  EXPECT_FALSE(session_.Execute("SELECT id FROM readings").ok());  // nothing was loaded
+}
+
 TEST_F(SessionTest, InsertRowsRejectsUnknownTableAndBadTypes) {
   EXPECT_FALSE(session_.InsertRows("nosuch", {{V(1)}}).ok());
   EXPECT_FALSE(session_.InsertRows("parts", {{V(1), V(2)}}).ok());  // color must be string
