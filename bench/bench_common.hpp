@@ -41,12 +41,10 @@ inline DivisionWorkload MakeDivisionWorkload(size_t groups, int64_t domain,
 }
 
 /// A great-divide workload: dividend r1(a, b) plus divisor r2(b, c) with
-/// `divisor_groups` C-groups. Encodings as in DivisionWorkload.
+/// `divisor_groups` C-groups.
 struct GreatDivideWorkload {
   Relation dividend;
   Relation divisor;
-  TableEncodingPtr dividend_enc;
-  TableEncodingPtr divisor_enc;
 };
 
 inline GreatDivideWorkload MakeGreatDivideWorkload(size_t groups, int64_t domain,
@@ -57,10 +55,7 @@ inline GreatDivideWorkload MakeGreatDivideWorkload(size_t groups, int64_t domain
   DataGen gen(seed);
   Relation dividend = gen.Dividend(groups, domain, dividend_density);
   Relation divisor = gen.GreatDivisor(divisor_groups, domain, divisor_density);
-  TableEncodingPtr dividend_enc = TableEncoding::Build(dividend);
-  TableEncodingPtr divisor_enc = TableEncoding::Build(divisor);
-  return {std::move(dividend), std::move(divisor), std::move(dividend_enc),
-          std::move(divisor_enc)};
+  return {std::move(dividend), std::move(divisor)};
 }
 
 }  // namespace bench

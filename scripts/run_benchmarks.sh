@@ -57,8 +57,7 @@ cmake -S "${repo_root}" -B "${build_dir}" -DCMAKE_BUILD_TYPE=Release >/dev/null
 cmake --build "${build_dir}" -j "$(nproc)" \
   --target bench_division_algorithms bench_key_codec bench_sql_e2e \
            bench_concurrent_sessions bench_cancellation bench_spill \
-           bench_law10_semijoin bench_law13_partitioned_great_divide \
-           bench_recycler bench_txn bench_optimizer >/dev/null
+           bench_law10_semijoin bench_recycler bench_txn bench_optimizer >/dev/null
 
 mkdir -p "${out_dir}"
 
@@ -88,8 +87,7 @@ run_bench_threads bench_division_algorithms 1 "${out_dir}/BENCH_division.json"
 run_bench_threads bench_key_codec 1 "${out_dir}/BENCH_key_codec.json"
 
 # A/B the morsel-driven parallel executor: the same binaries at 1 worker
-# vs N workers (the Law 13 partitioned bench also scales
-# its pool-scheduled partitions).
+# vs N workers.
 par_threads="${QUOTIENT_BENCH_THREADS:-$(nproc)}"
 if [ "${par_threads}" -lt 2 ]; then par_threads=2; fi
 
@@ -132,8 +130,6 @@ run_bench_threads bench_division_algorithms 1 "${out_dir}/.div_par1.json"
 run_bench_threads bench_division_algorithms "${par_threads}" "${out_dir}/.div_parN.json"
 run_bench_threads bench_law10_semijoin 1 "${out_dir}/.law10_par1.json"
 run_bench_threads bench_law10_semijoin "${par_threads}" "${out_dir}/.law10_parN.json"
-run_bench_threads bench_law13_partitioned_great_divide 1 "${out_dir}/.law13_par1.json"
-run_bench_threads bench_law13_partitioned_great_divide "${par_threads}" "${out_dir}/.law13_parN.json"
 
 # Merge the A/B runs into comparison files: real_time per side plus the
 # speedup.
@@ -170,7 +166,6 @@ def times(path):
 par_pairs = [
     ("division", ".div_par1.json", ".div_parN.json"),
     ("law10_semijoin", ".law10_par1.json", ".law10_parN.json"),
-    ("law13_partitioned_great_divide", ".law13_par1.json", ".law13_parN.json"),
 ]
 threads_n = os.environ.get("PAR_THREADS", "?")
 par_comparison = []
@@ -313,7 +308,7 @@ if par_speedups:
           f"median {sorted(par_speedups)[len(par_speedups)//2]:.2f}x / "
           f"max {max(par_speedups):.2f}x")
 PY
-rm -f "${out_dir}"/.law1[03]_*.json "${out_dir}"/.div_par*.json "${out_dir}"/.conc_pool*.json \
+rm -f "${out_dir}"/.law10_*.json "${out_dir}"/.div_par*.json "${out_dir}"/.conc_pool*.json \
       "${out_dir}"/.robustness_raw.json "${out_dir}"/.spill_raw.json \
       "${out_dir}"/.recycler_raw.json
 

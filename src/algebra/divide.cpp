@@ -9,17 +9,6 @@
 
 namespace quotient {
 
-namespace {
-
-std::vector<size_t> IndicesOf(const Schema& schema, const std::vector<std::string>& names) {
-  std::vector<size_t> indices;
-  indices.reserve(names.size());
-  for (const std::string& name : names) indices.push_back(schema.IndexOfOrThrow(name));
-  return indices;
-}
-
-}  // namespace
-
 DivisionAttributes DivisionAttributeSets(const Schema& dividend, const Schema& divisor,
                                          bool allow_c) {
   DivisionAttributes out;
@@ -51,9 +40,9 @@ DivisionAttributes DivisionAttributeSets(const Schema& dividend, const Schema& d
 
 Relation DivideCodd(const Relation& r1, const Relation& r2) {
   DivisionAttributes attrs = DivisionAttributeSets(r1.schema(), r2.schema(), /*allow_c=*/false);
-  std::vector<size_t> a_idx = IndicesOf(r1.schema(), attrs.a);
-  std::vector<size_t> b_idx = IndicesOf(r1.schema(), attrs.b);
-  std::vector<size_t> divisor_idx = IndicesOf(r2.schema(), attrs.b);
+  std::vector<size_t> a_idx = r1.schema().IndicesOfOrThrow(attrs.a);
+  std::vector<size_t> b_idx = r1.schema().IndicesOfOrThrow(attrs.b);
+  std::vector<size_t> divisor_idx = r2.schema().IndicesOfOrThrow(attrs.b);
 
   // Key-encode the dividend's A and B columns and number both key spaces.
   KeyCodec a_codec(a_idx.size());
@@ -113,7 +102,7 @@ Relation DivideHealy(const Relation& r1, const Relation& r2) {
 Relation DivideMaier(const Relation& r1, const Relation& r2) {
   DivisionAttributes attrs = DivisionAttributeSets(r1.schema(), r2.schema(), /*allow_c=*/false);
   Relation result = Project(r1, attrs.a);  // empty intersection = πA(r1)
-  std::vector<size_t> divisor_idx = IndicesOf(r2.schema(), attrs.b);
+  std::vector<size_t> divisor_idx = r2.schema().IndicesOfOrThrow(attrs.b);
   for (const Tuple& t : r2.tuples()) {
     // σB=t(r1) then πA.
     std::vector<ExprPtr> conjuncts;
@@ -131,9 +120,9 @@ Relation DivideCounting(const Relation& r1, const Relation& r2) {
   // we guard that case so all divide implementations agree with Codd's
   // semantics (r1 ÷ ∅ = πA(r1)).
   if (r2.empty()) return Project(r1, attrs.a);
-  std::vector<size_t> a_idx = IndicesOf(r1.schema(), attrs.a);
-  std::vector<size_t> b_idx = IndicesOf(r1.schema(), attrs.b);
-  std::vector<size_t> divisor_idx = IndicesOf(r2.schema(), attrs.b);
+  std::vector<size_t> a_idx = r1.schema().IndicesOfOrThrow(attrs.a);
+  std::vector<size_t> b_idx = r1.schema().IndicesOfOrThrow(attrs.b);
+  std::vector<size_t> divisor_idx = r2.schema().IndicesOfOrThrow(attrs.b);
 
   // Count matching divisor tuples per quotient candidate and compare against
   // |r2| (footnote 1's σcount=|r2|(GγF(r1 ⋉ r2))), on encoded keys: the
@@ -174,9 +163,9 @@ Relation GreatDivideSCD(const Relation& r1, const Relation& r2) {
   DivisionAttributes attrs = DivisionAttributeSets(r1.schema(), r2.schema(), /*allow_c=*/true);
   if (attrs.c.empty()) return DivideCodd(r1, r2);  // degenerates (Darwen/Date)
 
-  std::vector<size_t> c_idx = IndicesOf(r2.schema(), attrs.c);
+  std::vector<size_t> c_idx = r2.schema().IndicesOfOrThrow(attrs.c);
   Schema b_schema = r2.schema().Project(attrs.b);
-  std::vector<size_t> b_idx = IndicesOf(r2.schema(), attrs.b);
+  std::vector<size_t> b_idx = r2.schema().IndicesOfOrThrow(attrs.b);
 
   // Partition the divisor into groups by C.
   std::map<Tuple, std::vector<Tuple>, TupleLess> groups;

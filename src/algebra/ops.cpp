@@ -17,13 +17,6 @@ void RequireSameAttributeSet(const Relation& r1, const Relation& r2, const char*
   }
 }
 
-std::vector<size_t> IndicesOf(const Schema& schema, const std::vector<std::string>& names) {
-  std::vector<size_t> indices;
-  indices.reserve(names.size());
-  for (const std::string& name : names) indices.push_back(schema.IndexOfOrThrow(name));
-  return indices;
-}
-
 }  // namespace
 
 Relation Union(const Relation& r1, const Relation& r2) {
@@ -67,7 +60,7 @@ Relation Product(const Relation& r1, const Relation& r2) {
 }
 
 Relation Project(const Relation& r, const std::vector<std::string>& names) {
-  std::vector<size_t> indices = IndicesOf(r.schema(), names);
+  std::vector<size_t> indices = r.schema().IndicesOfOrThrow(names);
   std::vector<Tuple> tuples;
   tuples.reserve(r.size());
   for (const Tuple& t : r.tuples()) tuples.push_back(ProjectTuple(t, indices));
@@ -92,9 +85,9 @@ Relation NaturalJoin(const Relation& r1, const Relation& r2) {
   std::vector<std::string> right_only = r2.schema().NamesMinus(r1.schema());
 
   Schema schema = r1.schema().Concat(r2.schema().Project(right_only));
-  std::vector<size_t> left_common = IndicesOf(r1.schema(), common);
-  std::vector<size_t> right_common = IndicesOf(r2.schema(), common);
-  std::vector<size_t> right_rest = IndicesOf(r2.schema(), right_only);
+  std::vector<size_t> left_common = r1.schema().IndicesOfOrThrow(common);
+  std::vector<size_t> right_common = r2.schema().IndicesOfOrThrow(common);
+  std::vector<size_t> right_rest = r2.schema().IndicesOfOrThrow(right_only);
 
   // Hash r2 on the common attributes.
   std::unordered_map<Tuple, std::vector<const Tuple*>, TupleHash, TupleEq> index;
@@ -118,8 +111,8 @@ Relation SemiJoin(const Relation& r1, const Relation& r2) {
     // Degenerate: ⋉ over no common attributes keeps everything iff r2 != ∅.
     return r2.empty() ? Relation(r1.schema()) : r1;
   }
-  std::vector<size_t> left_common = IndicesOf(r1.schema(), common);
-  std::vector<size_t> right_common = IndicesOf(r2.schema(), common);
+  std::vector<size_t> left_common = r1.schema().IndicesOfOrThrow(common);
+  std::vector<size_t> right_common = r2.schema().IndicesOfOrThrow(common);
   std::unordered_map<Tuple, bool, TupleHash, TupleEq> keys;
   for (const Tuple& t : r2.tuples()) keys.emplace(ProjectTuple(t, right_common), true);
   std::vector<Tuple> tuples;
@@ -237,7 +230,7 @@ Schema GroupByOutputSchema(const Schema& input, const std::vector<std::string>& 
 
 Relation GroupBy(const Relation& r, const std::vector<std::string>& group_names,
                  const std::vector<AggSpec>& aggs) {
-  std::vector<size_t> group_indices = IndicesOf(r.schema(), group_names);
+  std::vector<size_t> group_indices = r.schema().IndicesOfOrThrow(group_names);
   std::vector<size_t> arg_indices = AggArgIndices(r.schema(), aggs);
 
   std::map<Tuple, std::vector<AggState>, TupleLess> groups;

@@ -28,13 +28,12 @@ Value ApplyArith(Expr::Kind kind, const Value& a, const Value& b) {
   }
   bool both_int = a.type() == ValueType::kInt && b.type() == ValueType::kInt;
   if (both_int && kind != Expr::Kind::kDiv) {
-    int64_t x = a.as_int(), y = b.as_int();
-    switch (kind) {
-      case Expr::Kind::kAdd: return Value::Int(x + y);
-      case Expr::Kind::kSub: return Value::Int(x - y);
-      case Expr::Kind::kMul: return Value::Int(x * y);
-      default: break;
-    }
+    int64_t x = a.as_int(), y = b.as_int(), z = 0;
+    bool overflow = kind == Expr::Kind::kAdd   ? __builtin_add_overflow(x, y, &z)
+                    : kind == Expr::Kind::kSub ? __builtin_sub_overflow(x, y, &z)
+                                               : __builtin_mul_overflow(x, y, &z);
+    if (overflow) throw SchemaError("integer overflow in arithmetic");
+    return Value::Int(z);
   }
   double x = a.Numeric(), y = b.Numeric();
   switch (kind) {

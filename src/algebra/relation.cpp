@@ -109,9 +109,7 @@ void Relation::Insert(Tuple tuple) {
 }
 
 Relation Relation::Reorder(const std::vector<std::string>& names) const {
-  std::vector<size_t> indices;
-  indices.reserve(names.size());
-  for (const std::string& name : names) indices.push_back(schema_.IndexOfOrThrow(name));
+  std::vector<size_t> indices = schema_.IndicesOfOrThrow(names);
   std::vector<Tuple> tuples;
   tuples.reserve(tuples_.size());
   for (const Tuple& t : tuples_) tuples.push_back(ProjectTuple(t, indices));

@@ -60,6 +60,13 @@ size_t Schema::IndexOfOrThrow(std::string_view name) const {
   throw SchemaError("attribute '" + std::string(name) + "' not in schema " + ToString());
 }
 
+std::vector<size_t> Schema::IndicesOfOrThrow(const std::vector<std::string>& names) const {
+  std::vector<size_t> indices;
+  indices.reserve(names.size());
+  for (const std::string& name : names) indices.push_back(IndexOfOrThrow(name));
+  return indices;
+}
+
 std::vector<std::string> Schema::Names() const {
   std::vector<std::string> names;
   names.reserve(attributes_.size());

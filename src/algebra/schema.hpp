@@ -40,6 +40,9 @@ class Schema {
   std::optional<size_t> IndexOf(std::string_view name) const;
   /// Index of `name`; throws SchemaError if absent.
   size_t IndexOfOrThrow(std::string_view name) const;
+  /// Indices of `names`, in the order given; throws SchemaError if any is
+  /// absent.
+  std::vector<size_t> IndicesOfOrThrow(const std::vector<std::string>& names) const;
   bool Contains(std::string_view name) const { return IndexOf(name).has_value(); }
 
   /// All attribute names, in schema order.

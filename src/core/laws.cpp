@@ -10,13 +10,6 @@ namespace laws {
 
 namespace {
 
-std::vector<size_t> IndicesOf(const Schema& schema, const std::vector<std::string>& names) {
-  std::vector<size_t> indices;
-  indices.reserve(names.size());
-  for (const std::string& name : names) indices.push_back(schema.IndexOfOrThrow(name));
-  return indices;
-}
-
 /// Empty relation over the A attributes of a division r1 ÷ r2.
 Relation EmptyQuotient(const Relation& r1, const Relation& r2) {
   DivisionAttributes attrs = DivisionAttributeSets(r1.schema(), r2.schema(), /*allow_c=*/false);
@@ -38,11 +31,11 @@ Relation Law1Rhs(const Relation& r1, const Relation& r2p, const Relation& r2pp) 
 bool ConditionC1(const Relation& r1p, const Relation& r1pp, const Relation& r2) {
   DivisionAttributes attrs =
       DivisionAttributeSets(r1p.schema(), r2.schema(), /*allow_c=*/false);
-  std::vector<size_t> a_p = IndicesOf(r1p.schema(), attrs.a);
-  std::vector<size_t> b_p = IndicesOf(r1p.schema(), attrs.b);
-  std::vector<size_t> a_pp = IndicesOf(r1pp.schema(), attrs.a);
-  std::vector<size_t> b_pp = IndicesOf(r1pp.schema(), attrs.b);
-  std::vector<size_t> d_idx = IndicesOf(r2.schema(), attrs.b);
+  std::vector<size_t> a_p = r1p.schema().IndicesOfOrThrow(attrs.a);
+  std::vector<size_t> b_p = r1p.schema().IndicesOfOrThrow(attrs.b);
+  std::vector<size_t> a_pp = r1pp.schema().IndicesOfOrThrow(attrs.a);
+  std::vector<size_t> b_pp = r1pp.schema().IndicesOfOrThrow(attrs.b);
+  std::vector<size_t> d_idx = r2.schema().IndicesOfOrThrow(attrs.b);
 
   using ImageMap =
       std::unordered_map<Tuple, std::unordered_set<Tuple, TupleHash, TupleEq>, TupleHash, TupleEq>;

@@ -12,13 +12,6 @@ namespace quotient {
 
 namespace {
 
-std::vector<size_t> IndicesOf(const Schema& schema, const std::vector<std::string>& names) {
-  std::vector<size_t> indices;
-  indices.reserve(names.size());
-  for (const std::string& name : names) indices.push_back(schema.IndexOfOrThrow(name));
-  return indices;
-}
-
 /// r1 ÷ ∅ = πA(r1): emit every distinct candidate.
 template <typename AView, typename Numbering>
 void EmitDistinctCandidates(const AView& aview, Numbering& candidates, size_t rows,
@@ -72,9 +65,9 @@ DivisionIterator::DivisionIterator(IterPtr dividend, IterPtr divisor)
   DivisionAttributes attrs =
       DivisionAttributeSets(dividend_->schema(), divisor_->schema(), /*allow_c=*/false);
   schema_ = dividend_->schema().Project(attrs.a);
-  a_idx_ = IndicesOf(dividend_->schema(), attrs.a);
-  b_idx_ = IndicesOf(dividend_->schema(), attrs.b);
-  divisor_idx_ = IndicesOf(divisor_->schema(), attrs.b);
+  a_idx_ = dividend_->schema().IndicesOfOrThrow(attrs.a);
+  b_idx_ = dividend_->schema().IndicesOfOrThrow(attrs.b);
+  divisor_idx_ = divisor_->schema().IndicesOfOrThrow(attrs.b);
 }
 
 std::shared_ptr<DivisionBuildArtifact> DivisionIterator::BuildDivisorArtifact() {

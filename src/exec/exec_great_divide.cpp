@@ -1,31 +1,11 @@
 #include "exec/exec_great_divide.hpp"
 
-#include <algorithm>
-
 #include "exec/exec_basic.hpp"
 #include "exec/pipeline.hpp"
 #include "exec/query_context.hpp"
-#include "exec/scheduler.hpp"
 #include "util/status.hpp"
 
 namespace quotient {
-
-namespace {
-
-std::vector<size_t> IndicesOf(const Schema& schema, const std::vector<std::string>& names) {
-  std::vector<size_t> indices;
-  indices.reserve(names.size());
-  for (const std::string& name : names) indices.push_back(schema.IndexOfOrThrow(name));
-  return indices;
-}
-
-uint64_t SetSignature(const std::vector<Value>& elements) {
-  uint64_t signature = 0;
-  for (const Value& v : elements) signature |= uint64_t{1} << (v.Hash() & 63);
-  return signature;
-}
-
-}  // namespace
 
 GreatDivideIterator::GreatDivideIterator(IterPtr dividend, IterPtr divisor)
     : dividend_(std::move(dividend)), divisor_(std::move(divisor)) {
@@ -37,10 +17,10 @@ GreatDivideIterator::GreatDivideIterator(IterPtr dividend, IterPtr divisor)
         "small divide");
   }
   schema_ = dividend_->schema().Project(attrs.a).Concat(divisor_->schema().Project(attrs.c));
-  a_idx_ = IndicesOf(dividend_->schema(), attrs.a);
-  b_idx_ = IndicesOf(dividend_->schema(), attrs.b);
-  divisor_b_idx_ = IndicesOf(divisor_->schema(), attrs.b);
-  divisor_c_idx_ = IndicesOf(divisor_->schema(), attrs.c);
+  a_idx_ = dividend_->schema().IndicesOfOrThrow(attrs.a);
+  b_idx_ = dividend_->schema().IndicesOfOrThrow(attrs.b);
+  divisor_b_idx_ = divisor_->schema().IndicesOfOrThrow(attrs.b);
+  divisor_c_idx_ = divisor_->schema().IndicesOfOrThrow(attrs.c);
 }
 
 std::shared_ptr<GreatDivideBuildArtifact> GreatDivideIterator::BuildDivisorArtifact() {
@@ -166,114 +146,10 @@ void GreatDivideIterator::Close() {
   probe_.reset();
 }
 
-Relation ExecGreatDivide(const Relation& dividend, const Relation& divisor,
-                         TableEncodingPtr dividend_enc, TableEncodingPtr divisor_enc) {
-  GreatDivideIterator it(
-      std::make_unique<RelationScan>(BorrowRelation(dividend), std::move(dividend_enc)),
-      std::make_unique<RelationScan>(BorrowRelation(divisor), std::move(divisor_enc)));
+Relation ExecGreatDivide(const Relation& dividend, const Relation& divisor) {
+  GreatDivideIterator it(std::make_unique<RelationScan>(BorrowRelation(dividend)),
+                         std::make_unique<RelationScan>(BorrowRelation(divisor)));
   return ExecuteToRelation(it);
-}
-
-Relation GreatDividePartitioned(const Relation& dividend, const Relation& divisor,
-                                size_t threads, TableEncodingPtr dividend_enc) {
-  if (threads == 0) throw SchemaError("GreatDividePartitioned needs threads >= 1");
-  DivisionAttributes attrs =
-      DivisionAttributeSets(dividend.schema(), divisor.schema(), /*allow_c=*/true);
-  if (attrs.c.empty()) throw SchemaError("GreatDividePartitioned requires C attributes");
-
-  // Hash-partition the divisor on C. Projections of the partitions on C are
-  // disjoint, so by Law 13 the union of the partial results is the answer.
-  std::vector<size_t> c_idx = IndicesOf(divisor.schema(), attrs.c);
-  std::vector<std::vector<Tuple>> parts(threads);
-  TupleHash hasher;
-  for (const Tuple& t : divisor.tuples()) {
-    parts[hasher(ProjectTuple(t, c_idx)) % threads].push_back(t);
-  }
-
-  // One shared dividend encoding: workers translate from it instead of each
-  // re-encoding the full dividend (read-only after Build, so no locking).
-  if (dividend_enc == nullptr) {
-    dividend_enc = TableEncoding::Build(dividend);
-  }
-
-  // Partitions run as tasks on the shared worker pool (exec/scheduler.hpp);
-  // the per-partition divisions detect they are on a pool worker and drain
-  // inline, so the partitioned strategy composes with the morsel-parallel
-  // pipelines without re-entering the pool.
-  std::vector<Relation> partial(threads);
-  ParallelFor(threads, [&](size_t i) {
-    Relation part(divisor.schema(), std::move(parts[i]));
-    if (part.empty()) {
-      partial[i] = Relation(dividend.schema().Project(attrs.a).Concat(
-          divisor.schema().Project(attrs.c)));
-    } else {
-      partial[i] = ExecGreatDivide(dividend, part, dividend_enc);
-    }
-  });
-
-  std::vector<Tuple> all;
-  for (const Relation& r : partial) {
-    all.insert(all.end(), r.tuples().begin(), r.tuples().end());
-  }
-  return Relation(dividend.schema().Project(attrs.a).Concat(divisor.schema().Project(attrs.c)),
-                  std::move(all));
-}
-
-SetContainmentJoinIterator::SetContainmentJoinIterator(IterPtr left, std::string left_set_attr,
-                                                       IterPtr right,
-                                                       std::string right_set_attr)
-    : left_(std::move(left)),
-      right_(std::move(right)),
-      schema_(left_->schema().Concat(right_->schema())),
-      left_idx_(left_->schema().IndexOfOrThrow(left_set_attr)),
-      right_idx_(right_->schema().IndexOfOrThrow(right_set_attr)) {
-  if (left_->schema().attribute(left_idx_).type != ValueType::kSet ||
-      right_->schema().attribute(right_idx_).type != ValueType::kSet) {
-    throw SchemaError("SetContainmentJoinIterator requires set-valued join attributes");
-  }
-}
-
-void SetContainmentJoinIterator::Open() {
-  ResetCount();
-  results_.clear();
-  position_ = 0;
-  left_->Open();
-  right_->Open();
-
-  std::vector<Tuple> lhs;
-  DrainRows(*left_, &lhs);
-  std::vector<Tuple> rhs;
-  DrainRows(*right_, &rhs);
-  std::vector<uint64_t> rhs_sigs;
-  rhs_sigs.reserve(rhs.size());
-  for (const Tuple& t2 : rhs) rhs_sigs.push_back(SetSignature(t2[right_idx_].as_set()));
-
-  for (const Tuple& t1 : lhs) {
-    const std::vector<Value>& s1 = t1[left_idx_].as_set();
-    uint64_t sig1 = SetSignature(s1);
-    for (size_t j = 0; j < rhs.size(); ++j) {
-      const Tuple& t2 = rhs[j];
-      uint64_t sig2 = rhs_sigs[j];
-      // Signature filter: containment implies sig2's bits ⊆ sig1's bits.
-      if ((sig1 & sig2) != sig2) continue;
-      const std::vector<Value>& s2 = t2[right_idx_].as_set();
-      if (std::includes(s1.begin(), s1.end(), s2.begin(), s2.end())) {
-        results_.push_back(ConcatTuples(t1, t2));
-      }
-    }
-  }
-}
-
-bool SetContainmentJoinIterator::NextBatch(Batch* out) {
-  if (!EmitResultBatch(results_, &position_, out)) return false;
-  CountRows(out->ActiveRows());
-  return true;
-}
-
-void SetContainmentJoinIterator::Close() {
-  left_->Close();
-  right_->Close();
-  results_.clear();
 }
 
 }  // namespace quotient

@@ -56,47 +56,7 @@ class GreatDivideIterator : public Iterator {
   size_t position_ = 0;
 };
 
-/// Law 13 as an executable strategy: partitions the divisor's C-groups into
-/// `threads` disjoint parts (hash on C), runs a hash great divide per part
-/// in parallel against the shared dividend, and unions the results. Correct
-/// because the partition projections on C are disjoint by construction.
-/// The dividend's table encoding is built once and shared by every worker
-/// (it is read-only after Build), so partitions stop re-encoding the
-/// dividend — the cache behavior ROADMAP item 2 asks for. Callers holding a
-/// cached encoding (Catalog::Encoding) pass it to skip even that one build.
-Relation GreatDividePartitioned(const Relation& dividend, const Relation& divisor,
-                                size_t threads, TableEncodingPtr dividend_enc = nullptr);
-
-/// Convenience: great-divide materialized relations. Optional pre-built
-/// table encodings let repeated calls skip re-encoding inputs.
-Relation ExecGreatDivide(const Relation& dividend, const Relation& divisor,
-                         TableEncodingPtr dividend_enc = nullptr,
-                         TableEncodingPtr divisor_enc = nullptr);
-
-/// Physical set containment join r1 ⋈_{b1⊇b2} r2 with a 64-bit signature
-/// pre-filter (Helmer/Moerkotte style): sig(s2) ⊄ sig(s1) disproves
-/// containment without touching the elements.
-class SetContainmentJoinIterator : public Iterator {
- public:
-  SetContainmentJoinIterator(IterPtr left, std::string left_set_attr, IterPtr right,
-                             std::string right_set_attr);
-
-  const Schema& schema() const override { return schema_; }
-  void Open() override;
-  bool NextBatch(Batch* out) override;
-  void Close() override;
-  const char* name() const override { return "SetContainmentJoin"; }
-  std::vector<Iterator*> InputIterators() override { return {left_.get(), right_.get()}; }
-  std::vector<size_t> BlockingInputs() override { return {0, 1}; }
-
- private:
-  IterPtr left_;
-  IterPtr right_;
-  Schema schema_;
-  size_t left_idx_;
-  size_t right_idx_;
-  std::vector<Tuple> results_;
-  size_t position_ = 0;
-};
+/// Convenience: great-divide materialized relations.
+Relation ExecGreatDivide(const Relation& dividend, const Relation& divisor);
 
 }  // namespace quotient

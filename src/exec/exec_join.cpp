@@ -7,14 +7,7 @@ namespace quotient {
 
 namespace {
 
-std::vector<size_t> IndicesOf(const Schema& schema, const std::vector<std::string>& names) {
-  std::vector<size_t> indices;
-  indices.reserve(names.size());
-  for (const std::string& name : names) indices.push_back(schema.IndexOfOrThrow(name));
-  return indices;
-}
-
-/// Batched probe shared by the hash joins: the pairing kernel over the
+/// Batched probe of the hash equi-join: the pairing kernel over the
 /// build buckets, resolving each fresh left batch's keys in one pass
 /// (BatchKeyProbe). Oversized buckets resume via the cursor's match index.
 size_t JoinEmitBatch(Iterator& left, BatchKeyProbe& probe, PairCursor& st,
@@ -34,71 +27,6 @@ size_t JoinEmitBatch(Iterator& left, BatchKeyProbe& probe, PairCursor& st,
 }
 
 }  // namespace
-
-HashJoinIterator::HashJoinIterator(IterPtr left, IterPtr right)
-    : left_(std::move(left)), right_(std::move(right)) {
-  std::vector<std::string> common = left_->schema().CommonNames(right_->schema());
-  std::vector<std::string> right_only = right_->schema().NamesMinus(left_->schema());
-  schema_ = left_->schema().Concat(right_->schema().Project(right_only));
-  left_key_ = IndicesOf(left_->schema(), common);
-  right_key_ = IndicesOf(right_->schema(), common);
-  right_rest_ = IndicesOf(right_->schema(), right_only);
-}
-
-std::shared_ptr<JoinBuildArtifact> HashJoinIterator::BuildArtifact() {
-  auto art = std::make_shared<JoinBuildArtifact>();
-  right_->Open();
-  art->codec = KeyCodec(right_key_.size());
-  art->codec.Reserve(right_->EstimatedRows());
-  std::vector<Tuple> rest_rows;
-  rest_rows.reserve(right_->EstimatedRows());
-  // Build pipeline: key columns into the codec plus the projected rest of
-  // each build row (exec/pipeline.hpp).
-  JoinBuildSink sink(&art->codec, &right_key_, &right_rest_, &rest_rows);
-  PipelineStats stats = RunPipeline(*right_, sink);
-  RecordPipelineDop(stats.dop);
-  // Mirror the sink's materialized-tuple charge so publication can hand
-  // it from the building query to the recycler's budget.
-  art->extra_charge = stats.rows * (right_rest_.size() + 2) * 8;
-  art->codec.Seal();
-  art->numbering.Build(art->codec);
-  art->buckets.assign(art->numbering.count(), {});
-  for (size_t i = 0; i < rest_rows.size(); ++i) {
-    art->buckets[art->numbering.row_ids()[i]].push_back(std::move(rest_rows[i]));
-  }
-  return art;
-}
-
-void HashJoinIterator::Open() {
-  ResetCount();
-  left_->Open();
-  build_.reset();
-  // Adopt-or-build the right side; a hit skips the right child entirely
-  // (it is never opened — Close() on an unopened child is a no-op).
-  if (recycle_.recycler && !recycle_.build_key.empty()) {
-    ArtifactPtr cached = recycle_.recycler->GetOrBuild(
-        recycle_.build_key, recycle_.build_shape, recycle_.tables,
-        [&]() -> std::shared_ptr<RecycledArtifact> { return BuildArtifact(); });
-    if (cached) build_ = std::static_pointer_cast<const JoinBuildArtifact>(cached);
-  }
-  if (!build_) build_ = BuildArtifact();
-  probe_.Bind(&build_->numbering, &build_->codec, &left_key_);
-  cursor_.Reset();
-}
-
-bool HashJoinIterator::NextBatch(Batch* out) {
-  size_t emitted = JoinEmitBatch(*left_, probe_, cursor_, build_->buckets,
-                                 left_->schema().size(), right_rest_.size(), out);
-  if (emitted == 0) return false;
-  CountRows(emitted);
-  return true;
-}
-
-void HashJoinIterator::Close() {
-  left_->Close();
-  right_->Close();
-  build_.reset();
-}
 
 NestedLoopJoinIterator::NestedLoopJoinIterator(IterPtr left, IterPtr right, ExprPtr condition)
     : left_(std::move(left)),
@@ -144,12 +72,22 @@ void NestedLoopJoinIterator::Close() {
 
 EquiJoinIterator::EquiJoinIterator(IterPtr left, IterPtr right,
                                    std::vector<std::string> left_keys,
-                                   std::vector<std::string> right_keys)
+                                   std::vector<std::string> right_keys,
+                                   std::vector<std::string> right_out)
     : left_(std::move(left)),
       right_(std::move(right)),
-      schema_(left_->schema().Concat(right_->schema())),
-      left_key_(IndicesOf(left_->schema(), left_keys)),
-      right_key_(IndicesOf(right_->schema(), right_keys)) {}
+      schema_(left_->schema().Concat(right_->schema().Project(right_out))),
+      left_key_(left_->schema().IndicesOfOrThrow(left_keys)),
+      right_key_(right_->schema().IndicesOfOrThrow(right_keys)),
+      right_out_(right_->schema().IndicesOfOrThrow(right_out)),
+      whole_right_rows_(right_out == right_->schema().Names()) {}
+
+std::unique_ptr<EquiJoinIterator> EquiJoinIterator::Natural(IterPtr left, IterPtr right) {
+  std::vector<std::string> common = left->schema().CommonNames(right->schema());
+  std::vector<std::string> right_only = right->schema().NamesMinus(left->schema());
+  return std::make_unique<EquiJoinIterator>(std::move(left), std::move(right), common, common,
+                                            std::move(right_only));
+}
 
 std::shared_ptr<JoinBuildArtifact> EquiJoinIterator::BuildArtifact() {
   auto art = std::make_shared<JoinBuildArtifact>();
@@ -158,11 +96,15 @@ std::shared_ptr<JoinBuildArtifact> EquiJoinIterator::BuildArtifact() {
   art->codec.Reserve(right_->EstimatedRows());
   std::vector<Tuple> right_rows;
   right_rows.reserve(right_->EstimatedRows());
-  // Build pipeline: key columns into the codec plus whole build rows.
-  JoinBuildSink sink(&art->codec, &right_key_, /*proj=*/nullptr, &right_rows);
+  // Build pipeline: key columns into the codec plus each build row's
+  // emitted columns (whole rows when every right column is emitted).
+  JoinBuildSink sink(&art->codec, &right_key_, whole_right_rows_ ? nullptr : &right_out_,
+                     &right_rows);
   PipelineStats stats = RunPipeline(*right_, sink);
   RecordPipelineDop(stats.dop);
-  art->extra_charge = stats.rows * (right_->schema().size() + 2) * 8;
+  // Mirror the sink's materialized-tuple charge so publication can hand
+  // it from the building query to the recycler's budget.
+  art->extra_charge = stats.rows * (right_out_.size() + 2) * 8;
   art->codec.Seal();
   art->numbering.Build(art->codec);
   art->buckets.assign(art->numbering.count(), {});
@@ -176,6 +118,8 @@ void EquiJoinIterator::Open() {
   ResetCount();
   left_->Open();
   build_.reset();
+  // Adopt-or-build the right side; a hit skips the right child entirely
+  // (it is never opened — Close() on an unopened child is a no-op).
   if (recycle_.recycler && !recycle_.build_key.empty()) {
     ArtifactPtr cached = recycle_.recycler->GetOrBuild(
         recycle_.build_key, recycle_.build_shape, recycle_.tables,
@@ -189,7 +133,7 @@ void EquiJoinIterator::Open() {
 
 bool EquiJoinIterator::NextBatch(Batch* out) {
   size_t emitted = JoinEmitBatch(*left_, probe_, cursor_, build_->buckets,
-                                 left_->schema().size(), right_->schema().size(), out);
+                                 left_->schema().size(), right_out_.size(), out);
   if (emitted == 0) return false;
   CountRows(emitted);
   return true;
@@ -204,8 +148,8 @@ void EquiJoinIterator::Close() {
 HashSemiJoinIterator::HashSemiJoinIterator(IterPtr left, IterPtr right, bool anti)
     : left_(std::move(left)), right_(std::move(right)), anti_(anti) {
   std::vector<std::string> common = left_->schema().CommonNames(right_->schema());
-  left_key_ = IndicesOf(left_->schema(), common);
-  right_key_ = IndicesOf(right_->schema(), common);
+  left_key_ = left_->schema().IndicesOfOrThrow(common);
+  right_key_ = right_->schema().IndicesOfOrThrow(common);
 }
 
 std::shared_ptr<JoinBuildArtifact> HashSemiJoinIterator::BuildArtifact() {

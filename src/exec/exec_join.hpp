@@ -11,52 +11,6 @@
 
 namespace quotient {
 
-/// Hash natural join on the common attribute names (build on the right,
-/// probe with the left). Output schema: attrs(left) ++ (attrs(right) −
-/// common). Degenerates to a cross product when no names are shared.
-///
-/// The build side is key-encoded: right keys are dictionary-compressed and
-/// numbered densely, so the "hash table" is a plain bucket vector indexed by
-/// key number, and probes are dictionary lookups (a probe value unseen
-/// during build cannot match). NextBatch() probes a whole left batch at a
-/// time and emits columnar output: left columns stay dictionary-encoded
-/// when the input batch is, right columns are copied Values.
-class HashJoinIterator : public Iterator {
- public:
-  HashJoinIterator(IterPtr left, IterPtr right);
-
-  const Schema& schema() const override { return schema_; }
-  void Open() override;
-  bool NextBatch(Batch* out) override;
-  void Close() override;
-  const char* name() const override { return "HashJoin"; }
-  std::vector<Iterator*> InputIterators() override { return {left_.get(), right_.get()}; }
-  std::vector<size_t> BlockingInputs() override { return {1}; }
-
-  /// Attaches the planner-composed recycling directive (exec/recycler.hpp):
-  /// Open() then adopts the cached build side — the codec, numbering, and
-  /// per-key buckets of right_rest projections — instead of draining the
-  /// right child.
-  void SetRecycle(RecycleSpec spec) { recycle_ = std::move(spec); }
-
- private:
-  std::shared_ptr<JoinBuildArtifact> BuildArtifact();
-
-  IterPtr left_;
-  IterPtr right_;
-  Schema schema_;
-  std::vector<size_t> left_key_;
-  std::vector<size_t> right_key_;
-  std::vector<size_t> right_rest_;
-  RecycleSpec recycle_;
-  // The build side: codec, numbering, and per right-key number the matching
-  // rows' right_rest projections (projected once at build, not per emitted
-  // row). Possibly shared with concurrent executions through the recycler.
-  std::shared_ptr<const JoinBuildArtifact> build_;
-  BatchKeyProbe probe_;
-  PairCursor cursor_;
-};
-
 /// Nested-loop theta join (right side materialized); handles arbitrary
 /// conditions. Output schema: attrs(left) ++ attrs(right) (disjoint names).
 /// NextBatch() runs the × pairing kernel, evaluating the condition on each
@@ -84,14 +38,27 @@ class NestedLoopJoinIterator : public Iterator {
   Tuple candidate_;  // scratch (left row ++ right row) for the condition
 };
 
-/// Hash equi-join on explicit key columns (for theta joins whose condition
-/// is a conjunction of left-column = right-column equalities). Output schema
-/// attrs(left) ++ attrs(right), i.e. theta-join semantics: both key columns
-/// are preserved.
+/// Hash equi-join on explicit key columns (build on the right, probe with
+/// the left). Output schema attrs(left) ++ `right_out`: a theta join whose
+/// condition is a conjunction of left-column = right-column equalities
+/// emits every right column (both key columns are preserved); a natural
+/// join (Natural()) keys on the common names and emits only the right-only
+/// columns. With no key columns it degenerates to a cross product.
+///
+/// The build side is key-encoded: right keys are dictionary-compressed and
+/// numbered densely, so the "hash table" is a plain bucket vector indexed by
+/// key number, and probes are dictionary lookups (a probe value unseen
+/// during build cannot match). NextBatch() probes a whole left batch at a
+/// time and emits columnar output: left columns stay dictionary-encoded
+/// when the input batch is, right columns are copied Values.
 class EquiJoinIterator : public Iterator {
  public:
   EquiJoinIterator(IterPtr left, IterPtr right, std::vector<std::string> left_keys,
-                   std::vector<std::string> right_keys);
+                   std::vector<std::string> right_keys, std::vector<std::string> right_out);
+
+  /// Natural join on the common attribute names: attrs(left) ++
+  /// (attrs(right) − common).
+  static std::unique_ptr<EquiJoinIterator> Natural(IterPtr left, IterPtr right);
 
   const Schema& schema() const override { return schema_; }
   void Open() override;
@@ -101,7 +68,10 @@ class EquiJoinIterator : public Iterator {
   std::vector<Iterator*> InputIterators() override { return {left_.get(), right_.get()}; }
   std::vector<size_t> BlockingInputs() override { return {1}; }
 
-  /// Attaches the planner-composed recycling directive (exec/recycler.hpp).
+  /// Attaches the planner-composed recycling directive (exec/recycler.hpp):
+  /// Open() then adopts the cached build side — the codec, numbering, and
+  /// per-key buckets of emitted right rows — instead of draining the right
+  /// child.
   void SetRecycle(RecycleSpec spec) { recycle_ = std::move(spec); }
 
  private:
@@ -112,9 +82,14 @@ class EquiJoinIterator : public Iterator {
   Schema schema_;
   std::vector<size_t> left_key_;
   std::vector<size_t> right_key_;
+  std::vector<size_t> right_out_;
+  bool whole_right_rows_;  // right_out_ is every right column, in order
   RecycleSpec recycle_;
-  // Build side; buckets hold full right rows (theta-join semantics).
-  std::shared_ptr<const JoinBuildArtifact> build_;  BatchKeyProbe probe_;
+  // The build side: codec, numbering, and per right-key number the matching
+  // rows' right_out_ projections (projected once at build, not per emitted
+  // row). Possibly shared with concurrent executions through the recycler.
+  std::shared_ptr<const JoinBuildArtifact> build_;
+  BatchKeyProbe probe_;
   PairCursor cursor_;
 };
 

@@ -5,9 +5,9 @@
 //
 // One process-wide pool of GetExecThreads() workers executes the chunk
 // tasks of parallel pipeline drains. The pool admits one parallel region at
-// a time (regions from different user threads serialize); a drain started
-// *on* a pool worker — e.g. a division inside a GreatDividePartitioned
-// partition — runs inline instead of re-entering the pool, so nested
+// a time (regions from different user threads serialize); a region started
+// inside another — on a pool worker or on the owner thread draining the
+// outer region — runs inline instead of re-entering the pool, so nested
 // pipelines can never deadlock it.
 
 #include <cstddef>

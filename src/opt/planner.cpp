@@ -233,7 +233,6 @@ IterPtr BuildShared(const PlanPtr& plan, const Catalog& catalog,
 IterPtr BuildNode(const PlanPtr& plan, const Catalog& catalog, const PlannerOptions& options,
                   BuildContext* context) {
   auto child = [&](size_t i) { return BuildShared(plan->child(i), catalog, options, context); };
-  (void)child;
   const LogicalOp& op = *plan;
   switch (op.kind()) {
     case LogicalOp::Kind::kScan:
@@ -291,17 +290,17 @@ IterPtr BuildNode(const PlanPtr& plan, const Catalog& catalog, const PlannerOpti
       FingerprintNames(split.left_keys, &key_context);
       key_context += '/';
       FingerprintNames(split.right_keys, &key_context);
-      auto join = std::make_unique<EquiJoinIterator>(child(0), child(1),
-                                                     std::move(split.left_keys),
-                                                     std::move(split.right_keys));
+      auto join = std::make_unique<EquiJoinIterator>(
+          child(0), child(1), std::move(split.left_keys), std::move(split.right_keys),
+          op.child(1)->schema().Names());
       join->SetRecycle(
           BuildSideRecycleSpec("join.equi", op.child(1), key_context, catalog, options));
       if (split.residual.empty()) return join;
       return std::make_unique<FilterIterator>(std::move(join), Expr::AndAll(split.residual));
     }
     case LogicalOp::Kind::kNaturalJoin: {
-      auto join = std::make_unique<HashJoinIterator>(child(0),
-                                                     child(1));
+      // An equi-join on the common names emitting the right-only columns.
+      auto join = EquiJoinIterator::Natural(child(0), child(1));
       join->SetRecycle(BuildSideRecycleSpec("join.natural", op.child(1),
                                             SchemaNamesContext(op.child(0)->schema()),
                                             catalog, options));

@@ -130,9 +130,17 @@ Value EvalScalar(const SqlExpr& expr, const Scope& scope, const Catalog& catalog
       Value r = EvalScalar(*expr.right, scope, catalog);
       bool both_int = l.type() == ValueType::kInt && r.type() == ValueType::kInt;
       double x = l.Numeric(), y = r.Numeric();
-      if (expr.op == "+") return both_int ? Value::Int(l.as_int() + r.as_int()) : Value::Real(x + y);
-      if (expr.op == "-") return both_int ? Value::Int(l.as_int() - r.as_int()) : Value::Real(x - y);
-      if (expr.op == "*") return both_int ? Value::Int(l.as_int() * r.as_int()) : Value::Real(x * y);
+      if (both_int && (expr.op == "+" || expr.op == "-" || expr.op == "*")) {
+        int64_t i = l.as_int(), j = r.as_int(), k = 0;
+        bool overflow = expr.op == "+"   ? __builtin_add_overflow(i, j, &k)
+                        : expr.op == "-" ? __builtin_sub_overflow(i, j, &k)
+                                         : __builtin_mul_overflow(i, j, &k);
+        if (overflow) throw SqlError("integer overflow in arithmetic");
+        return Value::Int(k);
+      }
+      if (expr.op == "+") return Value::Real(x + y);
+      if (expr.op == "-") return Value::Real(x - y);
+      if (expr.op == "*") return Value::Real(x * y);
       if (expr.op == "/") {
         if (y == 0) throw SqlError("division by zero");
         return Value::Real(x / y);

@@ -1,5 +1,7 @@
 #include "sql/parser.hpp"
 
+#include <charconv>
+
 #include "sql/lexer.hpp"
 
 namespace quotient {
@@ -93,6 +95,39 @@ class Parser {
     return Advance().text;
   }
 
+  /// One level of nesting for the current scope (kMaxNestingDepth).
+  class Nested {
+   public:
+    explicit Nested(Parser* parser) : parser_(parser) {
+      if (++parser_->depth_ > kMaxNestingDepth) {
+        parser_->Fail("nesting deeper than " + std::to_string(kMaxNestingDepth) + " levels");
+      }
+    }
+    ~Nested() { --parser_->depth_; }
+    Nested(const Nested&) = delete;
+    Nested& operator=(const Nested&) = delete;
+
+   private:
+    Parser* parser_;
+  };
+
+  /// The numeric token `token` (optionally negated) as an int or real
+  /// Value; a literal its type cannot represent is a parse error.
+  static Value NumberLiteral(const Token& token, bool negative) {
+    std::string text = negative ? "-" + token.text : token.text;
+    bool is_int = text.find('.') == std::string::npos;
+    int64_t i = 0;
+    double d = 0;
+    const char* end = text.data() + text.size();
+    std::from_chars_result parsed = is_int ? std::from_chars(text.data(), end, i)
+                                           : std::from_chars(text.data(), end, d);
+    if (parsed.ec != std::errc() || parsed.ptr != end) {
+      throw ParseError{std::string(is_int ? "integer" : "real") +
+                       " literal out of range at position " + std::to_string(token.position)};
+    }
+    return is_int ? Value::Int(i) : Value::Real(d);
+  }
+
   std::shared_ptr<SqlQuery> ParseSelect() {
     ExpectKeyword("SELECT");
     auto query = std::make_shared<SqlQuery>();
@@ -170,12 +205,7 @@ class Parser {
     const Token& token = Peek();
     if (token.kind == TokenKind::kNumber) {
       Advance();
-      if (token.text.find('.') == std::string::npos) {
-        int64_t v = std::stoll(token.text);
-        return Value::Int(negative ? -v : v);
-      }
-      double v = std::stod(token.text);
-      return Value::Real(negative ? -v : v);
+      return NumberLiteral(token, negative);
     }
     if (token.kind == TokenKind::kString && !negative) {
       Advance();
@@ -202,13 +232,14 @@ class Parser {
         Fail("expected row count after LIMIT");
       }
       Advance();
-      query->limit = std::stoll(token.text);
+      query->limit = NumberLiteral(token, /*negative=*/false).as_int();
     }
   }
 
   TableRef ParseTableFactor() {
     TableRef ref;
     if (AcceptSymbol("(")) {
+      Nested nested(this);
       ref.subquery = ParseSelect();
       ExpectSymbol(")");
       AcceptKeyword("AS");
@@ -263,6 +294,7 @@ class Parser {
 
   SqlExprPtr ParseCondUnary() {
     if (AcceptKeyword("NOT")) {
+      Nested nested(this);
       // NOT EXISTS is folded into the EXISTS node.
       if (Peek().IsKeyword("EXISTS")) {
         SqlExprPtr exists = ParseCondUnary();
@@ -276,6 +308,7 @@ class Parser {
     }
     if (AcceptKeyword("EXISTS")) {
       ExpectSymbol("(");
+      Nested nested(this);
       auto node = std::make_shared<SqlExpr>();
       node->kind = SqlExpr::Kind::kExists;
       node->subquery = ParseSelect();
@@ -285,6 +318,7 @@ class Parser {
     if (Peek().IsSymbol("(")) {
       // Parenthesized condition.
       ExpectSymbol("(");
+      Nested nested(this);
       SqlExprPtr inner = ParseCondition();
       ExpectSymbol(")");
       return inner;
@@ -308,6 +342,7 @@ class Parser {
     }
     if (AcceptKeyword("IN")) {
       ExpectSymbol("(");
+      Nested nested(this);
       auto node = std::make_shared<SqlExpr>();
       node->kind = SqlExpr::Kind::kInSubquery;
       node->left = left;
@@ -355,6 +390,7 @@ class Parser {
       if (token.IsKeyword(fn)) {
         Advance();
         ExpectSymbol("(");
+        Nested nested(this);
         node->kind = SqlExpr::Kind::kAggregate;
         node->name = fn;
         if (AcceptSymbol("*")) {
@@ -375,9 +411,7 @@ class Parser {
     if (token.kind == TokenKind::kNumber) {
       Advance();
       node->kind = SqlExpr::Kind::kLiteral;
-      node->literal = token.text.find('.') == std::string::npos
-                          ? Value::Int(std::stoll(token.text))
-                          : Value::Real(std::stod(token.text));
+      node->literal = NumberLiteral(token, /*negative=*/false);
       return node;
     }
     if (token.kind == TokenKind::kString) {
@@ -397,6 +431,7 @@ class Parser {
       return node;
     }
     if (AcceptSymbol("(")) {
+      Nested nested(this);
       SqlExprPtr inner = ParseExpr();
       ExpectSymbol(")");
       return inner;
@@ -407,6 +442,7 @@ class Parser {
   std::vector<Token> tokens_;
   size_t position_ = 0;
   size_t next_param_ = 0;  // '?' ordinals, assigned left to right
+  size_t depth_ = 0;       // open nesting levels (Nested)
 };
 
 }  // namespace

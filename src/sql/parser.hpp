@@ -11,6 +11,12 @@
 namespace quotient {
 namespace sql {
 
+/// The deepest nesting the parser accepts. Every parenthesized expression
+/// or condition, aggregate call, NOT, subquery and derived table opens one
+/// level; a statement nested deeper is a parse error rather than a
+/// recursion that could exhaust the stack.
+inline constexpr size_t kMaxNestingDepth = 128;
+
 /// Parses a SELECT query in the dialect of Section 4:
 ///
 ///   SELECT [DISTINCT] items FROM table_ref (',' table_ref)*

@@ -80,15 +80,31 @@ TEST(ExecBasicTest, EmptyInputsEverywhere) {
     EXPECT_TRUE(ExecuteToRelation(it).empty());
   }
   {
-    HashJoinIterator it(ScanOf(empty), ScanOf(kR));
-    EXPECT_TRUE(ExecuteToRelation(it).empty());
+    auto it = EquiJoinIterator::Natural(ScanOf(empty), ScanOf(kR));
+    EXPECT_TRUE(ExecuteToRelation(*it).empty());
+  }
+  {
+    // No common names: the natural join degenerates to a cross product.
+    auto it = EquiJoinIterator::Natural(ScanOf(kR), ScanOf(Relation(Schema::Parse("z"))));
+    EXPECT_TRUE(ExecuteToRelation(*it).empty());
   }
 }
 
 TEST(ExecJoinTest, HashJoinMatchesReference) {
+  // Natural joins run as the hash equi-join on the common names, emitting
+  // only the right-only columns.
   Relation t = Relation::Parse("b, c", "1,10; 2,20; 9,90");
-  HashJoinIterator it(ScanOf(kR), ScanOf(t));
-  EXPECT_EQ(ExecuteToRelation(it), NaturalJoin(kR, t));
+  auto it = EquiJoinIterator::Natural(ScanOf(kR), ScanOf(t));
+  EXPECT_EQ(it->schema().Names(), (std::vector<std::string>{"a", "b", "c"}));
+  EXPECT_EQ(ExecuteToRelation(*it), NaturalJoin(kR, t));
+  // Every right column common: a semi-join shaped natural join.
+  auto same = EquiJoinIterator::Natural(ScanOf(kR), ScanOf(kS));
+  EXPECT_EQ(ExecuteToRelation(*same), NaturalJoin(kR, kS));
+  // No common names: the cross product.
+  Relation z = Relation::Parse("z", "7; 8");
+  auto cross = EquiJoinIterator::Natural(ScanOf(kR), ScanOf(z));
+  EXPECT_EQ(ExecuteToRelation(*cross), NaturalJoin(kR, z));
+  EXPECT_EQ(ExecuteToRelation(*cross), Product(kR, z));
 }
 
 TEST(ExecJoinTest, NestedLoopThetaJoin) {
@@ -100,7 +116,7 @@ TEST(ExecJoinTest, NestedLoopThetaJoin) {
 
 TEST(ExecJoinTest, EquiJoinOnExplicitKeys) {
   Relation t = Relation::Parse("x, y", "1,100; 5,500");
-  EquiJoinIterator it(ScanOf(kR), ScanOf(t), {"b"}, {"x"});
+  EquiJoinIterator it(ScanOf(kR), ScanOf(t), {"b"}, {"x"}, {"x", "y"});
   ExprPtr theta = Expr::ColEqCol("b", "x");
   EXPECT_EQ(ExecuteToRelation(it), ThetaJoin(kR, t, theta));
 }

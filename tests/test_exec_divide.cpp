@@ -170,38 +170,5 @@ TEST(HashGreatDivideTest, RandomizedAgainstReference) {
   }
 }
 
-TEST(GreatDividePartitioned, MatchesReferenceAcrossThreadCounts) {
-  DataGen gen(0xAB12ull);
-  Relation r1 = gen.Dividend(20, 12, 0.5);
-  Relation r2 = gen.GreatDivisor(9, 12, 0.25);
-  Relation expected = GreatDivideSCD(r1, r2);
-  for (size_t threads : {1u, 2u, 3u, 4u, 8u}) {
-    EXPECT_EQ(GreatDividePartitioned(r1, r2, threads), expected) << threads << " threads";
-  }
-}
-
-TEST(SetContainmentJoinExec, AgreesWithReferenceOnFigure3) {
-  Relation r1 = Nest(paper::Fig1Dividend(), "b", "b1");
-  Relation r2 = Nest(paper::Fig2Divisor(), "b", "b2");
-  SetContainmentJoinIterator it(
-      std::make_unique<RelationScan>(std::make_shared<const Relation>(r1)), "b1",
-      std::make_unique<RelationScan>(std::make_shared<const Relation>(r2)), "b2");
-  EXPECT_EQ(ExecuteToRelation(it), SetContainmentJoin(r1, "b1", r2, "b2"));
-}
-
-TEST(SetContainmentJoinExec, RandomizedAgainstReference) {
-  DataGen gen(77);
-  for (int round = 0; round < 40; ++round) {
-    Relation left_flat = gen.Dividend(gen.UniformInt(1, 8), 10, 0.4);
-    Relation right_flat = gen.GreatDivisor(gen.UniformInt(1, 5), 10, 0.3);
-    Relation r1 = Nest(left_flat, "b", "s1");
-    Relation r2 = Rename(Nest(right_flat, "b", "s2"), {{"c", "g"}});
-    SetContainmentJoinIterator it(
-        std::make_unique<RelationScan>(std::make_shared<const Relation>(r1)), "s1",
-        std::make_unique<RelationScan>(std::make_shared<const Relation>(r2)), "s2");
-    EXPECT_EQ(ExecuteToRelation(it), SetContainmentJoin(r1, "s1", r2, "s2")) << round;
-  }
-}
-
 }  // namespace
 }  // namespace quotient

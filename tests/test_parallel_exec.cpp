@@ -19,7 +19,6 @@
 #include "exec/batch.hpp"
 #include "exec/exec_basic.hpp"
 #include "exec/exec_divide.hpp"
-#include "exec/exec_great_divide.hpp"
 #include "exec/pipeline.hpp"
 #include "exec/scheduler.hpp"
 #include "opt/planner.hpp"
@@ -236,24 +235,6 @@ TEST(ParallelExecProperty, RandomizedPlansAgainstOracle) {
   }
 }
 
-TEST(ParallelExecProperty, PartitionedGreatDivideMatchesSingleThread) {
-  // Law 13 as a strategy, now scheduled on the shared worker pool: the
-  // partition count and the pool's thread count vary independently and the
-  // result never changes.
-  DataGen gen(0x1A13);
-  Relation dividend = gen.Dividend(50, 24, 0.4);
-  Relation divisor = gen.GreatDivisor(6, 24, 0.3);
-  Relation reference = GreatDivideSCD(dividend, divisor);
-  ASSERT_EQ(ExecGreatDivide(dividend, divisor), reference);
-  for (size_t partitions : {1, 2, 3, 5}) {
-    for (size_t threads : kThreadCounts) {
-      ScopedExecThreads scoped(threads);
-      EXPECT_EQ(GreatDividePartitioned(dividend, divisor, partitions), reference)
-          << "partitions=" << partitions << " threads=" << threads;
-    }
-  }
-}
-
 // --- executor unit tests ----------------------------------------------------
 
 TEST(ParallelExecUnit, ExplainReportsDegreeOfParallelism) {
@@ -349,32 +330,16 @@ TEST(ParallelExecUnit, CatalogEncodingSharedUnderConcurrentRequests) {
 }
 
 TEST(ParallelExecUnit, NestedParallelForRunsInline) {
-  // A task may itself start a parallel region (GreatDividePartitioned's
-  // partitions contain divisions with their own pipelines). Nested regions
-  // must run inline — both on pool workers and on the draining owner
-  // thread, where re-acquiring the region mutex would deadlock.
+  // A task may itself start a parallel region (any code running under
+  // ParallelFor that drains a pipeline). Nested regions must run inline —
+  // both on pool workers and on the draining owner thread, where
+  // re-acquiring the region mutex would deadlock.
   ScopedExecThreads threads(4);
   std::atomic<size_t> inner_runs{0};
   ParallelFor(8, [&](size_t) {
     ParallelFor(8, [&](size_t) { inner_runs.fetch_add(1); });
   });
   EXPECT_EQ(inner_runs.load(), 64u);
-}
-
-TEST(ParallelExecProperty, PartitionedGreatDivideWithNestedParallelDrains) {
-  // Large dividend + tiny morsels: the per-partition divisions want
-  // parallel drains while the partitions themselves occupy the pool.
-  DataGen gen(0xD1B);
-  Relation dividend = gen.Dividend(120, 24, 0.4);
-  Relation divisor = gen.GreatDivisor(5, 24, 0.3);
-  ScopedMorselRows morsels(8);
-  ScopedBatchRows batches(16);
-  Relation reference = GreatDivideSCD(dividend, divisor);
-  for (size_t threads : kThreadCounts) {
-    ScopedExecThreads scoped(threads);
-    EXPECT_EQ(GreatDividePartitioned(dividend, divisor, /*threads=*/3), reference)
-        << "threads=" << threads;
-  }
 }
 
 TEST(ParallelExecUnit, SchedulerRunsEveryTaskExactlyOnceAndPropagatesErrors) {

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+
 #include "util/status.hpp"
 
 namespace quotient {
@@ -59,6 +61,29 @@ TEST(PredicateTest, LogicAndArithmetic) {
   EXPECT_EQ(division->Eval(kSchema, kRow), V(3.5));
   ExprPtr by_zero = Expr::Arith(Expr::Kind::kDiv, Expr::Literal(V(7)), Expr::Literal(V(0)));
   EXPECT_THROW(by_zero->Eval(kSchema, kRow), SchemaError);
+}
+
+TEST(PredicateTest, IntegerOverflowThrows) {
+  // a = 3: every int64 result that does not fit throws, bound or not; the
+  // extremes that do fit are exact.
+  const int64_t kMax = INT64_MAX;
+  const int64_t kMin = INT64_MIN;
+  auto add = [](int64_t literal) {
+    return Expr::Arith(Expr::Kind::kAdd, Expr::Column("a"), Expr::Literal(V(literal)));
+  };
+  auto sub = [](int64_t literal) {
+    return Expr::Arith(Expr::Kind::kSub, Expr::Literal(V(literal)), Expr::Column("a"));
+  };
+  auto mul = [](int64_t literal) {
+    return Expr::Arith(Expr::Kind::kMul, Expr::Column("a"), Expr::Literal(V(literal)));
+  };
+  for (const ExprPtr& e : {add(kMax - 2), sub(kMin + 2), mul(kMax / 2)}) {
+    EXPECT_THROW(e->Eval(kSchema, kRow), SchemaError) << e->ToString();
+    EXPECT_THROW(BoundExpr(e, kSchema).Eval(kRow), SchemaError) << e->ToString();
+  }
+  EXPECT_EQ(add(kMax - 3)->Eval(kSchema, kRow), V(kMax));
+  EXPECT_EQ(sub(kMin + 3)->Eval(kSchema, kRow), V(kMin));
+  EXPECT_EQ(mul(kMax / 3)->Eval(kSchema, kRow), V(kMax / 3 * 3));
 }
 
 TEST(PredicateTest, ColumnsAndScope) {

@@ -116,8 +116,8 @@ TEST(RecyclerTest, JoinBuildSidesRecycleAcrossPlanExecutions) {
                            LogicalOp::Rename(LogicalOp::Scan(catalog, "r3"),
                                              {{"b", "b2"}, {"c", "c2"}}),
                            Expr::ColEqCol("b", "b2")),
-      // Natural join on the shared attribute -> HashJoinIterator
-      // ("join.natural" build key).
+      // Natural join on the shared attribute -> EquiJoinIterator on the
+      // common names ("join.natural" build key).
       LogicalOp::NaturalJoin(LogicalOp::Scan(catalog, "r1"),
                              LogicalOp::Scan(catalog, "r3")),
   };

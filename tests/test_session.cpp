@@ -334,6 +334,25 @@ TEST_F(SessionTest, BadInputNeverThrows) {
   EXPECT_FALSE(session_.Prepare("EXPLAIN").ok());
 }
 
+TEST_F(SessionTest, IntegerOverflowIsATypedErrorOnBothPaths) {
+  // The shape compiles (no oracle fallback) ...
+  const std::string compiled = "SELECT s# FROM supplies WHERE s# + ";
+  Result<QueryResult> fits = session_.Execute(compiled + "1 < 0");
+  ASSERT_TRUE(fits.ok()) << fits.error();
+  EXPECT_TRUE(fits.value().compile.compiled);
+  // ... and its overflow is an error, not a wrapped value that selects
+  // every row.
+  Result<QueryResult> overflow = session_.Execute(compiled + "9223372036854775807 < 0");
+  ASSERT_FALSE(overflow.ok());
+  EXPECT_EQ(overflow.status().code(), StatusCode::kError);
+  EXPECT_NE(overflow.error().find("integer overflow"), std::string::npos) << overflow.error();
+  // A computed select item runs on the oracle and reports the same.
+  Result<QueryResult> item = session_.Execute("SELECT s# * 9223372036854775807 AS x FROM supplies");
+  ASSERT_FALSE(item.ok());
+  EXPECT_EQ(item.status().code(), StatusCode::kError);
+  EXPECT_NE(item.error().find("integer overflow"), std::string::npos) << item.error();
+}
+
 TEST_F(SessionTest, CursorRowGranularity) {
   Result<ResultCursor> cursor = session_.Query(kQ1);
   ASSERT_TRUE(cursor.ok()) << cursor.error();

@@ -63,6 +63,19 @@ TEST_F(SqlInterpTest, SelectExpressionItems) {
   EXPECT_EQ(r.tuples()[0][0], V(2));
 }
 
+TEST_F(SqlInterpTest, IntegerOverflowIsAnError) {
+  // int64 arithmetic that does not fit is an error, never a wrapped value.
+  for (const char* query : {"SELECT a + 9223372036854775807 AS x FROM t",
+                            "SELECT a FROM t WHERE a + 9223372036854775807 < 0",
+                            "SELECT a FROM t WHERE 0 - b - 9223372036854775807 < 0",
+                            "SELECT a FROM t WHERE b * 4611686018427387904 > 0"}) {
+    Result<Relation> result = sql::ExecuteSql(query, catalog_);
+    ASSERT_FALSE(result.ok()) << query;
+    EXPECT_NE(result.error().find("integer overflow"), std::string::npos) << result.error();
+  }
+  EXPECT_EQ(Run("SELECT a FROM t WHERE a + 9223372036854775804 < 0"), Relation(Schema::Parse("a")));
+}
+
 TEST_F(SqlInterpTest, CorrelatedExistsSeesOuterRow) {
   EXPECT_EQ(Run("SELECT a FROM t WHERE EXISTS (SELECT * FROM u WHERE u.a = t.a)"),
             Relation::Parse("a", "1; 3"));

@@ -3,6 +3,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <functional>
+
 #include "sql/lexer.hpp"
 #include "sql/parser.hpp"
 
@@ -150,6 +153,66 @@ TEST(ParserTest, SyntaxErrors) {
   EXPECT_FALSE(ParseQuery("SELECT a FROM t DIVIDE BY p").ok());    // missing ON
   EXPECT_FALSE(ParseQuery("SELECT a FROM t extra garbage !").ok());
   EXPECT_FALSE(ParseQuery("").ok());
+}
+
+// One level past kMaxNestingDepth is a typed parse error, not a recursion
+// deep enough to exhaust the stack; the limit itself still parses.
+void ExpectNestingLimit(const std::function<std::string(size_t)>& nest) {
+  auto at_limit = ParseQuery(nest(kMaxNestingDepth));
+  EXPECT_TRUE(at_limit.ok()) << at_limit.error();
+  auto past_limit = ParseQuery(nest(kMaxNestingDepth + 1));
+  ASSERT_FALSE(past_limit.ok());
+  EXPECT_EQ(past_limit.status().code(), StatusCode::kError);
+  EXPECT_NE(past_limit.error().find("nesting deeper than " + std::to_string(kMaxNestingDepth) +
+                                    " levels at position"),
+            std::string::npos)
+      << past_limit.error();
+}
+
+TEST(ParserTest, DerivedTablesNestedPastTheLimitAreAParseError) {
+  ExpectNestingLimit([](size_t depth) {
+    std::string query = "SELECT a FROM t";
+    for (size_t i = 0; i < depth; ++i) query = "SELECT a FROM (" + query + ") AS d";
+    return query;
+  });
+}
+
+TEST(ParserTest, ParenthesesNestedPastTheLimitAreAParseError) {
+  ExpectNestingLimit([](size_t depth) {
+    return "SELECT a FROM t WHERE " + std::string(depth, '(') + "a = 1" +
+           std::string(depth, ')');
+  });
+  ExpectNestingLimit([](size_t depth) {
+    return "SELECT a FROM t WHERE a = " + std::string(depth, '(') + "1" + std::string(depth, ')');
+  });
+  ExpectNestingLimit([](size_t depth) {
+    std::string query = "SELECT a FROM t WHERE ";
+    for (size_t i = 0; i < depth; ++i) query += "NOT ";
+    return query + "a = 1";
+  });
+}
+
+TEST(ParserTest, OutOfRangeIntegerLiteralIsAParseError) {
+  const std::string where = "SELECT a FROM t WHERE s# = ";
+  auto result = ParseQuery(where + "99999999999999999999999");
+  ASSERT_FALSE(result.ok());
+  EXPECT_EQ(result.status().code(), StatusCode::kError);
+  EXPECT_EQ(result.error(),
+            "integer literal out of range at position " + std::to_string(where.size()));
+  // The LIMIT and INSERT literal paths report the same error.
+  auto limit = ParseStatement("SELECT a FROM t LIMIT 99999999999999999999999");
+  ASSERT_FALSE(limit.ok());
+  EXPECT_EQ(limit.error(), "integer literal out of range at position 22");
+  auto insert = ParseStatement("INSERT INTO t VALUES (-99999999999999999999999)");
+  ASSERT_FALSE(insert.ok());
+  EXPECT_EQ(insert.error(), "integer literal out of range at position 23");
+  // The int64 extremes themselves are representable.
+  auto max = ParseQuery(where + "9223372036854775807");
+  ASSERT_TRUE(max.ok()) << max.error();
+  EXPECT_EQ(max.value()->where->right->literal, Value::Int(INT64_MAX));
+  auto min = ParseStatement("INSERT INTO t VALUES (-9223372036854775808)");
+  ASSERT_TRUE(min.ok()) << min.error();
+  EXPECT_EQ(min.value()->insert.rows[0][0], Value::Int(INT64_MIN));
 }
 
 TEST(ParserTest, ToStringRoundTripParses) {
