@@ -3,21 +3,20 @@
 // estimates, and physical-execution row counts.
 
 #include <cstdio>
+#include <vector>
 
 #include "algebra/generator.hpp"
 #include "api/session.hpp"
+#include "core/engine.hpp"
 #include "opt/optimizer.hpp"
 
 using namespace quotient;
 
 namespace {
 
-void Explain(const char* title, const PlanPtr& plan, const Catalog& catalog,
-             bool runtime_checks = false) {
+void Explain(const char* title, const PlanPtr& plan, const Catalog& catalog) {
   std::printf("================ %s\noriginal plan:\n%s\n", title, plan->ToString().c_str());
-  OptimizerOptions options;
-  options.allow_runtime_checks = runtime_checks;
-  Optimizer optimizer(catalog, options);
+  Optimizer optimizer(catalog);
   OptimizationReport report;
   ExecProfile profile;
   Relation result = optimizer.Run(plan, &profile, &report);
@@ -68,6 +67,26 @@ int main() {
                                                {{AggFunc::kSum, "x", "b"}}),
                             LogicalOp::Scan(catalog, "one")),
           catalog);
+
+  // Law 4 replicates a divisor selection onto the dividend only when the
+  // selected divisor is provably nonempty (condition c1). The optimizer
+  // proves preconditions from declared metadata alone; evaluating data for
+  // c1 is the §5.1.1 trade-off, shown here on the fixpoint rewrite driver
+  // with runtime checks allowed.
+  {
+    PlanPtr plan = LogicalOp::Divide(
+        LogicalOp::Scan(catalog, "r1"),
+        LogicalOp::Select(LogicalOp::Scan(catalog, "r2"), Expr::ColCmp("b", CmpOp::kLt, V(12))));
+    std::printf("================ Law 4: replicate divisor selection (runtime c1 check)\n"
+                "original plan:\n%s\n", plan->ToString().c_str());
+    std::vector<RewriteStep> trace;
+    PlanPtr rewritten = RewriteEngine::Default().Rewrite(
+        plan, RewriteContext{&catalog, /*allow_runtime_checks=*/true}, &trace);
+    std::printf("applied rewrites:\n%s\nrewritten plan:\n%s\n", SummarizeRewrites(trace).c_str(),
+                rewritten->ToString().c_str());
+    std::printf("result: %zu tuples (original plan: %zu)\n\n",
+                ExecutePlan(rewritten, catalog).size(), ExecutePlan(plan, catalog).size());
+  }
 
   // The same machinery from SQL: the Session front door runs EXPLAIN as a
   // statement, so clients see the rewrite trace without building plans.

@@ -36,11 +36,11 @@
 #                                the conflict-abort path, and dirty-overlay
 #                                reads vs cached snapshot reads
 #     BENCH_optimizer.json       cost-guided rewrite search (docs/
-#                                optimizer.md): compile-time cost of the
-#                                memoized exploration vs the greedy
-#                                fixpoint, and execution of the plan each
-#                                mode picks for a union-divisor query Law 1
-#                                makes searchable but greedy cannot reach
+#                                optimizer.md): compile time of the one
+#                                rewrite driver, and execution of the plan
+#                                the greedy fixpoint and the search pick
+#                                for a union-divisor query Law 1 makes
+#                                searchable but the fixpoint cannot reach
 #   Every benchmark runs 5 repetitions and reports only the aggregates
 #   (mean, median, stddev, cv); the merged files compare medians. Every
 #   output's "context" records num_cpus, build_type, compiler and git_sha.
@@ -121,9 +121,9 @@ run_bench_threads bench_recycler "${par_threads}" "${out_dir}/.recycler_raw.json
 # dirty-overlay reads against the cached snapshot-read baseline.
 run_bench_threads bench_txn "${par_threads}" "${out_dir}/BENCH_txn.json"
 
-# Cost-guided rewrite search: Optimize() greedy vs search on a law-rich
-# plan (compile-time overhead), and execution of each mode's chosen plan on
-# a union-divisor workload only the search rule set can rewrite (Law 1).
+# Cost-guided rewrite search: Optimize() on a law-rich plan (compile time),
+# and execution of the greedy fixpoint's vs the search's plan on a
+# union-divisor workload only the search rule set can rewrite (Law 1).
 run_bench_threads bench_optimizer 1 "${out_dir}/BENCH_optimizer.json"
 
 run_bench_threads bench_division_algorithms 1 "${out_dir}/.div_par1.json"

@@ -1,6 +1,7 @@
 #include "algebra/ops.hpp"
 
 #include <algorithm>
+#include <limits>
 #include <map>
 #include <unordered_map>
 
@@ -192,7 +193,12 @@ Value AggFinish(const AggSpec& spec, const AggState& s) {
     case AggFunc::kCount: return Value::Int(s.count);
     case AggFunc::kSum:
       if (s.count == 0) return Value();
-      return s.sum_is_int ? Value::Int(s.sum_int) : Value::Real(s.sum);
+      if (!s.sum_is_int) return Value::Real(s.sum);
+      if (s.sum_int < std::numeric_limits<int64_t>::min() ||
+          s.sum_int > std::numeric_limits<int64_t>::max()) {
+        throw SchemaError("integer overflow in SUM");
+      }
+      return Value::Int(static_cast<int64_t>(s.sum_int));
     case AggFunc::kMin: return s.has_minmax ? s.min : Value();
     case AggFunc::kMax: return s.has_minmax ? s.max : Value();
     case AggFunc::kAvg:

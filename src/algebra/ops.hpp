@@ -75,7 +75,10 @@ struct AggState {
   int64_t count = 0;
   double sum = 0;
   bool sum_is_int = true;
-  int64_t sum_int = 0;
+  /// Wide enough that no realistic number of int64 adds can wrap it; the
+  /// int64 range is checked once, in AggFinish, so the verdict does not
+  /// depend on morsel or merge order.
+  __int128 sum_int = 0;
   bool has_minmax = false;
   Value min;
   Value max;
@@ -95,7 +98,8 @@ void AggAccumulate(const AggSpec& spec, const Value& v, AggState* state);
 /// only parallelizes aggregations whose sum/avg arguments are integer.
 void AggMerge(const AggState& src, AggState* dst);
 
-/// The final output value for `spec` over `state`.
+/// The final output value for `spec` over `state`. An integer SUM outside
+/// the int64 range throws SchemaError ("integer overflow in SUM").
 Value AggFinish(const AggSpec& spec, const AggState& state);
 
 /// GγF(r) (Appendix A): groups `r` by `group_names` and computes the

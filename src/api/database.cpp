@@ -151,13 +151,8 @@ TransactionStats Database::transaction_stats() const {
 
 void Database::NoteCompile(const CompileInfo& info) {
   std::lock_guard<std::mutex> lock(optimizer_mutex_);
-  for (const RewriteStep& step : info.rewrites) {
-    // Trace markers (e.g. the budget-exhausted sentinel) are parenthesized
-    // so they are distinguishable from rule names here.
-    if (!step.rule.empty() && step.rule.front() == '(') continue;
-    ++optimizer_stats_.law_fires[step.rule];
-  }
-  if (info.search_candidates > 0) ++optimizer_stats_.searched_compiles;
+  for (const RewriteStep& step : info.rewrites) ++optimizer_stats_.law_fires[step.rule];
+  ++optimizer_stats_.searched_compiles;
   if (info.rewrite_budget_exhausted) ++optimizer_stats_.budget_exhausted;
 }
 

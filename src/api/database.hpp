@@ -107,19 +107,16 @@ struct CompileInfo {
   bool compiled = false;   // false: the oracle interpreter ran / would run
   bool cache_hit = false;  // served from the plan cache
   std::string fallback_reason;  // why the lowering refused (when !compiled)
-  std::string normalized_sql;   // the plan-cache key (minus options prefix)
+  std::string normalized_sql;   // the plan-cache key
   PlanPtr lowered;              // straight from sql::LowerQuery
-  PlanPtr optimized;            // after the law rewrites (cost guarded)
+  PlanPtr optimized;            // the searched plan (never costlier than lowered)
   std::vector<RewriteStep> rewrites;  // applied laws, in order
   double lowered_cost = 0;
   double optimized_cost = 0;
-  /// Cost of the greedy fixpoint plan, the search's A/B reference
-  /// (== lowered_cost when no rule fired).
-  double greedy_cost = 0;
-  /// Cost-guided search accounting (opt/memo.hpp); zero when search is off.
+  /// Cost-guided search accounting (opt/memo.hpp).
   size_t search_candidates = 0;
   size_t memo_hits = 0;
-  /// A rewrite or candidate budget truncated exploration.
+  /// A search budget (opt/memo.hpp's constants) truncated exploration.
   bool rewrite_budget_exhausted = false;
 };
 

@@ -56,25 +56,6 @@ std::string NormalizeSql(const std::vector<sql::Token>& tokens) {
   return out;
 }
 
-/// The shared plan cache is keyed on (options fingerprint, normalized SQL):
-/// sessions configured identically reuse each other's plans, sessions with
-/// different rule sets / search settings / fallback policy never collide.
-/// The '\n' separator cannot occur in normalized SQL (tokens are joined
-/// with single spaces).
-std::string OptionsFingerprint(const SessionOptions& options) {
-  const OptimizerOptions& opt = options.optimizer;
-  std::string fp;
-  fp += opt.use_rules ? 'R' : 'r';
-  fp += opt.allow_runtime_checks ? 'C' : 'c';
-  fp += options.allow_oracle_fallback ? 'F' : 'f';
-  fp += std::to_string(opt.max_rewrite_steps);
-  fp += opt.search ? 'S' : 's';
-  fp += ':';
-  fp += std::to_string(opt.max_search_candidates);
-  fp += '\n';
-  return fp;
-}
-
 /// CI override (.github/workflows/ci.yml, spill-forced-sanitizer job):
 /// QUOTIENT_SPILL_WATERMARK=<bytes> arms a spill watermark on every session
 /// that doesn't configure one, so the whole test suite can re-run with
@@ -309,12 +290,10 @@ Session::Session(SessionOptions options)
 Session::Session(std::shared_ptr<Database> database, SessionOptions options)
     : database_(std::move(database)),
       options_(std::move(options)),
-      cache_key_prefix_(OptionsFingerprint(options_)),
       snapshot_(database_->snapshot()),
       cancels_(std::make_unique<CancelRegistry>()) {
   // Thread the database's artifact recycler into the planner so blocking
-  // sinks can adopt cached build state. Deliberately NOT part of the
-  // options fingerprint: recycling governs execution, not plan shape.
+  // sinks can adopt cached build state.
   options_.optimizer.planner.recycler = database_->recycler();
 }
 
@@ -483,15 +462,14 @@ Session::ReadView Session::PinView() {
   return ReadView{Pin(), nullptr};
 }
 
-Result<Session::CompiledRef> Session::Compile(const Catalog& catalog, uint64_t version,
-                                              bool allow_cache,
-                                              std::shared_ptr<const sql::SqlQuery> ast,
-                                              const std::string& normalized,
-                                              size_t param_count, const StatsCache* stats) {
+Session::CompiledRef Session::Compile(const Catalog& catalog, uint64_t version,
+                                      bool allow_cache, std::shared_ptr<const sql::SqlQuery> ast,
+                                      const std::string& normalized, size_t param_count,
+                                      const StatsCache* stats) {
   const bool use_cache = allow_cache && options_.plan_cache_capacity > 0;
-  std::string key = cache_key_prefix_ + normalized;
   if (use_cache) {
-    if (std::shared_ptr<const CompiledStatement> entry = database_->CacheLookup(key, version)) {
+    if (std::shared_ptr<const CompiledStatement> entry =
+            database_->CacheLookup(normalized, version)) {
       return CompiledRef{std::move(entry), /*cache_hit=*/true};
     }
   }
@@ -505,36 +483,28 @@ Result<Session::CompiledRef> Session::Compile(const Catalog& catalog, uint64_t v
   if (lowered.ok()) {
     compiled->info.compiled = true;
     compiled->info.lowered = lowered.value();
-    OptimizerOptions optimizer_options = options_.optimizer;
-    // Data-dependent runtime checks would have to evaluate subplans whose
-    // predicates still carry '?' slots; compile parameterized statements
-    // with the cheap declared-metadata preconditions only.
-    if (param_count > 0) optimizer_options.allow_runtime_checks = false;
-    Optimizer optimizer(catalog, optimizer_options, stats);
+    Optimizer optimizer(catalog, options_.optimizer, stats);
     OptimizationReport report = optimizer.Optimize(compiled->info.lowered);
     compiled->info.optimized = report.chosen;
     compiled->info.rewrites = std::move(report.steps);
     compiled->info.lowered_cost = report.original_cost;
     compiled->info.optimized_cost = report.chosen_cost;
-    compiled->info.greedy_cost = report.greedy_cost;
     compiled->info.search_candidates = report.search_candidates;
     compiled->info.memo_hits = report.memo_hits;
     compiled->info.rewrite_budget_exhausted = report.budget_exhausted;
     database_->NoteCompile(compiled->info);
     CollectScanTables(compiled->info.optimized, &tables);
     CollectScanTables(compiled->info.lowered, &tables);
-  } else if (options_.allow_oracle_fallback) {
+  } else {
     compiled->info.fallback_reason = lowered.error();
     // No plan to walk on the oracle path: the AST's table references are
     // the invalidation domain (including not-yet-created tables, so a
     // later CreateTable retires a cached "unknown table" outcome).
     sql::CollectTables(*compiled->ast, &tables);
-  } else {
-    return Result<CompiledRef>::Error(lowered.error());
   }
 
   if (use_cache) {
-    database_->CacheInsert(key, compiled, version,
+    database_->CacheInsert(normalized, compiled, version,
                            std::vector<std::string>(tables.begin(), tables.end()));
   }
   return CompiledRef{std::move(compiled), /*cache_hit=*/false};
@@ -553,13 +523,11 @@ Result<Session::BoundStatement> Session::CompileStatement(Statement statement) {
   // shared plan cache and the artifact recycler are off-limits for them
   // (a plan or divisor built over uncommitted rows must never be visible
   // at a committed catalog version).
-  Result<CompiledRef> compiled =
+  bound.compiled =
       Compile(bound.exec_catalog(), bound.snapshot->version(),
               /*allow_cache=*/bound.overlay == nullptr, statement.ast, statement.normalized, 0,
               bound.overlay == nullptr ? &bound.snapshot->stats() : nullptr);
-  if (!compiled.ok()) return Result<BoundStatement>::Error(compiled.error());
   bound.statement = std::move(statement);
-  bound.compiled = std::move(compiled).value();
   bound.plan = bound.compiled.entry->info.optimized;
   bound.ast = bound.compiled.entry->ast;
   return bound;
@@ -581,15 +549,13 @@ Result<Session::BoundStatement> Session::BindPrepared(const PreparedStatement& p
   // entry is stale and this recompiles against the new snapshot — prepared
   // statements survive DDL. Inside a dirty transaction the cache is
   // bypassed; see CompileStatement.)
-  Result<CompiledRef> compiled =
+  bound.compiled =
       Compile(bound.exec_catalog(), bound.snapshot->version(),
               /*allow_cache=*/bound.overlay == nullptr, prepared.ast_, prepared.normalized_,
               prepared.param_count_,
               bound.overlay == nullptr ? &bound.snapshot->stats() : nullptr);
-  if (!compiled.ok()) return Result<BoundStatement>::Error(compiled.error());
   bound.statement =
       Statement{prepared.explain_, prepared.analyze_, prepared.ast_, prepared.normalized_};
-  bound.compiled = std::move(compiled).value();
   const CompiledStatement& entry = *bound.compiled.entry;
   if (entry.info.compiled) {
     // Bind the values into the cached optimized plan: a path copy touching
@@ -718,20 +684,13 @@ Relation Session::RenderExplain(const CompileInfo& info, bool analyze,
     lines.push_back("rewrites applied: " + std::to_string(info.rewrites.size()));
     AppendBlock(SummarizeRewrites(info.rewrites), "", &lines);
     char cost[160];
-    std::snprintf(cost, sizeof(cost),
-                  "estimated cost: %.1f -> %.1f (greedy fixpoint: %.1f)", info.lowered_cost,
-                  info.optimized_cost, info.greedy_cost);
+    std::snprintf(cost, sizeof(cost), "estimated cost: %.1f -> %.1f", info.lowered_cost,
+                  info.optimized_cost);
     lines.push_back(cost);
-    if (info.search_candidates > 0) {
-      std::string search = "search: " + std::to_string(info.search_candidates) +
-                           " candidates, " + std::to_string(info.memo_hits) + " memo hits";
-      if (info.rewrite_budget_exhausted) search += " (budget exhausted)";
-      lines.push_back(std::move(search));
-    } else {
-      std::string search = "search: off (greedy fixpoint)";
-      if (info.rewrite_budget_exhausted) search += " (budget exhausted)";
-      lines.push_back(std::move(search));
-    }
+    std::string search = "search: " + std::to_string(info.search_candidates) + " candidates, " +
+                         std::to_string(info.memo_hits) + " memo hits";
+    if (info.rewrite_budget_exhausted) search += " (budget exhausted)";
+    lines.push_back(std::move(search));
     lines.push_back("logical plan (lowered):");
     AppendBlock(info.lowered->ToString(), "  ", &lines);
     if (!info.rewrites.empty()) {
@@ -1000,9 +959,7 @@ Result<PreparedStatement> Session::Prepare(const std::string& sql) {
     prepared.analyze_ = statement.value().analyze;
     // Warm the shared cache now: the statement compiles (lower → rewrite)
     // exactly once here; every Execute/Query binding is then a cache hit.
-    // Compile errors (possible only with the oracle fallback disabled) are
-    // surfaced by Execute/Query, preserving the Prepare-never-compiles
-    // error contract. With caching disabled the result could not be kept,
+    // With caching disabled the result could not be kept,
     // so don't compile a throwaway — and inside a transaction the warm-up
     // is skipped too (dirty overlays never publish to the shared cache;
     // BindPrepared compiles against the txn view on first use).

@@ -3,9 +3,10 @@
 // The engine's front door (docs/api.md): a Session compiles every SQL
 // statement through the full stack the paper argues for — parse, lower to a
 // logical plan with first-class division operators (sql/lower.hpp), rewrite
-// by the law-based engine (core/engine.hpp, cost guarded by
-// opt/optimizer.hpp), and execute on the batched/morsel-parallel pipeline
-// executor (exec/pipeline.hpp). Statements the lowering cannot express fall
+// by the memoized cost-guided search over the paper's laws
+// (opt/optimizer.hpp, opt/memo.hpp), and execute on the batched/morsel-
+// parallel pipeline executor (exec/pipeline.hpp). The plan cache is keyed on
+// the normalized SQL alone. Statements the lowering cannot express fall
 // back to the tuple-at-a-time oracle interpreter (sql::ExecuteQueryOracle)
 // with the reason recorded in the profile, so semantics never regress while
 // the fast path grows.
@@ -46,22 +47,17 @@ namespace quotient {
 class Transaction;
 
 struct SessionOptions {
-  /// Rule set, cost guard, and search settings. Part of the plan
-  /// cache key: sessions with different optimizer options never share
-  /// cached plans.
+  /// Physical-planner settings. Not part of the plan-cache key (the
+  /// normalized SQL alone): they govern execution, not the logical plan.
   OptimizerOptions optimizer;
   /// Plan-cache capacity for a session-private Database (ignored when
   /// connecting to an existing Database, whose own capacity rules).
   /// 0 additionally opts this session out of the shared cache entirely.
   size_t plan_cache_capacity = 64;
-  /// When the lowering cannot express a statement, run it on the oracle
-  /// interpreter instead of failing. Disable to surface lowering errors
-  /// (the differential tests do, to prove coverage).
-  bool allow_oracle_fallback = true;
 
   // ---- query lifecycle governor (exec/query_context.hpp) ----
-  // These configure the per-statement QueryContext and are deliberately NOT
-  // part of the plan-cache fingerprint: they govern execution, not plans.
+  // These configure the per-statement QueryContext: they govern execution,
+  // not plans.
   /// Per-statement wall-clock deadline, measured on the monotonic clock
   /// from each statement's start. Zero = none. A statement exceeding it
   /// unwinds with StatusCode::kDeadlineExceeded.
@@ -325,10 +321,9 @@ class Session {
   /// `stats` is the pinned snapshot's harvest cache feeding the cost model,
   /// or null for dirty-transaction compiles (the optimizer then owns a
   /// transient cache over the overlay catalog).
-  Result<CompiledRef> Compile(const Catalog& catalog, uint64_t version, bool allow_cache,
-                              std::shared_ptr<const sql::SqlQuery> ast,
-                              const std::string& normalized, size_t param_count,
-                              const StatsCache* stats);
+  CompiledRef Compile(const Catalog& catalog, uint64_t version, bool allow_cache,
+                      std::shared_ptr<const sql::SqlQuery> ast, const std::string& normalized,
+                      size_t param_count, const StatsCache* stats);
   /// Shared unbound-'?' check → compile back half of Execute/Query (after
   /// ParseStatement routed commands to RunCommand).
   Result<BoundStatement> CompileStatement(Statement statement);
@@ -368,8 +363,7 @@ class Session {
 
   std::shared_ptr<Database> database_;
   SessionOptions options_;
-  std::string cache_key_prefix_;  // options fingerprint (see session.cpp)
-  SnapshotPtr snapshot_;          // this session's pinned catalog view
+  SnapshotPtr snapshot_;  // this session's pinned catalog view
   std::unique_ptr<CancelRegistry> cancels_;
   std::unique_ptr<Transaction> txn_;  // open transaction, if any
 };

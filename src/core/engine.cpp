@@ -6,8 +6,8 @@ namespace quotient {
 
 RewriteEngine RewriteEngine::Default() { return RewriteEngine(DefaultRuleSet()); }
 
-PlanPtr RewriteEngine::TryNode(const PlanPtr& node, const RewriteContext& context,
-                               RewriteStep* step) const {
+PlanPtr RewriteEngine::RewriteOnce(const PlanPtr& node, const RewriteContext& context,
+                                   RewriteStep* step) const {
   for (const RulePtr& rule : rules_) {
     PlanPtr replacement = rule->Apply(node, context);
     if (replacement != nullptr) {
@@ -22,7 +22,7 @@ PlanPtr RewriteEngine::TryNode(const PlanPtr& node, const RewriteContext& contex
   // No rule fired here; recurse into children (pre-order).
   const std::vector<PlanPtr>& children = node->children();
   for (size_t i = 0; i < children.size(); ++i) {
-    PlanPtr rewritten = TryNode(children[i], context, step);
+    PlanPtr rewritten = RewriteOnce(children[i], context, step);
     if (rewritten != nullptr) {
       std::vector<PlanPtr> new_children = children;
       new_children[i] = std::move(rewritten);
@@ -30,11 +30,6 @@ PlanPtr RewriteEngine::TryNode(const PlanPtr& node, const RewriteContext& contex
     }
   }
   return nullptr;
-}
-
-PlanPtr RewriteEngine::RewriteOnce(const PlanPtr& plan, const RewriteContext& context,
-                                   RewriteStep* step) const {
-  return TryNode(plan, context, step);
 }
 
 PlanPtr RewriteEngine::Rewrite(const PlanPtr& plan, const RewriteContext& context,

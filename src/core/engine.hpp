@@ -13,8 +13,8 @@ struct RewriteStep {
   std::string before;  // rendering of the rewritten subtree
   std::string after;
   /// Estimated cost of the whole plan after this step, when the driver
-  /// costs candidates (opt/optimizer.cpp fills it; 0 = not costed). Plain
-  /// data — the engine itself never computes costs.
+  /// costs candidates (MemoSearch, opt/memo.cpp, fills it; 0 = not
+  /// costed). Plain data — the engine itself never computes costs.
   double cost_after = 0;
 };
 
@@ -71,9 +71,6 @@ class RewriteEngine {
                                             const RewriteContext& context) const;
 
  private:
-  PlanPtr TryNode(const PlanPtr& node, const RewriteContext& context,
-                  RewriteStep* step) const;
-
   std::vector<RulePtr> rules_;
 };
 

@@ -44,8 +44,9 @@ MemoSearchResult MemoSearch(const PlanPtr& original, const RewriteEngine& engine
                             const RewriteContext& context, const Catalog& catalog,
                             const StatsCache& stats, const MemoSearchOptions& options) {
   MemoSearchResult result;
+  result.original_cost = EstimateCost(original, catalog, stats);
   result.best = original;
-  result.best_cost = EstimateCost(original, catalog, stats);
+  result.best_cost = result.original_cost;
   result.candidates = 1;
 
   std::unordered_set<std::string> visited;

@@ -28,14 +28,19 @@
 
 namespace quotient {
 
+/// The search budgets: law applications along one path (the depth bound)
+/// and candidate plans costed across the whole search. Constants, not
+/// knobs: Optimizer::Optimize always searches with these defaults.
+inline constexpr size_t kMaxRewriteSteps = 64;
+inline constexpr size_t kMaxSearchCandidates = 256;
+
 struct MemoSearchOptions {
-  /// Maximum law applications along one path (depth bound).
-  size_t max_steps = 64;
-  /// Maximum candidate plans costed across the whole search.
-  size_t max_candidates = 256;
+  size_t max_steps = kMaxRewriteSteps;
+  size_t max_candidates = kMaxSearchCandidates;
 };
 
 struct MemoSearchResult {
+  double original_cost = 0;  // EstimateCost(original)
   PlanPtr best;             // cheapest plan found (the original when nothing beat it)
   double best_cost = 0;     // EstimateCost(best)
   /// Law path from the original to `best`, each step's cost_after filled.

@@ -25,30 +25,20 @@ std::string FormatCost(double cost) {
 std::string OptimizationReport::Explain() const {
   std::string out;
   out += "original cost: " + FormatCost(original_cost) +
-         ", greedy cost: " + FormatCost(greedy_cost) +
          ", chosen cost: " + FormatCost(chosen_cost) + "\n";
-  if (search_candidates > 0) {
-    out += "search: " + std::to_string(search_candidates) + " candidates, " +
-           std::to_string(memo_hits) + " memo hits";
-    if (budget_exhausted) out += " (budget exhausted)";
-    out += "\n";
-  } else {
-    out += "search: off (greedy fixpoint)";
-    if (budget_exhausted) out += " (budget exhausted)";
-    out += "\n";
-  }
+  out += "search: " + std::to_string(search_candidates) + " candidates, " +
+         std::to_string(memo_hits) + " memo hits";
+  if (budget_exhausted) out += " (budget exhausted)";
+  out += "\n";
   if (steps.empty()) {
     out += "no rewrites applied\n";
   } else {
     out += "applied rewrites:\n";
     double running = original_cost;
     for (const RewriteStep& step : steps) {
-      out += "  - " + step.rule;
-      if (step.cost_after > 0 || step.rule != kRewriteBudgetExhausted) {
-        out += " (cost " + FormatCost(running) + " -> " + FormatCost(step.cost_after) + ")";
-        running = step.cost_after;
-      }
-      out += "\n";
+      out += "  - " + step.rule + " (cost " + FormatCost(running) + " -> " +
+             FormatCost(step.cost_after) + ")\n";
+      running = step.cost_after;
     }
   }
   out += "final plan:\n" + chosen->ToString();
@@ -58,79 +48,22 @@ std::string OptimizationReport::Explain() const {
 Optimizer::Optimizer(const Catalog& catalog, OptimizerOptions options, const StatsCache* stats)
     : catalog_(catalog),
       options_(std::move(options)),
-      engine_(RewriteEngine::Default()),
-      search_engine_(RewriteEngine(SearchRuleSet())),
+      engine_(RewriteEngine(SearchRuleSet())),
       stats_(stats) {}
 
 OptimizationReport Optimizer::Optimize(const PlanPtr& plan) const {
+  // Rules establish data-dependent preconditions from declared metadata
+  // only: a compiled plan never depends on evaluating data at compile time.
+  RewriteContext context{&catalog_, /*allow_runtime_checks=*/false};
+  MemoSearchResult searched = MemoSearch(plan, engine_, context, catalog_, stats(), {});
   OptimizationReport report;
-  report.original = plan;
-  report.original_cost = EstimateCost(plan, catalog_, stats());
-  report.chosen = plan;
-  report.chosen_cost = report.original_cost;
-  report.greedy_cost = report.original_cost;
-  if (!options_.use_rules) return report;
-
-  RewriteContext context{&catalog_, options_.allow_runtime_checks};
-
-  // The greedy fixpoint: the pre-search behavior and the search's A/B
-  // reference. Driven step-by-step here (instead of engine_.Rewrite) so
-  // every step records the whole-plan cost after it applied.
-  std::vector<RewriteStep> greedy_steps;
-  bool greedy_budget_exhausted = false;
-  PlanPtr greedy = plan;
-  for (size_t i = 0;; ++i) {
-    RewriteStep step;
-    PlanPtr next = engine_.RewriteOnce(greedy, context, &step);
-    if (next == nullptr) break;  // converged
-    if (i >= options_.max_rewrite_steps) {
-      greedy_budget_exhausted = true;
-      greedy_steps.push_back({kRewriteBudgetExhausted, "", "", 0});
-      break;
-    }
-    step.cost_after = EstimateCost(next, catalog_, stats());
-    greedy = std::move(next);
-    greedy_steps.push_back(std::move(step));
-  }
-  double greedy_cost = greedy_steps.empty() ? report.original_cost
-                                            : EstimateCost(greedy, catalog_, stats());
-  report.greedy_cost = greedy_cost;
-
-  if (!options_.search) {
-    // A/B mode — the historical all-or-nothing gate: keep the entire
-    // greedy trace only if the model does not consider it a regression
-    // (the rule set is curated, so ties go to the rewritten plan).
-    report.budget_exhausted = greedy_budget_exhausted;
-    if (!greedy_steps.empty() && greedy_cost <= report.original_cost * 1.05) {
-      report.chosen = greedy;
-      report.chosen_cost = greedy_cost;
-      report.steps = std::move(greedy_steps);
-    }
-    return report;
-  }
-
-  MemoSearchOptions memo_options;
-  memo_options.max_steps = options_.max_rewrite_steps;
-  memo_options.max_candidates = options_.max_search_candidates;
-  MemoSearchResult searched =
-      MemoSearch(plan, search_engine_, context, catalog_, stats(), memo_options);
-  report.search_candidates = searched.candidates;
-  report.memo_hits = searched.memo_hits;
-  report.budget_exhausted = searched.budget_exhausted || greedy_budget_exhausted;
-
-  // Chosen = argmin over {original, greedy fixpoint, search best}. The
-  // searched best is never worse than the original by construction;
-  // comparing the greedy plan too keeps the guarantee "search is never
-  // worse than greedy" even when the candidate budget stopped exploration
-  // short of the greedy fixpoint's path.
-  report.chosen = searched.best;
+  report.original_cost = searched.original_cost;
+  report.chosen = std::move(searched.best);
   report.chosen_cost = searched.best_cost;
   report.steps = std::move(searched.steps);
-  if (!greedy_steps.empty() && greedy_cost < report.chosen_cost) {
-    report.chosen = greedy;
-    report.chosen_cost = greedy_cost;
-    report.steps = std::move(greedy_steps);
-  }
+  report.search_candidates = searched.candidates;
+  report.memo_hits = searched.memo_hits;
+  report.budget_exhausted = searched.budget_exhausted;
   return report;
 }
 

@@ -7,38 +7,23 @@
 
 namespace quotient {
 
-/// End-to-end optimizer configuration.
+/// End-to-end optimizer configuration. The rewrite search has no knobs:
+/// Optimize always runs MemoSearch with its constant budgets (opt/memo.hpp).
 struct OptimizerOptions {
   PlannerOptions planner;
-  /// Apply the law-based rule set before lowering.
-  bool use_rules = true;
-  /// Permit rules to evaluate subplans for data-dependent preconditions
-  /// (the expensive-c1 trade-off of §5.1.1).
-  bool allow_runtime_checks = false;
-  size_t max_rewrite_steps = 64;
-  /// Explore alternative law applications best-first under the cost model
-  /// (opt/memo.hpp) instead of committing to the greedy fixpoint. Off
-  /// restores the pre-search greedy behavior, kept for A/B comparison.
-  bool search = true;
-  /// Candidate-plan budget for the search (plans costed; memo hits free).
-  size_t max_search_candidates = 256;
 };
 
 /// What the optimizer did to a query, for EXPLAIN output.
 struct OptimizationReport {
-  PlanPtr original;
   PlanPtr chosen;
   double original_cost = 0;
   double chosen_cost = 0;
-  /// Cost of the greedy fixpoint plan — the search's A/B reference. Equals
-  /// original_cost when no rule fired (or rules are off).
-  double greedy_cost = 0;
   std::vector<RewriteStep> steps;  // applied law rewrites, in order
-  /// Candidate plans costed by the search (0 when search is off).
+  /// Candidate plans costed by the search (the original included).
   size_t search_candidates = 0;
   /// Duplicate states the memo pruned by fingerprint.
   size_t memo_hits = 0;
-  /// A rewrite or search budget ran out before the space was exhausted.
+  /// A search budget ran out before the space was exhausted.
   bool budget_exhausted = false;
 
   /// Human-readable summary: costs, search totals, applied laws with
@@ -47,12 +32,9 @@ struct OptimizationReport {
 };
 
 /// The optimizer: law-based rewriting (src/core) driven by the cost model,
-/// then lowering to the execution engine. With search on (the default) the
-/// memoized best-first search picks the cheapest of every explored
-/// alternative — never worse than the original OR the greedy fixpoint.
-/// With search off, the greedy fixpoint's trace is kept only when the
-/// model does not consider it a regression — rewrites are never blindly
-/// trusted.
+/// then lowering to the execution engine. The memoized best-first search
+/// (opt/memo.hpp) over SearchRuleSet() picks the cheapest of every explored
+/// alternative, so the chosen plan is never costlier than the original.
 class Optimizer {
  public:
   /// `stats` feeds the cost model; pass the snapshot's cache
@@ -75,8 +57,7 @@ class Optimizer {
 
   const Catalog& catalog_;
   OptimizerOptions options_;
-  RewriteEngine engine_;         // greedy fixpoint: DefaultRuleSet()
-  RewriteEngine search_engine_;  // search space: SearchRuleSet()
+  RewriteEngine engine_;  // search space: SearchRuleSet()
   const StatsCache* stats_;
   StatsCache owned_stats_;
 };

@@ -51,7 +51,7 @@ struct ExecProfile {
   size_t rewrite_steps = 0;   // law rewrites applied during compilation
   // Cost-guided search accounting (opt/memo.hpp), filled by the optimizer
   // driver: candidate plans costed and duplicate states the memo pruned.
-  // Both zero when OptimizerOptions::search is off or the plan was cached.
+  // Both zero when the plan was cached.
   size_t search_candidates = 0;
   size_t memo_hits = 0;
   bool plan_cache_hit = false;    // compiled plan served from the LRU cache

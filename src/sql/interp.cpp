@@ -1,5 +1,6 @@
 #include "sql/interp.hpp"
 
+#include <limits>
 #include <map>
 #include <optional>
 
@@ -176,7 +177,7 @@ Value EvalGrouped(const SqlExpr& expr, const std::vector<Tuple>& rows, const Sch
     int64_t count = 0;
     double sum = 0;
     bool sum_int = true;
-    int64_t sum_i = 0;
+    __int128 sum_i = 0;  // range-checked once, below: no int64 add can wrap it
     std::optional<Value> min_v, max_v;
     for (const Tuple& row : rows) {
       Scope scope = outer;
@@ -199,7 +200,14 @@ Value EvalGrouped(const SqlExpr& expr, const std::vector<Tuple>& rows, const Sch
     }
     if (expr.name == "COUNT") return Value::Int(count);
     if (count == 0) return Value();
-    if (expr.name == "SUM") return sum_int ? Value::Int(sum_i) : Value::Real(sum);
+    if (expr.name == "SUM") {
+      if (!sum_int) return Value::Real(sum);
+      if (sum_i < std::numeric_limits<int64_t>::min() ||
+          sum_i > std::numeric_limits<int64_t>::max()) {
+        throw SqlError("integer overflow in SUM");
+      }
+      return Value::Int(static_cast<int64_t>(sum_i));
+    }
     if (expr.name == "AVG") return Value::Real(sum / static_cast<double>(count));
     if (expr.name == "MIN") return *min_v;
     if (expr.name == "MAX") return *max_v;

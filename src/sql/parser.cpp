@@ -1,5 +1,6 @@
 #include "sql/parser.hpp"
 
+#include <algorithm>
 #include <charconv>
 
 #include "sql/lexer.hpp"
@@ -110,6 +111,15 @@ class Parser {
    private:
     Parser* parser_;
   };
+
+  /// One more level on an expression path of `depth` levels
+  /// (kMaxExpressionDepth).
+  size_t Deeper(size_t depth) const {
+    if (depth + 1 > kMaxExpressionDepth) {
+      Fail("expression deeper than " + std::to_string(kMaxExpressionDepth) + " levels");
+    }
+    return depth + 1;
+  }
 
   /// The numeric token `token` (optionally negated) as an int or real
   /// Value; a literal its type cannot represent is a parse error.
@@ -268,27 +278,38 @@ class Parser {
   }
 
   // condition := or_term; or_term := and_term (OR and_term)*
+  //
+  // Every Parse* that returns an expression leaves its depth in chain links
+  // and parenthesized levels (kMaxExpressionDepth) in expr_depth_.
   SqlExprPtr ParseCondition() {
     SqlExprPtr left = ParseAnd();
+    size_t depth = expr_depth_;
     while (AcceptKeyword("OR")) {
+      depth = Deeper(depth);
       auto node = std::make_shared<SqlExpr>();
       node->kind = SqlExpr::Kind::kOr;
       node->left = left;
       node->right = ParseAnd();
+      depth = std::max(depth, Deeper(expr_depth_));
       left = node;
     }
+    expr_depth_ = depth;
     return left;
   }
 
   SqlExprPtr ParseAnd() {
     SqlExprPtr left = ParseCondUnary();
+    size_t depth = expr_depth_;
     while (AcceptKeyword("AND")) {
+      depth = Deeper(depth);
       auto node = std::make_shared<SqlExpr>();
       node->kind = SqlExpr::Kind::kAnd;
       node->left = left;
       node->right = ParseCondUnary();
+      depth = std::max(depth, Deeper(expr_depth_));
       left = node;
     }
+    expr_depth_ = depth;
     return left;
   }
 
@@ -313,6 +334,7 @@ class Parser {
       node->kind = SqlExpr::Kind::kExists;
       node->subquery = ParseSelect();
       ExpectSymbol(")");
+      expr_depth_ = 0;
       return node;
     }
     if (Peek().IsSymbol("(")) {
@@ -321,10 +343,12 @@ class Parser {
       Nested nested(this);
       SqlExprPtr inner = ParseCondition();
       ExpectSymbol(")");
+      expr_depth_ = Deeper(expr_depth_);
       return inner;
     }
     // expr [cmp expr | (NOT) IN (subquery)]
     SqlExprPtr left = ParseExpr();
+    size_t left_depth = expr_depth_;
     for (const char* op : {"=", "<>", "<=", ">=", "<", ">"}) {
       if (AcceptSymbol(op)) {
         auto node = std::make_shared<SqlExpr>();
@@ -332,6 +356,7 @@ class Parser {
         node->op = op;
         node->left = left;
         node->right = ParseExpr();
+        expr_depth_ = std::max(left_depth, expr_depth_);
         return node;
       }
     }
@@ -349,6 +374,7 @@ class Parser {
       node->negated = negated_in;
       node->subquery = ParseSelect();
       ExpectSymbol(")");
+      expr_depth_ = left_depth;
       return node;
     }
     return left;  // bare boolean expression
@@ -356,35 +382,44 @@ class Parser {
 
   SqlExprPtr ParseExpr() {  // additive
     SqlExprPtr left = ParseTerm();
+    size_t depth = expr_depth_;
     while (Peek().IsSymbol("+") || Peek().IsSymbol("-")) {
       std::string op = Advance().text;
+      depth = Deeper(depth);
       auto node = std::make_shared<SqlExpr>();
       node->kind = SqlExpr::Kind::kArith;
       node->op = op;
       node->left = left;
       node->right = ParseTerm();
+      depth = std::max(depth, Deeper(expr_depth_));
       left = node;
     }
+    expr_depth_ = depth;
     return left;
   }
 
   SqlExprPtr ParseTerm() {
     SqlExprPtr left = ParsePrimary();
+    size_t depth = expr_depth_;
     while (Peek().IsSymbol("*") || Peek().IsSymbol("/")) {
       std::string op = Advance().text;
+      depth = Deeper(depth);
       auto node = std::make_shared<SqlExpr>();
       node->kind = SqlExpr::Kind::kArith;
       node->op = op;
       node->left = left;
       node->right = ParsePrimary();
+      depth = std::max(depth, Deeper(expr_depth_));
       left = node;
     }
+    expr_depth_ = depth;
     return left;
   }
 
   SqlExprPtr ParsePrimary() {
     auto node = std::make_shared<SqlExpr>();
     const Token& token = Peek();
+    expr_depth_ = 0;  // a leaf; the aggregate and parenthesized cases set their own
     // Aggregate functions.
     for (const char* fn : {"COUNT", "SUM", "MIN", "MAX", "AVG"}) {
       if (token.IsKeyword(fn)) {
@@ -394,7 +429,7 @@ class Parser {
         node->kind = SqlExpr::Kind::kAggregate;
         node->name = fn;
         if (AcceptSymbol("*")) {
-          node->count_star = true;
+          node->count_star = true;  // expr_depth_ stays 0
         } else {
           node->left = ParseExpr();
         }
@@ -434,6 +469,7 @@ class Parser {
       Nested nested(this);
       SqlExprPtr inner = ParseExpr();
       ExpectSymbol(")");
+      expr_depth_ = Deeper(expr_depth_);
       return inner;
     }
     Fail("expected expression");
@@ -443,6 +479,7 @@ class Parser {
   size_t position_ = 0;
   size_t next_param_ = 0;  // '?' ordinals, assigned left to right
   size_t depth_ = 0;       // open nesting levels (Nested)
+  size_t expr_depth_ = 0;  // depth of the expression last parsed (Deeper)
 };
 
 }  // namespace

@@ -17,6 +17,13 @@ namespace sql {
 /// recursion that could exhaust the stack.
 inline constexpr size_t kMaxNestingDepth = 128;
 
+/// The deepest expression tree the parser accepts, counted in chain links
+/// (each AND, OR, +, -, * and /) and parenthesized levels along one path.
+/// Chains parse in a loop, so kMaxNestingDepth never sees them, but every
+/// later stage recurses once per link. SQLite's SQLITE_MAX_EXPR_DEPTH
+/// defaults to the same 1000.
+inline constexpr size_t kMaxExpressionDepth = 1000;
+
 /// Parses a SELECT query in the dialect of Section 4:
 ///
 ///   SELECT [DISTINCT] items FROM table_ref (',' table_ref)*

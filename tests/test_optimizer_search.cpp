@@ -1,6 +1,7 @@
 // Cost-guided rewrite search (opt/memo.hpp, docs/optimizer.md): the
 // memoized best-first exploration must never pick a plan the cost model
-// scores worse than the original OR the greedy fixpoint, must stay
+// scores worse than the original OR the greedy fixpoint
+// (RewriteEngine::Default().Rewrite, the test and bench tool), must stay
 // bit-identical to the reference evaluator whatever it picks (rewrites are
 // equivalences, search only reorders them), and must surface its budget
 // truncation instead of silently reading as convergence.
@@ -33,6 +34,17 @@ class OptimizerSearchTest : public ::testing::Test {
   }
 
   PlanPtr Scan(const std::string& name) { return LogicalOp::Scan(catalog_, name); }
+
+  /// The greedy fixpoint of `plan` over DefaultRuleSet().
+  PlanPtr Fixpoint(const PlanPtr& plan, std::vector<RewriteStep>* trace = nullptr) {
+    return RewriteEngine::Default().Rewrite(plan, RewriteContext{&catalog_}, trace);
+  }
+
+  /// σ a >= 2 over r1 ÷ r2: one Law 3 site, and more alternatives after it.
+  PlanPtr Law3Site() {
+    return LogicalOp::Select(LogicalOp::Divide(Scan("r1"), Scan("r2")),
+                             Expr::ColCmp("a", CmpOp::kGe, V(2)));
+  }
 
   /// Law-shaped corpus: every plan offers at least one rewrite, several
   /// offer alternatives at more than one site (where greedy commits and
@@ -73,37 +85,30 @@ class OptimizerSearchTest : public ::testing::Test {
 };
 
 TEST_F(OptimizerSearchTest, SearchedCostNeverWorseThanOriginalOrGreedy) {
-  OptimizerOptions search_on;
-  OptimizerOptions search_off;
-  search_off.search = false;
-  Optimizer searched(catalog_, search_on);
-  Optimizer greedy(catalog_, search_off);
+  StatsCache stats;
+  Optimizer searched(catalog_, {}, &stats);
   for (const PlanPtr& plan : Corpus()) {
-    OptimizationReport with = searched.Optimize(plan);
-    OptimizationReport without = greedy.Optimize(plan);
-    EXPECT_LE(with.chosen_cost, with.original_cost) << plan->ToString();
-    EXPECT_LE(with.chosen_cost, with.greedy_cost) << plan->ToString();
-    // The greedy path's own chosen plan is also in the searched space.
-    EXPECT_LE(with.chosen_cost, without.chosen_cost) << plan->ToString();
+    OptimizationReport report = searched.Optimize(plan);
+    EXPECT_LE(report.chosen_cost, report.original_cost) << plan->ToString();
+    // The fixpoint's plan is also in the searched space.
+    EXPECT_LE(report.chosen_cost, EstimateCost(Fixpoint(plan), catalog_, stats))
+        << plan->ToString();
   }
 }
 
 TEST_F(OptimizerSearchTest, SearchOnOffDifferentialAcrossThreadCounts) {
-  OptimizerOptions search_on;
-  OptimizerOptions search_off;
-  search_off.search = false;
-  Optimizer searched(catalog_, search_on);
-  Optimizer greedy(catalog_, search_off);
+  Optimizer searched(catalog_);
   ScopedMorselRows morsels(16);
   ScopedBatchRows batches(64);
   for (const PlanPtr& plan : Corpus()) {
     Relation reference = Evaluate(plan, catalog_);
+    PlanPtr fixpoint = Fixpoint(plan);
     for (size_t threads : {size_t{1}, size_t{8}}) {
       ScopedExecThreads scoped(threads);
       EXPECT_EQ(searched.Run(plan), reference)
-          << "search=on diverged at threads=" << threads << "\n" << plan->ToString();
-      EXPECT_EQ(greedy.Run(plan), reference)
-          << "search=off diverged at threads=" << threads << "\n" << plan->ToString();
+          << "searched plan diverged at threads=" << threads << "\n" << plan->ToString();
+      EXPECT_EQ(ExecutePlan(fixpoint, catalog_), reference)
+          << "fixpoint plan diverged at threads=" << threads << "\n" << plan->ToString();
     }
   }
 }
@@ -120,45 +125,63 @@ TEST_F(OptimizerSearchTest, MemoDeduplicatesConvergingRewriteOrders) {
   EXPECT_GT(report.memo_hits, 0u) << "converging orders were not deduplicated";
 }
 
+/// MemoSearch over SearchRuleSet() with the given budgets.
+MemoSearchResult SearchWithBudget(const PlanPtr& plan, const Catalog& catalog, size_t max_steps,
+                                  size_t max_candidates) {
+  StatsCache stats;
+  MemoSearchOptions options;
+  options.max_steps = max_steps;
+  options.max_candidates = max_candidates;
+  return MemoSearch(plan, RewriteEngine(SearchRuleSet()), RewriteContext{&catalog}, catalog,
+                    stats, options);
+}
+
 TEST_F(OptimizerSearchTest, ExhaustedRewriteBudgetIsSurfacedNotSilent) {
-  OptimizerOptions options;
-  options.search = false;
-  options.max_rewrite_steps = 0;
-  Optimizer optimizer(catalog_, options);
-  PlanPtr plan = LogicalOp::Select(LogicalOp::Divide(Scan("r1"), Scan("r2")),
-                                   Expr::ColCmp("a", CmpOp::kGe, V(2)));
-  OptimizationReport report = optimizer.Optimize(plan);
-  EXPECT_TRUE(report.budget_exhausted);
-  EXPECT_NE(report.Explain().find("budget exhausted"), std::string::npos);
+  PlanPtr plan = Law3Site();
+  MemoSearchResult result =
+      SearchWithBudget(plan, catalog_, /*max_steps=*/0, kMaxSearchCandidates);
+  EXPECT_TRUE(result.budget_exhausted) << "a rewrite was available but the depth bound is 0";
+  EXPECT_TRUE(result.steps.empty());
+  EXPECT_EQ(result.best, plan);
 }
 
 TEST_F(OptimizerSearchTest, ExhaustedCandidateBudgetIsSurfaced) {
-  OptimizerOptions options;
-  options.max_search_candidates = 2;  // original + one alternative
-  Optimizer optimizer(catalog_, options);
-  PlanPtr plan = LogicalOp::Select(LogicalOp::Divide(Scan("r1"), Scan("r2")),
-                                   Expr::ColCmp("a", CmpOp::kGe, V(2)));
-  OptimizationReport report = optimizer.Optimize(plan);
-  EXPECT_TRUE(report.budget_exhausted);
-  EXPECT_LE(report.search_candidates, 2u);
+  PlanPtr plan = Law3Site();
+  // The original plus one alternative.
+  MemoSearchResult result = SearchWithBudget(plan, catalog_, kMaxRewriteSteps, 2);
+  EXPECT_TRUE(result.budget_exhausted);
+  EXPECT_LE(result.candidates, 2u);
   // Budget or not, the chosen plan still computes the right answer.
+  EXPECT_EQ(Evaluate(result.best, catalog_), Evaluate(plan, catalog_));
+}
+
+TEST_F(OptimizerSearchTest, ConstantBudgetRunsOutOnNineIndependentLaw3Sites) {
+  // A union of nine σ-over-÷ sites, each with its own predicate: every
+  // subset of pushed-down selections is a distinct state, 2^9 = 512 of
+  // them, more than the constant candidate budget can cost.
+  PlanPtr plan;
+  for (int64_t i = 0; i < 9; ++i) {
+    PlanPtr site = LogicalOp::Select(LogicalOp::Divide(Scan("r1"), Scan("r2")),
+                                     Expr::ColCmp("a", CmpOp::kGe, V(i)));
+    plan = plan == nullptr ? site : LogicalOp::Union(plan, site);
+  }
+  OptimizationReport report = Optimizer(catalog_).Optimize(plan);
+  EXPECT_TRUE(report.budget_exhausted);
+  EXPECT_EQ(report.search_candidates, kMaxSearchCandidates);
+  EXPECT_NE(report.Explain().find("(budget exhausted)"), std::string::npos) << report.Explain();
+  EXPECT_LE(report.chosen_cost, report.original_cost);
   EXPECT_EQ(Evaluate(report.chosen, catalog_), Evaluate(plan, catalog_));
 }
 
 TEST_F(OptimizerSearchTest, ExplainReportsPerStepCostDeltas) {
-  Optimizer optimizer(catalog_);
-  PlanPtr plan = LogicalOp::Select(LogicalOp::Divide(Scan("r1"), Scan("r2")),
-                                   Expr::ColCmp("a", CmpOp::kGe, V(2)));
-  OptimizationReport report = optimizer.Optimize(plan);
+  OptimizationReport report = Optimizer(catalog_).Optimize(Law3Site());
   ASSERT_FALSE(report.steps.empty());
   std::string text = report.Explain();
   EXPECT_NE(text.find("original cost:"), std::string::npos);
-  EXPECT_NE(text.find("greedy cost:"), std::string::npos);
   EXPECT_NE(text.find("chosen cost:"), std::string::npos);
   EXPECT_NE(text.find("candidates"), std::string::npos);
   EXPECT_NE(text.find(" -> "), std::string::npos) << "no per-step cost delta:\n" << text;
   for (const RewriteStep& step : report.steps) {
-    if (step.rule == kRewriteBudgetExhausted) continue;
     EXPECT_NE(text.find(step.rule), std::string::npos);
   }
 }
@@ -171,13 +194,13 @@ TEST_F(OptimizerSearchTest, SearchFindsRewriteGreedyCannotReach) {
   PlanPtr plan = LogicalOp::Divide(
       Scan("r1"), LogicalOp::Union(LogicalOp::Values(paper::Fig4DivisorPrime()),
                                    LogicalOp::Values(paper::Fig4DivisorPrimePrime())));
-  OptimizerOptions search_off;
-  search_off.search = false;
-  OptimizationReport greedy = Optimizer(catalog_, search_off).Optimize(plan);
-  EXPECT_TRUE(greedy.steps.empty()) << "greedy unexpectedly rewrote the union divisor";
-  OptimizationReport searched = Optimizer(catalog_).Optimize(plan);
+  std::vector<RewriteStep> fixpoint_trace;
+  PlanPtr fixpoint = Fixpoint(plan, &fixpoint_trace);
+  EXPECT_TRUE(fixpoint_trace.empty()) << "the fixpoint unexpectedly rewrote the union divisor";
+  StatsCache stats;
+  OptimizationReport searched = Optimizer(catalog_, {}, &stats).Optimize(plan);
   EXPECT_GT(searched.search_candidates, 1u) << "search never explored the Law 1 rewrite";
-  EXPECT_LE(searched.chosen_cost, greedy.chosen_cost);
+  EXPECT_LE(searched.chosen_cost, EstimateCost(fixpoint, catalog_, stats));
   EXPECT_EQ(Evaluate(searched.chosen, catalog_), Evaluate(plan, catalog_));
 }
 

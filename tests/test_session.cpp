@@ -5,11 +5,14 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
+
 #include "api/session.hpp"
 #include "exec/pipeline.hpp"
 #include "exec/scheduler.hpp"
 #include "paper_fixtures.hpp"
 #include "sql/interp.hpp"
+#include "sql/parser.hpp"
 
 namespace quotient {
 namespace {
@@ -351,6 +354,61 @@ TEST_F(SessionTest, IntegerOverflowIsATypedErrorOnBothPaths) {
   ASSERT_FALSE(item.ok());
   EXPECT_EQ(item.status().code(), StatusCode::kError);
   EXPECT_NE(item.error().find("integer overflow"), std::string::npos) << item.error();
+}
+
+/// u(g, k, a): group 1 sums past int64 max; group 2 holds {max, 1, -1},
+/// whose true sum fits although its prefix max + 1 (in k order, the scan
+/// order) does not.
+Relation SumOverflowTable() {
+  const int64_t max = std::numeric_limits<int64_t>::max();
+  return Relation::FromRows("g, k, a", {{V(1), V(1), V(max)},
+                                        {V(1), V(2), V(1)},
+                                        {V(2), V(1), V(max)},
+                                        {V(2), V(2), V(1)},
+                                        {V(2), V(3), V(-1)}});
+}
+
+TEST_F(SessionTest, IntegerSumOverflowIsATypedErrorAtEveryThreadCount) {
+  ASSERT_TRUE(session_.CreateTable("u", SumOverflowTable()).ok());
+  ScopedMorselRows morsels(1);  // one row per morsel: the partial-sum merge runs
+  for (size_t threads : {size_t{1}, size_t{4}}) {
+    ScopedExecThreads scoped(threads);
+    for (const char* query : {"SELECT g, SUM(a) AS n FROM u GROUP BY g",
+                              "SELECT g FROM u GROUP BY g HAVING SUM(a) < 0"}) {
+      Result<QueryResult> result = session_.Execute(query);
+      ASSERT_FALSE(result.ok()) << query << " at threads=" << threads;
+      EXPECT_EQ(result.status().code(), StatusCode::kError);
+      EXPECT_NE(result.error().find("integer overflow in SUM"), std::string::npos)
+          << result.error();
+    }
+    Result<QueryResult> fits =
+        session_.Execute("SELECT g, SUM(a) AS n FROM u WHERE g = 2 GROUP BY g");
+    ASSERT_TRUE(fits.ok()) << fits.error();
+    EXPECT_TRUE(fits.value().compile.compiled) << fits.value().compile.fallback_reason;
+    EXPECT_EQ(fits.value().rows,
+              Relation::FromRows("g, n", {{V(2), V(std::numeric_limits<int64_t>::max())}}))
+        << "threads=" << threads;
+  }
+}
+
+TEST_F(SessionTest, ChainAtTheExpressionDepthLimitExecutes) {
+  // kMaxExpressionDepth OR links and + links: one past either is a parse
+  // error (ParserTest); at the limit the whole stack runs without a crash.
+  std::string ors = "SELECT s# FROM supplies WHERE p# = 1";
+  std::string sums = "SELECT s# FROM supplies WHERE p#";
+  for (size_t i = 0; i < sql::kMaxExpressionDepth; ++i) {
+    ors += " OR p# = 1";
+    sums += " + 1";
+  }
+  sums += " > 1000";
+  for (const std::string& query : {ors, sums}) {
+    Result<QueryResult> result = session_.Execute(query);
+    ASSERT_TRUE(result.ok()) << result.error();
+    EXPECT_TRUE(result.value().compile.compiled) << result.value().compile.fallback_reason;
+    Result<Relation> oracle = sql::ExecuteSql(query, session_.catalog());
+    ASSERT_TRUE(oracle.ok()) << oracle.error();
+    EXPECT_EQ(result.value().rows, oracle.value());
+  }
 }
 
 TEST_F(SessionTest, CursorRowGranularity) {

@@ -3,6 +3,8 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
+
 #include "sql/interp.hpp"
 
 namespace quotient {
@@ -74,6 +76,26 @@ TEST_F(SqlInterpTest, IntegerOverflowIsAnError) {
     EXPECT_NE(result.error().find("integer overflow"), std::string::npos) << result.error();
   }
   EXPECT_EQ(Run("SELECT a FROM t WHERE a + 9223372036854775804 < 0"), Relation(Schema::Parse("a")));
+}
+
+TEST_F(SqlInterpTest, IntegerSumOverflowIsAnError) {
+  // Checked once per group on the exact sum: group 2's {max, 1, -1} fits
+  // although its prefix max + 1 does not.
+  const int64_t max = std::numeric_limits<int64_t>::max();
+  catalog_.Put("s", Relation::FromRows("g, k, a", {{V(1), V(1), V(max)},
+                                                   {V(1), V(2), V(1)},
+                                                   {V(2), V(1), V(max)},
+                                                   {V(2), V(2), V(1)},
+                                                   {V(2), V(3), V(-1)}}));
+  for (const char* query : {"SELECT g, SUM(a) AS n FROM s GROUP BY g",
+                            "SELECT g FROM s GROUP BY g HAVING SUM(a) < 0"}) {
+    Result<Relation> result = sql::ExecuteSql(query, catalog_);
+    ASSERT_FALSE(result.ok()) << query;
+    EXPECT_NE(result.error().find("integer overflow in SUM"), std::string::npos)
+        << result.error();
+  }
+  EXPECT_EQ(Run("SELECT g, SUM(a) AS n FROM s WHERE g = 2 GROUP BY g"),
+            Relation::FromRows("g, n", {{V(2), V(max)}}));
 }
 
 TEST_F(SqlInterpTest, CorrelatedExistsSeesOuterRow) {

@@ -192,6 +192,44 @@ TEST(ParserTest, ParenthesesNestedPastTheLimitAreAParseError) {
   });
 }
 
+// Left-deep chains parse in a loop, so only kMaxExpressionDepth bounds them:
+// one link past it is a typed parse error that names the position, not a
+// tree every later stage would recurse through once per link.
+void ExpectChainLimit(const std::string& head, const std::string& link,
+                      const std::string& tail) {
+  auto chain = [&](size_t links) {
+    std::string query = head;
+    for (size_t i = 0; i < links; ++i) query += link;
+    return query + tail;
+  };
+  auto at_limit = ParseQuery(chain(kMaxExpressionDepth));
+  EXPECT_TRUE(at_limit.ok()) << at_limit.error();
+  auto past_limit = ParseQuery(chain(kMaxExpressionDepth + 1));
+  ASSERT_FALSE(past_limit.ok());
+  EXPECT_EQ(past_limit.status().code(), StatusCode::kError);
+  EXPECT_NE(past_limit.error().find("expression deeper than " +
+                                    std::to_string(kMaxExpressionDepth) + " levels at position"),
+            std::string::npos)
+      << past_limit.error().substr(0, 200);
+}
+
+TEST(ParserTest, ChainOneLinkPastTheExpressionDepthIsAParseError) {
+  ExpectChainLimit("SELECT a FROM t WHERE a = 1", " OR a = 1", "");
+  ExpectChainLimit("SELECT a FROM t WHERE a", " + 1", " > 0");
+}
+
+TEST(ParserTest, ParenthesizedLevelsCountTowardTheExpressionDepth) {
+  // 100 parenthesized levels (within kMaxNestingDepth) around a chain leave
+  // room for kMaxExpressionDepth - 100 links inside.
+  auto query = [](size_t links) {
+    std::string chain = "a";
+    for (size_t i = 0; i < links; ++i) chain += " + 1";
+    return "SELECT a FROM t WHERE 0 < " + std::string(100, '(') + chain + std::string(100, ')');
+  };
+  EXPECT_TRUE(ParseQuery(query(kMaxExpressionDepth - 100)).ok());
+  EXPECT_FALSE(ParseQuery(query(kMaxExpressionDepth - 99)).ok());
+}
+
 TEST(ParserTest, OutOfRangeIntegerLiteralIsAParseError) {
   const std::string where = "SELECT a FROM t WHERE s# = ";
   auto result = ParseQuery(where + "99999999999999999999999");

@@ -7,6 +7,7 @@
 #include "algebra/generator.hpp"
 #include "api/session.hpp"
 #include "core/engine.hpp"
+#include "opt/optimizer.hpp"
 #include "opt/planner.hpp"
 #include "paper_fixtures.hpp"
 #include "plan/evaluate.hpp"
@@ -187,6 +188,36 @@ TEST_F(SqlQueriesTest, MultiAttributeDivideOn) {
       sql::LowerSql("SELECT a FROM r1 DIVIDE BY r2 ON r1.b = r2.b AND r1.c = r2.c", catalog);
   ASSERT_TRUE(plan.ok()) << plan.error();
   EXPECT_EQ(ExecutePlan(plan.value(), catalog), result.value());
+}
+
+// The optimizer runs only the memoized search; over every statement of this
+// file that lowers, its chosen plan must cost no more than the greedy
+// fixpoint's (RewriteEngine::Default().Rewrite) — the guarantee an argmin
+// over {original, fixpoint, searched} once enforced by construction.
+TEST_F(SqlQueriesTest, SearchedCostNeverAboveFixpointOnCorpus) {
+  const std::string corpus[] = {
+      kQ1,
+      kQ2,
+      kQ3,
+      std::string(kQ1) + " WHERE color = 'red'",
+      std::string(kQ2) + " WHERE s# > 1",
+      "SELECT color, COUNT(p#) AS n FROM parts GROUP BY color HAVING COUNT(p#) >= 2",
+      "SELECT DISTINCT s# FROM supplies WHERE p# IN (SELECT p# FROM parts WHERE color = "
+      "'blue')",
+      "SELECT s# FROM supplies AS s DIVIDE BY parts AS p ON s.p# < p.p#",
+  };
+  size_t lowered = 0;
+  for (const std::string& query : corpus) {
+    Result<PlanPtr> plan = sql::LowerSql(query, catalog_);
+    if (!plan.ok()) continue;
+    ++lowered;
+    StatsCache stats;
+    OptimizationReport report = Optimizer(catalog_, {}, &stats).Optimize(plan.value());
+    PlanPtr fixpoint = RewriteEngine::Default().Rewrite(plan.value(), RewriteContext{&catalog_});
+    EXPECT_LE(report.chosen_cost, EstimateCost(fixpoint, catalog_, stats)) << query;
+    EXPECT_EQ(ExecutePlan(report.chosen, catalog_), Evaluate(plan.value(), catalog_)) << query;
+  }
+  EXPECT_EQ(lowered, 6u) << "Q3 and the non-equi ON clause are the only refusals";
 }
 
 }  // namespace
