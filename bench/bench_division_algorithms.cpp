@@ -8,6 +8,14 @@
 // MakeDivideToHealyExpansionRule) is orders of magnitude slower and its max
 // intermediate result grows with |candidates| x |divisor| (quadratic in the
 // input scale), which the "MaxIntermediateRows" counter makes visible.
+//
+// The 16384- and 65536-group points (~330k and ~1.3M dividend rows) and
+// WindowedDivide (a RangeScan span of a ~1.3M-row dividend, 40k to 650k
+// rows) straddle the parallel executor's fan-out break-even; their "dop"
+// counter records whether the drains ran chunked (docs/parallel_execution.md).
+
+#include <memory>
+#include <string>
 
 #include "bench_common.hpp"
 #include "core/engine.hpp"
@@ -17,21 +25,54 @@
 namespace quotient {
 namespace {
 
+using bench::DivisionWorkload;
 using bench::MakeDivisionWorkload;
+
+/// One point's inputs: the catalog holds the dividend as r1 and the divisor
+/// as r2, and the encodings model the catalog's per-table dictionary cache.
+struct DivisionPoint {
+  Catalog catalog;
+  TableEncodingPtr dividend_enc;
+  TableEncodingPtr divisor_enc;
+  const Relation& dividend() const { return catalog.Get("r1"); }
+  const Relation& divisor() const { return catalog.Get("r2"); }
+};
+
+/// The inputs of the last (groups, divisor) asked for: repetitions of one
+/// point share them, so the large points are generated once, not once per
+/// run, and only one point's rows are resident at a time.
+const DivisionPoint& CachedPoint(size_t groups, size_t divisor_size) {
+  static size_t cached_groups = 0;
+  static size_t cached_divisor = 0;
+  static std::unique_ptr<DivisionPoint> point;
+  if (point == nullptr || groups != cached_groups || divisor_size != cached_divisor) {
+    point.reset();
+    DivisionWorkload workload = MakeDivisionWorkload(groups, /*domain=*/64, divisor_size);
+    point = std::make_unique<DivisionPoint>();
+    point->catalog.Put("r1", std::make_shared<const Relation>(std::move(workload.dividend)));
+    point->catalog.Put("r2", std::make_shared<const Relation>(std::move(workload.divisor)));
+    // Warm the catalog's encoding cache, so no timed iteration builds it.
+    point->dividend_enc = point->catalog.Encoding("r1");
+    point->divisor_enc = point->catalog.Encoding("r2");
+    cached_groups = groups;
+    cached_divisor = divisor_size;
+  }
+  return *point;
+}
 
 void BM_HashDivision(benchmark::State& state) {
   size_t groups = static_cast<size_t>(state.range(0));
   size_t divisor_size = static_cast<size_t>(state.range(1));
-  auto workload = MakeDivisionWorkload(groups, /*domain=*/64, divisor_size);
+  const DivisionPoint& point = CachedPoint(groups, divisor_size);
   // The encodings model base tables whose dictionaries are already cached by
   // the catalog (built once above, outside the timed loop).
   for (auto _ : state) {
-    Relation q = ExecDivide(workload.dividend, workload.divisor, workload.dividend_enc,
-                            workload.divisor_enc);
+    Relation q =
+        ExecDivide(point.dividend(), point.divisor(), point.dividend_enc, point.divisor_enc);
     benchmark::DoNotOptimize(q);
   }
-  state.counters["dividend"] = static_cast<double>(workload.dividend.size());
-  state.counters["divisor"] = static_cast<double>(workload.divisor.size());
+  state.counters["dividend"] = static_cast<double>(point.dividend().size());
+  state.counters["divisor"] = static_cast<double>(point.divisor().size());
 }
 
 /// First-class hash division vs. Healy's basic-algebra simulation, with the
@@ -39,10 +80,8 @@ void BM_HashDivision(benchmark::State& state) {
 void BM_FirstClassVsSimulation(benchmark::State& state, bool expand) {
   size_t groups = static_cast<size_t>(state.range(0));
   size_t divisor_size = static_cast<size_t>(state.range(1));
-  auto workload = MakeDivisionWorkload(groups, /*domain=*/64, divisor_size);
-  Catalog catalog;
-  catalog.Put("r1", workload.dividend);
-  catalog.Put("r2", workload.divisor);
+  const DivisionPoint& point = CachedPoint(groups, divisor_size);
+  const Catalog& catalog = point.catalog;
   PlanPtr plan = LogicalOp::Divide(LogicalOp::Scan(catalog, "r1"),
                                    LogicalOp::Scan(catalog, "r2"));
   if (expand) {
@@ -58,7 +97,31 @@ void BM_FirstClassVsSimulation(benchmark::State& state, bool expand) {
   state.counters["MaxIntermediateRows"] = static_cast<double>(profile.max_rows);
   state.counters["TotalRows"] = static_cast<double>(profile.total_rows);
   state.counters["InputRows"] =
-      static_cast<double>(workload.dividend.size() + workload.divisor.size());
+      static_cast<double>(point.dividend().size() + point.divisor().size());
+  state.counters["dop"] = static_cast<double>(profile.max_dop);
+}
+
+/// Hash division over a window of `window` groups of a 65536-group
+/// dividend: the planner reads the leading-column range as a RangeScan, so
+/// the probe drain's row count is the span width (bench_e2e's divide_olap
+/// shape, at several window sizes).
+void BM_WindowedDivide(benchmark::State& state) {
+  constexpr int64_t kGroups = 65536;
+  const int64_t window = state.range(0);
+  const Catalog& catalog = CachedPoint(kGroups, /*divisor_size=*/16).catalog;
+  const int64_t lo = (kGroups - window) / 2;
+  PlanPtr plan = LogicalOp::Divide(
+      LogicalOp::Select(LogicalOp::Scan(catalog, "r1"),
+                        Expr::And(Expr::ColCmp("a", CmpOp::kGe, V(lo)),
+                                  Expr::ColCmp("a", CmpOp::kLt, V(lo + window)))),
+      LogicalOp::Scan(catalog, "r2"));
+  ExecProfile profile;
+  for (auto _ : state) {
+    Relation q = ExecutePlan(plan, catalog, {}, &profile);
+    benchmark::DoNotOptimize(q);
+  }
+  state.counters["dop"] = static_cast<double>(profile.max_dop);
+  state.counters["RangeScan"] = profile.pipelines.find("RangeScan") != std::string::npos;
 }
 
 }  // namespace
@@ -68,10 +131,19 @@ int main(int argc, char** argv) {
   using namespace quotient;
   benchmark::RegisterBenchmark("HashDivision", BM_HashDivision)
       ->ArgsProduct({{64, 256, 1024}, {4, 16, 48}})
+      ->Args({16384, 16})
+      ->Args({65536, 16})
       ->Unit(benchmark::kMicrosecond);
   benchmark::RegisterBenchmark("FirstClassDivide",
                                [](benchmark::State& s) { BM_FirstClassVsSimulation(s, false); })
       ->ArgsProduct({{64, 256, 1024}, {8, 32}})
+      ->Args({16384, 16})
+      ->Args({65536, 16})
+      ->Unit(benchmark::kMicrosecond);
+  benchmark::RegisterBenchmark("WindowedDivide", BM_WindowedDivide)
+      ->Arg(2048)
+      ->Arg(8192)
+      ->Arg(32768)
       ->Unit(benchmark::kMicrosecond);
   benchmark::RegisterBenchmark("HealySimulation",
                                [](benchmark::State& s) { BM_FirstClassVsSimulation(s, true); })

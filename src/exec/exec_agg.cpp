@@ -74,7 +74,7 @@ class AggregateSink : public PipelineSink {
     GovernorCharge((target_->num_groups() - before) * width);
   }
 
-  std::unique_ptr<SinkChunk> MakeChunk() override {
+  std::unique_ptr<SinkChunk> MakeChunk(size_t /*rows*/) override {
     return std::make_unique<Chunk>(group_indices_->size());
   }
 
@@ -102,8 +102,7 @@ class AggregateSink : public PipelineSink {
     size_t local_groups = c.part.num_groups();
     // Lazy per-column translation of chunk-local dictionary ids into the
     // target encoder's id space — one Value intern per distinct chunk
-    // value, an array load per group key id afterwards, the same merge
-    // pattern as KeyCodec::AppendTranslated.
+    // value, an array load per group key id afterwards.
     std::vector<std::vector<uint32_t>> xlat(nc);
     for (size_t col = 0; col < nc; ++col) {
       xlat[col].assign(c.part.encoder.dict(col).size(), ValueDict::kNotFound);

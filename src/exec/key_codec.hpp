@@ -320,10 +320,11 @@ class KeyCodec {
 
   /// Merge phase of parallel pipeline drains: appends every build row of
   /// `part` (an unsealed chunk-local codec over the same key columns) into
-  /// this codec, translating part-local dictionary ids into this codec's
-  /// id spaces through lazy per-column translation arrays. Values are
-  /// interned on first sight in part-row order, so merging chunks in
-  /// chunk-index order reproduces the serial scan's id assignment exactly.
+  /// this codec. Each part dictionary is interned once, in part-id order
+  /// (O(distinct)), and the rows are then remapped through the resulting
+  /// translation arrays and appended a batch at a time. Part ids are the
+  /// chunk's first-seen order, so merging chunks in chunk-index order
+  /// reproduces the serial scan's id assignment exactly.
   void AppendTranslated(const KeyCodec& part);
 
   /// Packs pre-resolved per-column ids into a flat key. Valid after Seal()

@@ -61,13 +61,12 @@ SplitSource FindSplittableSource(Iterator& child) {
 
 namespace {
 
-/// Rows per chunk: at least a morsel (and at least one batch), at most
-/// ~4 chunks per worker so the merge loop stays short.
-size_t ChunkRowsFor(size_t total, size_t threads) {
-  size_t floor_rows = std::max<size_t>(1, std::max(GetMorselRows(), GetBatchRows()));
-  size_t spread = (total + threads * 4 - 1) / (threads * 4);
-  return std::max(floor_rows, spread);
-}
+/// Morsels of work each worker must get before a drain fans out to it.
+/// Below that, scheduling the chunks and merging their partial states costs
+/// more than the parallel phase saves (docs/parallel_execution.md,
+/// "Break-even"). Counted in morsels rather than rows, so a smaller
+/// SetMorselRows still drives small inputs through the chunked path.
+constexpr size_t kMinMorselsPerWorker = 32;
 
 }  // namespace
 
@@ -76,51 +75,40 @@ void SetMorselRows(size_t rows) {
   MorselRowsFlag().store(rows == 0 ? 1 : rows, std::memory_order_relaxed);
 }
 
-PipelineChoice ChoosePipeline(const Iterator& child) {
+PipelineChoice ChoosePipeline(size_t rows) {
   PipelineChoice choice;
-  double hint = child.cost_rows_hint();
-  // The cost-model estimate accounts for selectivity and division/join
-  // shrinkage; EstimatedRows() is only a structural upper bound. Prefer
-  // the model when the planner supplied it.
-  double rows = hint > 0 ? hint : static_cast<double>(child.EstimatedRows());
-  if (rows <= 0) return choice;  // unknown: uncapped
-  // Cap workers so each gets at least ~two morsels of estimated work —
-  // fan-out past that points pays scheduling and merge cost for nothing.
-  size_t threads = GetExecThreads();
+  size_t threads = std::max<size_t>(1, GetExecThreads());
   size_t morsel = std::max<size_t>(1, std::max(GetMorselRows(), GetBatchRows()));
-  size_t useful = std::max<size_t>(1, static_cast<size_t>(rows) / (2 * morsel));
-  choice.workers = std::min(threads == 0 ? size_t{1} : threads, useful);
-  // Spread the estimated rows over at most ~4 chunks per capped worker;
-  // when the estimate overshoots the actual row count this only makes
-  // chunks larger (fewer, bigger morsels), never changes results.
-  if (choice.workers > 0) {
-    choice.morsel_rows =
-        std::max(morsel, static_cast<size_t>(rows) / (choice.workers * 4));
-  }
+  choice.workers = std::min(threads, std::max<size_t>(1, rows / (kMinMorselsPerWorker * morsel)));
+  // At most ~4 chunks per worker, each at least a morsel: chunk sizes only
+  // move chunk boundaries, never results.
+  size_t spread = (rows + choice.workers * 4 - 1) / (choice.workers * 4);
+  choice.chunk_rows = std::max(morsel, spread);
   return choice;
 }
 
 PipelineStats RunPipeline(Iterator& child, PipelineSink& sink) {
   bool parallel = GetExecThreads() > 1 && !OnWorkerThread() && sink.AllowParallel();
   if (!parallel) return DrainSerial(child, sink);
-  PipelineChoice choice = ChoosePipeline(child);
-  size_t threads = GetExecThreads();
-  if (choice.workers > 0) threads = std::min(threads, choice.workers);
-  if (threads <= 1) return DrainSerial(child, sink);
 
   SplitSource source = FindSplittableSource(child);
   if (source.scan != nullptr) {
     // Morsel-driven: contiguous id spans of the scan, read straight from
     // storage (TableEncoding id columns / relation rows are immutable), one
-    // partial sink state per chunk.
+    // partial sink state per chunk. The scan knows its exact row count (a
+    // RangeScan's is its span width), so the fan-out needs no estimate.
     size_t rows = source.scan->TotalRows();
-    size_t chunk_rows = std::max(choice.morsel_rows, ChunkRowsFor(rows, threads));
+    PipelineChoice choice = ChoosePipeline(rows);
+    if (choice.workers <= 1) return DrainSerial(child, sink);
+    // Two or more workers imply at least two morsels, so two or more chunks.
+    size_t chunk_rows = choice.chunk_rows;
     size_t chunks = (rows + chunk_rows - 1) / chunk_rows;
-    if (chunks <= 1) return DrainSerial(child, sink);
 
     std::vector<std::unique_ptr<SinkChunk>> states;
     states.reserve(chunks);
-    for (size_t i = 0; i < chunks; ++i) states.push_back(sink.MakeChunk());
+    for (size_t i = 0; i < chunks; ++i) {
+      states.push_back(sink.MakeChunk(std::min(chunk_rows, rows - i * chunk_rows)));
+    }
     const size_t batch_rows = GetBatchRows();
     RelationScan* scan = source.scan;
     ParallelFor(chunks, [&](size_t ci) {
@@ -147,7 +135,7 @@ PipelineStats RunPipeline(Iterator& child, PipelineSink& sink) {
     PipelineStats stats;
     stats.rows = rows;
     stats.chunks = chunks;
-    stats.dop = std::min(threads, chunks);
+    stats.dop = std::min(choice.workers, chunks);
     return stats;
   }
 
@@ -156,7 +144,15 @@ PipelineStats RunPipeline(Iterator& child, PipelineSink& sink) {
   // batches, then parallelize the sink's batch kernels over contiguous
   // chunk groups of them. The stream is buffered in memory for the drain's
   // duration; this engine's inputs are in-memory relations, so the
-  // transient copy is bounded by the input itself.
+  // transient copy is bounded by the input itself. Buffering only pays when
+  // the stream may be large enough to fan out: the cost model's estimate
+  // (EstimatedRows() as the structural fallback) decides whether to buffer,
+  // the buffered row count decides the fan-out.
+  double hint = child.cost_rows_hint();
+  double estimate = hint > 0 ? hint : static_cast<double>(child.EstimatedRows());
+  if (estimate > 0 && ChoosePipeline(static_cast<size_t>(estimate)).workers <= 1) {
+    return DrainSerial(child, sink);
+  }
   std::vector<Batch> buffered;
   // Buffering is the one place the executor materializes a whole input
   // stream; charge it — transiently, released when the buffered copy dies
@@ -179,29 +175,33 @@ PipelineStats RunPipeline(Iterator& child, PipelineSink& sink) {
   stats.rows = total;
   if (total == 0) return stats;
 
-  size_t chunk_rows = std::max(choice.morsel_rows, ChunkRowsFor(total, threads));
-  std::vector<std::pair<size_t, size_t>> groups;  // [first, last) batch index
+  PipelineChoice choice = ChoosePipeline(total);
+  struct Group {
+    size_t first, last;  // [first, last) batch index
+    size_t rows;
+  };
+  std::vector<Group> groups;
   size_t group_begin = 0;
   size_t group_rows = 0;
   for (size_t i = 0; i < buffered.size(); ++i) {
     group_rows += buffered[i].ActiveRows();
-    if (group_rows >= chunk_rows) {
-      groups.emplace_back(group_begin, i + 1);
+    if (group_rows >= choice.chunk_rows) {
+      groups.push_back({group_begin, i + 1, group_rows});
       group_begin = i + 1;
       group_rows = 0;
     }
   }
-  if (group_begin < buffered.size()) groups.emplace_back(group_begin, buffered.size());
+  if (group_begin < buffered.size()) groups.push_back({group_begin, buffered.size(), group_rows});
 
-  if (groups.size() <= 1) {
+  if (choice.workers <= 1 || groups.size() <= 1) {
     for (const Batch& batch : buffered) sink.ConsumeSerial(batch);
     return stats;
   }
   std::vector<std::unique_ptr<SinkChunk>> states;
   states.reserve(groups.size());
-  for (size_t i = 0; i < groups.size(); ++i) states.push_back(sink.MakeChunk());
+  for (const Group& group : groups) states.push_back(sink.MakeChunk(group.rows));
   ParallelFor(groups.size(), [&](size_t ci) {
-    for (size_t i = groups[ci].first; i < groups[ci].second; ++i) {
+    for (size_t i = groups[ci].first; i < groups[ci].last; ++i) {
       GovernorPoll();
       GovernorFaultPoint("pipeline.morsel");
       sink.Consume(*states[ci], buffered[i]);
@@ -213,7 +213,7 @@ PipelineStats RunPipeline(Iterator& child, PipelineSink& sink) {
     sink.Merge(*state);
   }
   stats.chunks = groups.size();
-  stats.dop = std::min(threads, groups.size());
+  stats.dop = std::min(choice.workers, groups.size());
   return stats;
 }
 
@@ -236,11 +236,14 @@ void CodecAppendSink::ConsumeSerial(const Batch& batch) {
   for (BatchCodecAppender& appender : serial_) appender.Append(batch);
 }
 
-std::unique_ptr<SinkChunk> CodecAppendSink::MakeChunk() {
+std::unique_ptr<SinkChunk> CodecAppendSink::MakeChunk(size_t rows) {
   auto chunk = std::make_unique<Chunk>();
   chunk->parts.reserve(targets_.size());
   chunk->appenders.reserve(targets_.size());
-  for (const std::vector<size_t>* indices : indices_) chunk->parts.emplace_back(indices->size());
+  for (const std::vector<size_t>* indices : indices_) {
+    chunk->parts.emplace_back(indices->size());
+    chunk->parts.back().Reserve(rows);
+  }
   for (size_t i = 0; i < targets_.size(); ++i) {
     chunk->appenders.emplace_back(&chunk->parts[i], indices_[i]);
   }
@@ -300,9 +303,12 @@ void ProbeAppendSink::ConsumeSerial(const Batch& batch) {
   row_b_->Append(scratch_.data(), scratch_.size());
 }
 
-std::unique_ptr<SinkChunk> ProbeAppendSink::MakeChunk() {
-  return std::make_unique<Chunk>(a_indices_->size(), a_indices_, numbering_, b_codec_,
-                                 b_indices_);
+std::unique_ptr<SinkChunk> ProbeAppendSink::MakeChunk(size_t rows) {
+  auto chunk = std::make_unique<Chunk>(a_indices_->size(), a_indices_, numbering_, b_codec_,
+                                       b_indices_);
+  chunk->a_part.Reserve(rows);
+  chunk->row_b.reserve(rows);
+  return chunk;
 }
 
 void ProbeAppendSink::Consume(SinkChunk& chunk, const Batch& batch) {
@@ -369,8 +375,11 @@ void JoinBuildSink::ConsumeSerial(const Batch& batch) {
   MaterializeRows(batch, proj_, rows_);
 }
 
-std::unique_ptr<SinkChunk> JoinBuildSink::MakeChunk() {
-  return std::make_unique<Chunk>(key_indices_->size(), key_indices_);
+std::unique_ptr<SinkChunk> JoinBuildSink::MakeChunk(size_t rows) {
+  auto chunk = std::make_unique<Chunk>(key_indices_->size(), key_indices_);
+  chunk->part.Reserve(rows);
+  chunk->rows.reserve(rows);
+  return chunk;
 }
 
 void JoinBuildSink::Consume(SinkChunk& chunk, const Batch& batch) {

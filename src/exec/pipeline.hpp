@@ -6,10 +6,11 @@
 // streams a blocking operator fully drains during Open(): hash-table
 // builds, division codec drains, grouping, set-operation build sides. Each
 // such drain is "source → streaming ops → sink", and RunPipeline executes
-// it in one of two shapes, decided by the thread count alone:
+// it in one of two shapes, decided by the thread count and the drain's row
+// count (ChoosePipeline):
 //
-//   serial  — one thread (or a drain already on a pool worker): batches fold
-//             straight into the sink;
+//   serial  — one thread, a drain already on a pool worker, or too few rows
+//             to pay for a fan-out: batches fold straight into the sink;
 //   chunked — morsel-driven: the source's rows are split into contiguous
 //             chunks of id spans, a worker pool (exec/scheduler.hpp) runs
 //             the batch kernels per chunk into per-chunk partial sink
@@ -36,8 +37,9 @@ namespace quotient {
 /// Target rows per parallel chunk (a "morsel" of contiguous source ids).
 /// Chunks grow past this when the input is large relative to the worker
 /// count (at most ~4 chunks per worker), and are never smaller than one
-/// batch. Default 4096; tests shrink it to force multi-chunk schedules on
-/// small fixtures.
+/// batch. A drain fans out only past a fixed number of morsels per worker
+/// (ChoosePipeline). Default 4096; tests shrink it to force multi-chunk
+/// schedules on small fixtures.
 size_t GetMorselRows();
 void SetMorselRows(size_t rows);
 
@@ -53,21 +55,23 @@ struct ScopedMorselRows {
   size_t saved;
 };
 
-/// Costed per-pipeline execution choice (the cost-driven physical choices
-/// from the ROADMAP): worker cap and morsel-size floor, derived from the
-/// pipeline source's cost-model cardinality (Iterator::cost_rows_hint, set
-/// by the planner from opt/cost.hpp) with EstimatedRows() as the structural
-/// fallback. Both only resize chunks, so results stay bit-identical.
+/// Per-drain execution choice, sized from the drain's row count: a worker
+/// cap and the rows per chunk. A worker is added only per
+/// kMinMorselsPerWorker morsels of rows (the measured break-even, see
+/// docs/parallel_execution.md), so a drain below it runs serially. Both
+/// only move chunk boundaries, so results stay bit-identical.
 struct PipelineChoice {
-  /// Cap on workers for this pipeline; 0 = no cap (use GetExecThreads()).
-  size_t workers = 0;
-  /// Extra floor on rows per chunk; 0 = the global GetMorselRows() floor.
-  size_t morsel_rows = 0;
+  /// Workers the drain pays for, 1..GetExecThreads(); 1 = drain serially.
+  size_t workers = 1;
+  /// Rows per chunk: at least a morsel, at most ~4 chunks per worker.
+  size_t chunk_rows = 0;
 };
 
 /// Decided once per pipeline drain, so one operator may drain a tiny
-/// divisor serially while morsel-parallelizing a large dividend.
-PipelineChoice ChoosePipeline(const Iterator& child);
+/// divisor serially while morsel-parallelizing a large dividend. `rows` is
+/// the exact row count of a splittable source (RelationScan::TotalRows,
+/// a RangeScan's span width) or of a buffered stream.
+PipelineChoice ChoosePipeline(size_t rows);
 
 /// Partial state of one chunk of a parallel pipeline. Chunks are created
 /// up front, written by exactly one worker task, and merged in chunk-index
@@ -85,11 +89,13 @@ class SinkChunk {
 ///                   runs; Consume is called concurrently on distinct
 ///                   chunks and must only touch the chunk plus immutable
 ///                   shared state; Merge runs serially in chunk order.
+///                   MakeChunk gets the chunk's row count, so per-row state
+///                   is reserved once instead of regrown on the workers.
 class PipelineSink {
  public:
   virtual ~PipelineSink() = default;
   virtual void ConsumeSerial(const Batch& batch) = 0;
-  virtual std::unique_ptr<SinkChunk> MakeChunk() = 0;
+  virtual std::unique_ptr<SinkChunk> MakeChunk(size_t rows) = 0;
   virtual void Consume(SinkChunk& chunk, const Batch& batch) = 0;
   virtual void Merge(SinkChunk& chunk) = 0;
   /// Sinks whose merge cannot reproduce the serial fold exactly (e.g.
@@ -128,8 +134,8 @@ PipelineStats RunPipeline(Iterator& child, PipelineSink& sink);
 
 // ---------------------------------------------------------------- sinks
 // Reusable sinks for the standard drain shapes. All merges go through
-// KeyCodec::AppendTranslated, which re-interns each chunk's values in
-// chunk-row order — the serial id assignment, reproduced exactly.
+// KeyCodec::AppendTranslated, which interns each chunk's dictionaries in
+// their first-seen order — the serial id assignment, reproduced exactly.
 
 /// Appends the stream's key columns into one or more target KeyCodecs
 /// (division divisor drains, semi-join builds; the great divide's divisor
@@ -142,7 +148,7 @@ class CodecAppendSink : public PipelineSink {
   void AddTarget(KeyCodec* target, const std::vector<size_t>* indices);
 
   void ConsumeSerial(const Batch& batch) override;
-  std::unique_ptr<SinkChunk> MakeChunk() override;
+  std::unique_ptr<SinkChunk> MakeChunk(size_t rows) override;
   void Consume(SinkChunk& chunk, const Batch& batch) override;
   void Merge(SinkChunk& chunk) override;
 
@@ -165,7 +171,7 @@ class ProbeAppendSink : public PipelineSink {
                   const std::vector<size_t>* b_indices, SpilledU32Store* row_b);
 
   void ConsumeSerial(const Batch& batch) override;
-  std::unique_ptr<SinkChunk> MakeChunk() override;
+  std::unique_ptr<SinkChunk> MakeChunk(size_t rows) override;
   void Consume(SinkChunk& chunk, const Batch& batch) override;
   void Merge(SinkChunk& chunk) override;
 
@@ -191,7 +197,7 @@ class JoinBuildSink : public PipelineSink {
                 const std::vector<size_t>* proj, std::vector<Tuple>* rows);
 
   void ConsumeSerial(const Batch& batch) override;
-  std::unique_ptr<SinkChunk> MakeChunk() override;
+  std::unique_ptr<SinkChunk> MakeChunk(size_t rows) override;
   void Consume(SinkChunk& chunk, const Batch& batch) override;
   void Merge(SinkChunk& chunk) override;
 

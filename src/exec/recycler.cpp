@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <chrono>
+#include <iterator>
 
 #include "exec/query_context.hpp"
 
@@ -70,7 +71,14 @@ ArtifactPtr ArtifactRecycler::GetOrBuild(const std::string& key, uint64_t shape,
     std::lock_guard<std::mutex> lock(shard.mutex);
     auto it = shard.index.find(key);
     if (it != shard.index.end()) {
-      shard.lru.splice(shard.lru.begin(), shard.lru, it->second);
+      Entry& entry = *it->second;
+      if (entry.on_probation) {  // first hit: promote
+        entry.on_probation = false;
+        probation_bytes_.fetch_sub(entry.bytes, std::memory_order_relaxed);
+        shard.lru.splice(shard.lru.begin(), shard.probation, it->second);
+      } else {
+        shard.lru.splice(shard.lru.begin(), shard.lru, it->second);
+      }
       hits_.fetch_add(1, std::memory_order_relaxed);
       NoteRecyclerOutcome(/*hit=*/true);
       return it->second->artifact;
@@ -143,55 +151,73 @@ ArtifactPtr ArtifactRecycler::GetOrBuild(const std::string& key, uint64_t shape,
   built->DetachBuildCharges();
   ArtifactPtr shared(std::move(built));
   {
+    std::lock_guard<std::mutex> publishing(publish_mutex_);
+    MakeRoom(shard_index, bytes);
     std::lock_guard<std::mutex> lock(shard.mutex);
     shard.building.erase(key);
-    shard.lru.push_front(Entry{key, shared, bytes, tables});
-    shard.index[key] = shard.lru.begin();
+    shard.probation.push_front(Entry{key, shared, bytes, tables});
+    shard.index[key] = shard.probation.begin();
+    bytes_.fetch_add(bytes, std::memory_order_relaxed);
+    probation_bytes_.fetch_add(bytes, std::memory_order_relaxed);
   }
-  bytes_.fetch_add(bytes, std::memory_order_relaxed);
   published_.fetch_add(1, std::memory_order_relaxed);
   promise.set_value(shared);
-  EnforceBudget(shard_index, key);
   return shared;
 }
 
-void ArtifactRecycler::EnforceBudget(size_t start_shard, const std::string& protect) {
-  for (size_t i = 0; i < kShards; ++i) {
-    if (bytes_.load(std::memory_order_relaxed) <= budget_) return;
+void ArtifactRecycler::Drop(Shard& shard, EntryList& list, EntryList::iterator it) {
+  bytes_.fetch_sub(it->bytes, std::memory_order_relaxed);
+  if (it->on_probation) probation_bytes_.fetch_sub(it->bytes, std::memory_order_relaxed);
+  shard.index.erase(it->key);
+  list.erase(it);
+}
+
+void ArtifactRecycler::MakeRoom(size_t start_shard, size_t incoming) {
+  const size_t probation_cap = budget_ / kProbationShare;
+  auto over_budget = [&] { return bytes_.load(std::memory_order_relaxed) + incoming > budget_; };
+  auto over_probation = [&] {
+    return probation_bytes_.load(std::memory_order_relaxed) + incoming > probation_cap ||
+           over_budget();
+  };
+  // Never-hit entries go first, and past their share even when the total
+  // fits; hit entries go only when the total still does not fit.
+  for (size_t i = 0; i < kShards && over_probation(); ++i) {
     Shard& shard = shards_[(start_shard + i) % kShards];
     std::lock_guard<std::mutex> lock(shard.mutex);
-    while (bytes_.load(std::memory_order_relaxed) > budget_ && !shard.lru.empty() &&
-           shard.lru.back().key != protect) {
-      Entry& victim = shard.lru.back();
-      bytes_.fetch_sub(victim.bytes, std::memory_order_relaxed);
+    while (over_probation() && !shard.probation.empty()) {
+      Drop(shard, shard.probation, std::prev(shard.probation.end()));
       evictions_.fetch_add(1, std::memory_order_relaxed);
-      shard.index.erase(victim.key);
-      shard.lru.pop_back();
+    }
+  }
+  for (size_t i = 0; i < kShards && over_budget(); ++i) {
+    Shard& shard = shards_[(start_shard + i) % kShards];
+    std::lock_guard<std::mutex> lock(shard.mutex);
+    while (over_budget() && !shard.lru.empty()) {
+      Drop(shard, shard.lru, std::prev(shard.lru.end()));
+      evictions_.fetch_add(1, std::memory_order_relaxed);
     }
   }
 }
 
 void ArtifactRecycler::InvalidateTables(const std::vector<std::string>& tables) {
+  auto stale = [&](const Entry& entry) {
+    for (const std::string& table : tables) {
+      for (const std::string& ref : entry.tables) {
+        if (ref == table) return true;
+      }
+    }
+    return false;
+  };
   for (Shard& shard : shards_) {
     std::lock_guard<std::mutex> lock(shard.mutex);
-    for (auto it = shard.lru.begin(); it != shard.lru.end();) {
-      bool stale = false;
-      for (const std::string& table : tables) {
-        for (const std::string& ref : it->tables) {
-          if (ref == table) {
-            stale = true;
-            break;
-          }
+    for (EntryList* list : {&shard.probation, &shard.lru}) {
+      for (auto it = list->begin(); it != list->end();) {
+        auto next = std::next(it);
+        if (stale(*it)) {
+          Drop(shard, *list, it);
+          invalidated_.fetch_add(1, std::memory_order_relaxed);
         }
-        if (stale) break;
-      }
-      if (stale) {
-        bytes_.fetch_sub(it->bytes, std::memory_order_relaxed);
-        invalidated_.fetch_add(1, std::memory_order_relaxed);
-        shard.index.erase(it->key);
-        it = shard.lru.erase(it);
-      } else {
-        ++it;
+        it = next;
       }
     }
   }
@@ -200,11 +226,9 @@ void ArtifactRecycler::InvalidateTables(const std::vector<std::string>& tables) 
 void ArtifactRecycler::Clear() {
   for (Shard& shard : shards_) {
     std::lock_guard<std::mutex> lock(shard.mutex);
-    for (const Entry& entry : shard.lru) {
-      bytes_.fetch_sub(entry.bytes, std::memory_order_relaxed);
+    for (EntryList* list : {&shard.probation, &shard.lru}) {
+      while (!list->empty()) Drop(shard, *list, list->begin());
     }
-    shard.lru.clear();
-    shard.index.clear();
   }
 }
 
@@ -218,9 +242,10 @@ RecyclerStats ArtifactRecycler::stats() const {
   stats.evictions = evictions_.load(std::memory_order_relaxed);
   stats.invalidated = invalidated_.load(std::memory_order_relaxed);
   stats.bytes = bytes_.load(std::memory_order_relaxed);
+  stats.probation_bytes = probation_bytes_.load(std::memory_order_relaxed);
   for (const Shard& shard : shards_) {
     std::lock_guard<std::mutex> lock(shard.mutex);
-    stats.entries += shard.lru.size();
+    stats.entries += shard.probation.size() + shard.lru.size();
   }
   return stats;
 }

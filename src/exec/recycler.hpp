@@ -49,12 +49,24 @@
 // budget (DatabaseOptions::recycler_memory_bytes), not any query's: on
 // publication the builder detaches the build's governor charges
 // (SpilledU32Store::DetachCharges) and the artifact's ApproxBytes joins a
-// global LRU total; eviction pops least-recently-used entries (own shard
-// first, then a cross-shard sweep) until the total fits. Builds that
+// global total. Before a publication inserts, it makes room by popping
+// least-recently-used entries (own shard first, then a cross-shard sweep)
+// until the total, with the new artifact, fits. Builds that
 // spilled to disk are never published — their row reads go through a
 // per-query temp file and a mutable page cache. A query adopting a cached
 // artifact performs no Appends and therefore no Charges against its own
 // budget.
+//
+// PROBATION. The LRU is segmented (SLRU): a published artifact enters a
+// probation segment and its first hit promotes it to the protected one.
+// Eviction takes never-hit entries first, and they may hold at most
+// 1/kProbationShare of the budget together (more only while the one
+// just-published artifact is larger than that by itself), so a stream of
+// artifacts that are published but never reused — a windowed probe side
+// whose window keeps moving — churns inside that share instead of flushing
+// the build sides that do get reused. Publications are serialized by one
+// mutex, so the segment bound holds at every instant, not only after the
+// publisher's sweep.
 
 #include <atomic>
 #include <cstddef>
@@ -234,6 +246,7 @@ struct RecyclerStats {
   size_t evictions = 0;
   size_t invalidated = 0;  // entries dropped by InvalidateTables
   size_t bytes = 0;        // resident artifact bytes
+  size_t probation_bytes = 0;  // resident bytes of never-hit artifacts
   size_t entries = 0;      // resident artifact count
 };
 
@@ -277,6 +290,8 @@ class ArtifactRecycler {
   /// admitted early) with probability under 2e-5.
   static constexpr size_t kDoorkeeperBits = size_t{1} << 19;
   static constexpr size_t kDoorkeeperResetCount = 1024;
+  /// Never-hit artifacts may hold at most budget / kProbationShare bytes.
+  static constexpr size_t kProbationShare = 4;
 
  private:
   struct Entry {
@@ -284,6 +299,7 @@ class ArtifactRecycler {
     ArtifactPtr artifact;
     size_t bytes = 0;
     std::vector<std::string> tables;
+    bool on_probation = true;  // not hit since publication
   };
   using EntryList = std::list<Entry>;
   /// Two-probe Bloom filter over mixed shape hashes.
@@ -295,20 +311,26 @@ class ArtifactRecycler {
   };
   struct Shard {
     mutable std::mutex mutex;
-    EntryList lru;  // front = most recently used
-    std::unordered_map<std::string, EntryList::iterator> index;
+    EntryList probation;  // never-hit entries; front = most recently published
+    EntryList lru;        // hit at least once; front = most recently used
+    std::unordered_map<std::string, EntryList::iterator> index;  // into either list
     std::unordered_map<std::string, std::shared_future<ArtifactPtr>> building;
     Doorkeeper doorkeeper;
   };
 
-  /// Evicts LRU entries until the global total fits the budget, starting at
-  /// `start_shard` and sweeping the others one lock at a time. Never evicts
-  /// the entry named `protect` (the just-published one).
-  void EnforceBudget(size_t start_shard, const std::string& protect);
+  /// Makes room for an artifact of `incoming` bytes: evicts least-recently
+  /// used entries, never-hit ones first, until the total fits the budget and
+  /// the probation segment its share, starting at `start_shard` and sweeping
+  /// the others one lock at a time. Caller holds publish_mutex_.
+  void MakeRoom(size_t start_shard, size_t incoming);
+  /// Unlinks `it` from `list` and the index, updating the byte accounts.
+  void Drop(Shard& shard, EntryList& list, EntryList::iterator it);
 
   const size_t budget_;
   Shard shards_[kShards];
+  std::mutex publish_mutex_;  // serializes MakeRoom + insert
   std::atomic<size_t> bytes_{0};
+  std::atomic<size_t> probation_bytes_{0};
   std::atomic<size_t> hits_{0};
   std::atomic<size_t> misses_{0};
   std::atomic<size_t> published_{0};

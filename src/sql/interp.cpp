@@ -208,7 +208,12 @@ Value EvalGrouped(const SqlExpr& expr, const std::vector<Tuple>& rows, const Sch
       }
       return Value::Int(static_cast<int64_t>(sum_i));
     }
-    if (expr.name == "AVG") return Value::Real(sum / static_cast<double>(count));
+    if (expr.name == "AVG") {
+      // Divide the exact integer sum, as AggFinish does: the running double
+      // sum rounds once an integer sum passes 2^53.
+      return Value::Real((sum_int ? static_cast<double>(sum_i) : sum) /
+                         static_cast<double>(count));
+    }
     if (expr.name == "MIN") return *min_v;
     if (expr.name == "MAX") return *max_v;
     throw SqlError("bad aggregate " + expr.name);

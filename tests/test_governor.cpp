@@ -130,6 +130,10 @@ TEST(GovernorTest, MemoryBudgetTripsAsResourceExhausted) {
 }
 
 TEST(GovernorTest, ProfileAndExplainAnalyzeReportGovernorAccounting) {
+  // Small morsels keep the ~10k-row dividend drain chunked, so the chunk
+  // stores' charges are part of the account.
+  ScopedMorselRows morsels(128);
+  ScopedBatchRows batches(128);
   Session session = MakeDivisionSession({}, /*groups=*/512, /*divisor=*/16);
 
   Result<QueryResult> result = session.Execute(kDivideSql);

@@ -101,7 +101,14 @@ TEST(ParallelExecProperty, FilterFeedsBufferedParallelPipeline) {
   PlanPtr plan = LogicalOp::Divide(
       LogicalOp::Select(LogicalOp::Scan(catalog, "r1"), predicate),
       LogicalOp::Scan(catalog, "r2"));
-  ExpectParallelAgreement(plan, catalog, /*batch_rows=*/5, /*morsel_rows=*/8);
+  // One-row morsels: the ~500 filtered rows clear the fan-out break-even.
+  ExpectParallelAgreement(plan, catalog, /*batch_rows=*/1, /*morsel_rows=*/1);
+  ScopedMorselRows morsels(1);
+  ScopedBatchRows batches(1);
+  ScopedExecThreads threads(4);
+  ExecProfile profile;
+  ExecutePlan(plan, catalog, {}, &profile);
+  EXPECT_GE(profile.max_dop, 2u) << profile.explain;
 }
 
 TEST(ParallelExecProperty, RenameChainStaysSplittable) {
@@ -126,13 +133,14 @@ TEST(ParallelExecProperty, JoinsAllThreadCounts) {
                           /*batch_rows=*/16, /*morsel_rows=*/8);
   ExpectParallelAgreement(LogicalOp::AntiJoin(r1, LogicalOp::Scan(catalog, "r2")), catalog,
                           /*batch_rows=*/16, /*morsel_rows=*/8);
-  // Build sides large enough for several workers, so the join-build and
-  // semi-join sinks run their chunked Consume/Merge paths.
+  // Build sides large enough for several workers at four-row morsels, so
+  // the join-build and semi-join sinks run their chunked Consume/Merge
+  // paths.
   PlanPtr r1_renamed = LogicalOp::Rename(r1, {{"a", "a2"}, {"b", "b2"}});
   ExpectParallelAgreement(LogicalOp::ThetaJoin(r1, r1_renamed, Expr::ColEqCol("b", "b2")),
-                          catalog, /*batch_rows=*/16, /*morsel_rows=*/8);
+                          catalog, /*batch_rows=*/4, /*morsel_rows=*/4);
   ExpectParallelAgreement(LogicalOp::SemiJoin(LogicalOp::Scan(catalog, "r2"), r1), catalog,
-                          /*batch_rows=*/16, /*morsel_rows=*/8);
+                          /*batch_rows=*/4, /*morsel_rows=*/4);
 }
 
 TEST(ParallelExecProperty, GroupByAggregates) {
@@ -195,7 +203,7 @@ TEST(ParallelExecProperty, StringKeysAndSpillPath) {
   catalog.Put("r2s", StringifyAttribute(gen.Divisor(5, 16), "b"));
   ExpectParallelAgreement(LogicalOp::Divide(LogicalOp::Scan(catalog, "r1s"),
                                             LogicalOp::Scan(catalog, "r2s")),
-                          catalog, /*batch_rows=*/7, /*morsel_rows=*/8);
+                          catalog, /*batch_rows=*/2, /*morsel_rows=*/2);
 
   // 18 wide B columns force the divisor codec past 64 bits into
   // SmallByteKey spill keys; the chunk merges must translate those too.
@@ -213,9 +221,10 @@ TEST(ParallelExecProperty, StringKeysAndSpillPath) {
   for (size_t i = 1; i <= kNumB; ++i) b_names.push_back("b" + std::to_string(i));
   catalog.Put("wide", wide);
   catalog.Put("wide_divisor", Relation(wide.schema().Project(b_names), std::move(divisor_rows)));
+  // One-row morsels: the ~100-row divisor drain runs chunked too.
   ExpectParallelAgreement(LogicalOp::Divide(LogicalOp::Scan(catalog, "wide"),
                                             LogicalOp::Scan(catalog, "wide_divisor")),
-                          catalog, /*batch_rows=*/7, /*morsel_rows=*/8);
+                          catalog, /*batch_rows=*/1, /*morsel_rows=*/1);
 }
 
 TEST(ParallelExecProperty, RandomizedPlansAgainstOracle) {
@@ -260,8 +269,8 @@ TEST(ParallelExecUnit, ExplainReportsDegreeOfParallelism) {
 }
 
 TEST(ParallelExecUnit, TinyInputDrainsSerially) {
-  // Inputs far below two morsels per worker get a worker cap of one: the
-  // drains run serially even with four threads, and EXPLAIN records dop 1.
+  // Inputs below the fan-out break-even get a worker cap of one: the drains
+  // run serially even with four threads, and EXPLAIN records dop 1.
   Catalog catalog = WorkloadCatalog();
   PlanPtr plan = LogicalOp::Divide(LogicalOp::Scan(catalog, "fig1_r1"),
                                    LogicalOp::Scan(catalog, "fig1_r2"));
@@ -286,29 +295,6 @@ TEST(ParallelExecUnit, PipelineDecompositionSplitsAtBreakers) {
   EXPECT_EQ(pipelines[1].sink, root.get());
   EXPECT_EQ(pipelines[2].sink, root.get());
   EXPECT_EQ(pipelines[2].ops.back(), root.get());  // output pipeline contains the root
-}
-
-TEST(ParallelExecUnit, AppendTranslatedReproducesSerialIdAssignment) {
-  // Two chunk-local codecs over disjoint-ish value ranges merge into the
-  // exact row/id layout a serial scan would have produced.
-  std::vector<size_t> indices = {0, 1};
-  Relation rows = Relation::Parse("a, b", "10,1; 20,1; 10,2; 30,1; 20,2; 40,3");
-  KeyCodec serial(2);
-  for (const Tuple& t : rows.tuples()) serial.Add(t, indices);
-
-  KeyCodec merged(2);
-  KeyCodec part1(2), part2(2);
-  for (size_t i = 0; i < 3; ++i) part1.Add(rows.tuples()[i], indices);
-  for (size_t i = 3; i < 6; ++i) part2.Add(rows.tuples()[i], indices);
-  merged.AppendTranslated(part1);
-  merged.AppendTranslated(part2);
-
-  ASSERT_EQ(merged.rows(), serial.rows());
-  serial.Seal();
-  merged.Seal();
-  for (size_t i = 0; i < serial.rows(); ++i) {
-    EXPECT_EQ(merged.PackedKey(i), serial.PackedKey(i)) << "row " << i;
-  }
 }
 
 TEST(ParallelExecUnit, CatalogEncodingSharedUnderConcurrentRequests) {

@@ -364,8 +364,9 @@ TEST(RangeScanTest, SpanStaysMorselSplittable) {
                                   Expr::ColCmp("k", CmpOp::kLt, V(400)))),
       LogicalOp::Scan(catalog, "divisor"));
   ScopedExecThreads scoped_threads(4);
-  ScopedMorselRows morsels(16);
-  ScopedBatchRows batch_rows(16);
+  // Four-row morsels: the span clears the fan-out break-even.
+  ScopedMorselRows morsels(4);
+  ScopedBatchRows batch_rows(4);
   ExecProfile profile;
   EXPECT_EQ(ExecutePlan(plan, catalog, {}, &profile), Evaluate(plan, catalog));
   // The division's probe pipeline reads the span in parallel morsels (the

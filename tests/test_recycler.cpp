@@ -2,8 +2,9 @@
 // recycling on/off differential (bit-identical at 1 and 8 threads), DDL
 // invalidation, build-once under concurrent sessions, LRU eviction under a
 // byte budget, EXPLAIN ANALYZE surfacing, the recycler.* fault sites
-// proving a faulted publish never poisons the cache, and admission on the
-// second sighting of a fragment's version-free shape.
+// proving a faulted publish never poisons the cache, admission on the
+// second sighting of a fragment's version-free shape, and the probation
+// segment that keeps never-hit artifacts from flushing reused ones.
 //
 // A fragment is published only once its shape has been seen before, so
 // every test that expects a warm hit first runs a "sighting" execution,
@@ -11,6 +12,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <atomic>
 #include <memory>
 #include <string>
 #include <thread>
@@ -525,6 +528,180 @@ TEST(RecyclerAdmissionTest, BitIdenticalToRecyclerOffAcrossThreadCounts) {
     EXPECT_GT(stats.deferred, 0u);
     EXPECT_GT(stats.published, 0u);
     EXPECT_GT(stats.hits, 0u);
+    ExpectMissesAccounted(stats);
+  }
+}
+
+// ---------------------------------------------------------------------------
+// RecyclerProbation: published artifacts enter a probation segment, a first
+// hit promotes them, and never-hit ones are evicted first and hold at most
+// a quarter of the budget.
+// ---------------------------------------------------------------------------
+
+/// An artifact of a fixed accounted size.
+struct SizedArtifact : RecycledArtifact {
+  explicit SizedArtifact(size_t bytes) : bytes(bytes) {}
+  size_t bytes;
+  size_t ApproxBytes() const override { return bytes; }
+  bool SpilledToDisk() const override { return false; }
+  void DetachBuildCharges() override {}
+};
+
+TEST(RecyclerProbation, NeverHitFloodCannotEvictAHitEntry) {
+  constexpr size_t kBudget = 100000;
+  ArtifactRecycler recycler(kBudget);
+  size_t builds = 0;
+  auto get = [&](const std::string& key, size_t bytes) {
+    return recycler.GetOrBuild(key, FingerprintHash(key), {"t"}, [&] {
+      ++builds;
+      return std::make_shared<SizedArtifact>(bytes);
+    });
+  };
+  get("hot", 20000);  // sighting
+  get("hot", 20000);  // publishes onto probation
+  EXPECT_EQ(recycler.stats().probation_bytes, 20000u);
+  get("hot", 20000);  // first hit: promoted
+  EXPECT_EQ(recycler.stats().probation_bytes, 0u);
+  ASSERT_EQ(builds, 2u);
+
+  // A hundred artifacts, each published and never hit again: ten times the
+  // budget passes through the cache.
+  for (int i = 0; i < 100; ++i) {
+    const std::string key = "flood|" + std::to_string(i);
+    get(key, 10000);
+    get(key, 10000);
+    RecyclerStats stats = recycler.stats();
+    EXPECT_LE(stats.probation_bytes, kBudget / ArtifactRecycler::kProbationShare) << key;
+    EXPECT_LE(stats.bytes, kBudget) << key;
+  }
+  RecyclerStats stats = recycler.stats();
+  EXPECT_EQ(stats.published, 101u);
+  EXPECT_GE(stats.evictions, 98u);
+  EXPECT_EQ(stats.bytes, 20000 + stats.probation_bytes);
+  const size_t before = builds;
+  get("hot", 20000);
+  EXPECT_EQ(builds, before) << "the hit entry was evicted by never-hit ones";
+}
+
+TEST(RecyclerProbation, ArtifactLargerThanTheShareStillPublishes) {
+  // One artifact above the probation share displaces every never-hit entry
+  // but is itself admitted, and its first hit promotes it.
+  constexpr size_t kBudget = 100000;
+  ArtifactRecycler recycler(kBudget);
+  auto get = [&](const std::string& key, size_t bytes) {
+    return recycler.GetOrBuild(key, FingerprintHash(key), {"t"},
+                               [&] { return std::make_shared<SizedArtifact>(bytes); });
+  };
+  for (const char* key : {"a", "b"}) {
+    get(key, 10000);
+    get(key, 10000);
+  }
+  ASSERT_EQ(recycler.stats().probation_bytes, 20000u);
+  get("big", 60000);
+  get("big", 60000);
+  RecyclerStats stats = recycler.stats();
+  EXPECT_EQ(stats.published, 3u);
+  EXPECT_EQ(stats.probation_bytes, 60000u);
+  EXPECT_EQ(stats.entries, 1u);
+  get("big", 60000);
+  EXPECT_EQ(recycler.stats().probation_bytes, 0u);
+  EXPECT_EQ(recycler.stats().bytes, 60000u);
+}
+
+TEST(RecyclerProbation, ShareHoldsAfterEveryPublishUnderSessionChurn) {
+  // Eight sessions each publish a stream of one-off fragments (every text
+  // runs twice: a sighting, then the publishing build) between repeats of
+  // one shared hot statement. After every statement the never-hit bytes
+  // are within a quarter of the budget, and the hot artifact stays hit.
+  constexpr size_t kBudget = 256 * 1024;
+  std::shared_ptr<Database> db = MakeDatabase(kBudget);
+  const char* hot = "SELECT a, COUNT(b) AS n FROM r1 GROUP BY a";
+  ASSERT_TRUE(Session(db).Execute(hot).ok());
+  ASSERT_TRUE(Session(db).Execute(hot).ok());
+  constexpr size_t kSessions = 8;
+  constexpr int kOneOffs = 12;
+  std::atomic<size_t> over_share{0};
+  std::atomic<size_t> max_probation{0};
+  std::atomic<size_t> failures{0};
+  {
+    std::vector<std::thread> threads;
+    for (size_t i = 0; i < kSessions; ++i) {
+      threads.emplace_back([&, i] {
+        Session session(db);
+        auto run = [&](const std::string& sql) {
+          if (!session.Execute(sql).ok()) failures.fetch_add(1);
+          size_t probation = db->recycler_stats().probation_bytes;
+          if (probation > kBudget / ArtifactRecycler::kProbationShare) over_share.fetch_add(1);
+          size_t seen = max_probation.load();
+          while (probation > seen && !max_probation.compare_exchange_weak(seen, probation)) {
+          }
+        };
+        for (int k = 0; k < kOneOffs; ++k) {
+          const std::string lit = std::to_string(1000 * (i + 1) + static_cast<size_t>(k));
+          const std::string group =
+              "SELECT a, COUNT(b) AS n FROM r1 WHERE a < " + lit + " GROUP BY a";
+          const std::string divide = "SELECT a FROM r1 AS x DIVIDE BY (SELECT b FROM r2 "
+                                     "WHERE b < " + lit + ") AS y ON x.b = y.b";
+          for (const std::string& sql : {group, group, divide, divide}) run(sql);
+          run(hot);
+        }
+      });
+    }
+    for (std::thread& t : threads) t.join();
+  }
+  EXPECT_EQ(failures.load(), 0u);
+  EXPECT_EQ(over_share.load(), 0u);
+  RecyclerStats stats = db->recycler_stats();
+  EXPECT_GT(stats.evictions, 0u) << "the churn never filled the probation share";
+  EXPECT_GT(max_probation.load(), kBudget / ArtifactRecycler::kProbationShare / 2);
+  EXPECT_LE(stats.bytes, kBudget);
+  ExpectMissesAccounted(stats);
+  const RecyclerStats before = db->recycler_stats();
+  Result<QueryResult> last = Session(db).Execute(hot);
+  ASSERT_TRUE(last.ok()) << last.error();
+  EXPECT_GT(last.value().profile.recycler_hits, 0u);
+  EXPECT_EQ(db->recycler_stats().misses, before.misses);
+}
+
+TEST(RecyclerProbation, BitIdenticalToRecyclerOffAcrossThreadCounts) {
+  // A budget small enough that probation evicts on most publishes: every
+  // execution still returns the recycler-off rows in the same order.
+  ScopedMorselRows morsels(32);
+  ScopedBatchRows batches(32);
+  std::vector<std::string> texts(kCorpus.begin(), kCorpus.end());
+  for (int k = 0; k < 6; ++k) {
+    const std::string lit = std::to_string(4 * k);
+    texts.push_back("SELECT a FROM r1 AS x DIVIDE BY (SELECT b FROM r2 WHERE b > " + lit +
+                    ") AS y ON x.b = y.b");
+    texts.push_back("SELECT a, COUNT(b) AS n FROM r1 WHERE b > " + lit + " GROUP BY a");
+  }
+  for (size_t threads : {size_t{1}, size_t{4}}) {
+    SCOPED_TRACE("threads=" + std::to_string(threads));
+    ScopedExecThreads scoped_threads(threads);
+    std::shared_ptr<Database> off = MakeDatabase(0);
+    std::shared_ptr<Database> on = MakeDatabase(256 * 1024);
+    Session plain(off);
+    Session recycled(on);
+    // Each text runs three times in a row (private, publishing, adopting),
+    // and two passes let later publishes evict what earlier ones promoted.
+    for (int pass = 0; pass < 2; ++pass) {
+      for (const std::string& sql : texts) {
+        SCOPED_TRACE(sql + " pass " + std::to_string(pass));
+        Result<QueryResult> baseline = plain.Execute(sql);
+        ASSERT_TRUE(baseline.ok()) << baseline.error();
+        for (int run = 0; run < 3; ++run) {
+          Result<QueryResult> got = recycled.Execute(sql);
+          ASSERT_TRUE(got.ok()) << got.error();
+          EXPECT_TRUE(got.value().rows.tuples() == baseline.value().rows.tuples()) << run;
+        }
+        EXPECT_LE(on->recycler_stats().probation_bytes,
+                  on->recycler()->memory_budget_bytes() / ArtifactRecycler::kProbationShare);
+      }
+    }
+    RecyclerStats stats = on->recycler_stats();
+    EXPECT_GT(stats.published, 0u);
+    EXPECT_GT(stats.hits, 0u);
+    EXPECT_GT(stats.evictions, 0u);
     ExpectMissesAccounted(stats);
   }
 }

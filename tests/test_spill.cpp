@@ -144,6 +144,9 @@ TEST(SpillTest, ForcedSpillDivisionMatchesInMemoryResult) {
 }
 
 TEST(SpillTest, ExplainAnalyzeReportsSpillCounters) {
+  // Small morsels keep the dividend drain chunked: per-chunk stores spill.
+  ScopedMorselRows morsels(128);
+  ScopedBatchRows batches(128);
   Session session =
       MakeDivisionSession(ForcedSpillOptions(), /*groups=*/512, /*divisor=*/16);
   Result<QueryResult> analyzed =
@@ -195,6 +198,10 @@ TEST(SpillTest, CancelMidSpillDeliversCancelledAndPoolSurvives) {
 /// Runs `query` with spilling forced at threads {1, 8} and asserts results
 /// (and error status) identical to an unspilled single-threaded baseline.
 void ExpectSpilledMatchesInMemory(const Catalog& catalog, const std::string& query) {
+  // Small morsels keep the 8-thread drains chunked, so per-chunk stores
+  // spill and merge too.
+  ScopedMorselRows morsels(128);
+  ScopedBatchRows batches(128);
   auto make_session = [&](SessionOptions options) {
     Session session(options);
     for (const std::string& name : catalog.Names()) {
@@ -500,6 +507,9 @@ TEST(SpillAdmissionTest, AdmissionComposesWithForcedSpill) {
   // The intended degradation story end to end: a database-wide budget, a
   // per-statement budget, and a spill watermark below it — the statement
   // queues politely, spills instead of tripping, and still answers exactly.
+  // Small morsels keep the dividend drain chunked at the default threads.
+  ScopedMorselRows morsels(128);
+  ScopedBatchRows batches(128);
   DataGen gen(29);
   Relation divisor = gen.Divisor(32, /*domain=*/64);
   Relation dividend =

@@ -98,6 +98,15 @@ TEST_F(SqlInterpTest, IntegerSumOverflowIsAnError) {
             Relation::FromRows("g, n", {{V(2), V(max)}}));
 }
 
+TEST_F(SqlInterpTest, IntegerAvgDividesTheExactSum) {
+  // 2^53 + 1 rounds to 2^53 in a double; the exact sum 2^53 + 2 halves to
+  // 2^52 + 1, which a double holds exactly.
+  const int64_t big = (int64_t{1} << 53) + 1;
+  catalog_.Put("w", Relation::FromRows("g, k, a", {{V(1), V(1), V(big)}, {V(1), V(2), V(1)}}));
+  EXPECT_EQ(Run("SELECT g, AVG(a) AS m FROM w GROUP BY g"),
+            Relation::FromRows("g, m:real", {{V(1), V(4503599627370497.0)}}));
+}
+
 TEST_F(SqlInterpTest, CorrelatedExistsSeesOuterRow) {
   EXPECT_EQ(Run("SELECT a FROM t WHERE EXISTS (SELECT * FROM u WHERE u.a = t.a)"),
             Relation::Parse("a", "1; 3"));
