@@ -10,9 +10,12 @@
 // input scale), which the "MaxIntermediateRows" counter makes visible.
 //
 // The 16384- and 65536-group points (~330k and ~1.3M dividend rows) and
-// WindowedDivide (a RangeScan span of a ~1.3M-row dividend, 40k to 650k
+// WindowedDivide (a RangeScan span of a ~1.3M-row dividend, 40k to 630k
 // rows) straddle the parallel executor's fan-out break-even; their "dop"
 // counter records whether the drains ran chunked (docs/parallel_execution.md).
+// WindowedDivide's second argument is the morsel size: at 1024 rows a drain
+// fans out from a quarter of the default break-even, which shows what the
+// chunked drain costs below it.
 
 #include <memory>
 #include <string>
@@ -20,6 +23,7 @@
 #include "bench_common.hpp"
 #include "core/engine.hpp"
 #include "exec/exec_divide.hpp"
+#include "exec/pipeline.hpp"
 #include "opt/planner.hpp"
 
 namespace quotient {
@@ -104,10 +108,11 @@ void BM_FirstClassVsSimulation(benchmark::State& state, bool expand) {
 /// Hash division over a window of `window` groups of a 65536-group
 /// dividend: the planner reads the leading-column range as a RangeScan, so
 /// the probe drain's row count is the span width (bench_e2e's divide_olap
-/// shape, at several window sizes).
+/// shape, at several window sizes). Runs with morsels of range(1) rows.
 void BM_WindowedDivide(benchmark::State& state) {
   constexpr int64_t kGroups = 65536;
   const int64_t window = state.range(0);
+  ScopedMorselRows morsels(static_cast<size_t>(state.range(1)));
   const Catalog& catalog = CachedPoint(kGroups, /*divisor_size=*/16).catalog;
   const int64_t lo = (kGroups - window) / 2;
   PlanPtr plan = LogicalOp::Divide(
@@ -141,9 +146,7 @@ int main(int argc, char** argv) {
       ->Args({65536, 16})
       ->Unit(benchmark::kMicrosecond);
   benchmark::RegisterBenchmark("WindowedDivide", BM_WindowedDivide)
-      ->Arg(2048)
-      ->Arg(8192)
-      ->Arg(32768)
+      ->ArgsProduct({{2048, 8192, 16384, 32768}, {4096, 1024}})
       ->Unit(benchmark::kMicrosecond);
   benchmark::RegisterBenchmark("HealySimulation",
                                [](benchmark::State& s) { BM_FirstClassVsSimulation(s, true); })

@@ -162,7 +162,9 @@ def medians(path):
 def times(path):
     return {name: b["real_time"] for name, b in medians(path).items()}
 
-# Parallel A/B: 1 worker vs N workers, same binaries.
+# Parallel A/B: 1 worker vs N workers, same binaries. Benchmarks that report
+# a "dop" counter (the largest per-pipeline parallelism of the plan) carry
+# it for the N-worker run, so the file shows which points ran chunked.
 par_pairs = [
     ("division", ".div_par1.json", ".div_parN.json"),
     ("law10_semijoin", ".law10_par1.json", ".law10_parN.json"),
@@ -170,18 +172,21 @@ par_pairs = [
 threads_n = os.environ.get("PAR_THREADS", "?")
 par_comparison = []
 for suite, one_file, n_file in par_pairs:
-    one, many = times(one_file), times(n_file)
+    one, many = times(one_file), medians(n_file)
     for name in one:
         if name not in many:
             continue
-        t1, tn = one[name], many[name]
-        par_comparison.append({
+        t1, tn = one[name], many[name]["real_time"]
+        row = {
             "suite": suite,
             "name": name,
             "threads_1_us": round(t1, 3),
             "threads_n_us": round(tn, 3),
             "speedup": round(t1 / tn, 3) if tn > 0 else None,
-        })
+        }
+        if "dop" in many[name]:
+            row["dop_n"] = int(many[name]["dop"])
+        par_comparison.append(row)
 
 write("BENCH_parallel.json", {"threads_n": threads_n, "comparison": par_comparison})
 

@@ -66,7 +66,7 @@ namespace {
 /// more than the parallel phase saves (docs/parallel_execution.md,
 /// "Break-even"). Counted in morsels rather than rows, so a smaller
 /// SetMorselRows still drives small inputs through the chunked path.
-constexpr size_t kMinMorselsPerWorker = 32;
+constexpr size_t kMinMorselsPerWorker = 64;
 
 }  // namespace
 

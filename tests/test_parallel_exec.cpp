@@ -88,23 +88,25 @@ TEST(ParallelExecProperty, GreatDivideAllThreadCounts) {
   Catalog catalog = WorkloadCatalog();
   PlanPtr plan = LogicalOp::GreatDivide(LogicalOp::Scan(catalog, "r1"),
                                         LogicalOp::Scan(catalog, "gd"));
-  ExpectParallelAgreement(plan, catalog, /*batch_rows=*/7, /*morsel_rows=*/8);
+  ExpectParallelAgreement(plan, catalog, /*batch_rows=*/3, /*morsel_rows=*/2);
 }
 
 TEST(ParallelExecProperty, FilterFeedsBufferedParallelPipeline) {
   // A filter between scan and division makes the pipeline source
   // non-splittable: the executor buffers the filtered batches and
   // parallelizes the sink kernels over chunk groups of them.
+  // A dividend large enough that the filter's estimated output clears the
+  // fan-out break-even at one-row morsels.
   Catalog catalog = WorkloadCatalog();
+  catalog.Put("r1_big", DataGen(0xB16).Dividend(/*groups=*/400, /*domain=*/32, 0.4));
   ExprPtr predicate = Expr::And(Expr::ColCmp("b", CmpOp::kLt, V(24)),
                                 Expr::Compare(CmpOp::kNe, Expr::Column("a"), Expr::Column("b")));
   PlanPtr plan = LogicalOp::Divide(
-      LogicalOp::Select(LogicalOp::Scan(catalog, "r1"), predicate),
+      LogicalOp::Select(LogicalOp::Scan(catalog, "r1_big"), predicate),
       LogicalOp::Scan(catalog, "r2"));
-  // One-row morsels: the ~500 filtered rows clear the fan-out break-even.
-  ExpectParallelAgreement(plan, catalog, /*batch_rows=*/1, /*morsel_rows=*/1);
+  ExpectParallelAgreement(plan, catalog, /*batch_rows=*/4, /*morsel_rows=*/1);
   ScopedMorselRows morsels(1);
-  ScopedBatchRows batches(1);
+  ScopedBatchRows batches(4);
   ScopedExecThreads threads(4);
   ExecProfile profile;
   ExecutePlan(plan, catalog, {}, &profile);
@@ -152,11 +154,11 @@ TEST(ParallelExecProperty, GroupByAggregates) {
        {AggFunc::kMin, "b", "min_b"},
        {AggFunc::kMax, "b", "max_b"},
        {AggFunc::kAvg, "b", "avg_b"}});
-  ExpectParallelAgreement(plan, catalog, /*batch_rows=*/9, /*morsel_rows=*/8);
+  ExpectParallelAgreement(plan, catalog, /*batch_rows=*/3, /*morsel_rows=*/2);
   // Global aggregate: one output row regardless of chunking.
   ExpectParallelAgreement(
       LogicalOp::GroupBy(LogicalOp::Scan(catalog, "r1"), {}, {{AggFunc::kCount, "", "n"}}),
-      catalog, /*batch_rows=*/9, /*morsel_rows=*/8);
+      catalog, /*batch_rows=*/3, /*morsel_rows=*/2);
 }
 
 TEST(ParallelExecProperty, SetOperationsAndHealyExpansion) {
@@ -250,8 +252,9 @@ TEST(ParallelExecUnit, ExplainReportsDegreeOfParallelism) {
   Catalog catalog = WorkloadCatalog();
   PlanPtr r1 = LogicalOp::Scan(catalog, "r1");
   PlanPtr r2 = LogicalOp::Scan(catalog, "r2");
-  ScopedMorselRows morsels(8);
-  ScopedBatchRows batches(8);
+  // Four-row morsels: the ~770-row inputs clear the fan-out break-even.
+  ScopedMorselRows morsels(4);
+  ScopedBatchRows batches(4);
   ScopedExecThreads threads(4);
   // A division (codec + probe sinks), a join build and a semi-join build.
   for (const PlanPtr& plan :

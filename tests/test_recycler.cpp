@@ -62,8 +62,8 @@ std::shared_ptr<Database> MakeDatabase(size_t recycler_bytes) {
 }
 
 TEST(RecyclerTest, OnOffDifferentialBitIdenticalAcrossThreadCounts) {
-  ScopedMorselRows morsels(32);
-  ScopedBatchRows batches(32);
+  ScopedMorselRows morsels(16);
+  ScopedBatchRows batches(16);
   for (size_t threads : {size_t{1}, size_t{8}}) {
     SCOPED_TRACE("threads=" + std::to_string(threads));
     ScopedExecThreads scoped_threads(threads);
@@ -286,8 +286,8 @@ struct ScopedDisarm {
 // message, leave the cache unpoisoned (the next execution succeeds, builds
 // fresh, and publishes), and behave identically at 1, 2, and 8 workers.
 TEST(RecyclerFaultTest, FaultedPublishNeverPoisonsTheCache) {
-  ScopedMorselRows morsels(32);
-  ScopedBatchRows batches(32);
+  ScopedMorselRows morsels(16);
+  ScopedBatchRows batches(16);
   for (const char* site : {"recycler.lookup", "recycler.publish"}) {
     for (size_t threads : {size_t{1}, size_t{2}, size_t{8}}) {
       SCOPED_TRACE(std::string(site) + " at threads=" + std::to_string(threads));
@@ -500,8 +500,8 @@ TEST(RecyclerAdmissionTest, ClearKeepsSightings) {
 TEST(RecyclerAdmissionTest, BitIdenticalToRecyclerOffAcrossThreadCounts) {
   // Recurring texts interleaved with one-offs: every execution, private,
   // publishing or adopting, returns the recycler-off rows in the same order.
-  ScopedMorselRows morsels(32);
-  ScopedBatchRows batches(32);
+  ScopedMorselRows morsels(16);
+  ScopedBatchRows batches(16);
   std::vector<std::string> texts(kCorpus.begin(), kCorpus.end());
   for (int k = 0; k < 3; ++k) {
     texts.push_back("SELECT a FROM r1 AS x DIVIDE BY (SELECT b FROM r2 WHERE b > " +
@@ -666,8 +666,8 @@ TEST(RecyclerProbation, ShareHoldsAfterEveryPublishUnderSessionChurn) {
 TEST(RecyclerProbation, BitIdenticalToRecyclerOffAcrossThreadCounts) {
   // A budget small enough that probation evicts on most publishes: every
   // execution still returns the recycler-off rows in the same order.
-  ScopedMorselRows morsels(32);
-  ScopedBatchRows batches(32);
+  ScopedMorselRows morsels(16);
+  ScopedBatchRows batches(16);
   std::vector<std::string> texts(kCorpus.begin(), kCorpus.end());
   for (int k = 0; k < 6; ++k) {
     const std::string lit = std::to_string(4 * k);

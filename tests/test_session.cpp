@@ -392,18 +392,18 @@ TEST_F(SessionTest, IntegerSumOverflowIsATypedErrorAtEveryThreadCount) {
 }
 
 TEST_F(SessionTest, IntegerAvgPast2To53AgreesWithTheOracleAtEveryThreadCount) {
-  // One group: 2^53 + 1, 1 and 62 zeros. A running double sum rounds the
-  // 2^53 + 1 away (average 2^47); the exact sum 2^53 + 2 averages to
-  // 2^47 + 2^-5, which a double holds exactly. AVG must divide the exact
+  // One group: 2^53 + 1, 1 and 254 zeros. A running double sum rounds the
+  // 2^53 + 1 away (average 2^45); the exact sum 2^53 + 2 averages to
+  // 2^45 + 2^-7, which a double holds exactly. AVG must divide the exact
   // sum on both paths.
   std::vector<Tuple> rows = {{V(1), V(1), V((int64_t{1} << 53) + 1)}, {V(1), V(2), V(1)}};
-  for (int k = 3; k <= 64; ++k) rows.push_back({V(1), V(k), V(0)});
+  for (int k = 3; k <= 256; ++k) rows.push_back({V(1), V(k), V(0)});
   ASSERT_TRUE(
       session_.CreateTable("w", Relation::FromRows(Schema::Parse("g, k, a"), rows)).ok());
   const char* query = "SELECT g, AVG(a) AS m FROM w GROUP BY g";
   Result<Relation> oracle = sql::ExecuteSql(query, session_.catalog());
   ASSERT_TRUE(oracle.ok()) << oracle.error();
-  EXPECT_EQ(oracle.value(), Relation::FromRows("g, m:real", {{V(1), V(140737488355328.03125)}}));
+  EXPECT_EQ(oracle.value(), Relation::FromRows("g, m:real", {{V(1), V(35184372088832.0078125)}}));
   // One-row batches and morsels: at four threads the drain runs chunked and
   // the partial-sum merge runs.
   ScopedBatchRows batches(1);
