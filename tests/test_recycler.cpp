@@ -666,6 +666,7 @@ TEST(RecyclerProbation, ShareHoldsAfterEveryPublishUnderSessionChurn) {
 TEST(RecyclerProbation, BitIdenticalToRecyclerOffAcrossThreadCounts) {
   // A budget small enough that probation evicts on most publishes: every
   // execution still returns the recycler-off rows in the same order.
+  constexpr size_t kBudget = 256 * 1024;
   ScopedMorselRows morsels(16);
   ScopedBatchRows batches(16);
   std::vector<std::string> texts(kCorpus.begin(), kCorpus.end());
@@ -679,7 +680,7 @@ TEST(RecyclerProbation, BitIdenticalToRecyclerOffAcrossThreadCounts) {
     SCOPED_TRACE("threads=" + std::to_string(threads));
     ScopedExecThreads scoped_threads(threads);
     std::shared_ptr<Database> off = MakeDatabase(0);
-    std::shared_ptr<Database> on = MakeDatabase(256 * 1024);
+    std::shared_ptr<Database> on = MakeDatabase(kBudget);
     Session plain(off);
     Session recycled(on);
     // Each text runs three times in a row (private, publishing, adopting),
@@ -695,7 +696,7 @@ TEST(RecyclerProbation, BitIdenticalToRecyclerOffAcrossThreadCounts) {
           EXPECT_TRUE(got.value().rows.tuples() == baseline.value().rows.tuples()) << run;
         }
         EXPECT_LE(on->recycler_stats().probation_bytes,
-                  on->recycler()->memory_budget_bytes() / ArtifactRecycler::kProbationShare);
+                  kBudget / ArtifactRecycler::kProbationShare);
       }
     }
     RecyclerStats stats = on->recycler_stats();
