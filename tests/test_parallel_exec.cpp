@@ -271,6 +271,25 @@ TEST(ParallelExecUnit, ExplainReportsDegreeOfParallelism) {
   }
 }
 
+TEST(ParallelExecUnit, FanOutStartsAtTheBreakEven) {
+  // One worker per 64 morsels of rows, capped at the thread count; the
+  // morsel is the larger of the morsel and batch sizes.
+  ScopedExecThreads threads(4);
+  ScopedBatchRows batches(16);
+  ScopedMorselRows morsels(8);  // below the batch size: the morsel is 16 rows
+  constexpr size_t kWorkerRows = 64 * 16;
+  EXPECT_EQ(ChoosePipeline(0).workers, 1u);
+  EXPECT_EQ(ChoosePipeline(2 * kWorkerRows - 1).workers, 1u);
+  EXPECT_EQ(ChoosePipeline(2 * kWorkerRows).workers, 2u);
+  EXPECT_EQ(ChoosePipeline(3 * kWorkerRows).workers, 3u);
+  EXPECT_EQ(ChoosePipeline(100 * kWorkerRows).workers, 4u);
+  // About four chunks per worker, never below a morsel.
+  EXPECT_EQ(ChoosePipeline(2 * kWorkerRows).chunk_rows, 2 * kWorkerRows / 8);
+  EXPECT_EQ(ChoosePipeline(5).chunk_rows, 16u);
+  ScopedExecThreads one(1);
+  EXPECT_EQ(ChoosePipeline(100 * kWorkerRows).workers, 1u);
+}
+
 TEST(ParallelExecUnit, TinyInputDrainsSerially) {
   // Inputs below the fan-out break-even get a worker cap of one: the drains
   // run serially even with four threads, and EXPLAIN records dop 1.
