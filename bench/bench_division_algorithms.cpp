@@ -16,6 +16,11 @@
 // WindowedDivide's second argument is the morsel size: at 1024 rows a drain
 // fans out from a quarter of the default break-even, which shows what the
 // chunked drain costs below it.
+//
+// WindowedDivide's dividend is clustered on A (a RangeScan of a table whose
+// leading column is A), so it is divided run by run (exec/division_runs.hpp).
+// WindowedDivideUnclustered divides the same window's rows stored B first,
+// where A is no key prefix: the candidate-matrix path, for comparison.
 
 #include <memory>
 #include <string>
@@ -129,6 +134,36 @@ void BM_WindowedDivide(benchmark::State& state) {
   state.counters["RangeScan"] = profile.pipelines.find("RangeScan") != std::string::npos;
 }
 
+/// WindowedDivide's rows with A not leading: the window of the same
+/// dividend, stored as its own table w(b, a) and scanned whole, so the
+/// division takes the candidate-matrix path over exactly the rows
+/// WindowedDivide divides run by run.
+void BM_WindowedDivideUnclustered(benchmark::State& state) {
+  constexpr int64_t kGroups = 65536;
+  const int64_t window = state.range(0);
+  ScopedMorselRows morsels(static_cast<size_t>(state.range(1)));
+  const Catalog& source = CachedPoint(kGroups, /*divisor_size=*/16).catalog;
+  const int64_t lo = (kGroups - window) / 2;
+  std::vector<Tuple> rows;
+  for (const Tuple& t : source.Get("r1").tuples()) {
+    int64_t a = t[0].as_int();
+    if (a >= lo && a < lo + window) rows.push_back({t[1], t[0]});
+  }
+  Catalog catalog;
+  catalog.Put("w", Relation(Schema::Parse("b, a"), std::move(rows)));
+  catalog.Put("r2", source.Get("r2"));
+  catalog.Encoding("w");  // warm the dictionary cache outside the timed loop
+  catalog.Encoding("r2");
+  PlanPtr plan = LogicalOp::Divide(LogicalOp::Scan(catalog, "w"), LogicalOp::Scan(catalog, "r2"));
+  ExecProfile profile;
+  for (auto _ : state) {
+    Relation q = ExecutePlan(plan, catalog, {}, &profile);
+    benchmark::DoNotOptimize(q);
+  }
+  state.counters["dop"] = static_cast<double>(profile.max_dop);
+  state.counters["rows"] = static_cast<double>(catalog.Get("w").size());
+}
+
 }  // namespace
 }  // namespace quotient
 
@@ -146,6 +181,9 @@ int main(int argc, char** argv) {
       ->Args({65536, 16})
       ->Unit(benchmark::kMicrosecond);
   benchmark::RegisterBenchmark("WindowedDivide", BM_WindowedDivide)
+      ->ArgsProduct({{2048, 8192, 16384, 32768}, {4096, 1024}})
+      ->Unit(benchmark::kMicrosecond);
+  benchmark::RegisterBenchmark("WindowedDivideUnclustered", BM_WindowedDivideUnclustered)
       ->ArgsProduct({{2048, 8192, 16384, 32768}, {4096, 1024}})
       ->Unit(benchmark::kMicrosecond);
   benchmark::RegisterBenchmark("HealySimulation",

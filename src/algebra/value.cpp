@@ -117,7 +117,10 @@ size_t Value::Hash() const {
     case ValueType::kReal: {
       // Hash reals by bit pattern; numeric==type equality means Int(2) and
       // Real(2.0) may hash differently, which is fine: they are not equal.
+      // -0.0 compares equal to +0.0, so it hashes as +0.0: otherwise a
+      // dictionary gives the two zeros two ids.
       double d = as_real();
+      if (d == 0.0) d = 0.0;
       uint64_t bits;
       static_assert(sizeof(bits) == sizeof(d));
       std::memcpy(&bits, &d, sizeof(bits));

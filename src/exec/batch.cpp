@@ -80,15 +80,20 @@ void BatchKeyProbe::Resolve(const Batch& batch, std::vector<uint32_t>* out) {
     size_t col = (*indices_)[0];
     if (const BatchColumn* enc = batch.EncodedColumn(col)) {
       const uint32_t* src = enc->ids.data();
-      const ValueDict& dict = *enc->dict;
       IdTranslator& xlat = xlat_[0];
-      for (size_t i = 0; i < n; ++i) {
-        uint32_t id = xlat.Map(dict, src[batch.RowAt(i)], [&](const Value& v) {
-          uint32_t cid = codec_->FindValue(0, v);
-          if (cid == ValueDict::kNotFound) return KeyNumbering::kNotFound;
-          return numbering_->ProbeIds(&cid);
-        });
-        out->push_back(id);
+      xlat.Bind(*enc->dict);
+      size_t base = out->size();
+      out->resize(base + n);
+      uint32_t* dst = out->data() + base;
+      auto resolve = [&](const Value& v) {
+        uint32_t cid = codec_->FindValue(0, v);
+        if (cid == ValueDict::kNotFound) return KeyNumbering::kNotFound;
+        return numbering_->ProbeIds(&cid);
+      };
+      if (batch.has_selection()) {
+        for (size_t i = 0; i < n; ++i) dst[i] = xlat.Lookup(src[batch.RowAt(i)], resolve);
+      } else {
+        for (size_t i = 0; i < n; ++i) dst[i] = xlat.Lookup(src[i], resolve);
       }
     } else {
       for (size_t i = 0; i < n; ++i) {

@@ -175,15 +175,25 @@ class IdTranslator {
  public:
   template <typename Resolve>
   uint32_t Map(const ValueDict& source, uint32_t src_id, Resolve&& resolve) {
+    Bind(source);
+    return Lookup(src_id, resolve);
+  }
+
+  /// Binds the source dictionary once per batch; Lookup then maps its ids
+  /// without re-checking the binding per row.
+  void Bind(const ValueDict& source) {
     if (&source != source_) {
       source_ = &source;
       map_.clear();
     }
-    if (src_id >= map_.size()) {
-      map_.resize(std::max(source.size(), size_t{src_id} + 1), kUnfilled);
-    }
+    if (map_.size() < source.size()) map_.resize(source.size(), kUnfilled);
+  }
+
+  /// Maps an id of the bound dictionary.
+  template <typename Resolve>
+  uint32_t Lookup(uint32_t src_id, Resolve&& resolve) {
     uint32_t& slot = map_[src_id];
-    if (slot == kUnfilled) slot = resolve(source.At(src_id));
+    if (slot == kUnfilled) slot = resolve(source_->At(src_id));
     return slot;
   }
 

@@ -1,0 +1,79 @@
+#pragma once
+
+// Run-at-a-time hash division over a clustered dividend
+// (docs/key_encoding.md, "Clustered dividends").
+//
+// When the dividend arrives grouped on its quotient attributes A
+// (ClusteredOn, exec/pipeline.hpp), each quotient candidate's rows form one
+// contiguous run. One bitmap (÷) or one row of per-C-group counters (÷*)
+// for the current run then replaces the candidate matrix: each row's B
+// columns resolve to a divisor key number, the number sets a bit or bumps
+// the counters of the C groups containing it, and the candidate is emitted
+// when its run closes. No A codec, no per-row divisor-key store and no
+// candidate numbering are built, so there is no probe state to recycle.
+// This is Graefe & Cole's hash-division specialised to grouped input, the
+// case Rantzau's classification of division algorithms (DMKD 2003) gives
+// one bitmap row per group.
+//
+// Candidates are emitted in run order, which is the first-seen order the
+// matrix path numbers them in, so both paths return the same stream.
+
+#include <memory>
+#include <vector>
+
+#include "exec/pipeline.hpp"
+#include "exec/recycler.hpp"
+
+namespace quotient {
+
+/// The dividend drain of a clustered ÷ or ÷*, emitting qualifying
+/// candidates (A, or A × C) into `results`. Chunked drains keep each
+/// chunk's first and last runs open; Merge ORs (÷) or sums (÷*) them with
+/// the neighbouring chunk's in chunk order, so the output equals the
+/// serial drain at every thread count. Call Finish() after RunPipeline to
+/// close the last run.
+class DivisionRunSink : public PipelineSink {
+ public:
+  /// ÷: a run qualifies when it hit every divisor key; r1 ÷ ∅ = πA(r1),
+  /// since with no divisor keys every run qualifies.
+  DivisionRunSink(const DivisionBuildArtifact& build, const std::vector<size_t>* a_indices,
+                  const std::vector<size_t>* b_indices, std::vector<Tuple>* results);
+  /// ÷*: a run qualifies for each C group whose every member it hit.
+  DivisionRunSink(const GreatDivideBuildArtifact& build, const std::vector<size_t>* a_indices,
+                  const std::vector<size_t>* b_indices, std::vector<Tuple>* results);
+  ~DivisionRunSink() override;
+
+  void ConsumeSerial(const Batch& batch) override;
+  std::unique_ptr<SinkChunk> MakeChunk(size_t rows) override;
+  void Consume(SinkChunk& chunk, const Batch& batch) override;
+  void Merge(SinkChunk& chunk) override;
+  void Finish();
+
+ private:
+  struct Run;
+  struct Part;
+  struct Chunk;
+
+  template <typename Close>
+  void Fold(Part& part, const Batch& batch, Close&& close);
+  template <typename Close, typename Hit>
+  void FoldRuns(Part& part, const Batch& batch, Close& close, Hit&& hit);
+  void MarkRunStarts(const Batch& batch, const Run& open, std::vector<uint8_t>* starts) const;
+  void OpenRun(const Batch& batch, uint32_t row, Run* run) const;
+  void Combine(Run* into, const Run& from) const;
+  void Emit(const Run& run, std::vector<Tuple>* out) const;
+  size_t RunBytes() const;
+  void ChargeResults();
+
+  const std::vector<size_t>* a_indices_;
+  const std::vector<size_t>* b_indices_;
+  const KeyNumbering* numbering_;  // divisor keys (÷) or divisor B keys (÷*)
+  const KeyCodec* b_codec_;
+  size_t keys_;  // divisor key numbers are 0..keys_-1; keys_ takes misses
+  const GreatDivideBuildArtifact* groups_ = nullptr;  // ÷* only
+  std::vector<Tuple>* results_;
+  size_t charged_results_ = 0;
+  std::unique_ptr<Part> serial_;  // the serial fold, and the merge's open run
+};
+
+}  // namespace quotient

@@ -2,6 +2,7 @@
 
 #include <type_traits>
 
+#include "exec/division_runs.hpp"
 #include "exec/exec_basic.hpp"
 #include "exec/pipeline.hpp"
 #include "exec/query_context.hpp"
@@ -68,6 +69,7 @@ DivisionIterator::DivisionIterator(IterPtr dividend, IterPtr divisor)
   a_idx_ = dividend_->schema().IndicesOfOrThrow(attrs.a);
   b_idx_ = dividend_->schema().IndicesOfOrThrow(attrs.b);
   divisor_idx_ = divisor_->schema().IndicesOfOrThrow(attrs.b);
+  clustered_ = ClusteredOn(*dividend_, a_idx_);
 }
 
 std::shared_ptr<DivisionBuildArtifact> DivisionIterator::BuildDivisorArtifact() {
@@ -118,6 +120,16 @@ void DivisionIterator::Open() {
   ResetCount();
   results_.clear();
   position_ = 0;
+
+  if (clustered_) {
+    std::shared_ptr<const DivisionBuildArtifact> build = GetDivisorArtifact();
+    GovernorFaultPoint("divide.bitmap_fill");
+    dividend_->Open();
+    DivisionRunSink sink(*build, &a_idx_, &b_idx_, &results_);
+    RecordPipelineDop(RunPipeline(*dividend_, sink).dop);
+    sink.Finish();
+    return;
+  }
 
   // Adopt-or-build both encoded phases. A probe-artifact hit skips BOTH
   // child drains (the children are never opened; Close() on an unopened

@@ -32,6 +32,11 @@ namespace quotient {
 /// (exec/pipeline.hpp): with several threads the input's id spans run
 /// morsel-parallel into per-chunk codec/probe states that merge in chunk
 /// order, so results are bit-identical at every thread count.
+///
+/// A dividend clustered on A (ClusteredOn: ρ and σ over a scan whose
+/// leading columns are A) skips the A codec, the per-row store and the
+/// matrix: it is divided run by run in one streaming pass
+/// (exec/division_runs.hpp). EXPLAIN ANALYZE shows which path ran.
 class DivisionIterator : public Iterator {
  public:
   DivisionIterator(IterPtr dividend, IterPtr divisor);
@@ -41,6 +46,9 @@ class DivisionIterator : public Iterator {
   bool NextBatch(Batch* out) override;
   void Close() override;
   const char* name() const override { return "HashDivision"; }
+  const char* ExplainNote() const override {
+    return clustered_ ? "path=clustered" : "path=matrix";
+  }
   std::vector<Iterator*> InputIterators() override {
     return {dividend_.get(), divisor_.get()};
   }
@@ -50,6 +58,9 @@ class DivisionIterator : public Iterator {
   /// Open() then adopts cached divisor/probe state instead of draining the
   /// children, or publishes what it builds.
   void SetRecycle(RecycleSpec spec) { recycle_ = std::move(spec); }
+
+  /// True when the dividend is divided run by run (no probe state).
+  bool clustered() const { return clustered_; }
 
  private:
   std::shared_ptr<DivisionBuildArtifact> BuildDivisorArtifact();
@@ -64,6 +75,7 @@ class DivisionIterator : public Iterator {
   std::vector<size_t> a_idx_;        // A positions in the dividend
   std::vector<size_t> b_idx_;        // B positions in the dividend
   std::vector<size_t> divisor_idx_;  // B positions in the divisor
+  bool clustered_ = false;
   RecycleSpec recycle_;
 
   std::vector<Tuple> results_;

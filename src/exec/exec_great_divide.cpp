@@ -1,5 +1,8 @@
 #include "exec/exec_great_divide.hpp"
 
+#include <algorithm>
+
+#include "exec/division_runs.hpp"
 #include "exec/exec_basic.hpp"
 #include "exec/pipeline.hpp"
 #include "exec/query_context.hpp"
@@ -21,6 +24,7 @@ GreatDivideIterator::GreatDivideIterator(IterPtr dividend, IterPtr divisor)
   b_idx_ = dividend_->schema().IndicesOfOrThrow(attrs.b);
   divisor_b_idx_ = divisor_->schema().IndicesOfOrThrow(attrs.b);
   divisor_c_idx_ = divisor_->schema().IndicesOfOrThrow(attrs.c);
+  clustered_ = ClusteredOn(*dividend_, a_idx_);
 }
 
 std::shared_ptr<GreatDivideBuildArtifact> GreatDivideIterator::BuildDivisorArtifact() {
@@ -43,13 +47,28 @@ std::shared_ptr<GreatDivideBuildArtifact> GreatDivideIterator::BuildDivisorArtif
   art->b.Build(art->b_codec);
   art->c.Build(art->c_codec);
   art->group_sizes.assign(art->c.count(), 0);
-  art->member_of.assign(art->b.count(), {});
+  art->member_begin.assign(art->b.count() + 2, 0);
   for (size_t i = 0; i < art->b_codec.rows(); ++i) {
-    uint32_t gid = art->c.row_ids()[i];
-    art->group_sizes[gid] += 1;
-    art->member_of[art->b.row_ids()[i]].push_back(gid);
+    art->group_sizes[art->c.row_ids()[i]] += 1;
+    art->member_begin[art->b.row_ids()[i] + 1] += 1;
+  }
+  for (size_t j = 1; j < art->member_begin.size(); ++j) {
+    art->member_begin[j] += art->member_begin[j - 1];
+  }
+  art->member_groups.resize(art->b_codec.rows());
+  std::vector<uint32_t> fill(art->member_begin.begin(), art->member_begin.end() - 1);
+  for (size_t i = 0; i < art->b_codec.rows(); ++i) {
+    art->member_groups[fill[art->b.row_ids()[i]]++] = art->c.row_ids()[i];
   }
   return art;
+}
+
+std::shared_ptr<const GreatDivideBuildArtifact> GreatDivideIterator::AdoptDivisorArtifact() {
+  if (recycle_.recycler == nullptr || recycle_.build_key.empty()) return nullptr;
+  ArtifactPtr cached = recycle_.recycler->GetOrBuild(
+      recycle_.build_key, recycle_.build_shape, recycle_.tables,
+      [&]() -> std::shared_ptr<RecycledArtifact> { return BuildDivisorArtifact(); });
+  return std::static_pointer_cast<const GreatDivideBuildArtifact>(cached);
 }
 
 std::shared_ptr<GreatDivideProbeArtifact> GreatDivideIterator::BuildProbeArtifact() {
@@ -57,12 +76,7 @@ std::shared_ptr<GreatDivideProbeArtifact> GreatDivideIterator::BuildProbeArtifac
 
   // Divisor side first: adopt a cached build artifact or build (and keep)
   // a private one — the kernel reads it, so the probe artifact pins it.
-  if (recycle_.recycler && !recycle_.build_key.empty()) {
-    ArtifactPtr cached = recycle_.recycler->GetOrBuild(
-        recycle_.build_key, recycle_.build_shape, recycle_.tables,
-        [&]() -> std::shared_ptr<RecycledArtifact> { return BuildDivisorArtifact(); });
-    if (cached) art->build = std::static_pointer_cast<const GreatDivideBuildArtifact>(cached);
-  }
+  art->build = AdoptDivisorArtifact();
   if (!art->build) {
     art->owned_build = BuildDivisorArtifact();
     art->build = art->owned_build;
@@ -87,6 +101,17 @@ void GreatDivideIterator::Open() {
   ResetCount();
   results_.clear();
   position_ = 0;
+
+  if (clustered_) {
+    std::shared_ptr<const GreatDivideBuildArtifact> build = AdoptDivisorArtifact();
+    if (!build) build = BuildDivisorArtifact();
+    GovernorFaultPoint("divide.bitmap_fill");
+    dividend_->Open();
+    DivisionRunSink sink(*build, &a_idx_, &b_idx_, &results_);
+    RecordPipelineDop(RunPipeline(*dividend_, sink).dop);
+    sink.Finish();
+    return;
+  }
 
   // Adopt-or-build the full encoded probe state; a probe hit skips both
   // child drains (the children are never opened — Close() on an unopened
@@ -114,13 +139,15 @@ void GreatDivideIterator::RunHash(const GreatDivideBuildArtifact& build,
   GovernorFaultPoint("divide.bitmap_fill");
   GovernorCharge(candidates * k * sizeof(uint32_t));  // the match-count matrix
   std::vector<uint32_t> counts(candidates * k, 0);
+  const uint32_t* begin = build.member_begin.data();
+  const uint32_t* members = build.member_groups.data();
+  size_t misses = build.b.count();  // the empty member range
   GovernorTicker ticker;
   for (size_t i = 0; i < probe.row_b.rows(); ++i) {
     ticker.Tick();
-    uint32_t b = probe.row_b.At(i);
-    if (b == KeyNumbering::kNotFound) continue;
+    size_t b = std::min<size_t>(probe.row_b.At(i), misses);
     uint32_t* row = &counts[size_t{probe.a.row_ids()[i]} * k];
-    for (uint32_t gid : build.member_of[b]) row[gid] += 1;
+    for (uint32_t j = begin[b]; j < begin[b + 1]; ++j) row[members[j]] += 1;
   }
   for (uint32_t cand = 0; cand < candidates; ++cand) {
     const uint32_t* row = &counts[size_t{cand} * k];

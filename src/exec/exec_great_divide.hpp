@@ -13,7 +13,8 @@ namespace quotient {
 /// A ∪ C. One pass over the dividend: each divisor B value knows which C
 /// groups it belongs to, and a (candidate × group) match-count matrix
 /// collects the hits; a pair qualifies when its count reaches the group's
-/// size.
+/// size. A dividend clustered on A is divided run by run instead, with one
+/// row of group counters for the current run (exec/division_runs.hpp).
 class GreatDivideIterator : public Iterator {
  public:
   GreatDivideIterator(IterPtr dividend, IterPtr divisor);
@@ -23,6 +24,9 @@ class GreatDivideIterator : public Iterator {
   bool NextBatch(Batch* out) override;
   void Close() override;
   const char* name() const override { return "HashGreatDivide"; }
+  const char* ExplainNote() const override {
+    return clustered_ ? "path=clustered" : "path=matrix";
+  }
   std::vector<Iterator*> InputIterators() override {
     return {dividend_.get(), divisor_.get()};
   }
@@ -31,12 +35,18 @@ class GreatDivideIterator : public Iterator {
   /// Attaches the planner-composed recycling directive (exec/recycler.hpp).
   void SetRecycle(RecycleSpec spec) { recycle_ = std::move(spec); }
 
+  /// True when the dividend is divided run by run (no probe state).
+  bool clustered() const { return clustered_; }
+
  private:
   // The key-encoded inputs the kernel runs over live in the artifact
   // types (exec/recycler.hpp): divisor B values and C groups numbered
   // densely (GreatDivideBuildArtifact), every dividend row carrying its
   // candidate number and divisor-B number (GreatDivideProbeArtifact).
   std::shared_ptr<GreatDivideBuildArtifact> BuildDivisorArtifact();
+  /// The recycler's divisor artifact (adopted or published), or nullptr
+  /// when there is none to share.
+  std::shared_ptr<const GreatDivideBuildArtifact> AdoptDivisorArtifact();
   std::shared_ptr<GreatDivideProbeArtifact> BuildProbeArtifact();
 
   void RunHash(const GreatDivideBuildArtifact& build,
@@ -49,6 +59,7 @@ class GreatDivideIterator : public Iterator {
   std::vector<size_t> b_idx_;
   std::vector<size_t> divisor_b_idx_;
   std::vector<size_t> divisor_c_idx_;
+  bool clustered_ = false;
   RecycleSpec recycle_;
 
   std::shared_ptr<const GreatDivideProbeArtifact> probe_;

@@ -56,6 +56,7 @@ void Render(Iterator& it, std::string* out, int indent) {
   // Degree of parallelism of this operator's pipeline drains (recorded by
   // the pipeline executor; 0 = streaming operator).
   if (it.pipeline_dop() > 0) *out += "  dop=" + std::to_string(it.pipeline_dop());
+  if (const char* note = it.ExplainNote()) *out += std::string("  ") + note;
   *out += "  " + it.schema().ToString() + "\n";
   for (Iterator* child : it.InputIterators()) Render(*child, out, indent + 1);
 }

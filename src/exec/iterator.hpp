@@ -40,6 +40,9 @@ class Iterator {
   /// Operator name for EXPLAIN output.
   virtual const char* name() const = 0;
 
+  /// Optional EXPLAIN ANALYZE annotation, e.g. which kernel path ran.
+  virtual const char* ExplainNote() const { return nullptr; }
+
   /// Children for plan walking (non-owning).
   virtual std::vector<Iterator*> InputIterators() = 0;
 

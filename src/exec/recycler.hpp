@@ -123,10 +123,11 @@ struct DivisionBuildArtifact : RecycledArtifact {
   void DetachBuildCharges() override { codec.DetachRowCharges(); }
 };
 
-/// Dividend probe state of the small divides: the sealed dividend codec and
-/// the per-row divisor-key column. A probe hit skips BOTH drains (the
-/// divisor drain too — divisor_count carries the only divisor-side fact the
-/// kernel needs beyond what row_b encodes).
+/// Dividend probe state of the small divides' matrix path (a dividend
+/// clustered on A is divided run by run and leaves none): the sealed
+/// dividend codec and the per-row divisor-key column. A probe hit skips
+/// BOTH drains (the divisor drain too — divisor_count carries the only
+/// divisor-side fact the kernel needs beyond what row_b encodes).
 struct DivisionProbeArtifact : RecycledArtifact {
   KeyCodec a_codec;          // sealed dividend key codec
   SpilledU32Store row_b{1};  // per dividend row: divisor key id (or miss)
@@ -152,13 +153,18 @@ struct GreatDivideBuildArtifact : RecycledArtifact {
   KeyCodec c_codec;  // divisor C-attribute codec
   KeyNumbering b;
   KeyNumbering c;
-  std::vector<uint32_t> group_sizes;              // per c-id distinct b count
-  std::vector<std::vector<uint32_t>> member_of;   // b-id -> c-ids containing it
+  std::vector<uint32_t> group_sizes;  // per c-id distinct b count
+  // The c-ids containing each b-id, flattened: b-id j's groups are
+  // member_groups[member_begin[j] .. member_begin[j + 1]). One more, empty
+  // range at j = b.count() takes misses (KeyNumbering::kNotFound clamped
+  // to b.count()), so the kernels' row loops need no miss branch.
+  std::vector<uint32_t> member_begin;  // b.count() + 2 offsets
+  std::vector<uint32_t> member_groups;
 
   size_t ApproxBytes() const override {
     size_t bytes = b_codec.ApproxBytes() + c_codec.ApproxBytes();
     bytes += (b.row_ids().size() + c.row_ids().size() + group_sizes.size()) * 4;
-    for (const auto& groups : member_of) bytes += 24 + groups.size() * 4;
+    bytes += (member_begin.size() + member_groups.size()) * 4;
     return bytes;
   }
   bool SpilledToDisk() const override {

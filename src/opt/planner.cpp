@@ -32,9 +32,12 @@ namespace {
 /// ("div"/"gd") selects the artifact type the adopting iterator casts to, so
 /// it must differ wherever the concrete artifact struct differs. Each key
 /// has a shape hash beside it: the same composition over the version-free
-/// fingerprints, which the recycler's admission counts sightings of.
+/// fingerprints, which the recycler's admission counts sightings of. A
+/// clustered dividend is divided run by run and leaves no probe state, so
+/// it gets no probe key.
 RecycleSpec DivideRecycleSpec(const std::string& tag, const LogicalOp& op,
-                              const Catalog& catalog, const PlannerOptions& options) {
+                              const Catalog& catalog, const PlannerOptions& options,
+                              bool clustered) {
   RecycleSpec spec;
   if (options.recycler == nullptr) return spec;
   std::string divisor_shape;
@@ -44,6 +47,7 @@ RecycleSpec DivideRecycleSpec(const std::string& tag, const LogicalOp& op,
   spec.recycler = options.recycler;
   spec.build_key = tag + ".build|" + divisor_fp;
   spec.build_shape = FingerprintHash(tag + ".build|" + divisor_shape);
+  if (clustered) return spec;
   std::string dividend_shape;
   std::string dividend_fp =
       VersionedFingerprint(op.child(0), catalog, &spec.tables, &dividend_shape);
@@ -319,7 +323,7 @@ IterPtr BuildNode(const PlanPtr& plan, const Catalog& catalog, const PlannerOpti
     }
     case LogicalOp::Kind::kDivide: {
       auto div = std::make_unique<DivisionIterator>(child(0), child(1));
-      div->SetRecycle(DivideRecycleSpec("div", op, catalog, options));
+      div->SetRecycle(DivideRecycleSpec("div", op, catalog, options, div->clustered()));
       return div;
     }
     case LogicalOp::Kind::kGreatDivide: {
@@ -329,11 +333,11 @@ IterPtr BuildNode(const PlanPtr& plan, const Catalog& catalog, const PlannerOpti
         // keys: with identical children the encoded state is identical, so
         // ÷ and a C-free ÷* share artifacts.
         auto div = std::make_unique<DivisionIterator>(child(0), child(1));
-        div->SetRecycle(DivideRecycleSpec("div", op, catalog, options));
+        div->SetRecycle(DivideRecycleSpec("div", op, catalog, options, div->clustered()));
         return div;
       }
       auto gd = std::make_unique<GreatDivideIterator>(child(0), child(1));
-      gd->SetRecycle(DivideRecycleSpec("gd", op, catalog, options));
+      gd->SetRecycle(DivideRecycleSpec("gd", op, catalog, options, gd->clustered()));
       return gd;
     }
     case LogicalOp::Kind::kGroupBy: {

@@ -6,9 +6,9 @@
 
 namespace quotient {
 
-/// A fixed-width dynamic bitmap. Used by hash-division and the hash great
-/// divide to record, per quotient candidate, which divisor tuples have been
-/// seen (Graefe's hash-division bitmap scheme).
+/// A fixed-width dynamic bitmap. The clustered hash-division keeps one for
+/// the current run of equal quotient attributes, recording which divisor
+/// tuples that candidate has hit (Graefe's hash-division bitmap scheme).
 class Bitmap {
  public:
   Bitmap() = default;
@@ -35,6 +35,32 @@ class Bitmap {
       if (w != 0) return false;
     return true;
   }
+
+  /// True iff bits [0, n) are all set (n <= size()); bits past n are
+  /// ignored.
+  bool AllBelow(size_t n) const {
+    size_t full = n >> 6;
+    for (size_t i = 0; i < full; ++i) {
+      if (words_[i] != ~uint64_t{0}) return false;
+    }
+    size_t rest = n & 63;
+    if (rest == 0) return true;
+    uint64_t mask = (uint64_t{1} << rest) - 1;
+    return (words_[full] & mask) == mask;
+  }
+
+  /// Clears every bit.
+  void Clear() {
+    for (uint64_t& w : words_) w = 0;
+  }
+
+  /// Sets every bit that is set in `other` (same size).
+  void OrWith(const Bitmap& other) {
+    for (size_t i = 0; i < words_.size(); ++i) words_[i] |= other.words_[i];
+  }
+
+  /// Bytes of the word storage.
+  size_t Bytes() const { return words_.size() * sizeof(uint64_t); }
 
  private:
   size_t bits_ = 0;

@@ -62,21 +62,28 @@ Catalog SuppliersCatalog() {
   catalog.Put("r1", gen.Dividend(/*groups=*/40, /*domain=*/24, /*density=*/0.4));
   catalog.Put("r2", gen.Divisor(/*size=*/8, /*domain=*/24));
   catalog.Put("gd", gen.GreatDivisor(/*groups=*/6, /*domain=*/24, /*density=*/0.25));
+  // Non-clustered twin: A is not a key prefix, so divisions over it keep
+  // the candidate-matrix path.
+  catalog.Put("r1_bfirst", catalog.Get("r1").Reorder({"b", "a"}));
   return catalog;
 }
 
 TEST(BatchExecProperty, DivisionAllBatchSizes) {
   Catalog catalog = SuppliersCatalog();
-  PlanPtr plan = LogicalOp::Divide(LogicalOp::Scan(catalog, "r1"),
-                                   LogicalOp::Scan(catalog, "r2"));
-  ExpectBatchSizeAgreement(plan, catalog);
+  for (const char* dividend : {"r1", "r1_bfirst"}) {
+    PlanPtr plan = LogicalOp::Divide(LogicalOp::Scan(catalog, dividend),
+                                     LogicalOp::Scan(catalog, "r2"));
+    ExpectBatchSizeAgreement(plan, catalog);
+  }
 }
 
 TEST(BatchExecProperty, GreatDivideAllBatchSizes) {
   Catalog catalog = SuppliersCatalog();
-  PlanPtr plan = LogicalOp::GreatDivide(LogicalOp::Scan(catalog, "r1"),
-                                        LogicalOp::Scan(catalog, "gd"));
-  ExpectBatchSizeAgreement(plan, catalog);
+  for (const char* dividend : {"r1", "r1_bfirst"}) {
+    PlanPtr plan = LogicalOp::GreatDivide(LogicalOp::Scan(catalog, dividend),
+                                          LogicalOp::Scan(catalog, "gd"));
+    ExpectBatchSizeAgreement(plan, catalog);
+  }
 }
 
 TEST(BatchExecProperty, FilterProjectPipeline) {

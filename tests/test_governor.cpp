@@ -212,29 +212,48 @@ TEST(GovernorTest, MisEstimatedJoinBuildIsPolledAndCharged) {
 // quotient candidate. With a multi-column A the candidates are interned as
 // the fill loop runs, so the matrix must be charged as its rows are added,
 // not from the (still empty) candidate count before the loop.
-TEST(GovernorTest, CompositeKeyDivisionChargesBitmapMatrix) {
-  constexpr int64_t kCandidates = 2000;
-  constexpr int64_t kDivisorSize = 8192;  // 1024 bitmap bytes per candidate
+/// A composite-key division of kCandidates candidates, one dividend row
+/// each, by an 8192-row divisor: 1024 bitmap bytes per candidate on the
+/// matrix path. `b_first` puts B ahead of A, so A is no key prefix and the
+/// dividend is not clustered on it.
+constexpr int64_t kCandidates = 2000;
+constexpr int64_t kDivisorSize = 8192;
+
+void MakeCompositeKeyDivision(Session* session, bool b_first) {
   std::vector<Tuple> dividend_rows;
   for (int64_t i = 0; i < kCandidates; ++i) {
-    dividend_rows.push_back({V(i), V(i % 7), V(i % kDivisorSize)});
+    if (b_first) {
+      dividend_rows.push_back({V(i % kDivisorSize), V(i), V(i % 7)});
+    } else {
+      dividend_rows.push_back({V(i), V(i % 7), V(i % kDivisorSize)});
+    }
   }
   std::vector<Tuple> divisor_rows;
   for (int64_t b = 0; b < kDivisorSize; ++b) divisor_rows.push_back({V(b)});
-  Relation dividend(Schema::Parse("a1, a2, b"), std::move(dividend_rows));
-  Relation divisor(Schema::Parse("b"), std::move(divisor_rows));
-  const std::string sql = "SELECT a1, a2 FROM r1 AS x DIVIDE BY r2 AS y ON x.b = y.b";
+  Relation dividend(Schema::Parse(b_first ? "b, a1, a2" : "a1, a2, b"),
+                    std::move(dividend_rows));
+  ASSERT_TRUE(session->CreateTable("r1", std::move(dividend)).ok());
+  ASSERT_TRUE(session->CreateTable("r2", Relation(Schema::Parse("b"), std::move(divisor_rows)))
+                  .ok());
+}
+
+constexpr const char* kCompositeKeySql =
+    "SELECT a1, a2 FROM r1 AS x DIVIDE BY r2 AS y ON x.b = y.b";
+
+TEST(GovernorTest, CompositeKeyDivisionChargesBitmapMatrix) {
+  const std::string sql = kCompositeKeySql;
 
   for (size_t threads : {size_t{1}, size_t{4}}) {
     SCOPED_TRACE("threads=" + std::to_string(threads));
     ScopedExecThreads scoped_threads(threads);
     Session session;
-    ASSERT_TRUE(session.CreateTable("r1", dividend).ok());
-    ASSERT_TRUE(session.CreateTable("r2", divisor).ok());
+    MakeCompositeKeyDivision(&session, /*b_first=*/true);
     Result<QueryResult> result = session.Execute(sql);
     ASSERT_TRUE(result.ok()) << result.error();
     EXPECT_TRUE(result.value().rows.empty());
     EXPECT_NE(result.value().profile.explain.find("HashDivision"), std::string::npos)
+        << result.value().profile.explain;
+    EXPECT_NE(result.value().profile.explain.find("path=matrix"), std::string::npos)
         << result.value().profile.explain;
     EXPECT_GE(result.value().profile.rows_charged_bytes,
               size_t{kCandidates} * (kDivisorSize / 8));
@@ -242,11 +261,32 @@ TEST(GovernorTest, CompositeKeyDivisionChargesBitmapMatrix) {
     SessionOptions budgeted;
     budgeted.memory_budget_bytes = size_t{1} << 20;  // half the matrix
     Session limited(budgeted);
-    ASSERT_TRUE(limited.CreateTable("r1", dividend).ok());
-    ASSERT_TRUE(limited.CreateTable("r2", divisor).ok());
+    MakeCompositeKeyDivision(&limited, /*b_first=*/true);
     Result<QueryResult> tripped = limited.Execute(sql);
     ASSERT_FALSE(tripped.ok());
     EXPECT_EQ(tripped.status().code(), StatusCode::kResourceExhausted);
+  }
+}
+
+TEST(GovernorTest, ClusteredCompositeKeyDivisionChargesOneRun) {
+  // The same division with A leading runs run by run: one 1 KB bitmap for
+  // the open run instead of the 2 MB matrix, so the budget that trips the
+  // matrix path holds.
+  for (size_t threads : {size_t{1}, size_t{4}}) {
+    SCOPED_TRACE("threads=" + std::to_string(threads));
+    ScopedExecThreads scoped_threads(threads);
+    SessionOptions budgeted;
+    budgeted.memory_budget_bytes = size_t{1} << 20;
+    Session limited(budgeted);
+    MakeCompositeKeyDivision(&limited, /*b_first=*/false);
+    Result<QueryResult> result = limited.Execute(kCompositeKeySql);
+    ASSERT_TRUE(result.ok()) << result.error();
+    EXPECT_TRUE(result.value().rows.empty());
+    EXPECT_NE(result.value().profile.explain.find("path=clustered"), std::string::npos)
+        << result.value().profile.explain;
+    EXPECT_GE(result.value().profile.rows_charged_bytes, size_t{kDivisorSize / 8});
+    EXPECT_LT(result.value().profile.rows_charged_bytes,
+              size_t{kCandidates} * (kDivisorSize / 8) / 4);
   }
 }
 

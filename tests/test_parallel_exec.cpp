@@ -70,12 +70,16 @@ Catalog WorkloadCatalog() {
   catalog.Put("r2", gen.Divisor(/*size=*/10, /*domain=*/32));
   catalog.Put("gd", gen.GreatDivisor(/*groups=*/7, /*domain=*/32, /*density=*/0.25));
   catalog.Put("spj", Relation::Parse("s, p", "1,1; 1,2; 1,3; 2,1; 2,3; 3,2; 3,3; 4,1"));
+  // Non-clustered twins: with B first, A is not a key prefix, so divisions
+  // over these keep the candidate-matrix path and its probe sinks.
+  catalog.Put("fig1_r1_bfirst", paper::Fig1Dividend().Reorder({"b", "a"}));
+  catalog.Put("r1_bfirst", catalog.Get("r1").Reorder({"b", "a"}));
   return catalog;
 }
 
 TEST(ParallelExecProperty, DivisionAllThreadCounts) {
   Catalog catalog = WorkloadCatalog();
-  for (const char* dividend : {"fig1_r1", "r1"}) {
+  for (const char* dividend : {"fig1_r1", "r1", "fig1_r1_bfirst", "r1_bfirst"}) {
     for (const char* divisor : {"fig1_r2", "r2"}) {
       PlanPtr plan = LogicalOp::Divide(LogicalOp::Scan(catalog, dividend),
                                        LogicalOp::Scan(catalog, divisor));
@@ -86,9 +90,11 @@ TEST(ParallelExecProperty, DivisionAllThreadCounts) {
 
 TEST(ParallelExecProperty, GreatDivideAllThreadCounts) {
   Catalog catalog = WorkloadCatalog();
-  PlanPtr plan = LogicalOp::GreatDivide(LogicalOp::Scan(catalog, "r1"),
-                                        LogicalOp::Scan(catalog, "gd"));
-  ExpectParallelAgreement(plan, catalog, /*batch_rows=*/3, /*morsel_rows=*/2);
+  for (const char* dividend : {"r1", "r1_bfirst"}) {
+    PlanPtr plan = LogicalOp::GreatDivide(LogicalOp::Scan(catalog, dividend),
+                                          LogicalOp::Scan(catalog, "gd"));
+    ExpectParallelAgreement(plan, catalog, /*batch_rows=*/3, /*morsel_rows=*/2);
+  }
 }
 
 TEST(ParallelExecProperty, FilterFeedsBufferedParallelPipeline) {
@@ -96,21 +102,26 @@ TEST(ParallelExecProperty, FilterFeedsBufferedParallelPipeline) {
   // non-splittable: the executor buffers the filtered batches and
   // parallelizes the sink kernels over chunk groups of them.
   // A dividend large enough that the filter's estimated output clears the
-  // fan-out break-even at one-row morsels.
+  // fan-out break-even at one-row morsels. The B-first twin feeds the
+  // candidate-matrix path's probe sink.
   Catalog catalog = WorkloadCatalog();
   catalog.Put("r1_big", DataGen(0xB16).Dividend(/*groups=*/400, /*domain=*/32, 0.4));
+  catalog.Put("r1_big_bfirst", catalog.Get("r1_big").Reorder({"b", "a"}));
   ExprPtr predicate = Expr::And(Expr::ColCmp("b", CmpOp::kLt, V(24)),
                                 Expr::Compare(CmpOp::kNe, Expr::Column("a"), Expr::Column("b")));
-  PlanPtr plan = LogicalOp::Divide(
-      LogicalOp::Select(LogicalOp::Scan(catalog, "r1_big"), predicate),
-      LogicalOp::Scan(catalog, "r2"));
-  ExpectParallelAgreement(plan, catalog, /*batch_rows=*/4, /*morsel_rows=*/1);
-  ScopedMorselRows morsels(1);
-  ScopedBatchRows batches(4);
-  ScopedExecThreads threads(4);
-  ExecProfile profile;
-  ExecutePlan(plan, catalog, {}, &profile);
-  EXPECT_GE(profile.max_dop, 2u) << profile.explain;
+  for (const char* dividend : {"r1_big", "r1_big_bfirst"}) {
+    SCOPED_TRACE(dividend);
+    PlanPtr plan = LogicalOp::Divide(
+        LogicalOp::Select(LogicalOp::Scan(catalog, dividend), predicate),
+        LogicalOp::Scan(catalog, "r2"));
+    ExpectParallelAgreement(plan, catalog, /*batch_rows=*/4, /*morsel_rows=*/1);
+    ScopedMorselRows morsels(1);
+    ScopedBatchRows batches(4);
+    ScopedExecThreads threads(4);
+    ExecProfile profile;
+    ExecutePlan(plan, catalog, {}, &profile);
+    EXPECT_GE(profile.max_dop, 2u) << profile.explain;
+  }
 }
 
 TEST(ParallelExecProperty, RenameChainStaysSplittable) {
@@ -256,9 +267,10 @@ TEST(ParallelExecUnit, ExplainReportsDegreeOfParallelism) {
   ScopedMorselRows morsels(4);
   ScopedBatchRows batches(4);
   ScopedExecThreads threads(4);
-  // A division (codec + probe sinks), a join build and a semi-join build.
+  // A division over a clustered dividend (codec + run sinks) and over its
+  // twin (codec + probe sinks), a join build and a semi-join build.
   for (const PlanPtr& plan :
-       {LogicalOp::Divide(r1, r2),
+       {LogicalOp::Divide(r1, r2), LogicalOp::Divide(LogicalOp::Scan(catalog, "r1_bfirst"), r2),
         LogicalOp::ThetaJoin(r2, LogicalOp::Rename(r1, {{"b", "b2"}}),
                              Expr::ColEqCol("b", "b2")),
         LogicalOp::SemiJoin(r2, r1)}) {

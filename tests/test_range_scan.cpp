@@ -369,7 +369,7 @@ TEST(RangeScanTest, SpanStaysMorselSplittable) {
   ScopedBatchRows batch_rows(4);
   ExecProfile profile;
   EXPECT_EQ(ExecutePlan(plan, catalog, {}, &profile), Evaluate(plan, catalog));
-  // The division's probe pipeline reads the span in parallel morsels (the
+  // The division's dividend pipeline reads the span in parallel morsels (the
   // two-row divisor drains serially, so the dop comes from the span).
   EXPECT_TRUE(Contains(profile.pipelines, "RangeScan")) << profile.pipelines;
   EXPECT_GE(profile.max_dop, 2u) << profile.pipelines;

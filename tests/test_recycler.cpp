@@ -34,6 +34,12 @@ namespace {
 
 constexpr const char* kDivideSql =
     "SELECT a FROM r1 AS x DIVIDE BY r2 AS y ON x.b = y.b";
+/// The same division over r1t, r1 with B first: A is no key prefix there,
+/// so it keeps the candidate-matrix path, whose dividend probe state is
+/// recycled too (r1 is clustered on A and leaves no probe state). r2t is
+/// a copy of r2, so the twin never adopts kDivideSql's divisor build.
+constexpr const char* kDivideTwinSql =
+    "SELECT a FROM r1t AS x DIVIDE BY r2t AS y ON x.b = y.b";
 
 /// The statement corpus the differential sweeps: the operator families the
 /// planner attaches RecycleSpecs to that SQL can reach — division, grouping,
@@ -42,6 +48,7 @@ constexpr const char* kDivideSql =
 /// the plan level by JoinBuildSidesRecycleAcrossPlanExecutions below.)
 const std::vector<const char*> kCorpus = {
     kDivideSql,
+    kDivideTwinSql,
     "SELECT a, COUNT(b) AS n FROM r1 GROUP BY a",
     "SELECT DISTINCT a FROM r1 WHERE b IN (SELECT b FROM r2)",
 };
@@ -55,7 +62,9 @@ std::shared_ptr<Database> MakeDatabase(size_t recycler_bytes) {
   Relation dividend =
       gen.DividendWithHits(160, 17, divisor, /*domain=*/48, /*density=*/0.4);
   Relation lookup = gen.RandomRelation(Schema::Parse("b:int, c:int"), 96, 48);
+  EXPECT_TRUE(db->CreateTable("r1t", dividend.Reorder({"b", "a"})).ok());
   EXPECT_TRUE(db->CreateTable("r1", std::move(dividend)).ok());
+  EXPECT_TRUE(db->CreateTable("r2t", divisor).ok());
   EXPECT_TRUE(db->CreateTable("r2", std::move(divisor)).ok());
   EXPECT_TRUE(db->CreateTable("r3", std::move(lookup)).ok());
   return db;
@@ -504,8 +513,11 @@ TEST(RecyclerAdmissionTest, BitIdenticalToRecyclerOffAcrossThreadCounts) {
   ScopedBatchRows batches(16);
   std::vector<std::string> texts(kCorpus.begin(), kCorpus.end());
   for (int k = 0; k < 3; ++k) {
-    texts.push_back("SELECT a FROM r1 AS x DIVIDE BY (SELECT b FROM r2 WHERE b > " +
-                    std::to_string(4 * k) + ") AS y ON x.b = y.b");
+    for (const char* dividend : {"r1", "r1t"}) {
+      texts.push_back(std::string("SELECT a FROM ") + dividend +
+                      " AS x DIVIDE BY (SELECT b FROM r2 WHERE b > " + std::to_string(4 * k) +
+                      ") AS y ON x.b = y.b");
+    }
   }
   for (size_t threads : {size_t{1}, size_t{4}}) {
     SCOPED_TRACE("threads=" + std::to_string(threads));
@@ -672,8 +684,13 @@ TEST(RecyclerProbation, BitIdenticalToRecyclerOffAcrossThreadCounts) {
   std::vector<std::string> texts(kCorpus.begin(), kCorpus.end());
   for (int k = 0; k < 6; ++k) {
     const std::string lit = std::to_string(4 * k);
-    texts.push_back("SELECT a FROM r1 AS x DIVIDE BY (SELECT b FROM r2 WHERE b > " + lit +
-                    ") AS y ON x.b = y.b");
+    // Both division paths; the matrix path's probe artifacts (r1t) are the
+    // never-reused publications that fill the probation share.
+    for (const char* dividend : {"r1", "r1t"}) {
+      texts.push_back(std::string("SELECT a FROM ") + dividend +
+                      " AS x DIVIDE BY (SELECT b FROM r2 WHERE b > " + lit +
+                      ") AS y ON x.b = y.b");
+    }
     texts.push_back("SELECT a, COUNT(b) AS n FROM r1 WHERE b > " + lit + " GROUP BY a");
   }
   for (size_t threads : {size_t{1}, size_t{4}}) {

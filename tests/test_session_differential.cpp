@@ -60,6 +60,27 @@ CompileInfo ExpectSessionMatchesOracle(const Catalog& catalog, const std::string
 // aggregates, SELECT * naming).
 // ---------------------------------------------------------------------------
 
+TEST(SessionDifferential, SignedZeroGroupsAsOneValue) {
+  // 0.0 and -0.0 compare equal, so they form one group on both paths.
+  Catalog catalog;
+  catalog.Put("r", Relation(Schema::Parse("a:real, b:int"),
+                            {{V(0.0), V(1)}, {V(-0.0), V(2)}, {V(0.0), V(3)}}));
+  const std::string query = "SELECT a, COUNT(b) AS n FROM r GROUP BY a";
+  Result<Relation> oracle = sql::ExecuteSql(query, catalog);
+  ASSERT_TRUE(oracle.ok()) << oracle.error();
+  ASSERT_EQ(oracle.value().size(), 1u);
+  EXPECT_EQ(oracle.value().tuples()[0][1], V(3));
+  for (size_t threads : {size_t{1}, size_t{4}}) {
+    SCOPED_TRACE("threads=" + std::to_string(threads));
+    ScopedExecThreads scoped_threads(threads);
+    Session session = MakeSession(catalog);
+    Result<QueryResult> compiled = session.Execute(query);
+    ASSERT_TRUE(compiled.ok()) << compiled.error();
+    EXPECT_TRUE(compiled.value().compile.compiled);
+    EXPECT_EQ(compiled.value().rows, oracle.value());
+  }
+}
+
 TEST(SessionDifferential, PaperCorpus) {
   Catalog catalog;
   catalog.Put("supplies", paper::SuppliesTable());

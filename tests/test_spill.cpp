@@ -40,6 +40,12 @@ SessionOptions ForcedSpillOptions() {
   return options;
 }
 
+/// The same division over r1t, a twin of r1 with B first: A is no key
+/// prefix there, so it keeps the candidate-matrix path and its spillable
+/// probe stores (r1 is clustered on A and divides run by run).
+constexpr const char* kDivideTwinSql =
+    "SELECT a FROM r1t AS x DIVIDE BY r2 AS y ON x.b = y.b";
+
 Session MakeDivisionSession(SessionOptions options, size_t groups,
                             size_t divisor_size) {
   DataGen gen(7);
@@ -47,6 +53,7 @@ Session MakeDivisionSession(SessionOptions options, size_t groups,
   Relation dividend = gen.DividendWithHits(groups, groups / 8 + 1, divisor,
                                            /*domain=*/64, /*density=*/0.5);
   Session session(options);
+  EXPECT_TRUE(session.CreateTable("r1t", dividend.Reorder({"b", "a"})).ok());
   EXPECT_TRUE(session.CreateTable("r1", std::move(dividend)).ok());
   EXPECT_TRUE(session.CreateTable("r2", std::move(divisor)).ok());
   return session;
@@ -112,34 +119,44 @@ TEST(SpillTest, ForcedSpillDivisionMatchesInMemoryResult) {
   Relation dividend =
       gen.DividendWithHits(2000, 251, divisor, /*domain=*/64, /*density=*/0.5);
 
-  Relation expected;
-  {
-    ScopedExecThreads threads(1);
-    Session plain;
-    ASSERT_TRUE(plain.CreateTable("r1", dividend).ok());
-    ASSERT_TRUE(plain.CreateTable("r2", divisor).ok());
-    Result<QueryResult> baseline = plain.Execute(kDivideSql);
-    ASSERT_TRUE(baseline.ok()) << baseline.error();
-    expected = baseline.value().rows;
-    // (Unless the CI spill-forced job armed QUOTIENT_SPILL_WATERMARK, in
-    // which case even the "plain" baseline spills — still bit-identical.)
-    if (std::getenv("QUOTIENT_SPILL_WATERMARK") == nullptr) {
-      EXPECT_EQ(baseline.value().profile.spill_partitions, 0u);
+  // Both paths: r1 is clustered on A, its twin r1t (B first) is not.
+  for (const char* sql : {kDivideSql, kDivideTwinSql}) {
+    SCOPED_TRACE(sql);
+    Relation expected;
+    {
+      ScopedExecThreads threads(1);
+      Session plain;
+      ASSERT_TRUE(plain.CreateTable("r1", dividend).ok());
+      ASSERT_TRUE(plain.CreateTable("r1t", dividend.Reorder({"b", "a"})).ok());
+      ASSERT_TRUE(plain.CreateTable("r2", divisor).ok());
+      Result<QueryResult> baseline = plain.Execute(sql);
+      ASSERT_TRUE(baseline.ok()) << baseline.error();
+      expected = baseline.value().rows;
+      // (Unless the CI spill-forced job armed QUOTIENT_SPILL_WATERMARK, in
+      // which case even the "plain" baseline spills — still bit-identical.)
+      if (std::getenv("QUOTIENT_SPILL_WATERMARK") == nullptr) {
+        EXPECT_EQ(baseline.value().profile.spill_partitions, 0u);
+      }
     }
-  }
 
-  for (size_t threads : {size_t{1}, size_t{8}}) {
-    SCOPED_TRACE("threads=" + std::to_string(threads));
-    ScopedExecThreads scoped_threads(threads);
-    Session spilled(ForcedSpillOptions());
-    ASSERT_TRUE(spilled.CreateTable("r1", dividend).ok());
-    ASSERT_TRUE(spilled.CreateTable("r2", divisor).ok());
-    Result<QueryResult> result = spilled.Execute(kDivideSql);
-    ASSERT_TRUE(result.ok()) << result.error();
-    EXPECT_EQ(result.value().rows, expected);
-    EXPECT_GT(result.value().profile.spill_partitions, 0u)
-        << "watermark=1 never spilled: the forced-spill path was not taken";
-    EXPECT_GT(result.value().profile.spill_bytes_written, 0u);
+    for (size_t threads : {size_t{1}, size_t{8}}) {
+      SCOPED_TRACE("threads=" + std::to_string(threads));
+      ScopedExecThreads scoped_threads(threads);
+      Session spilled(ForcedSpillOptions());
+      ASSERT_TRUE(spilled.CreateTable("r1", dividend).ok());
+      ASSERT_TRUE(spilled.CreateTable("r1t", dividend.Reorder({"b", "a"})).ok());
+      ASSERT_TRUE(spilled.CreateTable("r2", divisor).ok());
+      Result<QueryResult> result = spilled.Execute(sql);
+      ASSERT_TRUE(result.ok()) << result.error();
+      EXPECT_EQ(result.value().rows, expected);
+      EXPECT_NE(result.value().profile.explain.find(sql == kDivideSql ? "path=clustered"
+                                                                        : "path=matrix"),
+                std::string::npos)
+          << result.value().profile.explain;
+      EXPECT_GT(result.value().profile.spill_partitions, 0u)
+          << "watermark=1 never spilled: the forced-spill path was not taken";
+      EXPECT_GT(result.value().profile.spill_bytes_written, 0u);
+    }
   }
 }
 
@@ -149,19 +166,24 @@ TEST(SpillTest, ExplainAnalyzeReportsSpillCounters) {
   ScopedBatchRows batches(128);
   Session session =
       MakeDivisionSession(ForcedSpillOptions(), /*groups=*/512, /*divisor=*/16);
-  Result<QueryResult> analyzed =
-      session.Execute(std::string("EXPLAIN ANALYZE ") + kDivideSql);
-  ASSERT_TRUE(analyzed.ok()) << analyzed.error();
-  bool found = false;
-  for (const Tuple& row : analyzed.value().rows.tuples()) {
-    for (const Value& value : row) {
-      if (value.type() == ValueType::kString &&
-          value.as_str().find("spill=") != std::string::npos) {
-        found = true;
+  for (const char* sql : {kDivideSql, kDivideTwinSql}) {
+    SCOPED_TRACE(sql);
+    Result<QueryResult> analyzed = session.Execute(std::string("EXPLAIN ANALYZE ") + sql);
+    ASSERT_TRUE(analyzed.ok()) << analyzed.error();
+    bool found = false;
+    bool path = false;
+    for (const Tuple& row : analyzed.value().rows.tuples()) {
+      for (const Value& value : row) {
+        if (value.type() != ValueType::kString) continue;
+        found = found || value.as_str().find("spill=") != std::string::npos;
+        path = path || value.as_str().find(sql == kDivideSql ? "path=clustered"
+                                                             : "path=matrix") !=
+                           std::string::npos;
       }
     }
+    EXPECT_TRUE(found) << "EXPLAIN ANALYZE output lacks spill counters";
+    EXPECT_TRUE(path) << "EXPLAIN ANALYZE output does not name the division path";
   }
-  EXPECT_TRUE(found) << "EXPLAIN ANALYZE output lacks spill counters";
 }
 
 TEST(SpillTest, CancelMidSpillDeliversCancelledAndPoolSurvives) {
@@ -264,19 +286,22 @@ TEST(SpillDifferentialTest, GreatDivideBitIdenticalWithSpillForced) {
   // ÷* runs through its own encoded build (Encoded::row_b and the
   // ProbeAppendSink); cover it at the exec layer, where a governed context
   // with a tiny watermark forces every flush.
+  // The B-first twin keeps the candidate-matrix path and its probe stores.
   DataGen gen(23);
-  Relation dividend = gen.Dividend(200, /*domain=*/24, /*density=*/0.4);
+  Relation clustered = gen.Dividend(200, /*domain=*/24, /*density=*/0.4);
   Relation divisor = gen.GreatDivisor(6, /*domain=*/24, /*density=*/0.3);
-  Relation reference = ExecGreatDivide(dividend, divisor);
-  ASSERT_EQ(reference, GreatDivideSCD(dividend, divisor));
-  for (size_t threads : {size_t{1}, size_t{8}}) {
-    SCOPED_TRACE("threads=" + std::to_string(threads));
-    ScopedExecThreads scoped_threads(threads);
-    QueryContext ctx;
-    ctx.EnableSpill(/*watermark_bytes=*/1, /*dir=*/"");
-    ScopedQueryContext scope(&ctx);
-    EXPECT_EQ(ExecGreatDivide(dividend, divisor), reference);
-    EXPECT_GT(ctx.spill_partitions(), 0u);
+  for (const Relation& dividend : {clustered, clustered.Reorder({"b", "a"})}) {
+    Relation reference = ExecGreatDivide(dividend, divisor);
+    ASSERT_EQ(reference, GreatDivideSCD(dividend, divisor));
+    for (size_t threads : {size_t{1}, size_t{8}}) {
+      SCOPED_TRACE("threads=" + std::to_string(threads));
+      ScopedExecThreads scoped_threads(threads);
+      QueryContext ctx;
+      ctx.EnableSpill(/*watermark_bytes=*/1, /*dir=*/"");
+      ScopedQueryContext scope(&ctx);
+      EXPECT_EQ(ExecGreatDivide(dividend, divisor), reference);
+      EXPECT_GT(ctx.spill_partitions(), 0u);
+    }
   }
 }
 

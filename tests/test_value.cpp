@@ -64,6 +64,14 @@ TEST(ValueTest, HashConsistentWithEquality) {
   EXPECT_EQ(Value::SetOf({V(1), V(2)}).Hash(), Value::SetOf({V(2), V(1)}).Hash());
 }
 
+TEST(ValueTest, SignedZerosHashAlike) {
+  // -0.0 == +0.0, so they must hash alike: a dictionary keyed on the hash
+  // would otherwise give one value two ids.
+  EXPECT_EQ(V(-0.0), V(0.0));
+  EXPECT_EQ(V(-0.0).Hash(), V(0.0).Hash());
+  EXPECT_EQ(Value::SetOf({V(-0.0)}).Hash(), Value::SetOf({V(0.0)}).Hash());
+}
+
 TEST(ValueTest, Numeric) {
   EXPECT_DOUBLE_EQ(V(3).Numeric(), 3.0);
   EXPECT_DOUBLE_EQ(V(2.5).Numeric(), 2.5);
