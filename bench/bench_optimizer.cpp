@@ -85,7 +85,7 @@ void BM_LawChoice(benchmark::State& state, bool search) {
     chosen = RewriteEngine::Default().Rewrite(plan, RewriteContext{&catalog}, &steps);
   }
   for (auto _ : state) {
-    Relation q = ExecutePlan(chosen, catalog, {}, nullptr, nullptr, &stats);
+    Relation q = ExecutePlan(chosen, catalog);
     benchmark::DoNotOptimize(q);
   }
   state.counters["chosen_cost"] = EstimateCost(chosen, catalog, stats);

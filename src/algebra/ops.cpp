@@ -176,18 +176,6 @@ void AggAccumulate(const AggSpec& spec, const Value& v, AggState* state) {
   s.has_minmax = true;
 }
 
-void AggMerge(const AggState& src, AggState* dst) {
-  dst->count += src.count;
-  dst->sum += src.sum;
-  dst->sum_int += src.sum_int;
-  dst->sum_is_int = dst->sum_is_int && src.sum_is_int;
-  if (src.has_minmax) {
-    if (!dst->has_minmax || src.min < dst->min) dst->min = src.min;
-    if (!dst->has_minmax || src.max > dst->max) dst->max = src.max;
-    dst->has_minmax = true;
-  }
-}
-
 Value AggFinish(const AggSpec& spec, const AggState& s) {
   switch (spec.fn) {
     case AggFunc::kCount: return Value::Int(s.count);

@@ -76,8 +76,8 @@ struct AggState {
   double sum = 0;
   bool sum_is_int = true;
   /// Wide enough that no realistic number of int64 adds can wrap it; the
-  /// int64 range is checked once, in AggFinish, so the verdict does not
-  /// depend on morsel or merge order.
+  /// int64 range is checked once, in AggFinish, so a sum whose running
+  /// prefix leaves the range but whose total fits returns the total.
   __int128 sum_int = 0;
   bool has_minmax = false;
   Value min;
@@ -91,12 +91,6 @@ std::vector<size_t> AggArgIndices(const Schema& input, const std::vector<AggSpec
 
 /// Folds one input value into `state` (`v` is ignored for kCount).
 void AggAccumulate(const AggSpec& spec, const Value& v, AggState* state);
-
-/// Folds a partial state into `dst` (the merge phase of parallel grouping
-/// pipelines). Count/min/max and integer sums merge exactly; floating-point
-/// sums may associate differently than the serial fold, so the executor
-/// only parallelizes aggregations whose sum/avg arguments are integer.
-void AggMerge(const AggState& src, AggState* dst);
 
 /// The final output value for `spec` over `state`. An integer SUM outside
 /// the int64 range throws SchemaError ("integer overflow in SUM").

@@ -594,8 +594,7 @@ Result<QueryResult> Session::Run(const BoundStatement& bound) {
     std::shared_ptr<QueryContext> context = MakeContext();
     try {
       if (entry.info.compiled) {
-        out.rows = ExecutePlan(bound.plan, catalog, planner, &out.profile, context.get(),
-                               bound.overlay == nullptr ? &bound.snapshot->stats() : nullptr);
+        out.rows = ExecutePlan(bound.plan, catalog, planner, &out.profile, context.get());
       } else {
         database_->NoteFallbackExecution(entry.info.fallback_reason);
         ScopedQueryContext scope(context.get());
@@ -660,9 +659,7 @@ Result<ResultCursor> Session::Open(const BoundStatement& bound) {
   PlannerOptions planner = options_.optimizer.planner;
   if (bound.overlay != nullptr) planner.recycler = nullptr;  // see Run
   if (entry.info.compiled) {
-    IterPtr root = BuildPhysicalPlan(bound.plan, bound.exec_catalog(), planner,
-                                     bound.overlay == nullptr ? &bound.snapshot->stats()
-                                                              : nullptr);
+    IterPtr root = BuildPhysicalPlan(bound.plan, bound.exec_catalog(), planner);
     return ResultCursor(std::move(root), nullptr, std::move(info), bound.snapshot,
                         std::move(context), bound.overlay, entry.ast->limit);
   }

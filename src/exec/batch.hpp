@@ -14,9 +14,9 @@
 // array load per row.
 //
 // NextBatch() is the only pull contract between operators; the pipeline
-// executor (exec/pipeline.hpp) decides serial vs morsel-parallel drains from
-// the thread count alone, and ResultCursor (api/session.hpp) is the one row
-// adapter, at the API edge.
+// executor (exec/pipeline.hpp) drains breakers serially, except a clustered
+// division's dividend, which may fan out, and ResultCursor (api/session.hpp)
+// is the one row adapter, at the API edge.
 
 #include <algorithm>
 #include <cstdint>

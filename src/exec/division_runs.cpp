@@ -3,7 +3,9 @@
 #include <algorithm>
 #include <utility>
 
+#include "exec/exec_basic.hpp"
 #include "exec/query_context.hpp"
+#include "exec/scheduler.hpp"
 #include "util/bitmap.hpp"
 
 namespace quotient {
@@ -27,7 +29,7 @@ struct DivisionRunSink::Part {
 
 /// A chunk keeps its first run apart (the previous chunk may have started
 /// it) and the runs that closed in between as results.
-struct DivisionRunSink::Chunk : SinkChunk, Part {
+struct DivisionRunSink::Chunk : Part {
   Run head;
   bool has_head = false;
   std::vector<Tuple> results;
@@ -206,20 +208,19 @@ void DivisionRunSink::FoldRuns(Part& part, const Batch& batch, Close& close, Hit
   }
 }
 
-void DivisionRunSink::ConsumeSerial(const Batch& batch) {
+void DivisionRunSink::Consume(const Batch& batch) {
   Fold(*serial_, batch, [&](const Run& run) { Emit(run, results_); });
   ChargeResults();
 }
 
-std::unique_ptr<SinkChunk> DivisionRunSink::MakeChunk(size_t /*rows*/) {
+std::unique_ptr<DivisionRunSink::Chunk> DivisionRunSink::MakeChunk() {
   auto chunk = std::make_unique<Chunk>();
   chunk->probe.Bind(numbering_, b_codec_, b_indices_);
   GovernorCharge(2 * RunBytes());  // the held first run and the open one
   return chunk;
 }
 
-void DivisionRunSink::Consume(SinkChunk& chunk, const Batch& batch) {
-  Chunk& c = static_cast<Chunk&>(chunk);
+void DivisionRunSink::Consume(Chunk& c, const Batch& batch) {
   Fold(c, batch, [&](Run& run) {
     if (c.has_head) {
       Emit(run, &c.results);
@@ -230,8 +231,7 @@ void DivisionRunSink::Consume(SinkChunk& chunk, const Batch& batch) {
   });
 }
 
-void DivisionRunSink::Merge(SinkChunk& chunk) {
-  Chunk& c = static_cast<Chunk&>(chunk);
+void DivisionRunSink::Merge(Chunk& c) {
   if (!c.run.open) return;  // the chunk had no rows
   Run& open = serial_->run;
   Run& first = c.has_head ? c.head : c.run;
@@ -254,6 +254,55 @@ void DivisionRunSink::Finish() {
   if (open.open) Emit(open, results_);
   open.open = false;
   ChargeResults();
+}
+
+PipelineStats RunPipeline(Iterator& child, DivisionRunSink& sink) {
+  PipelineSink& serial = sink;
+  if (GetExecThreads() <= 1 || OnWorkerThread()) return RunPipeline(child, serial);
+  SplitSource source = FindSplittableSource(child);
+  if (source.scan == nullptr) return RunPipeline(child, serial);
+  // The scan knows its exact row count (a RangeScan's is its span width),
+  // so the fan-out needs no estimate.
+  const size_t rows = source.scan->TotalRows();
+  PipelineChoice choice = ChoosePipeline(rows);
+  if (choice.workers <= 1) return RunPipeline(child, serial);
+  // Two or more workers imply at least two morsels, so two or more chunks.
+  const size_t chunk_rows = choice.chunk_rows;
+  const size_t chunks = (rows + chunk_rows - 1) / chunk_rows;
+
+  std::vector<std::unique_ptr<DivisionRunSink::Chunk>> states;
+  states.reserve(chunks);
+  for (size_t i = 0; i < chunks; ++i) states.push_back(sink.MakeChunk());
+  // Contiguous id spans of the scan, read straight from storage
+  // (TableEncoding id columns and relation rows are immutable).
+  const size_t batch_rows = GetBatchRows();
+  RelationScan* scan = source.scan;
+  ParallelFor(chunks, [&](size_t ci) {
+    size_t begin = ci * chunk_rows;
+    size_t end = std::min(rows, begin + chunk_rows);
+    Batch batch;
+    for (size_t at = begin; at < end; at += batch_rows) {
+      GovernorPoll();
+      GovernorFaultPoint("pipeline.morsel");
+      scan->FillSpan(at, std::min(batch_rows, end - at), &batch);
+      sink.Consume(*states[ci], batch);
+    }
+  });
+  for (std::unique_ptr<DivisionRunSink::Chunk>& state : states) {
+    GovernorPoll();
+    GovernorFaultPoint("pipeline.merge");
+    sink.Merge(*state);
+  }
+  // The span reads bypassed the chain's NextBatch methods; credit every
+  // bypassed operator with the rows it forwarded so EXPLAIN totals match
+  // the serial drain exactly.
+  for (Iterator* op : source.chain) op->AddProducedRows(rows);
+
+  PipelineStats stats;
+  stats.rows = rows;
+  // ParallelFor lets every thread claim chunks, whatever choice.workers.
+  stats.dop = std::min(GetExecThreads(), chunks);
+  return stats;
 }
 
 }  // namespace quotient

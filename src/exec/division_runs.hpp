@@ -27,13 +27,16 @@
 namespace quotient {
 
 /// The dividend drain of a clustered ÷ or ÷*, emitting qualifying
-/// candidates (A, or A × C) into `results`. Chunked drains keep each
-/// chunk's first and last runs open; Merge ORs (÷) or sums (÷*) them with
-/// the neighbouring chunk's in chunk order, so the output equals the
-/// serial drain at every thread count. Call Finish() after RunPipeline to
-/// close the last run.
+/// candidates (A, or A × C) into `results`. The only sink with a chunked
+/// drain: RunPipeline below folds each chunk into a Chunk that keeps its
+/// first and last runs open, and Merge ORs (÷) or sums (÷*) them with the
+/// neighbouring chunk's in chunk order, so the output equals the serial
+/// drain at every thread count. Call Finish() after RunPipeline to close
+/// the last run.
 class DivisionRunSink : public PipelineSink {
  public:
+  struct Chunk;
+
   /// ÷: a run qualifies when it hit every divisor key; r1 ÷ ∅ = πA(r1),
   /// since with no divisor keys every run qualifies.
   DivisionRunSink(const DivisionBuildArtifact& build, const std::vector<size_t>* a_indices,
@@ -43,16 +46,18 @@ class DivisionRunSink : public PipelineSink {
                   const std::vector<size_t>* b_indices, std::vector<Tuple>* results);
   ~DivisionRunSink() override;
 
-  void ConsumeSerial(const Batch& batch) override;
-  std::unique_ptr<SinkChunk> MakeChunk(size_t rows) override;
-  void Consume(SinkChunk& chunk, const Batch& batch) override;
-  void Merge(SinkChunk& chunk) override;
+  void Consume(const Batch& batch) override;
+  /// Chunked drains: one Chunk per chunk, folded concurrently on distinct
+  /// chunks (Consume touches only the chunk and immutable build state),
+  /// then merged serially in chunk order.
+  std::unique_ptr<Chunk> MakeChunk();
+  void Consume(Chunk& chunk, const Batch& batch);
+  void Merge(Chunk& chunk);
   void Finish();
 
  private:
   struct Run;
   struct Part;
-  struct Chunk;
 
   template <typename Close>
   void Fold(Part& part, const Batch& batch, Close&& close);
@@ -75,5 +80,12 @@ class DivisionRunSink : public PipelineSink {
   size_t charged_results_ = 0;
   std::unique_ptr<Part> serial_;  // the serial fold, and the merge's open run
 };
+
+/// Drains `child` (already Open()ed) into the run sink. Morsel-driven once
+/// the source is a RelationScan under ρ only and its exact row count clears
+/// ChoosePipeline's break-even at more than one thread: contiguous id
+/// spans are read straight from storage, one Chunk each, and merged in
+/// chunk order. Otherwise the drain is serial, as for every other sink.
+PipelineStats RunPipeline(Iterator& child, DivisionRunSink& sink);
 
 }  // namespace quotient

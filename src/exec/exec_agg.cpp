@@ -10,7 +10,7 @@ namespace {
 
 /// The grouping state of one aggregation: incrementally encoded group keys
 /// interned to dense group numbers, plus the flat per-(group, spec) AggState
-/// array. The global state and each parallel chunk's partial hold one.
+/// array.
 struct GroupState {
   explicit GroupState(size_t group_cols) : encoder(group_cols) {}
 
@@ -24,138 +24,50 @@ struct GroupState {
   std::vector<AggState> states;
 };
 
-/// Folds one batch's rows into `gs` using its pre-resolved group keys.
-void FoldBatch(const Batch& batch, const std::vector<uint64_t>& keys64,
-               const std::vector<SmallByteKey>& keys_spill, const std::vector<AggSpec>& aggs,
-               const std::vector<size_t>& arg_indices, GroupState* gs) {
-  const size_t na = aggs.size();
-  const bool fits64 = gs->encoder.fits64();
-  size_t n = batch.ActiveRows();
-  for (size_t i = 0; i < n; ++i) {
-    uint32_t gid = fits64 ? gs->groups64.Intern(keys64[i]) : gs->groups_spill.Intern(keys_spill[i]);
-    if (size_t{gid} * na >= gs->states.size()) gs->states.resize(gs->states.size() + na);
-    uint32_t row = batch.RowAt(i);
-    for (size_t j = 0; j < na; ++j) {
-      AggAccumulate(aggs[j], batch.At(row, arg_indices[j]), &gs->states[size_t{gid} * na + j]);
-    }
-  }
-}
-
-/// Grouping sink for RunPipeline: chunks aggregate into local GroupStates,
-/// and the merge re-interns each chunk's groups (in local first-seen order,
-/// chunks in index order — i.e. global row order) into the target state,
-/// AggMerge-ing the partial accumulators. Refuses to parallelize when a
-/// sum/avg argument is floating point, where re-associated addition could
-/// diverge from the serial fold.
+/// Grouping sink for RunPipeline: resolves each batch's group keys, interns
+/// them to group numbers and folds the rows' arguments into their states.
 class AggregateSink : public PipelineSink {
  public:
   AggregateSink(GroupState* target, const std::vector<AggSpec>* aggs,
                 const std::vector<size_t>* group_indices,
-                const std::vector<size_t>* arg_indices, bool exact)
+                const std::vector<size_t>* arg_indices)
       : target_(target),
         aggs_(aggs),
         group_indices_(group_indices),
         arg_indices_(arg_indices),
-        exact_(exact),
-        serial_keyer_(&target->encoder, group_indices->size()) {}
+        keyer_(&target->encoder, group_indices->size()) {}
 
-  bool AllowParallel() const override { return exact_; }
-
-  void ConsumeSerial(const Batch& batch) override {
+  void Consume(const Batch& batch) override {
     GovernorFaultPoint("sink.aggregate");
-    const size_t width = (group_indices_->size() + aggs_->size()) * 8;
+    const size_t na = aggs_->size();
+    const size_t width = (group_indices_->size() + na) * 8;
     // The per-batch key scratch is transient; only group-state growth is
     // retained, so only that delta stays charged after the fold.
     ScopedCharge transient;
     transient.Add(batch.ActiveRows() * width);
-    serial_keyer_.Keys(batch, group_indices_, &keys64_, &keys_spill_);
-    size_t before = target_->num_groups();
-    FoldBatch(batch, keys64_, keys_spill_, *aggs_, *arg_indices_, target_);
-    GovernorCharge((target_->num_groups() - before) * width);
-  }
-
-  std::unique_ptr<SinkChunk> MakeChunk(size_t /*rows*/) override {
-    return std::make_unique<Chunk>(group_indices_->size());
-  }
-
-  void Consume(SinkChunk& chunk, const Batch& batch) override {
-    GovernorFaultPoint("sink.aggregate");
-    Chunk& c = static_cast<Chunk&>(chunk);
-    const size_t width = (group_indices_->size() + aggs_->size()) * 8;
-    ScopedCharge transient;
-    transient.Add(batch.ActiveRows() * width);
-    c.keyer.Keys(batch, group_indices_, &c.keys64, &c.keys_spill);
-    size_t before = c.part.num_groups();
-    FoldBatch(batch, c.keys64, c.keys_spill, *aggs_, *arg_indices_, &c.part);
-    // Chunk-local partials live until Merge folds them into the target;
-    // their charge is scoped to the chunk and released there.
-    c.part_charge.Add((c.part.num_groups() - before) * width);
-  }
-
-  void Merge(SinkChunk& chunk) override {
-    Chunk& c = static_cast<Chunk&>(chunk);
-    const size_t na = aggs_->size();
-    const size_t nc = group_indices_->size();
-    // Both encoders are built over the same group columns, so they always
-    // agree on the key representation.
-    const bool fits64 = target_->encoder.fits64();
-    size_t local_groups = c.part.num_groups();
-    // Lazy per-column translation of chunk-local dictionary ids into the
-    // target encoder's id space — one Value intern per distinct chunk
-    // value, an array load per group key id afterwards.
-    std::vector<std::vector<uint32_t>> xlat(nc);
-    for (size_t col = 0; col < nc; ++col) {
-      xlat[col].assign(c.part.encoder.dict(col).size(), ValueDict::kNotFound);
-    }
-    std::vector<uint32_t> ids(nc);
-    SmallByteKey spill;
-    size_t target_before = target_->num_groups();
-    for (uint32_t gid = 0; gid < local_groups; ++gid) {
-      for (size_t col = 0; col < nc; ++col) {
-        uint32_t local_id =
-            fits64 ? static_cast<uint32_t>(c.part.groups64.At(gid) >> (32 * col))
-                   : c.part.groups_spill.At(gid).IdAt(col);
-        uint32_t& slot = xlat[col][local_id];
-        if (slot == ValueDict::kNotFound) {
-          slot = target_->encoder.InternValue(col, c.part.encoder.dict(col).At(local_id));
-        }
-        ids[col] = slot;
-      }
-      uint32_t global;
-      if (fits64) {
-        global = target_->groups64.Intern(target_->encoder.PackIds(ids.data()));
-      } else {
-        target_->encoder.SpillFromIds(ids.data(), &spill);
-        global = target_->groups_spill.Intern(spill);
-      }
-      if (size_t{global} * na >= target_->states.size()) {
-        target_->states.resize(target_->states.size() + na);
-      }
+    keyer_.Keys(batch, group_indices_, &keys64_, &keys_spill_);
+    GroupState& gs = *target_;
+    size_t before = gs.num_groups();
+    const bool fits64 = gs.encoder.fits64();
+    size_t n = batch.ActiveRows();
+    for (size_t i = 0; i < n; ++i) {
+      uint32_t gid = fits64 ? gs.groups64.Intern(keys64_[i]) : gs.groups_spill.Intern(keys_spill_[i]);
+      if (size_t{gid} * na >= gs.states.size()) gs.states.resize(gs.states.size() + na);
+      uint32_t row = batch.RowAt(i);
       for (size_t j = 0; j < na; ++j) {
-        AggMerge(c.part.states[size_t{gid} * na + j],
-                 &target_->states[size_t{global} * na + j]);
+        AggAccumulate((*aggs_)[j], batch.At(row, (*arg_indices_)[j]),
+                      &gs.states[size_t{gid} * na + j]);
       }
     }
-    GovernorCharge((target_->num_groups() - target_before) * (nc + na) * 8);
-    c.part_charge.ReleaseNow();
+    GovernorCharge((gs.num_groups() - before) * width);
   }
 
  private:
-  struct Chunk : SinkChunk {
-    explicit Chunk(size_t group_cols) : part(group_cols), keyer(&part.encoder, group_cols) {}
-    GroupState part;
-    BatchIncrementalKeyer keyer;
-    std::vector<uint64_t> keys64;
-    std::vector<SmallByteKey> keys_spill;
-    ScopedCharge part_charge;
-  };
-
   GroupState* target_;
   const std::vector<AggSpec>* aggs_;
   const std::vector<size_t>* group_indices_;
   const std::vector<size_t>* arg_indices_;
-  bool exact_;
-  BatchIncrementalKeyer serial_keyer_;
+  BatchIncrementalKeyer keyer_;
   std::vector<uint64_t> keys64_;
   std::vector<SmallByteKey> keys_spill_;
 };
@@ -180,19 +92,10 @@ std::shared_ptr<GroupingArtifact> HashAggregateIterator::BuildArtifact() {
 
   // Online hash aggregation: group keys are incrementally dictionary-encoded
   // and interned to dense group numbers; per-group aggregate states live in
-  // one flat array. Nothing is materialized but the output. Serial and
-  // chunked drains resolve group keys through translation arrays into the
-  // same encoder id space, so grouping is identical at every thread count.
+  // one flat array. Nothing is materialized but the output.
   GroupState groups(group_indices_.size());
   const size_t na = aggs_.size();
-  // Parallel merges re-associate additions; only exact (integer) sums may
-  // take the chunked path.
-  bool exact = true;
-  for (size_t j = 0; j < na; ++j) {
-    if (aggs_[j].fn != AggFunc::kSum && aggs_[j].fn != AggFunc::kAvg) continue;
-    if (child_->schema().attribute(arg_indices_[j]).type != ValueType::kInt) exact = false;
-  }
-  AggregateSink sink(&groups, &aggs_, &group_indices_, &arg_indices_, exact);
+  AggregateSink sink(&groups, &aggs_, &group_indices_, &arg_indices_);
   RecordPipelineDop(RunPipeline(*child_, sink).dop);
 
   size_t num_groups = groups.num_groups();

@@ -73,9 +73,8 @@ DivisionIterator::DivisionIterator(IterPtr dividend, IterPtr divisor)
 }
 
 std::shared_ptr<DivisionBuildArtifact> DivisionIterator::BuildDivisorArtifact() {
-  // Build pipeline: dictionary-encode the divisor's B tuples. Each drain
-  // is sized per pipeline (exec/pipeline.hpp): serial batches at one
-  // thread, morsel-parallel chunk states merged in chunk order otherwise.
+  // Build pipeline: dictionary-encode the divisor's B tuples
+  // (exec/pipeline.hpp).
   auto art = std::make_shared<DivisionBuildArtifact>();
   divisor_->Open();
   art->codec = KeyCodec(divisor_idx_.size());

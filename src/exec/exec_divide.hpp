@@ -28,10 +28,8 @@ namespace quotient {
 /// Both drains consume encoded batches: dictionary ids from the scans
 /// translate into the division's codecs through per-column translation
 /// arrays (see docs/batched_execution.md), so the per-row probe cost is an
-/// array load, not a Value hash. Each drain is a pipeline
-/// (exec/pipeline.hpp): with several threads the input's id spans run
-/// morsel-parallel into per-chunk codec/probe states that merge in chunk
-/// order, so results are bit-identical at every thread count.
+/// array load, not a Value hash. Each drain is a serial pipeline
+/// (exec/pipeline.hpp).
 ///
 /// A dividend clustered on A (ClusteredOn: ρ and σ over a scan whose
 /// leading columns are A) skips the A codec, the per-row store and the

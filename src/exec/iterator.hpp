@@ -50,15 +50,6 @@ class Iterator {
   /// 0 means unknown. Valid before Open().
   virtual size_t EstimatedRows() const { return 0; }
 
-  /// Cost-model cardinality estimate for this operator's output, set by
-  /// the planner from EstimatePlan (opt/cost.hpp); 0 = not set. Unlike
-  /// EstimatedRows() — a structural upper bound that forwards child sizes
-  /// through filters — this accounts for selectivity and join/division
-  /// shrinkage, and the pipeline executor's costed per-pipeline choices
-  /// (ChoosePipeline, exec/pipeline.hpp) consult it first.
-  double cost_rows_hint() const { return cost_rows_hint_; }
-  void set_cost_rows_hint(double rows) { cost_rows_hint_ = rows; }
-
   /// Indices (into InputIterators()) of the children this operator fully
   /// drains during Open() — the pipeline-breaker edges where the executor
   /// splits the plan into pipelines (exec/pipeline.hpp). Children not
@@ -96,9 +87,6 @@ class Iterator {
   // thread, but the counter must stay exact under any future interleaving.
   std::atomic<size_t> rows_produced_{0};
   size_t pipeline_dop_ = 0;
-
- private:
-  double cost_rows_hint_ = 0;
 };
 
 using IterPtr = std::unique_ptr<Iterator>;

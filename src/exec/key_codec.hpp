@@ -296,10 +296,6 @@ class KeyCodec {
     num_rows_ += nrows;
   }
 
-  /// Returns the row store's outstanding governor charge — for transient
-  /// chunk-local codecs whose rows were merged into another codec.
-  void ReleaseRowCharges() { ids_.ReleaseCharges(); }
-
   /// True when some build rows were flushed to the query's spill file; such
   /// a codec reads through a per-query temp file and cannot be shared.
   bool rows_on_disk() const { return ids_.on_disk(); }
@@ -317,15 +313,6 @@ class KeyCodec {
     for (const ValueDict& d : dicts_) bytes += d.size() * 32;
     return bytes;
   }
-
-  /// Merge phase of parallel pipeline drains: appends every build row of
-  /// `part` (an unsealed chunk-local codec over the same key columns) into
-  /// this codec. Each part dictionary is interned once, in part-id order
-  /// (O(distinct)), and the rows are then remapped through the resulting
-  /// translation arrays and appended a batch at a time. Part ids are the
-  /// chunk's first-seen order, so merging chunks in chunk-index order
-  /// reproduces the serial scan's id assignment exactly.
-  void AppendTranslated(const KeyCodec& part);
 
   /// Packs pre-resolved per-column ids into a flat key. Valid after Seal()
   /// when !spilled(); every id must come from this codec's dictionaries.

@@ -1,30 +1,24 @@
 #pragma once
 
-// Pipeline-based parallel executor (docs/parallel_execution.md).
+// Pipeline-based executor (docs/parallel_execution.md).
 //
 // A physical plan decomposes into pipelines at its breaker edges — child
 // streams a blocking operator fully drains during Open(): hash-table
 // builds, division codec drains, grouping, set-operation build sides. Each
-// such drain is "source → streaming ops → sink", and RunPipeline executes
-// it in one of two shapes, decided by the thread count and the drain's row
-// count (ChoosePipeline):
+// such drain is "source → streaming ops → sink", and RunPipeline folds its
+// batches straight into the sink on the calling thread.
 //
-//   serial  — one thread, a drain already on a pool worker, or too few rows
-//             to pay for a fan-out: batches fold straight into the sink;
-//   chunked — morsel-driven: the source's rows are split into contiguous
-//             chunks of id spans, a worker pool (exec/scheduler.hpp) runs
-//             the batch kernels per chunk into per-chunk partial sink
-//             states, and the partials are merged in chunk-index order.
-//
-// The chunk-ordered merge is what makes chunked drains bit-identical to
-// serial ones at every thread count: iterating chunks in index
-// order and rows within a chunk in row order visits the input in exactly
-// the serial row order, so dictionary ids, candidate numberings, group
-// numbers, and result emission order all come out the same. Law 13's
-// partitioned great divide proved this merge shape correct for division;
-// the sinks here generalize it to every hash-based operator.
+// One sink fans out: the dividend drain of a clustered division
+// (DivisionRunSink, exec/division_runs.hpp). Its own RunPipeline overload
+// splits a scan source into contiguous chunks of id spans, a worker pool
+// (exec/scheduler.hpp) folds each chunk into a partial state, and the
+// partials merge in chunk-index order. Chunks of a dividend clustered on A
+// share at most their boundary runs (the paper's Law 2), so the merge
+// touches two runs per chunk and the output equals the serial drain's at
+// every thread count. Every other sink would have to re-intern each
+// chunk's values in serial order to stay bit-identical, which costs more
+// than the parallel phase saves.
 
-#include <memory>
 #include <string>
 #include <vector>
 
@@ -55,59 +49,36 @@ struct ScopedMorselRows {
   size_t saved;
 };
 
-/// Per-drain execution choice, sized from the drain's row count: a worker
-/// cap and the rows per chunk. A worker is added only per
-/// kMinMorselsPerWorker morsels of rows (the measured break-even, see
-/// docs/parallel_execution.md), so a drain below it runs serially. Both
-/// only move chunk boundaries, so results stay bit-identical.
+/// Per-drain execution choice of a run-sink drain, sized from its row
+/// count: whether it fans out and the rows per chunk. A worker is added
+/// only per kMinMorselsPerWorker morsels of rows (the measured break-even,
+/// see docs/parallel_execution.md), so a drain below it runs serially.
+/// Both only move chunk boundaries, so results stay bit-identical.
 struct PipelineChoice {
   /// Workers the drain pays for, 1..GetExecThreads(); 1 = drain serially.
+  /// It gates the fan-out and sizes the chunks; once fanned out, every
+  /// GetExecThreads() thread claims chunks.
   size_t workers = 1;
   /// Rows per chunk: at least a morsel, at most ~4 chunks per worker.
   size_t chunk_rows = 0;
 };
 
-/// Decided once per pipeline drain, so one operator may drain a tiny
-/// divisor serially while morsel-parallelizing a large dividend. `rows` is
-/// the exact row count of a splittable source (RelationScan::TotalRows,
-/// a RangeScan's span width) or of a buffered stream.
+/// Decided once per run-sink drain from `rows`, the exact row count of its
+/// splittable source (RelationScan::TotalRows, a RangeScan's span width).
 PipelineChoice ChoosePipeline(size_t rows);
 
-/// Partial state of one chunk of a parallel pipeline. Chunks are created
-/// up front, written by exactly one worker task, and merged in chunk-index
-/// order on the owning thread.
-class SinkChunk {
- public:
-  virtual ~SinkChunk() = default;
-};
-
-/// Where a pipeline's rows land: a blocking operator's build state. A sink
-/// must implement both drain shapes —
-///   ConsumeSerial : fold batches straight into the final state (serial
-///                   runs pay zero partial/merge overhead);
-///   MakeChunk / Consume / Merge : per-chunk partial states for parallel
-///                   runs; Consume is called concurrently on distinct
-///                   chunks and must only touch the chunk plus immutable
-///                   shared state; Merge runs serially in chunk order.
-///                   MakeChunk gets the chunk's row count, so per-row state
-///                   is reserved once instead of regrown on the workers.
+/// Where a pipeline's rows land: a blocking operator's build state.
+/// Consume folds one batch into it, in row order, on the draining thread.
 class PipelineSink {
  public:
   virtual ~PipelineSink() = default;
-  virtual void ConsumeSerial(const Batch& batch) = 0;
-  virtual std::unique_ptr<SinkChunk> MakeChunk(size_t rows) = 0;
-  virtual void Consume(SinkChunk& chunk, const Batch& batch) = 0;
-  virtual void Merge(SinkChunk& chunk) = 0;
-  /// Sinks whose merge cannot reproduce the serial fold exactly (e.g.
-  /// floating-point sums) return false to force the serial discipline.
-  virtual bool AllowParallel() const { return true; }
+  virtual void Consume(const Batch& batch) = 0;
 };
 
 /// What RunPipeline did, for EXPLAIN accounting.
 struct PipelineStats {
-  size_t rows = 0;    // active rows the sink consumed
-  size_t chunks = 1;  // partial states used (1 = serial)
-  size_t dop = 1;     // worker parallelism usable for those chunks
+  size_t rows = 0;  // active rows the sink consumed
+  size_t dop = 1;   // threads that claimed chunks: min(threads, chunks); 1 = serial
 };
 
 class RelationScan;  // exec/exec_basic.hpp
@@ -131,19 +102,13 @@ SplitSource FindSplittableSource(Iterator& child);
 /// `columns` are exactly its leading |columns| positions.
 bool ClusteredOn(Iterator& child, const std::vector<size_t>& columns);
 
-/// Drains `child` (already Open()ed) into `sink`; see the file comment for
-/// the serial and chunked shapes. Chunked runs
-/// require the pipeline's source rows to be chunkable: a RelationScan
-/// source (under any chain of pass-through ρ) is split into id-span
-/// morsels read directly from storage; any other source is drained
-/// serially into buffered batches first and the batch kernels + sink work
-/// are parallelized over those.
+/// Drains `child` (already Open()ed) into `sink`, serially. The clustered
+/// division's run sink has its own overload that may fan out
+/// (exec/division_runs.hpp).
 PipelineStats RunPipeline(Iterator& child, PipelineSink& sink);
 
 // ---------------------------------------------------------------- sinks
-// Reusable sinks for the standard drain shapes. All merges go through
-// KeyCodec::AppendTranslated, which interns each chunk's dictionaries in
-// their first-seen order — the serial id assignment, reproduced exactly.
+// Reusable sinks for the standard drain shapes.
 
 /// Appends the stream's key columns into one or more target KeyCodecs
 /// (division divisor drains, semi-join builds; the great divide's divisor
@@ -155,16 +120,10 @@ class CodecAppendSink : public PipelineSink {
   }
   void AddTarget(KeyCodec* target, const std::vector<size_t>* indices);
 
-  void ConsumeSerial(const Batch& batch) override;
-  std::unique_ptr<SinkChunk> MakeChunk(size_t rows) override;
-  void Consume(SinkChunk& chunk, const Batch& batch) override;
-  void Merge(SinkChunk& chunk) override;
+  void Consume(const Batch& batch) override;
 
  private:
-  struct Chunk;
-  std::vector<KeyCodec*> targets_;
-  std::vector<const std::vector<size_t>*> indices_;
-  std::vector<BatchCodecAppender> serial_;
+  std::vector<BatchCodecAppender> appenders_;
 };
 
 /// The probe-side drain of ÷ and ÷*: appends the dividend's A columns into
@@ -178,22 +137,13 @@ class ProbeAppendSink : public PipelineSink {
                   const KeyNumbering* numbering, const KeyCodec* b_codec,
                   const std::vector<size_t>* b_indices, SpilledU32Store* row_b);
 
-  void ConsumeSerial(const Batch& batch) override;
-  std::unique_ptr<SinkChunk> MakeChunk(size_t rows) override;
-  void Consume(SinkChunk& chunk, const Batch& batch) override;
-  void Merge(SinkChunk& chunk) override;
+  void Consume(const Batch& batch) override;
 
  private:
-  struct Chunk;
-  KeyCodec* a_codec_;
-  const std::vector<size_t>* a_indices_;
-  const KeyNumbering* numbering_;
-  const KeyCodec* b_codec_;
-  const std::vector<size_t>* b_indices_;
   SpilledU32Store* row_b_;
   std::vector<uint32_t> scratch_;  // per-batch resolved ids before Append
-  BatchCodecAppender serial_append_;
-  BatchKeyProbe serial_probe_;
+  BatchCodecAppender append_;
+  BatchKeyProbe probe_;
 };
 
 /// Hash-join build drain: key columns into `codec`, plus one materialized
@@ -204,18 +154,12 @@ class JoinBuildSink : public PipelineSink {
   JoinBuildSink(KeyCodec* codec, const std::vector<size_t>* key_indices,
                 const std::vector<size_t>* proj, std::vector<Tuple>* rows);
 
-  void ConsumeSerial(const Batch& batch) override;
-  std::unique_ptr<SinkChunk> MakeChunk(size_t rows) override;
-  void Consume(SinkChunk& chunk, const Batch& batch) override;
-  void Merge(SinkChunk& chunk) override;
+  void Consume(const Batch& batch) override;
 
  private:
-  struct Chunk;
-  KeyCodec* codec_;
-  const std::vector<size_t>* key_indices_;
   const std::vector<size_t>* proj_;  // nullptr = materialize whole rows
   std::vector<Tuple>* rows_;
-  BatchCodecAppender serial_;
+  BatchCodecAppender append_;
 };
 
 // -------------------------------------------- plan-level decomposition

@@ -18,10 +18,10 @@ thread_local QueryContext* tls_query_context = nullptr;
 const std::vector<std::string> kKnownSites = {
     "scheduler.task",       // worker-pool task admission (exec/scheduler.cpp)
     "pipeline.drain",       // serial drains, per batch (exec/{pipeline,iterator,exec_basic}.cpp)
-    "pipeline.morsel",      // parallel morsel read, per batch (exec/pipeline.cpp)
-    "pipeline.merge",       // chunk-ordered sink merge (exec/pipeline.cpp)
+    "pipeline.morsel",      // parallel morsel read, per batch (exec/division_runs.cpp)
+    "pipeline.merge",       // chunk-ordered run-sink merge (exec/division_runs.cpp)
     "sink.codec_append",    // divisor/build codec appends (exec/pipeline.cpp)
-    "sink.probe_append",    // dividend probe drains (exec/pipeline.cpp)
+    "sink.probe_append",    // dividend probe drains (exec/{pipeline,division_runs}.cpp)
     "sink.join_build",      // hash-join build drains (exec/pipeline.cpp)
     "sink.aggregate",       // grouping drains (exec/exec_agg.cpp)
     "divide.bitmap_fill",   // hash-division bitmap fills (exec/exec_divide.cpp)

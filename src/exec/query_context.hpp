@@ -23,7 +23,7 @@
 //                     atomic OUTSTANDING byte account (Charge/Release);
 //                     exceeding the budget trips as kResourceExhausted.
 //                     Charges are approximate (key bytes, bitmap words,
-//                     buffered batch payloads); transient state releases
+//                     per-batch scratch); transient state releases
 //                     when retired (ScopedCharge), retained build state
 //                     stays charged for the statement's lifetime. The
 //                     high-water mark is reported as rows_charged_bytes.
@@ -157,7 +157,7 @@ class QueryContext {
   void Charge(size_t bytes);
 
   /// Returns `bytes` of a previous Charge, so transient per-batch state
-  /// (buffered batches, chunk-local codecs, spilled rows) stops counting
+  /// (per-batch scratch, spilled rows, recycled build state) stops counting
   /// against the budget once retired. Never throws.
   void Release(size_t bytes);
 
@@ -284,8 +284,8 @@ inline void GovernorRelease(size_t bytes) {
 /// RAII transient charge: Add() charges the CURRENT context (captured at
 /// the first Add), the destructor releases everything charged. Bytes are
 /// recorded before Charge() runs, so a budget trip mid-Add still releases
-/// the full amount when the owner unwinds. Movable (for chunk state held
-/// in vectors); release may run on a different thread than the charges —
+/// the full amount when the owner unwinds. Movable (for state held in
+/// vectors); release may run on a different thread than the charges —
 /// the governor's accounting is atomic.
 class ScopedCharge {
  public:

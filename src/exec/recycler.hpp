@@ -20,9 +20,10 @@
 // not recyclable (their content is not captured by the serialization). DDL
 // bumps a table's data version, so a stale artifact simply stops being
 // addressable; Database::Ddl additionally calls InvalidateTables for
-// memory hygiene. The thread count is deliberately NOT part of the key: the
-// chunk-ordered parallel merges make build state bit-identical to serial
-// at every thread count (docs/parallel_execution.md).
+// memory hygiene. The thread count is deliberately NOT part of the key:
+// every build-state drain runs serially, and the run sink's chunked drain
+// matches its serial one, so build state is bit-identical at every thread
+// count (docs/parallel_execution.md).
 //
 // ADMISSION. A build is published only on the second sighting of its
 // fragment SHAPE: the key without the per-table data versions, hashed to 64

@@ -213,18 +213,14 @@ void SpilledU32Store::Clear() {
   cache_.clear();
   cache_rows_ = 0;
   // charged_ / charge_ctx_ untouched: Clear() does not return memory to the
-  // governor (the owner decides via ReleaseCharges or keeps it permanent).
+  // governor (the owner decides via DetachCharges or keeps it permanent).
 }
 
-void SpilledU32Store::ReleaseCharges() {
+void SpilledU32Store::DetachCharges() {
   if (charge_ctx_ != nullptr && charged_ > 0) {
     charge_ctx_->Release(charged_);
     charged_ = 0;
   }
-}
-
-void SpilledU32Store::DetachCharges() {
-  ReleaseCharges();
   charge_ctx_ = nullptr;
   spill_ = nullptr;  // per-query file; a detached store must never read it
 }

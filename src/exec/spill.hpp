@@ -21,12 +21,11 @@
 // exactly as before; the watermark must sit below it, since a store
 // charges an append before it checks whether to flush.
 //
-// Concurrency: one SpillManager is shared by every store of a statement
-// (including per-worker chunk stores during a parallel drain). Write is
+// Concurrency: one SpillManager is shared by every store of a statement,
+// and concurrent sessions' statements each have their own. Write is
 // mutex-serialized and hands each flush a unique file range; Read is
 // lock-free (pread). Any single store is written by exactly one thread at
-// a time and read after its writes are joined — the pipeline's existing
-// chunk-merge ordering provides the happens-before edges.
+// a time and read after its writes.
 //
 // Fault sites: spill.open, spill.write, spill.disk_full (per partition
 // write), spill.read — all in FaultInjector::KnownSites(), so every I/O
@@ -123,13 +122,8 @@ class SpilledU32Store {
   size_t stride() const { return stride_; }
 
   /// Drops all rows (memory and spilled-run bookkeeping). Does NOT release
-  /// governor charges — see ReleaseCharges().
+  /// governor charges — see DetachCharges().
   void Clear();
-
-  /// Releases this store's outstanding governor charge (for transient
-  /// chunk-local stores whose rows were merged elsewhere). Only call while
-  /// the charging QueryContext is alive — i.e. from executor code.
-  void ReleaseCharges();
 
   /// Releases the outstanding charge AND forgets the charging context and
   /// spill file, so the store can outlive the query that built it (recycled

@@ -70,8 +70,7 @@ OptimizationReport Optimizer::Optimize(const PlanPtr& plan) const {
 Relation Optimizer::Run(const PlanPtr& plan, ExecProfile* profile,
                         OptimizationReport* report) const {
   OptimizationReport local = Optimize(plan);
-  Relation result = ExecutePlan(local.chosen, catalog_, options_.planner, profile,
-                                /*context=*/nullptr, &stats());
+  Relation result = ExecutePlan(local.chosen, catalog_, options_.planner, profile);
   if (profile != nullptr) {
     profile->search_candidates = local.search_candidates;
     profile->memo_hits = local.memo_hits;

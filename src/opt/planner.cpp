@@ -13,7 +13,6 @@
 #include "exec/exec_join.hpp"
 #include "exec/pipeline.hpp"
 #include "exec/query_context.hpp"
-#include "opt/cost.hpp"
 #include "util/status.hpp"
 
 namespace quotient {
@@ -27,8 +26,8 @@ namespace {
 /// Composes the divisions' RecycleSpec: build_key addresses the divisor-side
 /// artifact, probe_key the full probe state that additionally captures the
 /// dividend drain. The thread count is deliberately absent from both keys
-/// (chunk-ordered merges make build state bit-identical at every thread
-/// count, docs/parallel_execution.md). The tag
+/// (build state is bit-identical at every thread count,
+/// docs/parallel_execution.md). The tag
 /// ("div"/"gd") selects the artifact type the adopting iterator casts to, so
 /// it must differ wherever the concrete artifact struct differs. Each key
 /// has a shape hash beside it: the same composition over the version-free
@@ -89,9 +88,6 @@ std::string SchemaNamesContext(const Schema& schema) {
 struct BuildContext {
   std::unordered_map<const LogicalOp*, int> use_counts;
   std::unordered_map<const LogicalOp*, std::shared_ptr<const Relation>> materialized;
-  /// Feeds per-node cost hints (Iterator::cost_rows_hint) for the
-  /// executor's per-pipeline costed choices; never null inside a build.
-  const StatsCache* stats = nullptr;
 };
 
 void CountUses(const PlanPtr& plan, std::unordered_map<const LogicalOp*, int>* counts) {
@@ -234,8 +230,8 @@ IterPtr BuildShared(const PlanPtr& plan, const Catalog& catalog,
   return Build(plan, catalog, options, context);
 }
 
-IterPtr BuildNode(const PlanPtr& plan, const Catalog& catalog, const PlannerOptions& options,
-                  BuildContext* context) {
+IterPtr Build(const PlanPtr& plan, const Catalog& catalog, const PlannerOptions& options,
+              BuildContext* context) {
   auto child = [&](size_t i) { return BuildShared(plan->child(i), catalog, options, context); };
   const LogicalOp& op = *plan;
   switch (op.kind()) {
@@ -356,36 +352,19 @@ IterPtr BuildNode(const PlanPtr& plan, const Catalog& catalog, const PlannerOpti
   throw SchemaError("planner: bad logical operator kind");
 }
 
-IterPtr Build(const PlanPtr& plan, const Catalog& catalog, const PlannerOptions& options,
-              BuildContext* context) {
-  IterPtr built = BuildNode(plan, catalog, options, context);
-  // Tag the operator with its cost-model cardinality so the executor's
-  // per-pipeline choices (ChoosePipeline, exec/pipeline.hpp) see through
-  // filters and divisions instead of trusting structural upper bounds.
-  // Harvests stay cheap: a scan's BuildNode above just
-  // warmed the catalog's encoding cache, so the stats layer reads dictionary
-  // sizes instead of rescanning data (opt/stats.hpp).
-  if (context != nullptr && context->stats != nullptr) {
-    built->set_cost_rows_hint(EstimatePlan(plan, catalog, *context->stats).cardinality);
-  }
-  return built;
-}
-
 }  // namespace
 
 IterPtr BuildPhysicalPlan(const PlanPtr& plan, const Catalog& catalog,
-                          const PlannerOptions& options, const StatsCache* stats) {
+                          const PlannerOptions& options, const StatsCache* /*stats*/) {
   BuildContext context;
   CountUses(plan, &context.use_counts);
-  StatsCache transient;
-  context.stats = stats != nullptr ? stats : &transient;
   return Build(plan, catalog, options, &context);
 }
 
 Relation ExecutePlan(const PlanPtr& plan, const Catalog& catalog, const PlannerOptions& options,
-                     ExecProfile* profile, QueryContext* context, const StatsCache* stats) {
+                     ExecProfile* profile, QueryContext* context) {
   ScopedQueryContext scope(context != nullptr ? context : CurrentQueryContext());
-  IterPtr root = BuildPhysicalPlan(plan, catalog, options, stats);
+  IterPtr root = BuildPhysicalPlan(plan, catalog, options);
   Relation result = ExecuteToRelation(*root);
   if (profile != nullptr) {
     profile->total_rows = TotalRowsProduced(*root);

@@ -28,11 +28,9 @@ struct PlannerOptions {
 /// Lowers a logical plan to a Volcano iterator tree over `catalog`.
 /// ThetaJoins whose condition is a conjunction of cross-side column
 /// equalities become hash equi-joins; other conditions fall back to a
-/// nested-loop join. Every operator also gets a
-/// cost-model cardinality hint (Iterator::cost_rows_hint) driving the
-/// executor's per-pipeline choices; `stats` feeds those estimates (pass
-/// the snapshot's cache to share harvests across queries — a transient
-/// one is used when null).
+/// nested-loop join. No cost estimate is made: the executor sizes its only
+/// fan-out from exact row counts (ChoosePipeline, exec/pipeline.hpp).
+/// `stats` is unused; it stays for callers that still pass one.
 IterPtr BuildPhysicalPlan(const PlanPtr& plan, const Catalog& catalog,
                           const PlannerOptions& options = {},
                           const StatsCache* stats = nullptr);
@@ -45,7 +43,7 @@ IterPtr BuildPhysicalPlan(const PlanPtr& plan, const Catalog& catalog,
 struct ExecProfile {
   size_t total_rows = 0;      // sum of rows produced by every operator
   size_t max_rows = 0;        // largest single operator output
-  size_t max_dop = 0;         // largest per-pipeline parallelism recorded
+  size_t max_dop = 0;         // most threads any drain's chunks ran on (1 = serial)
   std::string explain;        // EXPLAIN ANALYZE style tree (rows + dop)
   std::string pipelines;      // pipeline decomposition with per-pipeline dop
   size_t rewrite_steps = 0;   // law rewrites applied during compilation
@@ -80,6 +78,6 @@ class QueryContext;
 /// to a Status. Governor accounting fields of `profile` are filled from it.
 Relation ExecutePlan(const PlanPtr& plan, const Catalog& catalog,
                      const PlannerOptions& options = {}, ExecProfile* profile = nullptr,
-                     QueryContext* context = nullptr, const StatsCache* stats = nullptr);
+                     QueryContext* context = nullptr);
 
 }  // namespace quotient

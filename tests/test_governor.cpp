@@ -130,8 +130,8 @@ TEST(GovernorTest, MemoryBudgetTripsAsResourceExhausted) {
 }
 
 TEST(GovernorTest, ProfileAndExplainAnalyzeReportGovernorAccounting) {
-  // Small morsels keep the ~10k-row dividend drain chunked, so the chunk
-  // stores' charges are part of the account.
+  // Small morsels keep the ~10k-row clustered dividend drain chunked, so
+  // the run sink's per-chunk charges are part of the account.
   ScopedMorselRows morsels(128);
   ScopedBatchRows batches(128);
   Session session = MakeDivisionSession({}, /*groups=*/512, /*divisor=*/16);

@@ -8,9 +8,7 @@
 #include <vector>
 
 #include "algebra/relation.hpp"
-#include "exec/batch.hpp"
 #include "exec/key_codec.hpp"
-#include "exec/query_context.hpp"
 #include "util/bitmap.hpp"
 
 namespace quotient {
@@ -147,103 +145,6 @@ TEST(KeyCodecTest, ZeroColumnKeysDegenerate) {
   uint64_t probe;
   EXPECT_TRUE(codec.TryEncode({V(1)}, {}, &probe));
   EXPECT_EQ(probe, codec.PackedKey(0));
-}
-
-/// Key rows of `num_cols` columns drawn from [base, base + domain): even
-/// columns hold ints, odd ones strings, so dictionaries mix value types.
-std::vector<Tuple> KeyRows(size_t num_rows, size_t num_cols, int64_t base, int64_t domain,
-                           uint64_t seed) {
-  std::vector<Tuple> rows;
-  uint64_t state = seed;
-  for (size_t r = 0; r < num_rows; ++r) {
-    Tuple row;
-    for (size_t c = 0; c < num_cols; ++c) {
-      state = state * 6364136223846793005ull + 1442695040888963407ull;
-      int64_t v = base + static_cast<int64_t>((state >> 33) % static_cast<uint64_t>(domain));
-      row.push_back(c % 2 == 0 ? V(v) : V("s" + std::to_string(v)));
-    }
-    rows.push_back(std::move(row));
-  }
-  return rows;
-}
-
-/// Merges `parts` (each a chunk of key rows, in order) through
-/// AppendTranslated and checks the result against one codec fed every row
-/// serially: same dictionaries in id order, same row count, same per-row
-/// ids and packed keys. With `spill_parts`, the parts and the merged codec
-/// are built under a one-byte spill watermark (what QUOTIENT_SPILL_WATERMARK=1
-/// arms on every session), so every part reads back from the spill file.
-void ExpectMergeMatchesSerial(const std::vector<std::vector<Tuple>>& parts, size_t num_cols,
-                              bool spill_parts = false) {
-  KeyCodec serial(num_cols);
-  for (const auto& part : parts) {
-    for (const Tuple& row : part) serial.AddKey(row);
-  }
-  serial.Seal();
-
-  QueryContext ctx;
-  if (spill_parts) ctx.EnableSpill(/*watermark_bytes=*/1, /*dir=*/"");
-  ScopedQueryContext scope(&ctx);
-  KeyCodec merged(num_cols);
-  for (const auto& rows : parts) {
-    KeyCodec part(num_cols);
-    for (const Tuple& row : rows) part.AddKey(row);
-    if (spill_parts && !rows.empty()) EXPECT_TRUE(part.rows_on_disk());
-    merged.AppendTranslated(part);
-    part.ReleaseRowCharges();
-  }
-  merged.Seal();
-
-  ASSERT_EQ(merged.rows(), serial.rows());
-  for (size_t c = 0; c < num_cols; ++c) {
-    ASSERT_EQ(merged.dict(c).size(), serial.dict(c).size()) << "column " << c;
-    for (uint32_t id = 0; id < serial.dict(c).size(); ++id) {
-      EXPECT_EQ(merged.dict(c).At(id), serial.dict(c).At(id)) << "column " << c << " id " << id;
-    }
-  }
-  ASSERT_EQ(merged.spilled(), serial.spilled());
-  for (size_t i = 0; i < serial.rows(); ++i) {
-    EXPECT_EQ(merged.SpillKey(i), serial.SpillKey(i)) << "row " << i;  // the raw ids
-    if (!serial.spilled()) EXPECT_EQ(merged.PackedKey(i), serial.PackedKey(i)) << "row " << i;
-  }
-}
-
-TEST(KeyCodecTest, AppendTranslatedMatchesOneSerialCodec) {
-  for (size_t batch_rows : {size_t{3}, size_t{1024}}) {  // block boundaries mid-part
-    ScopedBatchRows batches(batch_rows);
-    for (size_t cols : {size_t{1}, size_t{2}, size_t{3}}) {
-      SCOPED_TRACE("cols=" + std::to_string(cols) + " batch_rows=" + std::to_string(batch_rows));
-      const std::vector<Tuple> none;
-      // Overlapping parts: every chunk draws from one domain.
-      ExpectMergeMatchesSerial({KeyRows(40, cols, 0, 12, 1), KeyRows(57, cols, 0, 12, 2),
-                                KeyRows(33, cols, 0, 12, 3)},
-                               cols);
-      // Disjoint parts: each chunk brings only new values.
-      ExpectMergeMatchesSerial({KeyRows(25, cols, 0, 10, 4), KeyRows(25, cols, 100, 10, 5),
-                                KeyRows(25, cols, 200, 10, 6)},
-                               cols);
-      // Empty parts anywhere, including first and last, and a lone part.
-      ExpectMergeMatchesSerial({none, KeyRows(30, cols, 0, 7, 7), none, KeyRows(9, cols, 3, 7, 8),
-                                none},
-                               cols);
-      ExpectMergeMatchesSerial({KeyRows(50, cols, 0, 20, 9)}, cols);
-      ExpectMergeMatchesSerial({none, none}, cols);
-    }
-    // A hand-written two-chunk case: the second chunk repeats values of the
-    // first and brings new ones in both columns.
-    const Relation rows = Relation::Parse("a, b", "10,1; 20,1; 10,2; 30,1; 20,2; 40,3");
-    const std::vector<Tuple>& t = rows.tuples();
-    ExpectMergeMatchesSerial({{t.begin(), t.begin() + 3}, {t.begin() + 3, t.end()}}, 2);
-  }
-}
-
-TEST(KeyCodecTest, AppendTranslatedReadsSpilledPartsRowByRow) {
-  for (size_t cols : {size_t{1}, size_t{2}, size_t{3}}) {
-    SCOPED_TRACE("cols=" + std::to_string(cols));
-    ExpectMergeMatchesSerial({KeyRows(700, cols, 0, 40, 11), std::vector<Tuple>{},
-                              KeyRows(1500, cols, 20, 40, 12), KeyRows(300, cols, 500, 9, 13)},
-                             cols, /*spill_parts=*/true);
-  }
 }
 
 TEST(KeyNumberingTest, NumbersAndProbes) {

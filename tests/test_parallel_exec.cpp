@@ -3,8 +3,10 @@
 // at threads ∈ {1, 2, 3, 8} — with morsels shrunk so even small fixtures
 // split into many chunks — and require the relation plan::Evaluate computes
 // (the reference algebra) AND per-operator row accounting identical to the
-// single-threaded run. The chunk-ordered merge makes this exact, not just
-// set-equal: Relation equality is tuple-order-sensitive.
+// single-threaded run. Only a clustered division's dividend drain fans out;
+// its chunk-ordered merge makes this exact, not just set-equal: Relation
+// equality is tuple-order-sensitive. Every other drain runs serially at
+// any thread count, which these tests pin too.
 
 #include <gtest/gtest.h>
 
@@ -97,13 +99,11 @@ TEST(ParallelExecProperty, GreatDivideAllThreadCounts) {
   }
 }
 
-TEST(ParallelExecProperty, FilterFeedsBufferedParallelPipeline) {
+TEST(ParallelExecProperty, FilteredDividendAllThreadCounts) {
   // A filter between scan and division makes the pipeline source
-  // non-splittable: the executor buffers the filtered batches and
-  // parallelizes the sink kernels over chunk groups of them.
-  // A dividend large enough that the filter's estimated output clears the
-  // fan-out break-even at one-row morsels. The B-first twin feeds the
-  // candidate-matrix path's probe sink.
+  // non-splittable, so the dividend drains serially at every thread count.
+  // The clustered dividend feeds the run sink through the filter; the
+  // B-first twin feeds the candidate-matrix path's probe sink.
   Catalog catalog = WorkloadCatalog();
   catalog.Put("r1_big", DataGen(0xB16).Dividend(/*groups=*/400, /*domain=*/32, 0.4));
   catalog.Put("r1_big_bfirst", catalog.Get("r1_big").Reorder({"b", "a"}));
@@ -115,12 +115,6 @@ TEST(ParallelExecProperty, FilterFeedsBufferedParallelPipeline) {
         LogicalOp::Select(LogicalOp::Scan(catalog, dividend), predicate),
         LogicalOp::Scan(catalog, "r2"));
     ExpectParallelAgreement(plan, catalog, /*batch_rows=*/4, /*morsel_rows=*/1);
-    ScopedMorselRows morsels(1);
-    ScopedBatchRows batches(4);
-    ScopedExecThreads threads(4);
-    ExecProfile profile;
-    ExecutePlan(plan, catalog, {}, &profile);
-    EXPECT_GE(profile.max_dop, 2u) << profile.explain;
   }
 }
 
@@ -146,9 +140,8 @@ TEST(ParallelExecProperty, JoinsAllThreadCounts) {
                           /*batch_rows=*/16, /*morsel_rows=*/8);
   ExpectParallelAgreement(LogicalOp::AntiJoin(r1, LogicalOp::Scan(catalog, "r2")), catalog,
                           /*batch_rows=*/16, /*morsel_rows=*/8);
-  // Build sides large enough for several workers at four-row morsels, so
-  // the join-build and semi-join sinks run their chunked Consume/Merge
-  // paths.
+  // Build sides that would clear the fan-out break-even at four-row
+  // morsels if the join-build and semi-join sinks fanned out.
   PlanPtr r1_renamed = LogicalOp::Rename(r1, {{"a", "a2"}, {"b", "b2"}});
   ExpectParallelAgreement(LogicalOp::ThetaJoin(r1, r1_renamed, Expr::ColEqCol("b", "b2")),
                           catalog, /*batch_rows=*/4, /*morsel_rows=*/4);
@@ -219,7 +212,7 @@ TEST(ParallelExecProperty, StringKeysAndSpillPath) {
                           catalog, /*batch_rows=*/2, /*morsel_rows=*/2);
 
   // 18 wide B columns force the divisor codec past 64 bits into
-  // SmallByteKey spill keys; the chunk merges must translate those too.
+  // SmallByteKey spill keys; the run sink's chunks must resolve those too.
   DataGen wide_gen(0x5B111);
   constexpr size_t kNumB = 18;
   Relation wide = wide_gen.DividendWide(/*groups=*/8, /*num_a=*/1, kNumB,
@@ -234,7 +227,8 @@ TEST(ParallelExecProperty, StringKeysAndSpillPath) {
   for (size_t i = 1; i <= kNumB; ++i) b_names.push_back("b" + std::to_string(i));
   catalog.Put("wide", wide);
   catalog.Put("wide_divisor", Relation(wide.schema().Project(b_names), std::move(divisor_rows)));
-  // One-row morsels: the ~100-row divisor drain runs chunked too.
+  // One-row morsels: the ~100-row divisor clears the break-even, yet its
+  // codec drain stays serial.
   ExpectParallelAgreement(LogicalOp::Divide(LogicalOp::Scan(catalog, "wide"),
                                             LogicalOp::Scan(catalog, "wide_divisor")),
                           catalog, /*batch_rows=*/1, /*morsel_rows=*/1);
@@ -261,19 +255,14 @@ TEST(ParallelExecProperty, RandomizedPlansAgainstOracle) {
 
 TEST(ParallelExecUnit, ExplainReportsDegreeOfParallelism) {
   Catalog catalog = WorkloadCatalog();
-  PlanPtr r1 = LogicalOp::Scan(catalog, "r1");
-  PlanPtr r2 = LogicalOp::Scan(catalog, "r2");
   // Four-row morsels: the ~770-row inputs clear the fan-out break-even.
   ScopedMorselRows morsels(4);
   ScopedBatchRows batches(4);
   ScopedExecThreads threads(4);
-  // A division over a clustered dividend (codec + run sinks) and over its
-  // twin (codec + probe sinks), a join build and a semi-join build.
+  // ÷ and ÷* over a clustered dividend: their run sinks fan out.
   for (const PlanPtr& plan :
-       {LogicalOp::Divide(r1, r2), LogicalOp::Divide(LogicalOp::Scan(catalog, "r1_bfirst"), r2),
-        LogicalOp::ThetaJoin(r2, LogicalOp::Rename(r1, {{"b", "b2"}}),
-                             Expr::ColEqCol("b", "b2")),
-        LogicalOp::SemiJoin(r2, r1)}) {
+       {LogicalOp::Divide(LogicalOp::Scan(catalog, "r1"), LogicalOp::Scan(catalog, "r2")),
+        LogicalOp::GreatDivide(LogicalOp::Scan(catalog, "r1"), LogicalOp::Scan(catalog, "gd"))}) {
     ExecProfile profile;
     ExecutePlan(plan, catalog, {}, &profile);
     EXPECT_GE(profile.max_dop, 2u) << profile.explain;
@@ -281,6 +270,56 @@ TEST(ParallelExecUnit, ExplainReportsDegreeOfParallelism) {
     EXPECT_NE(profile.pipelines.find("pipeline 0"), std::string::npos) << profile.pipelines;
     EXPECT_NE(profile.pipelines.find("dop="), std::string::npos) << profile.pipelines;
   }
+}
+
+TEST(ParallelExecUnit, OtherSinksDrainSeriallyPastTheBreakEven) {
+  Catalog catalog = WorkloadCatalog();
+  PlanPtr r1 = LogicalOp::Scan(catalog, "r1");
+  PlanPtr r2 = LogicalOp::Scan(catalog, "r2");
+  // The same sizes that fan the run sink out above: the candidate-matrix
+  // division over the B-first twin (codec + probe sinks), a join build, a
+  // semi-join build and a grouping drain all stay serial.
+  ScopedMorselRows morsels(4);
+  ScopedBatchRows batches(4);
+  ScopedExecThreads threads(4);
+  for (const PlanPtr& plan :
+       {LogicalOp::Divide(LogicalOp::Scan(catalog, "r1_bfirst"), r2),
+        LogicalOp::ThetaJoin(r2, LogicalOp::Rename(r1, {{"b", "b2"}}),
+                             Expr::ColEqCol("b", "b2")),
+        LogicalOp::SemiJoin(r2, r1),
+        LogicalOp::GroupBy(r1, {"b"}, {{AggFunc::kCount, "", "n"}})}) {
+    ExecProfile profile;
+    EXPECT_EQ(ExecutePlan(plan, catalog, {}, &profile), Evaluate(plan, catalog));
+    EXPECT_EQ(profile.max_dop, 1u) << profile.explain;
+    EXPECT_NE(profile.explain.find("dop=1"), std::string::npos) << profile.explain;
+  }
+}
+
+TEST(ParallelExecUnit, DopCountsEveryThreadThatClaimsChunks) {
+  // 600 rows at 4-row morsels pay for two workers (one per 256 rows), cut
+  // into ~4 chunks per worker; all four threads claim those chunks, so the
+  // drain reports dop 4, not the worker cap.
+  Catalog catalog;
+  std::vector<Tuple> rows;
+  for (int64_t a = 0; a < 60; ++a) {
+    for (int64_t b = 0; b < 10; ++b) {
+      if (a % 3 != 0 || b != 7) rows.push_back({V(a), V(b)});
+    }
+  }
+  const size_t dividend_rows = rows.size();
+  catalog.Put("r1", Relation::FromRows(Schema::Parse("a, b"), std::move(rows)));
+  catalog.Put("r2", Relation::Parse("b", "1; 4; 7"));
+  PlanPtr plan = LogicalOp::Divide(LogicalOp::Scan(catalog, "r1"), LogicalOp::Scan(catalog, "r2"));
+  ScopedMorselRows morsels(4);
+  ScopedBatchRows batches(4);
+  ScopedExecThreads threads(4);
+  PipelineChoice choice = ChoosePipeline(dividend_rows);
+  ASSERT_EQ(choice.workers, 2u);
+  ASSERT_GE((dividend_rows + choice.chunk_rows - 1) / choice.chunk_rows, 4u);
+  ExecProfile profile;
+  EXPECT_EQ(ExecutePlan(plan, catalog, {}, &profile), Evaluate(plan, catalog));
+  EXPECT_EQ(profile.max_dop, 4u) << profile.explain;
+  EXPECT_NE(profile.explain.find("dop=4"), std::string::npos) << profile.explain;
 }
 
 TEST(ParallelExecUnit, FanOutStartsAtTheBreakEven) {

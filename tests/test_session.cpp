@@ -370,7 +370,7 @@ Relation SumOverflowTable() {
 
 TEST_F(SessionTest, IntegerSumOverflowIsATypedErrorAtEveryThreadCount) {
   ASSERT_TRUE(session_.CreateTable("u", SumOverflowTable()).ok());
-  ScopedMorselRows morsels(1);  // one row per morsel: the partial-sum merge runs
+  ScopedMorselRows morsels(1);  // grouping drains serially at every thread count
   for (size_t threads : {size_t{1}, size_t{4}}) {
     ScopedExecThreads scoped(threads);
     for (const char* query : {"SELECT g, SUM(a) AS n FROM u GROUP BY g",
@@ -404,8 +404,8 @@ TEST_F(SessionTest, IntegerAvgPast2To53AgreesWithTheOracleAtEveryThreadCount) {
   Result<Relation> oracle = sql::ExecuteSql(query, session_.catalog());
   ASSERT_TRUE(oracle.ok()) << oracle.error();
   EXPECT_EQ(oracle.value(), Relation::FromRows("g, m:real", {{V(1), V(35184372088832.0078125)}}));
-  // One-row batches and morsels: at four threads the drain runs chunked and
-  // the partial-sum merge runs.
+  // One-row batches and morsels: the grouping drain stays serial at four
+  // threads, one row per batch.
   ScopedBatchRows batches(1);
   ScopedMorselRows morsels(1);
   for (size_t threads : {size_t{1}, size_t{4}}) {

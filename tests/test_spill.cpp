@@ -161,7 +161,8 @@ TEST(SpillTest, ForcedSpillDivisionMatchesInMemoryResult) {
 }
 
 TEST(SpillTest, ExplainAnalyzeReportsSpillCounters) {
-  // Small morsels keep the dividend drain chunked: per-chunk stores spill.
+  // Small morsels keep the clustered dividend drain chunked; the twin's
+  // serial probe stores spill.
   ScopedMorselRows morsels(128);
   ScopedBatchRows batches(128);
   Session session =
@@ -220,8 +221,8 @@ TEST(SpillTest, CancelMidSpillDeliversCancelledAndPoolSurvives) {
 /// Runs `query` with spilling forced at threads {1, 8} and asserts results
 /// (and error status) identical to an unspilled single-threaded baseline.
 void ExpectSpilledMatchesInMemory(const Catalog& catalog, const std::string& query) {
-  // Small morsels keep the 8-thread drains chunked, so per-chunk stores
-  // spill and merge too.
+  // Small morsels keep the 8-thread run-sink drains chunked, so spilled
+  // serial builds run beside chunked divisions.
   ScopedMorselRows morsels(128);
   ScopedBatchRows batches(128);
   auto make_session = [&](SessionOptions options) {
@@ -532,7 +533,8 @@ TEST(SpillAdmissionTest, AdmissionComposesWithForcedSpill) {
   // The intended degradation story end to end: a database-wide budget, a
   // per-statement budget, and a spill watermark below it — the statement
   // queues politely, spills instead of tripping, and still answers exactly.
-  // Small morsels keep the dividend drain chunked at the default threads.
+  // Small morsels keep the clustered dividend drain chunked at the
+  // default threads.
   ScopedMorselRows morsels(128);
   ScopedBatchRows batches(128);
   DataGen gen(29);
