@@ -10,7 +10,7 @@
 // input scale), which the "MaxIntermediateRows" counter makes visible.
 //
 // The 16384- and 65536-group points (~330k and ~1.3M dividend rows) and
-// WindowedDivide (a RangeScan span of a ~1.3M-row dividend, 40k to 630k
+// WindowedDivide (a RangeScan span of a ~1.3M-row dividend, 62k to 702k
 // rows) straddle the parallel executor's fan-out break-even; their "dop"
 // counter records whether the drains ran chunked (docs/parallel_execution.md).
 // WindowedDivide's second argument is the morsel size: at 1024 rows a drain
@@ -110,28 +110,39 @@ void BM_FirstClassVsSimulation(benchmark::State& state, bool expand) {
   state.counters["dop"] = static_cast<double>(profile.max_dop);
 }
 
+/// The windowed points divide groups [0, window) of a 65536-group dividend.
+/// MakeDivisionWorkload plants the whole divisor in its first groups/10 + 1
+/// groups (6,554 here), so a window starting at group 0 holds qualifying
+/// candidates: all 2,048 groups of the smallest window and the 6,554 hit
+/// groups of the larger ones. A window elsewhere would divide to an empty
+/// quotient and never time the emission of a result.
+constexpr int64_t kWindowGroups = 65536;
+constexpr int64_t kWindowStart = 0;
+
 /// Hash division over a window of `window` groups of a 65536-group
 /// dividend: the planner reads the leading-column range as a RangeScan, so
 /// the probe drain's row count is the span width (bench_e2e's divide_olap
 /// shape, at several window sizes). Runs with morsels of range(1) rows.
 void BM_WindowedDivide(benchmark::State& state) {
-  constexpr int64_t kGroups = 65536;
   const int64_t window = state.range(0);
   ScopedMorselRows morsels(static_cast<size_t>(state.range(1)));
-  const Catalog& catalog = CachedPoint(kGroups, /*divisor_size=*/16).catalog;
-  const int64_t lo = (kGroups - window) / 2;
+  const Catalog& catalog = CachedPoint(kWindowGroups, /*divisor_size=*/16).catalog;
+  const int64_t lo = kWindowStart;
   PlanPtr plan = LogicalOp::Divide(
       LogicalOp::Select(LogicalOp::Scan(catalog, "r1"),
                         Expr::And(Expr::ColCmp("a", CmpOp::kGe, V(lo)),
                                   Expr::ColCmp("a", CmpOp::kLt, V(lo + window)))),
       LogicalOp::Scan(catalog, "r2"));
   ExecProfile profile;
+  size_t quotient_rows = 0;
   for (auto _ : state) {
     Relation q = ExecutePlan(plan, catalog, {}, &profile);
+    quotient_rows = q.size();
     benchmark::DoNotOptimize(q);
   }
   state.counters["dop"] = static_cast<double>(profile.max_dop);
   state.counters["RangeScan"] = profile.pipelines.find("RangeScan") != std::string::npos;
+  state.counters["quotient_rows"] = static_cast<double>(quotient_rows);
 }
 
 /// WindowedDivide's rows with A not leading: the window of the same
@@ -139,11 +150,10 @@ void BM_WindowedDivide(benchmark::State& state) {
 /// division takes the candidate-matrix path over exactly the rows
 /// WindowedDivide divides run by run.
 void BM_WindowedDivideUnclustered(benchmark::State& state) {
-  constexpr int64_t kGroups = 65536;
   const int64_t window = state.range(0);
   ScopedMorselRows morsels(static_cast<size_t>(state.range(1)));
-  const Catalog& source = CachedPoint(kGroups, /*divisor_size=*/16).catalog;
-  const int64_t lo = (kGroups - window) / 2;
+  const Catalog& source = CachedPoint(kWindowGroups, /*divisor_size=*/16).catalog;
+  const int64_t lo = kWindowStart;
   std::vector<Tuple> rows;
   for (const Tuple& t : source.Get("r1").tuples()) {
     int64_t a = t[0].as_int();
@@ -156,12 +166,15 @@ void BM_WindowedDivideUnclustered(benchmark::State& state) {
   catalog.Encoding("r2");
   PlanPtr plan = LogicalOp::Divide(LogicalOp::Scan(catalog, "w"), LogicalOp::Scan(catalog, "r2"));
   ExecProfile profile;
+  size_t quotient_rows = 0;
   for (auto _ : state) {
     Relation q = ExecutePlan(plan, catalog, {}, &profile);
+    quotient_rows = q.size();
     benchmark::DoNotOptimize(q);
   }
   state.counters["dop"] = static_cast<double>(profile.max_dop);
   state.counters["rows"] = static_cast<double>(catalog.Get("w").size());
+  state.counters["quotient_rows"] = static_cast<double>(quotient_rows);
 }
 
 }  // namespace

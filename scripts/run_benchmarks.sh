@@ -126,14 +126,22 @@ run_bench_threads bench_txn "${par_threads}" "${out_dir}/BENCH_txn.json"
 # union-divisor workload only the search rule set can rewrite (Law 1).
 run_bench_threads bench_optimizer 1 "${out_dir}/BENCH_optimizer.json"
 
-run_bench_threads bench_division_algorithms 1 "${out_dir}/.div_par1.json"
-run_bench_threads bench_division_algorithms "${par_threads}" "${out_dir}/.div_parN.json"
+# Each bench_division_algorithms family runs in its own process on both
+# sides, so a family's ratio is not skewed by state an earlier family left
+# behind (started pool workers, the heap layout after the 1.3M-row points).
+div_families="HashDivision FirstClassDivide WindowedDivide WindowedDivideUnclustered HealySimulation"
+for family in ${div_families}; do
+  run_bench_threads bench_division_algorithms 1 "${out_dir}/.div_par1_${family}.json" \
+    "--benchmark_filter=^${family}/"
+  run_bench_threads bench_division_algorithms "${par_threads}" \
+    "${out_dir}/.div_parN_${family}.json" "--benchmark_filter=^${family}/"
+done
 run_bench_threads bench_law10_semijoin 1 "${out_dir}/.law10_par1.json"
 run_bench_threads bench_law10_semijoin "${par_threads}" "${out_dir}/.law10_parN.json"
 
 # Merge the A/B runs into comparison files: real_time per side plus the
 # speedup.
-PAR_THREADS="${par_threads}" BUILD_TYPE="${build_type}" COMPILER="${compiler}" \
+PAR_THREADS="${par_threads}" DIV_FAMILIES="${div_families}" BUILD_TYPE="${build_type}" COMPILER="${compiler}" \
   GIT_SHA="${git_sha}" python3 - "${out_dir}" <<'PY'
 import json, sys, os
 
@@ -165,10 +173,9 @@ def times(path):
 # Parallel A/B: 1 worker vs N workers, same binaries. Benchmarks that report
 # a "dop" counter (the largest per-pipeline parallelism of the plan) carry
 # it for the N-worker run, so the file shows which points ran chunked.
-par_pairs = [
-    ("division", ".div_par1.json", ".div_parN.json"),
-    ("law10_semijoin", ".law10_par1.json", ".law10_parN.json"),
-]
+par_pairs = [("division", f".div_par1_{family}.json", f".div_parN_{family}.json")
+             for family in os.environ["DIV_FAMILIES"].split()]
+par_pairs.append(("law10_semijoin", ".law10_par1.json", ".law10_parN.json"))
 threads_n = os.environ.get("PAR_THREADS", "?")
 par_comparison = []
 for suite, one_file, n_file in par_pairs:

@@ -2,6 +2,8 @@
 
 #include <atomic>
 
+#include "exec/query_context.hpp"
+
 namespace quotient {
 
 namespace {
@@ -137,44 +139,42 @@ void BatchKeyProbe::Resolve(const Batch& batch, std::vector<uint32_t>* out) {
 }
 
 void BatchIncrementalKeyer::Keys(const Batch& batch, const std::vector<size_t>* col_map,
-                                 std::vector<uint64_t>* out64,
-                                 std::vector<SmallByteKey>* out_spill) {
-  size_t n = batch.ActiveRows();
-  bool fits64 = encoder_->fits64();
-  if (fits64) {
-    out64->clear();
-    out64->resize(n, 0);
+                                 std::vector<uint32_t>* ids) {
+  const size_t n = batch.ActiveRows();
+  const size_t nc = encoder_.num_cols();
+  const size_t before = encoder_.size();
+  // A one-column key's dictionary id is its key id: resolve straight into
+  // `ids`. Wider keys gather row-major per-column ids first.
+  uint32_t* base;
+  if (nc == 1) {
+    ids->resize(n);
+    base = ids->data();
   } else {
-    out_spill->clear();
-    out_spill->resize(n);
+    scratch_.resize(n * nc);
+    base = scratch_.data();
   }
-  if (n == 0) return;
-  size_t nc = encoder_->num_cols();
-  scratch_.resize(n * nc);
   for (size_t c = 0; c < nc; ++c) {
     size_t col = col_map ? (*col_map)[c] : c;
-    uint32_t* dst = scratch_.data() + c;
+    uint32_t* dst = base + c;
+    auto intern = [&](const Value& v) { return encoder_.InternValue(c, v); };
     if (const BatchColumn* enc = batch.EncodedColumn(col)) {
       const uint32_t* src = enc->ids.data();
-      const ValueDict& dict = *enc->dict;
       IdTranslator& xlat = xlat_[c];
-      for (size_t i = 0; i < n; ++i, dst += nc) {
-        *dst = xlat.Map(dict, src[batch.RowAt(i)],
-                        [&](const Value& v) { return encoder_->InternValue(c, v); });
+      xlat.Bind(*enc->dict);
+      if (batch.has_selection()) {
+        for (size_t i = 0; i < n; ++i, dst += nc) *dst = xlat.Lookup(src[batch.RowAt(i)], intern);
+      } else {
+        for (size_t i = 0; i < n; ++i, dst += nc) *dst = xlat.Lookup(src[i], intern);
       }
     } else {
-      for (size_t i = 0; i < n; ++i, dst += nc) {
-        *dst = encoder_->InternValue(c, batch.At(batch.RowAt(i), col));
-      }
+      for (size_t i = 0; i < n; ++i, dst += nc) *dst = intern(batch.At(batch.RowAt(i), col));
     }
   }
-  if (fits64) {
-    for (size_t i = 0; i < n; ++i) (*out64)[i] = encoder_->PackIds(scratch_.data() + i * nc);
-  } else {
-    for (size_t i = 0; i < n; ++i) {
-      encoder_->SpillFromIds(scratch_.data() + i * nc, &(*out_spill)[i]);
-    }
+  if (nc != 1) {
+    ids->resize(n);
+    for (size_t i = 0; i < n; ++i) (*ids)[i] = encoder_.InternKey(base + i * nc);
   }
+  GovernorCharge((encoder_.size() - before) * nc * 8);
 }
 
 bool EmitResultBatch(const std::vector<Tuple>& results, size_t* position, Batch* out) {

@@ -152,6 +152,27 @@ class Batch {
     sel_.clear();
     has_sel_ = false;
   }
+  /// Narrows the active rows, in place and in order, to those for which
+  /// `keep(i, row)` holds, where `row` is RowAt(i). The selection buffer is
+  /// reused, so narrowing allocates nothing once it has grown.
+  template <typename Keep>
+  void Narrow(Keep&& keep) {
+    const size_t n = ActiveRows();
+    if (has_sel_) {
+      size_t kept = 0;
+      for (size_t i = 0; i < n; ++i) {
+        const uint32_t row = sel_[i];
+        if (keep(i, row)) sel_[kept++] = row;
+      }
+      sel_.resize(kept);
+    } else {
+      sel_.clear();
+      for (uint32_t i = 0; i < n; ++i) {
+        if (keep(size_t{i}, i)) sel_.push_back(i);
+      }
+      has_sel_ = true;
+    }
+  }
   /// Rows surviving the selection (== rows() when none is set).
   size_t ActiveRows() const { return has_sel_ ? sel_.size() : rows_; }
   /// Physical index of the i-th active row.
@@ -249,26 +270,34 @@ class BatchKeyProbe {
   std::vector<uint8_t> miss_;
 };
 
-/// Per-row flat keys in an IncrementalKeyEncoder's id space (the streaming
-/// dedup / grouping discipline): translation arrays for encoded columns,
-/// per-row interning otherwise. The key space is canonical — identical to
-/// interning each row's values with InternValue and packing the ids with
-/// PackIds/SpillFromIds — so batches of mixed provenance dedup consistently.
+/// Dense per-row key ids in an IncrementalKeyEncoder's numbering (the one
+/// dedup and grouping discipline): translation arrays for encoded columns,
+/// per-row interning otherwise, then IncrementalKeyEncoder::InternKey. The
+/// ids are canonical — identical to interning each row's values with
+/// InternValue and numbering them with InternKey — so batches of mixed
+/// provenance (dictionaries, row views) dedup consistently. Ids are numbered
+/// in first-seen order, so a row is the first occurrence of its key in the
+/// stream iff its id is the next unseen one.
 class BatchIncrementalKeyer {
  public:
-  BatchIncrementalKeyer(IncrementalKeyEncoder* encoder, size_t num_cols)
-      : encoder_(encoder), xlat_(num_cols) {}
+  explicit BatchIncrementalKeyer(size_t num_cols = 0) : encoder_(num_cols), xlat_(num_cols) {}
 
-  /// Computes keys for every active row. `col_map` maps encoder column c to
-  /// batch column (*col_map)[c]; nullptr means the identity. Exactly one of
-  /// out64 / out_spill is filled, matching encoder->fits64().
-  void Keys(const Batch& batch, const std::vector<size_t>* col_map,
-            std::vector<uint64_t>* out64, std::vector<SmallByteKey>* out_spill);
+  /// Writes one key id per active row of `batch` into `ids` (resized to
+  /// ActiveRows()). `col_map` maps encoder column c to batch column
+  /// (*col_map)[c]; nullptr means the identity. Charges the governor 8
+  /// bytes per key column for every key numbered here.
+  void Keys(const Batch& batch, const std::vector<size_t>* col_map, std::vector<uint32_t>* ids);
+
+  /// Distinct keys numbered so far; ids run 0..size()-1.
+  size_t size() const { return encoder_.size(); }
+
+  /// Appends the column Values of key `id` to `out`.
+  void Decode(uint32_t id, Tuple* out) const { encoder_.DecodeKey(id, out); }
 
  private:
-  IncrementalKeyEncoder* encoder_;
+  IncrementalKeyEncoder encoder_;
   std::vector<IdTranslator> xlat_;
-  std::vector<uint32_t> scratch_;
+  std::vector<uint32_t> scratch_;  // row-major ids, ActiveRows x num key cols
 };
 
 /// Emits `results[*position ..]` as row-view batches of at most

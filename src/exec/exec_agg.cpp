@@ -8,58 +8,45 @@ namespace quotient {
 
 namespace {
 
-/// The grouping state of one aggregation: incrementally encoded group keys
-/// interned to dense group numbers, plus the flat per-(group, spec) AggState
-/// array.
+/// The grouping state of one aggregation: group keys numbered densely by
+/// their keyer (the group number is the key id), plus the flat per-(group,
+/// spec) AggState array.
 struct GroupState {
-  explicit GroupState(size_t group_cols) : encoder(group_cols) {}
+  explicit GroupState(size_t group_cols) : keys(group_cols) {}
 
-  size_t num_groups() const {
-    return encoder.fits64() ? groups64.size() : groups_spill.size();
-  }
-
-  IncrementalKeyEncoder encoder;
-  KeyInterner<uint64_t> groups64;
-  KeyInterner<SmallByteKey> groups_spill;
+  BatchIncrementalKeyer keys;
   std::vector<AggState> states;
 };
 
-/// Grouping sink for RunPipeline: resolves each batch's group keys, interns
-/// them to group numbers and folds the rows' arguments into their states.
+/// Grouping sink for RunPipeline: numbers each batch's group keys and folds
+/// the rows' arguments into their groups' states.
 class AggregateSink : public PipelineSink {
  public:
   AggregateSink(GroupState* target, const std::vector<AggSpec>* aggs,
                 const std::vector<size_t>* group_indices,
                 const std::vector<size_t>* arg_indices)
-      : target_(target),
-        aggs_(aggs),
-        group_indices_(group_indices),
-        arg_indices_(arg_indices),
-        keyer_(&target->encoder, group_indices->size()) {}
+      : target_(target), aggs_(aggs), group_indices_(group_indices), arg_indices_(arg_indices) {}
 
   void Consume(const Batch& batch) override {
     GovernorFaultPoint("sink.aggregate");
     const size_t na = aggs_->size();
-    const size_t width = (group_indices_->size() + na) * 8;
     // The per-batch key scratch is transient; only group-state growth is
-    // retained, so only that delta stays charged after the fold.
+    // retained: the keyer charges the new keys, this sink their states.
     ScopedCharge transient;
-    transient.Add(batch.ActiveRows() * width);
-    keyer_.Keys(batch, group_indices_, &keys64_, &keys_spill_);
+    transient.Add(batch.ActiveRows() * (group_indices_->size() + na) * 8);
     GroupState& gs = *target_;
-    size_t before = gs.num_groups();
-    const bool fits64 = gs.encoder.fits64();
+    size_t before = gs.keys.size();
+    gs.keys.Keys(batch, group_indices_, &gids_);
+    gs.states.resize(gs.keys.size() * na);
     size_t n = batch.ActiveRows();
     for (size_t i = 0; i < n; ++i) {
-      uint32_t gid = fits64 ? gs.groups64.Intern(keys64_[i]) : gs.groups_spill.Intern(keys_spill_[i]);
-      if (size_t{gid} * na >= gs.states.size()) gs.states.resize(gs.states.size() + na);
       uint32_t row = batch.RowAt(i);
       for (size_t j = 0; j < na; ++j) {
         AggAccumulate((*aggs_)[j], batch.At(row, (*arg_indices_)[j]),
-                      &gs.states[size_t{gid} * na + j]);
+                      &gs.states[size_t{gids_[i]} * na + j]);
       }
     }
-    GovernorCharge((gs.num_groups() - before) * width);
+    GovernorCharge((gs.keys.size() - before) * na * 8);
   }
 
  private:
@@ -67,9 +54,7 @@ class AggregateSink : public PipelineSink {
   const std::vector<AggSpec>* aggs_;
   const std::vector<size_t>* group_indices_;
   const std::vector<size_t>* arg_indices_;
-  BatchIncrementalKeyer keyer_;
-  std::vector<uint64_t> keys64_;
-  std::vector<SmallByteKey> keys_spill_;
+  std::vector<uint32_t> gids_;
 };
 
 }  // namespace
@@ -98,7 +83,7 @@ std::shared_ptr<GroupingArtifact> HashAggregateIterator::BuildArtifact() {
   AggregateSink sink(&groups, &aggs_, &group_indices_, &arg_indices_);
   RecordPipelineDop(RunPipeline(*child_, sink).dop);
 
-  size_t num_groups = groups.num_groups();
+  size_t num_groups = groups.keys.size();
   // Mirror the sink's retained group-state charge so publication can hand
   // it from the building query to the recycler's budget.
   art->extra_charge = num_groups * (group_indices_.size() + na) * 8;
@@ -114,11 +99,7 @@ std::shared_ptr<GroupingArtifact> HashAggregateIterator::BuildArtifact() {
   for (uint32_t gid = 0; gid < num_groups; ++gid) {
     Tuple t;
     t.reserve(group_indices_.size() + na);
-    if (groups.encoder.fits64()) {
-      groups.encoder.Decode(groups.groups64.At(gid), &t);
-    } else {
-      groups.encoder.Decode(groups.groups_spill.At(gid), &t);
-    }
+    groups.keys.Decode(gid, &t);
     for (size_t j = 0; j < na; ++j) {
       t.push_back(AggFinish(aggs_[j], groups.states[size_t{gid} * na + j]));
     }

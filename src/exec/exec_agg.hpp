@@ -10,8 +10,8 @@
 namespace quotient {
 
 /// Hash aggregation implementing GγF: online, key-encoded grouping. Group
-/// keys are incrementally dictionary-encoded (IncrementalKeyEncoder) and
-/// interned to dense group numbers; aggregate states are accumulated in a
+/// keys are incrementally dictionary-encoded and numbered densely
+/// (IncrementalKeyEncoder, the same discipline as π/∪/∩/−); aggregate states are accumulated in a
 /// flat array with the same AggState machinery as the reference GroupBy, so
 /// results agree by construction.
 class HashAggregateIterator : public Iterator {

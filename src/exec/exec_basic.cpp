@@ -46,70 +46,21 @@ void CopyPickedRows(const Batch& in, const std::vector<uint32_t>& picks,
   out->set_rows(picks.size());
 }
 
-/// Active indices of `n` keyed rows whose key is fresh (inserted now) in the
-/// seen sets — the shared dedup step of π and ∪.
-std::vector<uint32_t> FreshPicks(bool fits64, const std::vector<uint64_t>& keys64,
-                                 const std::vector<SmallByteKey>& keys_spill, size_t n,
-                                 std::unordered_set<uint64_t, FlatKeyHash>* seen64,
-                                 std::unordered_set<SmallByteKey, FlatKeyHash>* seen_spill) {
-  std::vector<uint32_t> picks;
-  if (fits64) {
-    for (size_t i = 0; i < n; ++i) {
-      if (seen64->insert(keys64[i]).second) picks.push_back(static_cast<uint32_t>(i));
-    }
-  } else {
-    for (size_t i = 0; i < n; ++i) {
-      if (seen_spill->insert(keys_spill[i]).second) picks.push_back(static_cast<uint32_t>(i));
+/// Active indices of the rows whose key id is the next unseen one — each
+/// key's first occurrence, since ids are numbered in first-seen order —
+/// advancing `*next_id` past them: the shared dedup step of π and ∪.
+void FreshPicks(const std::vector<uint32_t>& ids, uint32_t* next_id,
+                std::vector<uint32_t>* picks) {
+  picks->clear();
+  for (size_t i = 0; i < ids.size(); ++i) {
+    if (ids[i] == *next_id) {
+      picks->push_back(static_cast<uint32_t>(i));
+      ++*next_id;
     }
   }
-  return picks;
-}
-
-/// Physical rows of `batch` passing the ∩/− probe: a row is kept iff
-/// (key ∈ build) == want_member, at most once per distinct key.
-std::vector<uint32_t> MembershipSelection(
-    const Batch& batch, bool fits64, const std::vector<uint64_t>& keys64,
-    const std::vector<SmallByteKey>& keys_spill, bool want_member,
-    const std::unordered_set<uint64_t, FlatKeyHash>& build64,
-    const std::unordered_set<SmallByteKey, FlatKeyHash>& build_spill,
-    std::unordered_set<uint64_t, FlatKeyHash>* emitted64,
-    std::unordered_set<SmallByteKey, FlatKeyHash>* emitted_spill) {
-  std::vector<uint32_t> sel;
-  size_t n = batch.ActiveRows();
-  for (size_t i = 0; i < n; ++i) {
-    bool keep = fits64 ? (build64.count(keys64[i]) > 0) == want_member &&
-                             emitted64->insert(keys64[i]).second
-                       : (build_spill.count(keys_spill[i]) > 0) == want_member &&
-                             emitted_spill->insert(keys_spill[i]).second;
-    if (keep) sel.push_back(batch.RowAt(i));
-  }
-  return sel;
 }
 
 }  // namespace
-
-void BuildKeySet(Iterator& right, const std::vector<size_t>& right_reorder,
-                 IncrementalKeyEncoder& encoder,
-                 std::unordered_set<uint64_t, FlatKeyHash>& set64,
-                 std::unordered_set<SmallByteKey, FlatKeyHash>& set_spill) {
-  size_t expected = right.EstimatedRows();
-  if (encoder.fits64()) set64.reserve(expected);
-  const std::vector<size_t>* reorder = right_reorder.empty() ? nullptr : &right_reorder;
-  BatchIncrementalKeyer keyer(&encoder, encoder.num_cols());
-  Batch batch;
-  std::vector<uint64_t> keys64;
-  std::vector<SmallByteKey> keys_spill;
-  while (right.NextBatch(&batch)) {
-    GovernorPoll();
-    GovernorFaultPoint("pipeline.drain");
-    keyer.Keys(batch, reorder, &keys64, &keys_spill);
-    if (encoder.fits64()) {
-      set64.insert(keys64.begin(), keys64.end());
-    } else {
-      set_spill.insert(keys_spill.begin(), keys_spill.end());
-    }
-  }
-}
 
 void RelationScan::RestrictToSpan(size_t begin, size_t end) {
   if (begin > end || end > relation_->size()) {
@@ -206,16 +157,10 @@ bool FilterIterator::RowPasses(const Batch& batch, uint32_t row) {
 
 bool FilterIterator::NextBatch(Batch* out) {
   while (child_->NextBatch(out)) {
-    size_t n = out->ActiveRows();
-    std::vector<uint32_t> sel;
-    sel.reserve(n);
     if (out->row_mode()) {
       // Row views carry whole tuples: evaluate the bound predicate in place,
       // exactly the tuple-at-a-time cost, no copies.
-      for (size_t i = 0; i < n; ++i) {
-        uint32_t r = out->RowAt(i);
-        if (bound_->EvalBool(*out->RowRef(r))) sel.push_back(r);
-      }
+      out->Narrow([&](size_t, uint32_t r) { return bound_->EvalBool(*out->RowRef(r)); });
     } else {
       // Columnar: (re)fill verdict caches for this batch's dictionaries —
       // one predicate evaluation per distinct value, then a byte load per
@@ -232,12 +177,8 @@ bool FilterIterator::NextBatch(Batch* out) {
           }
         }
       }
-      for (size_t i = 0; i < n; ++i) {
-        uint32_t r = out->RowAt(i);
-        if (RowPasses(*out, r)) sel.push_back(r);
-      }
+      out->Narrow([&](size_t, uint32_t r) { return RowPasses(*out, r); });
     }
-    out->SetSelection(std::move(sel));
     if (out->ActiveRows() > 0) {
       CountRows(out->ActiveRows());
       return true;
@@ -256,20 +197,17 @@ ProjectIterator::ProjectIterator(IterPtr child, std::vector<std::string> columns
 void ProjectIterator::Open() {
   ResetCount();
   child_->Open();
-  encoder_ = IncrementalKeyEncoder(indices_.size());
-  seen64_.clear();
-  seen_spill_.clear();
-  keyer_ = std::make_unique<BatchIncrementalKeyer>(&encoder_, indices_.size());
+  keyer_ = BatchIncrementalKeyer(indices_.size());
+  next_id_ = 0;
 }
 
 bool ProjectIterator::NextBatch(Batch* out) {
   while (child_->NextBatch(&in_batch_)) {
-    keyer_->Keys(in_batch_, &indices_, &keys64_, &keys_spill_);
-    std::vector<uint32_t> picks = FreshPicks(encoder_.fits64(), keys64_, keys_spill_,
-                                             in_batch_.ActiveRows(), &seen64_, &seen_spill_);
-    if (picks.empty()) continue;
-    CopyPickedRows(in_batch_, picks, &indices_, indices_.size(), out);
-    CountRows(picks.size());
+    keyer_.Keys(in_batch_, &indices_, &ids_);
+    FreshPicks(ids_, &next_id_, &picks_);
+    if (picks_.empty()) continue;
+    CopyPickedRows(in_batch_, picks_, &indices_, indices_.size(), out);
+    CountRows(picks_.size());
     return true;
   }
   return false;
@@ -277,8 +215,7 @@ bool ProjectIterator::NextBatch(Batch* out) {
 
 void ProjectIterator::Close() {
   child_->Close();
-  seen64_.clear();
-  seen_spill_.clear();
+  keyer_ = BatchIncrementalKeyer();
 }
 
 RenameIterator::RenameIterator(IterPtr child,
@@ -301,19 +238,16 @@ void UnionIterator::Open() {
   left_->Open();
   right_->Open();
   on_right_ = false;
-  encoder_ = IncrementalKeyEncoder(left_->schema().size());
-  seen64_.clear();
-  seen_spill_.clear();
-  keyer_ = std::make_unique<BatchIncrementalKeyer>(&encoder_, encoder_.num_cols());
+  keyer_ = BatchIncrementalKeyer(left_->schema().size());
+  next_id_ = 0;
 }
 
 bool UnionIterator::EmitFresh(const Batch& in, const std::vector<size_t>* col_map, Batch* out) {
-  keyer_->Keys(in, col_map, &keys64_, &keys_spill_);
-  std::vector<uint32_t> picks = FreshPicks(encoder_.fits64(), keys64_, keys_spill_,
-                                           in.ActiveRows(), &seen64_, &seen_spill_);
-  if (picks.empty()) return false;
-  CopyPickedRows(in, picks, col_map, encoder_.num_cols(), out);
-  CountRows(picks.size());
+  keyer_.Keys(in, col_map, &ids_);
+  FreshPicks(ids_, &next_id_, &picks_);
+  if (picks_.empty()) return false;
+  CopyPickedRows(in, picks_, col_map, left_->schema().size(), out);
+  CountRows(picks_.size());
   return true;
 }
 
@@ -335,34 +269,47 @@ bool UnionIterator::NextBatch(Batch* out) {
 void UnionIterator::Close() {
   left_->Close();
   right_->Close();
-  seen64_.clear();
-  seen_spill_.clear();
+  keyer_ = BatchIncrementalKeyer();
 }
 
-IntersectIterator::IntersectIterator(IterPtr left, IterPtr right)
+SetMembershipIterator::SetMembershipIterator(IterPtr left, IterPtr right, bool keep_members)
     : left_(std::move(left)),
       right_(std::move(right)),
-      right_reorder_(ReorderIndices(left_->schema(), right_->schema())) {}
+      right_reorder_(ReorderIndices(left_->schema(), right_->schema())),
+      keep_members_(keep_members) {}
 
-void IntersectIterator::Open() {
+void SetMembershipIterator::Open() {
   ResetCount();
   left_->Open();
   right_->Open();
-  encoder_ = IncrementalKeyEncoder(left_->schema().size());
-  build64_.clear();
-  emitted64_.clear();
-  build_spill_.clear();
-  emitted_spill_.clear();
-  keyer_ = std::make_unique<BatchIncrementalKeyer>(&encoder_, encoder_.num_cols());
-  BuildKeySet(*right_, right_reorder_, encoder_, build64_, build_spill_);
+  keyer_ = BatchIncrementalKeyer(left_->schema().size());
+  const std::vector<size_t>* reorder = right_reorder_.empty() ? nullptr : &right_reorder_;
+  Batch batch;
+  while (right_->NextBatch(&batch)) {
+    GovernorPoll();
+    GovernorFaultPoint("pipeline.drain");
+    keyer_.Keys(batch, reorder, &ids_);
+  }
+  build_keys_ = static_cast<uint32_t>(keyer_.size());
+  next_id_ = build_keys_;
+  emitted_.assign(keep_members_ ? build_keys_ : 0, 0);
+  GovernorCharge(emitted_.size());
 }
 
-bool IntersectIterator::NextBatch(Batch* out) {
+bool SetMembershipIterator::NextBatch(Batch* out) {
   while (left_->NextBatch(out)) {
-    keyer_->Keys(*out, nullptr, &keys64_, &keys_spill_);
-    out->SetSelection(MembershipSelection(*out, encoder_.fits64(), keys64_, keys_spill_,
-                                          /*want_member=*/true, build64_, build_spill_,
-                                          &emitted64_, &emitted_spill_));
+    keyer_.Keys(*out, nullptr, &ids_);
+    out->Narrow([&](size_t i, uint32_t) {
+      const uint32_t id = ids_[i];
+      if (id < build_keys_) {
+        if (!keep_members_ || emitted_[id]) return false;
+        emitted_[id] = 1;
+        return true;
+      }
+      if (keep_members_ || id != next_id_) return false;
+      ++next_id_;
+      return true;
+    });
     if (out->ActiveRows() > 0) {
       CountRows(out->ActiveRows());
       return true;
@@ -371,54 +318,11 @@ bool IntersectIterator::NextBatch(Batch* out) {
   return false;
 }
 
-void IntersectIterator::Close() {
+void SetMembershipIterator::Close() {
   left_->Close();
   right_->Close();
-  build64_.clear();
-  emitted64_.clear();
-  build_spill_.clear();
-  emitted_spill_.clear();
-}
-
-DifferenceIterator::DifferenceIterator(IterPtr left, IterPtr right)
-    : left_(std::move(left)),
-      right_(std::move(right)),
-      right_reorder_(ReorderIndices(left_->schema(), right_->schema())) {}
-
-void DifferenceIterator::Open() {
-  ResetCount();
-  left_->Open();
-  right_->Open();
-  encoder_ = IncrementalKeyEncoder(left_->schema().size());
-  build64_.clear();
-  emitted64_.clear();
-  build_spill_.clear();
-  emitted_spill_.clear();
-  keyer_ = std::make_unique<BatchIncrementalKeyer>(&encoder_, encoder_.num_cols());
-  BuildKeySet(*right_, right_reorder_, encoder_, build64_, build_spill_);
-}
-
-bool DifferenceIterator::NextBatch(Batch* out) {
-  while (left_->NextBatch(out)) {
-    keyer_->Keys(*out, nullptr, &keys64_, &keys_spill_);
-    out->SetSelection(MembershipSelection(*out, encoder_.fits64(), keys64_, keys_spill_,
-                                          /*want_member=*/false, build64_, build_spill_,
-                                          &emitted64_, &emitted_spill_));
-    if (out->ActiveRows() > 0) {
-      CountRows(out->ActiveRows());
-      return true;
-    }
-  }
-  return false;
-}
-
-void DifferenceIterator::Close() {
-  left_->Close();
-  right_->Close();
-  build64_.clear();
-  emitted64_.clear();
-  build_spill_.clear();
-  emitted_spill_.clear();
+  keyer_ = BatchIncrementalKeyer();
+  emitted_.clear();
 }
 
 CrossProductIterator::CrossProductIterator(IterPtr left, IterPtr right)

@@ -1,7 +1,5 @@
 #pragma once
 
-#include <unordered_set>
-
 #include "algebra/predicate.hpp"
 #include "exec/batch.hpp"
 #include "exec/iterator.hpp"
@@ -206,15 +204,13 @@ class ProjectIterator : public Iterator {
   IterPtr child_;
   Schema schema_;
   std::vector<size_t> indices_;
-  // Streaming dedup on incrementally encoded keys (see key_codec.hpp),
-  // resolved per batch through BatchIncrementalKeyer.
-  IncrementalKeyEncoder encoder_;
-  std::unordered_set<uint64_t, FlatKeyHash> seen64_;
-  std::unordered_set<SmallByteKey, FlatKeyHash> seen_spill_;
-  std::unique_ptr<BatchIncrementalKeyer> keyer_;
+  // Streaming dedup on dense key ids (BatchIncrementalKeyer): a row is
+  // emitted iff its id is the next unseen one.
+  BatchIncrementalKeyer keyer_;
+  uint32_t next_id_ = 0;
   Batch in_batch_;
-  std::vector<uint64_t> keys64_;
-  std::vector<SmallByteKey> keys_spill_;
+  std::vector<uint32_t> ids_;
+  std::vector<uint32_t> picks_;
 };
 
 /// ρ: pass-through with a renamed schema.
@@ -265,68 +261,58 @@ class UnionIterator : public Iterator {
   IterPtr right_;
   std::vector<size_t> right_reorder_;  // empty when schemas align positionally
   bool on_right_ = false;
-  // Streaming dedup on incrementally encoded keys.
-  IncrementalKeyEncoder encoder_;
-  std::unordered_set<uint64_t, FlatKeyHash> seen64_;
-  std::unordered_set<SmallByteKey, FlatKeyHash> seen_spill_;
-  std::unique_ptr<BatchIncrementalKeyer> keyer_;
+  // Streaming dedup on dense key ids, shared by both inputs.
+  BatchIncrementalKeyer keyer_;
+  uint32_t next_id_ = 0;
   Batch in_batch_;
-  std::vector<uint64_t> keys64_;
-  std::vector<SmallByteKey> keys_spill_;
+  std::vector<uint32_t> ids_;
+  std::vector<uint32_t> picks_;
+};
+
+/// ∩ and − (hash build on the right input). Open() numbers the right
+/// input's distinct keys 0..build_keys-1; the left input shares that
+/// numbering, so a left key is a member iff its id is below build_keys.
+/// ∩ keeps each member once (a flag per build key); − keeps each
+/// non-member once (its id is the next unseen one past build_keys).
+class SetMembershipIterator : public Iterator {
+ public:
+  const Schema& schema() const override { return left_->schema(); }
+  void Open() override;
+  bool NextBatch(Batch* out) override;
+  void Close() override;
+  std::vector<Iterator*> InputIterators() override { return {left_.get(), right_.get()}; }
+  std::vector<size_t> BlockingInputs() override { return {1}; }
+  size_t EstimatedRows() const override { return left_->EstimatedRows(); }
+
+ protected:
+  SetMembershipIterator(IterPtr left, IterPtr right, bool keep_members);
+
+ private:
+  IterPtr left_;
+  IterPtr right_;
+  std::vector<size_t> right_reorder_;
+  bool keep_members_;  // ∩: true, −: false
+  BatchIncrementalKeyer keyer_;
+  uint32_t build_keys_ = 0;
+  uint32_t next_id_ = 0;          // −: next unseen non-member id
+  std::vector<uint8_t> emitted_;  // ∩: build key already emitted
+  std::vector<uint32_t> ids_;
 };
 
 /// ∩ (hash build on the right input).
-class IntersectIterator : public Iterator {
+class IntersectIterator final : public SetMembershipIterator {
  public:
-  IntersectIterator(IterPtr left, IterPtr right);
-
-  const Schema& schema() const override { return left_->schema(); }
-  void Open() override;
-  bool NextBatch(Batch* out) override;
-  void Close() override;
+  IntersectIterator(IterPtr left, IterPtr right)
+      : SetMembershipIterator(std::move(left), std::move(right), /*keep_members=*/true) {}
   const char* name() const override { return "Intersect"; }
-  std::vector<Iterator*> InputIterators() override { return {left_.get(), right_.get()}; }
-  std::vector<size_t> BlockingInputs() override { return {1}; }
-  size_t EstimatedRows() const override { return left_->EstimatedRows(); }
-
- private:
-  IterPtr left_;
-  IterPtr right_;
-  std::vector<size_t> right_reorder_;
-  // Build and probe share one incremental encoder: equal tuples get equal
-  // flat keys, so membership and once-only emission are key-set lookups.
-  IncrementalKeyEncoder encoder_;
-  std::unordered_set<uint64_t, FlatKeyHash> build64_, emitted64_;
-  std::unordered_set<SmallByteKey, FlatKeyHash> build_spill_, emitted_spill_;
-  std::unique_ptr<BatchIncrementalKeyer> keyer_;
-  std::vector<uint64_t> keys64_;
-  std::vector<SmallByteKey> keys_spill_;
 };
 
 /// − (hash build on the right input).
-class DifferenceIterator : public Iterator {
+class DifferenceIterator final : public SetMembershipIterator {
  public:
-  DifferenceIterator(IterPtr left, IterPtr right);
-
-  const Schema& schema() const override { return left_->schema(); }
-  void Open() override;
-  bool NextBatch(Batch* out) override;
-  void Close() override;
+  DifferenceIterator(IterPtr left, IterPtr right)
+      : SetMembershipIterator(std::move(left), std::move(right), /*keep_members=*/false) {}
   const char* name() const override { return "Difference"; }
-  std::vector<Iterator*> InputIterators() override { return {left_.get(), right_.get()}; }
-  std::vector<size_t> BlockingInputs() override { return {1}; }
-  size_t EstimatedRows() const override { return left_->EstimatedRows(); }
-
- private:
-  IterPtr left_;
-  IterPtr right_;
-  std::vector<size_t> right_reorder_;
-  IncrementalKeyEncoder encoder_;
-  std::unordered_set<uint64_t, FlatKeyHash> build64_, emitted64_;
-  std::unordered_set<SmallByteKey, FlatKeyHash> build_spill_, emitted_spill_;
-  std::unique_ptr<BatchIncrementalKeyer> keyer_;
-  std::vector<uint64_t> keys64_;
-  std::vector<SmallByteKey> keys_spill_;
 };
 
 /// × (right side materialized). NextBatch() pairs each left row of the
@@ -353,12 +339,5 @@ class CrossProductIterator : public Iterator {
   std::vector<Tuple> right_rows_;
   PairCursor cursor_;
 };
-
-/// Shared build-side helper for ∩ / −: drains `right` into an encoded key
-/// set.
-void BuildKeySet(Iterator& right, const std::vector<size_t>& right_reorder,
-                 IncrementalKeyEncoder& encoder,
-                 std::unordered_set<uint64_t, FlatKeyHash>& set64,
-                 std::unordered_set<SmallByteKey, FlatKeyHash>& set_spill);
 
 }  // namespace quotient

@@ -183,25 +183,17 @@ void HashSemiJoinIterator::Open() {
 
 bool HashSemiJoinIterator::NextBatch(Batch* out) {
   while (left_->NextBatch(out)) {
-    size_t n = out->ActiveRows();
-    std::vector<uint32_t> sel;
     if (left_key_.empty()) {
       // Appendix A degenerate form: keep everything iff the right side is
       // nonempty (flipped for the anti join).
-      bool keep = !build_->right_empty != anti_;
-      if (keep) {
-        sel.reserve(n);
-        for (size_t i = 0; i < n; ++i) sel.push_back(out->RowAt(i));
-      }
+      if (build_->right_empty != anti_) continue;
     } else {
       batch_keys_.clear();
       probe_.Resolve(*out, &batch_keys_);
-      for (size_t i = 0; i < n; ++i) {
-        bool matched = batch_keys_[i] != KeyNumbering::kNotFound;
-        if (matched != anti_) sel.push_back(out->RowAt(i));
-      }
+      out->Narrow([&](size_t i, uint32_t) {
+        return (batch_keys_[i] != KeyNumbering::kNotFound) != anti_;
+      });
     }
-    out->SetSelection(std::move(sel));
     if (out->ActiveRows() > 0) {
       CountRows(out->ActiveRows());
       return true;

@@ -8,8 +8,8 @@
 // allocation. Instead, each operator Open() dictionary-encodes the distinct
 // Values of its key columns into dense uint32_t ids and packs a
 // multi-attribute key into one flat 64-bit integer, so the hot hash tables
-// become unordered_map<uint64_t, ...> with trivial hash/equality and zero
-// per-probe allocation. When the per-column id widths do not fit in 64 bits
+// are flat open-addressing tables of uint64_t keys (FlatInterner) with
+// trivial hash/equality and zero per-probe allocation. When the per-column id widths do not fit in 64 bits
 // the codec spills to SmallByteKey, an inline byte string of the raw ids.
 //
 // Two encoding disciplines are provided (see docs/key_encoding.md):
@@ -18,15 +18,15 @@
 //                            read back packed keys and probe foreign tuples
 //                            (a probe value unseen during build cannot match
 //                            any built key, so TryEncode may simply fail).
-//   IncrementalKeyEncoder  — growable dictionaries with fixed 32-bit fields,
-//                            for streaming deduplication where keys must be
-//                            assigned before the input is exhausted.
+//   IncrementalKeyEncoder  — growable dictionaries with fixed 32-bit fields
+//                            and a dense numbering of whole keys, for
+//                            streaming deduplication and grouping where keys
+//                            must be numbered before the input is exhausted.
 
 #include <array>
 #include <cstdint>
 #include <cstring>
 #include <memory>
-#include <unordered_map>
 #include <vector>
 
 #include "algebra/tuple.hpp"
@@ -402,9 +402,22 @@ class KeyCodec {
   bool spilled_ = false;
 };
 
-/// Growable encoder for streaming deduplication (π, ∪, ∩, −): dictionaries
-/// accept new values at any time, so each column gets a fixed 32-bit field.
-/// Keys of up to two columns fit the flat uint64_t; wider keys spill.
+/// Interns flat keys into dense uint32 ids (candidate numbering, divisor
+/// numbering, whole-key numbering). Works for both key representations.
+template <typename K>
+using KeyInterner = FlatInterner<K, FlatKeyHash>;
+
+/// Growable encoder for streaming deduplication (π, ∪, ∩, −) and grouping:
+/// dictionaries accept new values at any time, so each column gets a fixed
+/// 32-bit field. Keys of up to two columns fit the flat uint64_t; wider keys
+/// spill.
+///
+/// InternKey numbers whole keys densely, in first-seen order: this is the
+/// one set discipline of those operators. A one-column key's id is its
+/// dictionary id, dense already, so nothing is hashed; wider keys are
+/// interned into a flat open-addressing table (KeyInterner). Because ids
+/// run 0, 1, 2, ... in the order keys first appear, a stream's row is the
+/// first occurrence of its key iff its id is the next unseen one.
 class IncrementalKeyEncoder {
  public:
   IncrementalKeyEncoder() = default;
@@ -416,6 +429,32 @@ class IncrementalKeyEncoder {
 
   /// Interns `v` into column `c`'s (growable) dictionary; ids never move.
   uint32_t InternValue(size_t c, const Value& v) { return dicts_[c].GetOrAdd(v); }
+
+  /// Dense id of the key whose per-column dictionary ids are `ids`,
+  /// numbering it if it is new.
+  uint32_t InternKey(const uint32_t* ids) {
+    if (dicts_.size() == 1) return ids[0];
+    if (fits64()) return keys64_.Intern(PackIds(ids));
+    SpillFromIds(ids, &spill_scratch_);
+    return keys_spill_.Intern(spill_scratch_);
+  }
+
+  /// Distinct keys numbered so far (for one column: the dictionary size).
+  size_t size() const {
+    if (dicts_.size() == 1) return dicts_[0].size();
+    return fits64() ? keys64_.size() : keys_spill_.size();
+  }
+
+  /// Appends the column Values of key `id` to `out`.
+  void DecodeKey(uint32_t id, Tuple* out) const {
+    if (dicts_.size() == 1) {
+      out->push_back(dicts_[0].At(id));
+    } else if (fits64()) {
+      Decode(keys64_.At(id), out);
+    } else {
+      Decode(keys_spill_.At(id), out);
+    }
+  }
 
   /// Packs pre-resolved per-column ids into the fixed 32-bit-field layout.
   /// Only valid when fits64().
@@ -443,12 +482,10 @@ class IncrementalKeyEncoder {
 
  private:
   std::vector<ValueDict> dicts_;
+  KeyInterner<uint64_t> keys64_;          // two columns (or none)
+  KeyInterner<SmallByteKey> keys_spill_;  // three or more columns
+  SmallByteKey spill_scratch_;
 };
-
-/// Interns flat keys into dense uint32 ids (candidate numbering, divisor
-/// numbering, group numbering). Works for both key representations.
-template <typename K>
-using KeyInterner = FlatInterner<K, FlatKeyHash>;
 
 /// Drop-in replacement for KeyInterner<uint64_t> when the codec's packed
 /// keys are already dense ids (keys_are_dense_ids()): numbering is the

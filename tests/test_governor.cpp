@@ -18,6 +18,7 @@
 #include "exec/query_context.hpp"
 #include "exec/scheduler.hpp"
 #include "opt/cost.hpp"
+#include "opt/planner.hpp"
 #include "plan/logical.hpp"
 #include "util/status.hpp"
 
@@ -287,6 +288,63 @@ TEST(GovernorTest, ClusteredCompositeKeyDivisionChargesOneRun) {
     EXPECT_GE(result.value().profile.rows_charged_bytes, size_t{kDivisorSize / 8});
     EXPECT_LT(result.value().profile.rows_charged_bytes,
               size_t{kCandidates} * (kDivisorSize / 8) / 4);
+  }
+}
+
+// π, ∪, ∩ and − number every distinct key they see, and that state lives
+// until the statement ends, so it is charged like grouping's: 8 bytes per
+// key column of every key numbered. t(a, b) has 200k distinct (b, a) keys
+// (3.2 MB charged) over 5,120 distinct a values.
+constexpr int64_t kDedupRows = 200000;
+
+Relation DedupTable(int64_t salt) {
+  std::vector<Tuple> rows;
+  for (int64_t i = 0; i < kDedupRows; ++i) rows.push_back({V(i % 5120), V(i + salt)});
+  return Relation(Schema::Parse("a, b"), std::move(rows));
+}
+
+TEST(GovernorTest, DedupKeySetsAreCharged) {
+  for (size_t threads : {size_t{1}, size_t{4}}) {
+    SCOPED_TRACE("threads=" + std::to_string(threads));
+    ScopedExecThreads scoped_threads(threads);
+    // An unbudgeted session creates t and builds its encoding, so the
+    // budgeted statements below are charged for their own state only.
+    Session owner;
+    ASSERT_TRUE(owner.CreateTable("t", DedupTable(0)).ok());
+    Result<QueryResult> distinct = owner.Execute("SELECT DISTINCT b, a FROM t");
+    ASSERT_TRUE(distinct.ok()) << distinct.error();
+    EXPECT_EQ(distinct.value().rows.size(), size_t{kDedupRows});
+    EXPECT_GE(distinct.value().profile.rows_charged_bytes, size_t{kDedupRows} * 2 * 8);
+
+    SessionOptions budgeted;
+    budgeted.memory_budget_bytes = 64 << 10;
+    Session limited(owner.database(), budgeted);
+    for (const char* sql :
+         {"SELECT DISTINCT b, a FROM t", "SELECT a, COUNT(b) AS n FROM t GROUP BY a"}) {
+      SCOPED_TRACE(sql);
+      Result<QueryResult> tripped = limited.Execute(sql);
+      ASSERT_FALSE(tripped.ok());
+      EXPECT_EQ(tripped.status().code(), StatusCode::kResourceExhausted);
+    }
+
+    // ∪, ∩ and − of t and a table overlapping it in half its keys.
+    Catalog catalog;
+    catalog.Put("t", DedupTable(0));
+    catalog.Put("u", DedupTable(kDedupRows / 2));
+    catalog.Encoding("t");  // built outside the governed statements
+    catalog.Encoding("u");
+    PlanPtr t = LogicalOp::Scan(catalog, "t");
+    PlanPtr u = LogicalOp::Scan(catalog, "u");
+    for (const PlanPtr& plan :
+         {LogicalOp::Union(t, u), LogicalOp::Intersect(t, u), LogicalOp::Difference(t, u)}) {
+      SCOPED_TRACE(plan->ToString());
+      QueryContext unlimited;
+      ExecutePlan(plan, catalog, {}, nullptr, &unlimited);
+      EXPECT_GE(unlimited.charged_bytes(), size_t{kDedupRows} * 2 * 8);
+      QueryContext limited_ctx(std::chrono::steady_clock::time_point{}, 64 << 10, nullptr);
+      EXPECT_THROW(ExecutePlan(plan, catalog, {}, nullptr, &limited_ctx), QueryAbort);
+      EXPECT_EQ(limited_ctx.TripStatus().code(), StatusCode::kResourceExhausted);
+    }
   }
 }
 
