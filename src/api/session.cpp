@@ -157,12 +157,8 @@ bool ResultCursor::PullBatch() {
     if (batch_valid_ && remaining_limit_ > 0 &&
         static_cast<int64_t>(batch_.ActiveRows()) > remaining_limit_) {
       // Cursor-side LIMIT cut: narrow the selection to the rows still owed.
-      std::vector<uint32_t> keep;
-      keep.reserve(static_cast<size_t>(remaining_limit_));
-      for (int64_t i = 0; i < remaining_limit_; ++i) {
-        keep.push_back(batch_.RowAt(static_cast<size_t>(i)));
-      }
-      batch_.SetSelection(std::move(keep));
+      const size_t owed = static_cast<size_t>(remaining_limit_);
+      batch_.Narrow([owed](size_t i, uint32_t) { return i < owed; });
     }
     if (batch_valid_ && remaining_limit_ > 0) {
       remaining_limit_ -= static_cast<int64_t>(batch_.ActiveRows());
@@ -203,12 +199,8 @@ const Batch* ResultCursor::NextBatch() {
     if (next_active_ > 0) {
       // Some rows of this batch were already served through Next(): narrow
       // the selection to the remainder.
-      std::vector<uint32_t> remaining;
-      remaining.reserve(batch_.ActiveRows() - next_active_);
-      for (size_t i = next_active_; i < batch_.ActiveRows(); ++i) {
-        remaining.push_back(batch_.RowAt(i));
-      }
-      batch_.SetSelection(std::move(remaining));
+      const size_t served = next_active_;
+      batch_.Narrow([served](size_t i, uint32_t) { return i >= served; });
     }
     next_active_ = batch_.ActiveRows();
     return &batch_;

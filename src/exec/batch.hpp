@@ -144,10 +144,6 @@ class Batch {
 
   // --- selection vector ----------------------------------------------------
   bool has_selection() const { return has_sel_; }
-  void SetSelection(std::vector<uint32_t> sel) {
-    sel_ = std::move(sel);
-    has_sel_ = true;
-  }
   void ClearSelection() {
     sel_.clear();
     has_sel_ = false;

@@ -36,10 +36,10 @@ std::vector<Tuple> Stream(const PlanPtr& plan, const Catalog& catalog) {
   return rows;
 }
 
-/// The stream a set operation's input delivers. Every input here is a
-/// scan, a Values node or a filter over one, all of which emit the
-/// relation's canonical order; `align` reorders each row into `to`'s
-/// attribute order (the right input of ∪/∩/− may list them differently).
+/// The stream a set operation's input delivers, each row reordered into
+/// `to`'s attribute order (the right input of ∪/∩/− may list them
+/// differently). Every input here is a scan, a Values node or a filter
+/// over one, all of which emit the relation's canonical order.
 std::vector<Tuple> InputStream(const PlanPtr& input, const Catalog& catalog,
                                const Schema& to) {
   Relation r = Evaluate(input, catalog);
