@@ -56,11 +56,11 @@ void BatchCodecAppender::Append(const Batch& batch) {
     uint32_t* dst = scratch_.data() + c;
     if (const BatchColumn* enc = batch.EncodedColumn(col)) {
       const uint32_t* src = enc->ids.data();
-      const ValueDict& dict = *enc->dict;
       IdTranslator& xlat = xlat_[c];
+      xlat.Bind(*enc->dict);
       for (size_t i = 0; i < n; ++i, dst += nc) {
-        *dst = xlat.Map(dict, src[batch.RowAt(i)],
-                        [&](const Value& v) { return codec_->InternValue(c, v); });
+        *dst = xlat.Lookup(src[batch.RowAt(i)],
+                           [&](const Value& v) { return codec_->InternValue(c, v); });
       }
     } else {
       for (size_t i = 0; i < n; ++i, dst += nc) {
@@ -116,11 +116,11 @@ void BatchKeyProbe::Resolve(const Batch& batch, std::vector<uint32_t>* out) {
     uint32_t* dst = scratch_.data() + c;
     if (const BatchColumn* enc = batch.EncodedColumn(col)) {
       const uint32_t* src = enc->ids.data();
-      const ValueDict& dict = *enc->dict;
       IdTranslator& xlat = xlat_[c];
+      xlat.Bind(*enc->dict);
       for (size_t i = 0; i < n; ++i, dst += nc) {
-        uint32_t id = xlat.Map(dict, src[batch.RowAt(i)],
-                               [&](const Value& v) { return codec_->FindValue(c, v); });
+        uint32_t id = xlat.Lookup(src[batch.RowAt(i)],
+                                  [&](const Value& v) { return codec_->FindValue(c, v); });
         *dst = id;
         miss_[i] |= (id == ValueDict::kNotFound);
       }

@@ -190,12 +190,6 @@ class Batch {
 /// array load. Rebinding to a different source dictionary clears the cache.
 class IdTranslator {
  public:
-  template <typename Resolve>
-  uint32_t Map(const ValueDict& source, uint32_t src_id, Resolve&& resolve) {
-    Bind(source);
-    return Lookup(src_id, resolve);
-  }
-
   /// Binds the source dictionary once per batch; Lookup then maps its ids
   /// without re-checking the binding per row.
   void Bind(const ValueDict& source) {
