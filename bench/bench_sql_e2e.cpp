@@ -6,7 +6,8 @@
 // WHERE clause; the oracle fixture is the tuple-at-a-time interpreter
 // baseline the Session replaced as the default path; the windowed
 // prepared divide prices a dividend read as a span of the table's order;
-// the distinct semi-join prices SELECT DISTINCT over an EXISTS subquery.
+// the distinct and group-having fixtures price the fleet dashboard's
+// SELECT DISTINCT over EXISTS and IN subqueries and its GROUP BY ... HAVING.
 //
 // scripts/run_benchmarks.sh runs this binary into
 // bench-results/BENCH_sql.json.
@@ -242,14 +243,9 @@ BENCHMARK(BM_SessionPrepared_WindowedDivide)
     ->Arg(1)
     ->Unit(benchmark::kMicrosecond);
 
-// The dashboard's EXISTS text over 4000 suppliers x 64 parts at plan-cache
-// hit: a semi-join of supplies with its own top 1% of suppliers, then
-// SELECT DISTINCT over the survivors. Nearly every supplies row survives
-// the semi-join, so the time goes into duplicate elimination (π's dedup).
-void BM_SessionDistinctSemiJoin(benchmark::State& state) {
-  const char* sql =
-      "SELECT DISTINCT s1.s# FROM supplies AS s1 WHERE EXISTS (SELECT * FROM supplies AS s2 "
-      "WHERE s2.p# = s1.p# AND s2.s# > 3960)";
+/// Repeats `sql` over 4000 suppliers x 64 parts at plan-cache hit (the
+/// default database, recycler on, as in the end-to-end fleet workload).
+void RunCachedText(benchmark::State& state, const char* sql) {
   Session session;
   FillTables(4000, 64, &session, nullptr);
   (void)session.Execute(sql);  // warm the plan cache
@@ -265,7 +261,36 @@ void BM_SessionDistinctSemiJoin(benchmark::State& state) {
   }
   state.counters["result_rows"] = static_cast<double>(result_rows);
 }
+
+// The dashboard's EXISTS text: a semi-join of supplies with its own top 1%
+// of suppliers, then SELECT DISTINCT over the survivors. Nearly every
+// supplies row survives the semi-join, still grouped on s#, so π keeps a
+// row where s# changes (dedup=runs).
+void BM_SessionDistinctSemiJoin(benchmark::State& state) {
+  RunCachedText(state,
+                "SELECT DISTINCT s1.s# FROM supplies AS s1 WHERE EXISTS (SELECT * FROM "
+                "supplies AS s2 WHERE s2.p# = s1.p# AND s2.s# > 3960)");
+}
 BENCHMARK(BM_SessionDistinctSemiJoin)->Unit(benchmark::kMicrosecond);
+
+// The dashboard's IN text: SELECT DISTINCT s# over the supplies rows whose
+// part is blue. The semi-join keeps supplies' order, so π emits at s# run
+// boundaries without numbering a key (dedup=runs).
+void BM_SessionDistinctClustered(benchmark::State& state) {
+  RunCachedText(state,
+                "SELECT DISTINCT s# FROM supplies WHERE p# IN (SELECT p# FROM parts WHERE "
+                "color = 'blue')");
+}
+BENCHMARK(BM_SessionDistinctClustered)->Unit(benchmark::kMicrosecond);
+
+// The dashboard's GROUP BY ... HAVING text: γ's 4000 groups (a recycled
+// artifact after the first run) filtered, under a π that keeps every
+// column, so its batches pass through (dedup=pass).
+void BM_SessionGroupHaving(benchmark::State& state) {
+  RunCachedText(state,
+                "SELECT s#, COUNT(p#) AS n FROM supplies GROUP BY s# HAVING COUNT(p#) >= 20");
+}
+BENCHMARK(BM_SessionGroupHaving)->Unit(benchmark::kMicrosecond);
 
 }  // namespace
 }  // namespace quotient

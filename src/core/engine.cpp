@@ -66,8 +66,8 @@ std::vector<RewriteAlternative> RewriteEngine::Enumerate(const PlanPtr& plan,
           if (replacement == nullptr) continue;
           RewriteAlternative alt;
           alt.step.rule = rule->name();
-          alt.step.before = node->ToString();
-          alt.step.after = replacement->ToString();
+          alt.before = node;
+          alt.after = replacement;
           alt.plan = rebuild(std::move(replacement));
           out.push_back(std::move(alt));
         }

@@ -28,10 +28,15 @@ inline constexpr const char* kRewriteBudgetExhausted = "(rewrite budget exhauste
 std::string SummarizeRewrites(const std::vector<RewriteStep>& trace);
 
 /// One alternative rewrite of a whole plan: the rewritten root plus the
-/// step describing the single rule application that produced it.
+/// single rule application that produced it. `step` names the rule; its
+/// before/after text is left for the driver to render from `before` (the
+/// replaced subtree) and `after` (its replacement) for the steps it keeps,
+/// since most alternatives a search costs are dropped.
 struct RewriteAlternative {
   PlanPtr plan;
   RewriteStep step;
+  PlanPtr before;
+  PlanPtr after;
 };
 
 /// A rule-based rewriting driver in the spirit of Starburst/Cascades rule

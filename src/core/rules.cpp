@@ -320,27 +320,44 @@ PlanPtr ApplyLaw13(const PlanPtr& node, const RewriteContext& context) {
                           LogicalOp::GreatDivide(node->left(), divisor->right()));
 }
 
-// --------------------------------------------------------------- Law 14 ----
+// ------------------------------------------------------- Laws 14, 15 ----
+/// Laws 14 and 15 for a conjunction: the conjuncts of σ's predicate `p`
+/// that lie over `attrs` go to `push`, which rebuilds the ÷* with them
+/// pushed in, and the rest stay in a σ above it. Each law holds per
+/// conjunct, so it holds for the conjunction of those that qualify.
+/// nullptr when none does.
+template <typename Push>
+PlanPtr PushConjunctsOver(const ExprPtr& p, const std::vector<std::string>& attrs,
+                          Push&& push) {
+  std::vector<ExprPtr> conjuncts;
+  Expr::SplitConjuncts(p, &conjuncts);
+  std::vector<ExprPtr> over;
+  std::vector<ExprPtr> rest;
+  for (ExprPtr& c : conjuncts) (PredicateOver(c, attrs) ? over : rest).push_back(std::move(c));
+  if (over.empty()) return nullptr;
+  if (rest.empty()) return push(p);
+  return LogicalOp::Select(push(Expr::AndAll(std::move(over))), Expr::AndAll(std::move(rest)));
+}
+
 PlanPtr ApplyLaw14(const PlanPtr& node, const RewriteContext&) {
   if (node->kind() != Kind::kSelect) return nullptr;
   const PlanPtr& gd = node->child(0);
   if (gd->kind() != Kind::kGreatDivide) return nullptr;
   DivisionAttributes attrs = gd->division_attributes();
-  if (!PredicateOver(node->predicate(), attrs.a)) return nullptr;
-  return LogicalOp::GreatDivide(LogicalOp::Select(gd->left(), node->predicate()),
-                                gd->right());
+  return PushConjunctsOver(node->predicate(), attrs.a, [&](const ExprPtr& over) {
+    return LogicalOp::GreatDivide(LogicalOp::Select(gd->left(), over), gd->right());
+  });
 }
 
-// --------------------------------------------------------------- Law 15 ----
 PlanPtr ApplyLaw15(const PlanPtr& node, const RewriteContext&) {
   if (node->kind() != Kind::kSelect) return nullptr;
   const PlanPtr& gd = node->child(0);
   if (gd->kind() != Kind::kGreatDivide) return nullptr;
   DivisionAttributes attrs = gd->division_attributes();
   if (attrs.c.empty()) return nullptr;
-  if (!PredicateOver(node->predicate(), attrs.c)) return nullptr;
-  return LogicalOp::GreatDivide(gd->left(),
-                                LogicalOp::Select(gd->right(), node->predicate()));
+  return PushConjunctsOver(node->predicate(), attrs.c, [&](const ExprPtr& over) {
+    return LogicalOp::GreatDivide(gd->left(), LogicalOp::Select(gd->right(), over));
+  });
 }
 
 // --------------------------------------------------------------- Law 16 ----
@@ -535,14 +552,14 @@ RulePtr MakeLaw13GreatDivisorUnionRule() {
 }
 RulePtr MakeLaw14SelectionPushdownRule() {
   static constexpr RuleInfo kInfo{
-      "law14-selection-pushdown", 14, "\u03c3p(A)(r1 \u00f7* r2)",
-      "filter the dividend before the great divide sees it"};
+      "law14-selection-pushdown", 14, "\u03c3p(r1 \u00f7* r2), a conjunct of p over A",
+      "filter the dividend by p's A-only conjuncts before the great divide sees it"};
   return Rule(kInfo, ApplyLaw14);
 }
 RulePtr MakeLaw15DivisorSelectionRule() {
   static constexpr RuleInfo kInfo{
-      "law15-divisor-selection", 15, "\u03c3p(C)(r1 \u00f7* r2)",
-      "filter the divisor's C-groups before the great divide builds them"};
+      "law15-divisor-selection", 15, "\u03c3p(r1 \u00f7* r2), a conjunct of p over C",
+      "filter the divisor's C-groups by p's C-only conjuncts before they are built"};
   return Rule(kInfo, ApplyLaw15);
 }
 RulePtr MakeLaw16ReplicateSelectionRule() {

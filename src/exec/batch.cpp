@@ -177,6 +177,36 @@ void BatchIncrementalKeyer::Keys(const Batch& batch, const std::vector<size_t>* 
   GovernorCharge((encoder_.size() - before) * nc * 8);
 }
 
+void MarkKeyChanges(const Batch& batch, const std::vector<size_t>& cols, const Tuple* prev,
+                    std::vector<uint8_t>* starts) {
+  // Column at a time: row i starts a run when any key column differs from
+  // row i-1's.
+  const size_t n = batch.ActiveRows();
+  starts->assign(n, 0);
+  uint8_t* s = starts->data();
+  bool first = prev == nullptr;
+  const uint32_t row0 = batch.RowAt(0);
+  for (size_t c = 0; c < cols.size(); ++c) {
+    const size_t col = cols[c];
+    if (prev != nullptr && batch.At(row0, col) != (*prev)[c]) first = true;
+    if (const BatchColumn* enc = batch.EncodedColumn(col)) {
+      const uint32_t* ids = enc->ids.data();
+      uint32_t last = ids[row0];
+      for (size_t i = 1; i < n; ++i) {
+        const uint32_t id = ids[batch.RowAt(i)];
+        s[i] |= static_cast<uint8_t>(id != last);
+        last = id;
+      }
+    } else {
+      for (size_t i = 1; i < n; ++i) {
+        s[i] |= static_cast<uint8_t>(batch.At(batch.RowAt(i), col) !=
+                                     batch.At(batch.RowAt(i - 1), col));
+      }
+    }
+  }
+  s[0] = static_cast<uint8_t>(first);
+}
+
 bool EmitResultBatch(const std::vector<Tuple>& results, size_t* position, Batch* out) {
   if (*position >= results.size()) return false;
   size_t take = std::min(GetBatchRows(), results.size() - *position);

@@ -290,6 +290,16 @@ class BatchIncrementalKeyer {
   std::vector<uint32_t> scratch_;  // row-major ids, ActiveRows x num key cols
 };
 
+/// Marks each active row of `batch` whose key — the columns `cols` —
+/// differs from the previous active row's: (*starts)[i] is 1 where a run
+/// of equal keys starts. Row 0 compares against `prev`, the key that ended
+/// the previous batch (nullptr: none, so row 0 starts a run). Within one
+/// batch an encoded column has one dictionary, whose equal values share
+/// an id, so rows compare by id; Value columns and `prev` compare Values.
+/// The one run-boundary test of π and of the clustered division.
+void MarkKeyChanges(const Batch& batch, const std::vector<size_t>& cols, const Tuple* prev,
+                    std::vector<uint8_t>* starts);
+
 /// Emits `results[*position ..]` as row-view batches of at most
 /// GetBatchRows() rows; the shared tail of every blocking operator
 /// (divisions, aggregation, set containment join). Returns false at end.

@@ -80,38 +80,6 @@ void DivisionRunSink::ChargeResults() {
   charged_results_ = results_->size();
 }
 
-void DivisionRunSink::MarkRunStarts(const Batch& batch, const Run& open,
-                                    std::vector<uint8_t>* starts) const {
-  // Column at a time: row i opens a run when any A column differs from
-  // row i-1. Within one encoded column equal values share one dictionary
-  // id, so the comparison is on ids; the first row compares against the
-  // open run's values, which may come from another batch or chunk.
-  size_t n = batch.ActiveRows();
-  starts->assign(n, 0);
-  uint8_t* s = starts->data();
-  bool first = !open.open;
-  uint32_t row0 = batch.RowAt(0);
-  for (size_t c = 0; c < a_indices_->size(); ++c) {
-    size_t col = (*a_indices_)[c];
-    if (open.open && batch.At(row0, col) != open.a[c]) first = true;
-    if (const BatchColumn* enc = batch.EncodedColumn(col)) {
-      const uint32_t* ids = enc->ids.data();
-      uint32_t prev = ids[row0];
-      for (size_t i = 1; i < n; ++i) {
-        uint32_t id = ids[batch.RowAt(i)];
-        s[i] |= static_cast<uint8_t>(id != prev);
-        prev = id;
-      }
-    } else {
-      for (size_t i = 1; i < n; ++i) {
-        s[i] |= static_cast<uint8_t>(batch.At(batch.RowAt(i), col) !=
-                                     batch.At(batch.RowAt(i - 1), col));
-      }
-    }
-  }
-  s[0] = static_cast<uint8_t>(first);
-}
-
 void DivisionRunSink::OpenRun(const Batch& batch, uint32_t row, Run* run) const {
   run->a.resize(a_indices_->size());
   for (size_t c = 0; c < a_indices_->size(); ++c) run->a[c] = batch.At(row, (*a_indices_)[c]);
@@ -196,7 +164,7 @@ void DivisionRunSink::FoldRuns(Part& part, const Batch& batch, Close& close, Hit
     }
     return;
   }
-  MarkRunStarts(batch, part.run, &part.starts);
+  MarkKeyChanges(batch, *a_indices_, part.run.open ? &part.run.a : nullptr, &part.starts);
   const uint8_t* starts = part.starts.data();
   for (size_t i = 0; i < n; ++i) {
     part.ticker.Tick();

@@ -3,14 +3,15 @@
 // Run-at-a-time hash division over a clustered dividend
 // (docs/key_encoding.md, "Clustered dividends").
 //
-// When the dividend arrives grouped on its quotient attributes A
-// (ClusteredOn, exec/pipeline.hpp), each quotient candidate's rows form one
-// contiguous run. One bitmap (÷) or one row of per-C-group counters (÷*)
-// for the current run then replaces the candidate matrix: each row's B
-// columns resolve to a divisor key number, the number sets a bit or bumps
-// the counters of the C groups containing it, and the candidate is emitted
-// when its run closes. No A codec, no per-row divisor-key store and no
-// candidate numbering are built, so there is no probe state to recycle.
+// When the dividend arrives grouped on its quotient attributes A (a prefix
+// of its StreamProperties clustering, exec/iterator.hpp), each quotient
+// candidate's rows form one contiguous run. One bitmap (÷) or one row of
+// per-C-group counters (÷*) for the current run then replaces the
+// candidate matrix: each row's B columns resolve to a divisor key number,
+// the number sets a bit or bumps the counters of the C groups containing
+// it, and the candidate is emitted when its run closes. No A codec, no
+// per-row divisor-key store and no candidate numbering are built, so there
+// is no probe state to recycle.
 // This is Graefe & Cole's hash-division specialised to grouped input, the
 // case Rantzau's classification of division algorithms (DMKD 2003) gives
 // one bitmap row per group.
@@ -63,7 +64,6 @@ class DivisionRunSink : public PipelineSink {
   void Fold(Part& part, const Batch& batch, Close&& close);
   template <typename Close, typename Hit>
   void FoldRuns(Part& part, const Batch& batch, Close& close, Hit&& hit);
-  void MarkRunStarts(const Batch& batch, const Run& open, std::vector<uint8_t>* starts) const;
   void OpenRun(const Batch& batch, uint32_t row, Run* run) const;
   void Combine(Run* into, const Run& from) const;
   void Emit(const Run& run, std::vector<Tuple>* out) const;

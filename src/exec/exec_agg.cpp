@@ -1,5 +1,7 @@
 #include "exec/exec_agg.hpp"
 
+#include <numeric>
+
 #include "exec/batch.hpp"
 #include "exec/pipeline.hpp"
 #include "exec/query_context.hpp"
@@ -69,6 +71,12 @@ HashAggregateIterator::HashAggregateIterator(IterPtr child, std::vector<std::str
     group_indices_.push_back(child_->schema().IndexOfOrThrow(name));
   }
   arg_indices_ = AggArgIndices(child_->schema(), aggs_);
+  // One row per group, group columns first: they are a key (an empty one,
+  // at most one row, for a global aggregate).
+  properties_ = StreamProperties::Set(schema_.size());
+  std::vector<size_t> groups(group_indices_.size());
+  std::iota(groups.begin(), groups.end(), size_t{0});
+  properties_.AddKey(std::move(groups));
 }
 
 std::shared_ptr<GroupingArtifact> HashAggregateIterator::BuildArtifact() {

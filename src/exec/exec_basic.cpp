@@ -1,5 +1,6 @@
 #include "exec/exec_basic.hpp"
 
+#include <numeric>
 #include <stdexcept>
 
 #include "exec/query_context.hpp"
@@ -62,6 +63,12 @@ void FreshPicks(const std::vector<uint32_t>& ids, uint32_t* next_id,
 
 }  // namespace
 
+RelationScan::RelationScan(std::shared_ptr<const Relation> relation, TableEncodingPtr encoding)
+    : relation_(std::move(relation)), encoding_(std::move(encoding)), end_(relation_->size()) {
+  properties_ = StreamProperties::Set(relation_->schema().size());
+  properties_.clustering = properties_.keys[0];
+}
+
 void RelationScan::RestrictToSpan(size_t begin, size_t end) {
   if (begin > end || end > relation_->size()) {
     throw std::out_of_range("scan span [" + std::to_string(begin) + ", " +
@@ -106,7 +113,9 @@ void RelationScan::FillSpan(size_t begin, size_t count, Batch* out) const {
 }
 
 FilterIterator::FilterIterator(IterPtr child, ExprPtr predicate)
-    : child_(std::move(child)), predicate_(std::move(predicate)) {}
+    : child_(std::move(child)), predicate_(std::move(predicate)) {
+  properties_ = child_->properties();
+}
 
 void FilterIterator::Open() {
   ResetCount();
@@ -188,23 +197,57 @@ bool FilterIterator::NextBatch(Batch* out) {
 }
 
 ProjectIterator::ProjectIterator(IterPtr child, std::vector<std::string> columns)
-    : child_(std::move(child)), schema_(child_->schema().Project(columns)) {
-  for (const std::string& column : columns) {
-    indices_.push_back(child_->schema().IndexOfOrThrow(column));
-  }
+    : child_(std::move(child)),
+      schema_(child_->schema().Project(columns)),
+      indices_(child_->schema().IndicesOfOrThrow(columns)) {
+  const StreamProperties& in = child_->properties();
+  properties_ = in.Map(indices_, indices_.size());
+  dedup_ = in.HoldsKey(indices_) ? Dedup::kPass
+           : in.GroupedOn(indices_) ? Dedup::kRuns
+                                    : Dedup::kIds;
+  std::vector<size_t> all(child_->schema().size());
+  std::iota(all.begin(), all.end(), size_t{0});
+  forward_ = dedup_ == Dedup::kPass && indices_ == all;
+}
+
+const char* ProjectIterator::ExplainNote() const {
+  static constexpr const char* kNotes[] = {"dedup=pass", "dedup=runs", "dedup=ids"};
+  return kNotes[static_cast<size_t>(dedup_)];
 }
 
 void ProjectIterator::Open() {
   ResetCount();
   child_->Open();
-  keyer_ = BatchIncrementalKeyer(indices_.size());
+  has_last_ = false;
+  if (dedup_ == Dedup::kIds) keyer_ = BatchIncrementalKeyer(indices_.size());
   next_id_ = 0;
 }
 
 bool ProjectIterator::NextBatch(Batch* out) {
+  if (forward_) {
+    if (!child_->NextBatch(out)) return false;
+    CountRows(out->ActiveRows());
+    return true;
+  }
   while (child_->NextBatch(&in_batch_)) {
-    keyer_.Keys(in_batch_, &indices_, &ids_);
-    FreshPicks(ids_, &next_id_, &picks_);
+    const size_t n = in_batch_.ActiveRows();
+    if (dedup_ == Dedup::kPass) {
+      picks_.resize(n);
+      std::iota(picks_.begin(), picks_.end(), uint32_t{0});
+    } else if (dedup_ == Dedup::kRuns) {
+      MarkKeyChanges(in_batch_, indices_, has_last_ ? &last_key_ : nullptr, &starts_);
+      picks_.clear();
+      for (uint32_t i = 0; i < n; ++i) {
+        if (starts_[i]) picks_.push_back(i);
+      }
+      const uint32_t last = in_batch_.RowAt(n - 1);
+      last_key_.resize(indices_.size());
+      for (size_t c = 0; c < indices_.size(); ++c) last_key_[c] = in_batch_.At(last, indices_[c]);
+      has_last_ = true;
+    } else {
+      keyer_.Keys(in_batch_, &indices_, &ids_);
+      FreshPicks(ids_, &next_id_, &picks_);
+    }
     if (picks_.empty()) continue;
     CopyPickedRows(in_batch_, picks_, &indices_, indices_.size(), out);
     CountRows(picks_.size());
@@ -226,12 +269,15 @@ RenameIterator::RenameIterator(IterPtr child,
     attributes[child_->schema().IndexOfOrThrow(from)].name = to;
   }
   schema_ = Schema(std::move(attributes));
+  properties_ = child_->properties();
 }
 
 UnionIterator::UnionIterator(IterPtr left, IterPtr right)
     : left_(std::move(left)),
       right_(std::move(right)),
-      right_reorder_(ReorderIndices(left_->schema(), right_->schema())) {}
+      right_reorder_(ReorderIndices(left_->schema(), right_->schema())) {
+  properties_ = StreamProperties::Set(left_->schema().size());
+}
 
 void UnionIterator::Open() {
   ResetCount();
@@ -276,7 +322,9 @@ SetMembershipIterator::SetMembershipIterator(IterPtr left, IterPtr right, bool k
     : left_(std::move(left)),
       right_(std::move(right)),
       right_reorder_(ReorderIndices(left_->schema(), right_->schema())),
-      keep_members_(keep_members) {}
+      keep_members_(keep_members) {
+  properties_ = left_->properties();  // a subsequence of the left stream
+}
 
 void SetMembershipIterator::Open() {
   ResetCount();
@@ -328,7 +376,9 @@ void SetMembershipIterator::Close() {
 CrossProductIterator::CrossProductIterator(IterPtr left, IterPtr right)
     : left_(std::move(left)),
       right_(std::move(right)),
-      schema_(left_->schema().Concat(right_->schema())) {}
+      schema_(left_->schema().Concat(right_->schema())) {
+  properties_ = PairedProperties(*left_, schema_.size());
+}
 
 void CrossProductIterator::Open() {
   ResetCount();

@@ -32,6 +32,15 @@ struct PairCursor {
   }
 };
 
+/// The record of the pairing kernel's output, `width` columns of which the
+/// left input's come first: left rows arrive in order, so the left
+/// clustering holds. Keys beyond the full column set are the join's to add.
+inline StreamProperties PairedProperties(const Iterator& left, size_t width) {
+  StreamProperties p = StreamProperties::Set(width);
+  p.clustering = left.properties().clustering;
+  return p;
+}
+
 /// The pairing kernel: pulls left batches (running `prepare(cursor)` on each
 /// fresh one), and emits (left row × right tuple) pairs into a columnar
 /// output batch of at most GetBatchRows() rows. `rights(i)` gives the right
@@ -104,16 +113,20 @@ size_t EmitPairs(Iterator& left, PairCursor& st, size_t num_left, size_t num_rig
 /// a base table's leading column into such a span (opt/planner.cpp). Row
 /// positions seen by NextBatch, FillSpan and TotalRows are then relative to
 /// the span, and EXPLAIN names the operator "RangeScan".
+///
+/// Canonical order is sorted and duplicate-free, so the stream is
+/// clustered on its columns in order; a span keeps that.
 class RelationScan : public Iterator {
  public:
   explicit RelationScan(std::shared_ptr<const Relation> relation,
-                        TableEncodingPtr encoding = nullptr)
-      : relation_(std::move(relation)),
-        encoding_(std::move(encoding)),
-        end_(relation_->size()) {}
+                        TableEncodingPtr encoding = nullptr);
 
   /// Restricts the scan to storage rows [begin, end); call before Open().
   void RestrictToSpan(size_t begin, size_t end);
+  /// Adds a key the relation is declared to have (trusted, like the
+  /// catalog metadata the rewrite rules read); call before building
+  /// operators over the scan.
+  void DeclareKey(std::vector<size_t> columns) { properties_.AddKey(std::move(columns)); }
 
   const Schema& schema() const override { return relation_->schema(); }
   void Open() override {
@@ -187,7 +200,18 @@ class FilterIterator : public Iterator {
   Tuple scratch_cell_;
 };
 
-/// π with duplicate elimination (set semantics).
+/// π with duplicate elimination (set semantics), paid only where the
+/// input's properties allow duplicates. The constructor picks one path,
+/// which EXPLAIN ANALYZE shows as `dedup=`:
+///  * pass — the columns hold a key of the input, so no two rows agree on
+///    them: batches pass through, their columns remapped when needed;
+///  * runs — the columns are a clustering prefix of the input, so equal
+///    keys arrive contiguously: a row is kept where its key changes
+///    (MarkKeyChanges);
+///  * ids — otherwise: a row is kept iff its dense key id
+///    (BatchIncrementalKeyer) is the next unseen one.
+/// Every path keeps each key's first occurrence, in stream order, and only
+/// ids builds (and charges) key state.
 class ProjectIterator : public Iterator {
  public:
   ProjectIterator(IterPtr child, std::vector<std::string> columns);
@@ -197,25 +221,34 @@ class ProjectIterator : public Iterator {
   bool NextBatch(Batch* out) override;
   void Close() override;
   const char* name() const override { return "Project"; }
+  const char* ExplainNote() const override;
   std::vector<Iterator*> InputIterators() override { return {child_.get()}; }
   size_t EstimatedRows() const override { return child_->EstimatedRows(); }
 
  private:
+  enum class Dedup { kPass, kRuns, kIds };
+
   IterPtr child_;
   Schema schema_;
   std::vector<size_t> indices_;
-  // Streaming dedup on dense key ids (BatchIncrementalKeyer): a row is
-  // emitted iff its id is the next unseen one.
+  Dedup dedup_;
+  bool forward_;  // pass, keeping every column in order: batches untouched
+  Batch in_batch_;
+  std::vector<uint32_t> picks_;
+  // runs: the key of the last row seen, and per-row run starts.
+  Tuple last_key_;
+  bool has_last_ = false;
+  std::vector<uint8_t> starts_;
+  // ids: a row is emitted iff its key id is the next unseen one.
   BatchIncrementalKeyer keyer_;
   uint32_t next_id_ = 0;
-  Batch in_batch_;
   std::vector<uint32_t> ids_;
-  std::vector<uint32_t> picks_;
 };
 
 /// ρ: pass-through with a renamed schema.
 class RenameIterator : public Iterator {
  public:
+  /// Keys and clustering are by position, so they pass through as well.
   RenameIterator(IterPtr child, std::vector<std::pair<std::string, std::string>> renames);
 
   const Schema& schema() const override { return schema_; }

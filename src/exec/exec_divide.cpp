@@ -69,7 +69,8 @@ DivisionIterator::DivisionIterator(IterPtr dividend, IterPtr divisor)
   a_idx_ = dividend_->schema().IndicesOfOrThrow(attrs.a);
   b_idx_ = dividend_->schema().IndicesOfOrThrow(attrs.b);
   divisor_idx_ = divisor_->schema().IndicesOfOrThrow(attrs.b);
-  clustered_ = ClusteredOn(*dividend_, a_idx_);
+  clustered_ = dividend_->properties().GroupedOn(a_idx_);
+  properties_ = StreamProperties::Set(schema_.size());
 }
 
 std::shared_ptr<DivisionBuildArtifact> DivisionIterator::BuildDivisorArtifact() {

@@ -31,10 +31,11 @@ namespace quotient {
 /// array load, not a Value hash. Each drain is a serial pipeline
 /// (exec/pipeline.hpp).
 ///
-/// A dividend clustered on A (ClusteredOn: ρ and σ over a scan whose
-/// leading columns are A) skips the A codec, the per-row store and the
-/// matrix: it is divided run by run in one streaming pass
-/// (exec/division_runs.hpp). EXPLAIN ANALYZE shows which path ran.
+/// A dividend grouped on A (a prefix of its clustering, exec/iterator.hpp:
+/// e.g. a scan whose leading columns are A, under σ, ρ, ⋉ or a join's
+/// probe side) skips the A codec, the per-row store and the matrix: it is
+/// divided run by run in one streaming pass (exec/division_runs.hpp).
+/// EXPLAIN ANALYZE shows which path ran.
 class DivisionIterator : public Iterator {
  public:
   DivisionIterator(IterPtr dividend, IterPtr divisor);

@@ -24,7 +24,8 @@ GreatDivideIterator::GreatDivideIterator(IterPtr dividend, IterPtr divisor)
   b_idx_ = dividend_->schema().IndicesOfOrThrow(attrs.b);
   divisor_b_idx_ = divisor_->schema().IndicesOfOrThrow(attrs.b);
   divisor_c_idx_ = divisor_->schema().IndicesOfOrThrow(attrs.c);
-  clustered_ = ClusteredOn(*dividend_, a_idx_);
+  clustered_ = dividend_->properties().GroupedOn(a_idx_);
+  properties_ = StreamProperties::Set(schema_.size());
 }
 
 std::shared_ptr<GreatDivideBuildArtifact> GreatDivideIterator::BuildDivisorArtifact() {

@@ -32,7 +32,9 @@ NestedLoopJoinIterator::NestedLoopJoinIterator(IterPtr left, IterPtr right, Expr
     : left_(std::move(left)),
       right_(std::move(right)),
       schema_(left_->schema().Concat(right_->schema())),
-      condition_(std::move(condition)) {}
+      condition_(std::move(condition)) {
+  properties_ = PairedProperties(*left_, schema_.size());
+}
 
 void NestedLoopJoinIterator::Open() {
   ResetCount();
@@ -80,7 +82,26 @@ EquiJoinIterator::EquiJoinIterator(IterPtr left, IterPtr right,
       left_key_(left_->schema().IndicesOfOrThrow(left_keys)),
       right_key_(right_->schema().IndicesOfOrThrow(right_keys)),
       right_out_(right_->schema().IndicesOfOrThrow(right_out)),
-      whole_right_rows_(right_out == right_->schema().Names()) {}
+      whole_right_rows_(right_out == right_->schema().Names()) {
+  properties_ = PairedProperties(*left_, schema_.size());
+  // A left row meets at most one right row when the right key columns
+  // hold a right key, so the left keys stay keys; symmetrically for the
+  // right keys. A right key column the join does not emit (a natural
+  // join's common names) equals its left partner, so maps to it.
+  const StreamProperties& lp = left_->properties();
+  const StreamProperties& rp = right_->properties();
+  if (rp.HoldsKey(right_key_)) {
+    for (const std::vector<size_t>& key : lp.keys) properties_.AddKey(key);
+  }
+  if (lp.HoldsKey(left_key_)) {
+    std::vector<size_t> from(schema_.size(), SIZE_MAX);
+    for (size_t i = 0; i < left_key_.size(); ++i) from[left_key_[i]] = right_key_[i];
+    for (size_t j = 0; j < right_out_.size(); ++j) from[left_->schema().size() + j] = right_out_[j];
+    for (std::vector<size_t>& key : rp.Map(from, schema_.size()).keys) {
+      properties_.AddKey(std::move(key));
+    }
+  }
+}
 
 std::unique_ptr<EquiJoinIterator> EquiJoinIterator::Natural(IterPtr left, IterPtr right) {
   std::vector<std::string> common = left->schema().CommonNames(right->schema());
@@ -150,6 +171,7 @@ HashSemiJoinIterator::HashSemiJoinIterator(IterPtr left, IterPtr right, bool ant
   std::vector<std::string> common = left_->schema().CommonNames(right_->schema());
   left_key_ = left_->schema().IndicesOfOrThrow(common);
   right_key_ = right_->schema().IndicesOfOrThrow(common);
+  properties_ = left_->properties();  // a subsequence of the left stream
 }
 
 std::shared_ptr<JoinBuildArtifact> HashSemiJoinIterator::BuildArtifact() {

@@ -1,8 +1,56 @@
 #include "exec/iterator.hpp"
 
+#include <numeric>
+
 #include "exec/query_context.hpp"
 
 namespace quotient {
+
+StreamProperties StreamProperties::Set(size_t width) {
+  StreamProperties p;
+  p.keys.emplace_back(width);
+  std::iota(p.keys[0].begin(), p.keys[0].end(), size_t{0});
+  return p;
+}
+
+void StreamProperties::AddKey(std::vector<size_t> key) {
+  std::sort(key.begin(), key.end());
+  if (std::find(keys.begin(), keys.end(), key) == keys.end()) keys.push_back(std::move(key));
+}
+
+bool StreamProperties::HoldsKey(const std::vector<size_t>& columns) const {
+  return std::any_of(keys.begin(), keys.end(), [&](const std::vector<size_t>& key) {
+    return std::all_of(key.begin(), key.end(), [&](size_t c) {
+      return std::find(columns.begin(), columns.end(), c) != columns.end();
+    });
+  });
+}
+
+bool StreamProperties::GroupedOn(const std::vector<size_t>& columns) const {
+  return columns.size() <= clustering.size() &&
+         std::is_permutation(columns.begin(), columns.end(), clustering.begin());
+}
+
+StreamProperties StreamProperties::Map(const std::vector<size_t>& from, size_t width) const {
+  StreamProperties out = Set(width);
+  // Output position of input column c, or from.size() when it is dropped.
+  auto to = [&](size_t c) {
+    return static_cast<size_t>(std::find(from.begin(), from.end(), c) - from.begin());
+  };
+  for (const std::vector<size_t>& key : keys) {
+    std::vector<size_t> mapped;
+    for (size_t c : key) {
+      if (to(c) == from.size()) break;
+      mapped.push_back(to(c));
+    }
+    if (mapped.size() == key.size()) out.AddKey(std::move(mapped));
+  }
+  for (size_t c : clustering) {
+    if (to(c) == from.size()) break;
+    out.clustering.push_back(to(c));
+  }
+  return out;
+}
 
 void DrainRows(Iterator& it, std::vector<Tuple>* rows) {
   Batch batch;

@@ -11,6 +11,35 @@
 
 namespace quotient {
 
+/// What an operator's output stream is known to satisfy, by column
+/// position, derived once in its constructor from its children's records
+/// (interesting orders and functional-dependency reduction, Simmen,
+/// Shekita & Malkemus, SIGMOD 1996; docs/batched_execution.md).
+struct StreamProperties {
+  /// Column sets no two rows share, each sorted. Every stream is a set, so
+  /// its full column set is always one of them.
+  std::vector<std::vector<size_t>> keys;
+  /// Columns the stream is grouped on, in order: for every prefix, rows
+  /// equal there arrive contiguously.
+  std::vector<size_t> clustering;
+
+  /// A set of `width` columns: the full column set is its one key.
+  static StreamProperties Set(size_t width);
+  /// Adds `key` (any order) unless it is already listed.
+  void AddKey(std::vector<size_t> key);
+  /// True when `columns` (any order) include one of the keys.
+  bool HoldsKey(const std::vector<size_t>& columns) const;
+  /// True when `columns` (any order) are the first |columns| clustering
+  /// columns, so rows equal on them arrive contiguously.
+  bool GroupedOn(const std::vector<size_t>& columns) const;
+  /// The record of a stream whose column c is this stream's column
+  /// `from[c]` and that keeps this stream's rows in order (π, the probe
+  /// side of a join): the keys it retains whole and the clustering prefix
+  /// it retains, renumbered. `width` is the new stream's column count; a
+  /// column absent from `from` maps nowhere.
+  StreamProperties Map(const std::vector<size_t>& from, size_t width) const;
+};
+
 /// Physical operator: Open / NextBatch / Close. NextBatch() is the only
 /// pull contract: it moves ~GetBatchRows() rows per virtual call as columns
 /// of dictionary ids or row views (see docs/batched_execution.md).
@@ -42,6 +71,9 @@ class Iterator {
 
   /// Optional EXPLAIN ANALYZE annotation, e.g. which kernel path ran.
   virtual const char* ExplainNote() const { return nullptr; }
+
+  /// Keys and clustering of the output stream; valid before Open().
+  const StreamProperties& properties() const { return properties_; }
 
   /// Children for plan walking (non-owning).
   virtual std::vector<Iterator*> InputIterators() = 0;
@@ -87,6 +119,8 @@ class Iterator {
   // thread, but the counter must stay exact under any future interleaving.
   std::atomic<size_t> rows_produced_{0};
   size_t pipeline_dop_ = 0;
+  // Set by every operator's constructor.
+  StreamProperties properties_;
 };
 
 using IterPtr = std::unique_ptr<Iterator>;

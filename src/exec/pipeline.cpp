@@ -39,23 +39,6 @@ SplitSource FindSplittableSource(Iterator& child) {
   }
 }
 
-bool ClusteredOn(Iterator& child, const std::vector<size_t>& columns) {
-  std::vector<size_t> sorted = columns;
-  std::sort(sorted.begin(), sorted.end());
-  for (size_t i = 0; i < sorted.size(); ++i) {
-    if (sorted[i] != i) return false;
-  }
-  Iterator* it = &child;
-  while (dynamic_cast<RelationScan*>(it) == nullptr) {
-    if (dynamic_cast<RenameIterator*>(it) == nullptr &&
-        dynamic_cast<FilterIterator*>(it) == nullptr) {
-      return false;
-    }
-    it = it->InputIterators()[0];
-  }
-  return true;
-}
-
 namespace {
 
 /// Morsels of work each worker must get before a drain fans out to it.

@@ -94,14 +94,6 @@ struct SplitSource {
 
 SplitSource FindSplittableSource(Iterator& child);
 
-/// True when `child` streams its rows clustered on the column positions
-/// `columns`: rows with equal values there arrive contiguously. That holds
-/// when the physical chain below `child` is ρ and σ only (both keep row
-/// order) down to a RelationScan, which reads canonical (sorted) order —
-/// of a table, a RangeScan span, a materialized subplan or VALUES — and
-/// `columns` are exactly its leading |columns| positions.
-bool ClusteredOn(Iterator& child, const std::vector<size_t>& columns);
-
 /// Drains `child` (already Open()ed) into `sink`, serially. The clustered
 /// division's run sink has its own overload that may fan out
 /// (exec/division_runs.hpp).

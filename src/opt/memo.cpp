@@ -26,6 +26,7 @@ struct SearchState {
   PlanPtr plan;
   double cost = 0;
   std::vector<RewriteStep> steps;
+  std::vector<std::pair<PlanPtr, PlanPtr>> subtrees;  // per step: replaced, replacement
   size_t seq = 0;  // insertion order, the deterministic tiebreak
 };
 
@@ -51,10 +52,11 @@ MemoSearchResult MemoSearch(const PlanPtr& original, const RewriteEngine& engine
 
   std::unordered_set<std::string> visited;
   visited.insert(MemoKey(original));
+  std::vector<std::pair<PlanPtr, PlanPtr>> best_subtrees;
 
   std::priority_queue<SearchState, std::vector<SearchState>, FrontierOrder> frontier;
   size_t seq = 0;
-  frontier.push({original, result.best_cost, {}, seq++});
+  frontier.push({original, result.best_cost, {}, {}, seq++});
 
   while (!frontier.empty()) {
     if (result.candidates >= options.max_candidates) {
@@ -81,6 +83,8 @@ MemoSearchResult MemoSearch(const PlanPtr& original, const RewriteEngine& engine
       next.steps = state.steps;
       alt.step.cost_after = cost;
       next.steps.push_back(std::move(alt.step));
+      next.subtrees = state.subtrees;
+      next.subtrees.emplace_back(std::move(alt.before), std::move(alt.after));
       next.seq = seq++;
       // Strictly cheaper wins; on an exact tie prefer the deeper rewrite,
       // matching the greedy engine's bias toward applying laws.
@@ -89,6 +93,7 @@ MemoSearchResult MemoSearch(const PlanPtr& original, const RewriteEngine& engine
         result.best = next.plan;
         result.best_cost = cost;
         result.steps = next.steps;
+        best_subtrees = next.subtrees;
       }
       frontier.push(std::move(next));
       if (result.candidates >= options.max_candidates) break;
@@ -96,6 +101,11 @@ MemoSearchResult MemoSearch(const PlanPtr& original, const RewriteEngine& engine
   }
   if (result.candidates >= options.max_candidates && !frontier.empty()) {
     result.budget_exhausted = true;
+  }
+  // Render only the chosen path's steps.
+  for (size_t i = 0; i < result.steps.size(); ++i) {
+    result.steps[i].before = best_subtrees[i].first->ToString();
+    result.steps[i].after = best_subtrees[i].second->ToString();
   }
   return result;
 }

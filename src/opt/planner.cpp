@@ -235,14 +235,25 @@ IterPtr Build(const PlanPtr& plan, const Catalog& catalog, const PlannerOptions&
   auto child = [&](size_t i) { return BuildShared(plan->child(i), catalog, options, context); };
   const LogicalOp& op = *plan;
   switch (op.kind()) {
-    case LogicalOp::Kind::kScan:
+    case LogicalOp::Kind::kScan: {
       // Scans read through the catalog's cached per-table dictionary
       // encoding, so repeated queries share encode work across Open()s and
       // morsel workers share one immutable table encoding. The scan holds an OWNING handle to the relation, so a
       // plan built against one catalog snapshot stays valid after DDL
-      // publishes a newer one (api/database.hpp).
-      return std::make_unique<RelationScan>(catalog.GetShared(op.table()),
-                                            catalog.Encoding(op.table()));
+      // publishes a newer one (api/database.hpp). Declared keys join the
+      // scan's stream properties, which the operators above it derive
+      // theirs from (exec/iterator.hpp).
+      auto scan = std::make_unique<RelationScan>(catalog.GetShared(op.table()),
+                                                 catalog.Encoding(op.table()));
+      const Schema& schema = scan->schema();
+      for (const std::vector<std::string>& key : catalog.DeclaredKeys(op.table())) {
+        auto known = [&](const std::string& name) { return schema.Contains(name); };
+        if (std::all_of(key.begin(), key.end(), known)) {
+          scan->DeclareKey(schema.IndicesOfOrThrow(key));
+        }
+      }
+      return scan;
+    }
     case LogicalOp::Kind::kValues:
       return std::make_unique<RelationScan>(
           std::make_shared<const Relation>(op.values()));

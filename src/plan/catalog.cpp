@@ -146,22 +146,26 @@ void Catalog::DeclareKey(const std::string& table, const std::vector<std::string
   keys_.insert(KeyOf(table, attrs));
 }
 
+std::vector<std::vector<std::string>> Catalog::DeclaredKeys(const std::string& table) const {
+  std::vector<std::vector<std::string>> declared;
+  std::string prefix = table + "|";
+  for (const std::string& entry : keys_) {
+    if (entry.compare(0, prefix.size(), prefix) != 0) continue;
+    declared.push_back(SplitTrim(entry.substr(prefix.size()), ','));
+  }
+  return declared;
+}
+
 bool Catalog::ImpliesKey(const std::string& table,
                          const std::vector<std::string>& attrs) const {
   // A declared key K makes any superset of K a key as well; checking all
   // subsets would be exponential, so check every declared key of `table`.
-  std::string prefix = table + "|";
-  for (const std::string& entry : keys_) {
-    if (entry.compare(0, prefix.size(), prefix) != 0) continue;
-    std::vector<std::string> declared = SplitTrim(entry.substr(prefix.size()), ',');
-    bool subset = true;
-    for (const std::string& k : declared) {
-      if (std::find(attrs.begin(), attrs.end(), k) == attrs.end()) {
-        subset = false;
-        break;
-      }
+  for (const std::vector<std::string>& key : DeclaredKeys(table)) {
+    if (std::all_of(key.begin(), key.end(), [&](const std::string& k) {
+          return std::find(attrs.begin(), attrs.end(), k) != attrs.end();
+        })) {
+      return true;
     }
-    if (subset) return true;
   }
   return false;
 }

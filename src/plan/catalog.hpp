@@ -89,6 +89,8 @@ class Catalog {
 
   /// Declares `attrs` a key of `table`.
   void DeclareKey(const std::string& table, const std::vector<std::string>& attrs);
+  /// The keys declared for `table`, each as attribute names.
+  std::vector<std::vector<std::string>> DeclaredKeys(const std::string& table) const;
   /// True iff a declared key of `table` is a subset of `attrs`.
   bool ImpliesKey(const std::string& table, const std::vector<std::string>& attrs) const;
 

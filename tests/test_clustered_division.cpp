@@ -1,10 +1,11 @@
 // Run-at-a-time division over clustered dividends (exec/division_runs.hpp):
-// a dividend whose quotient attributes A are its leading columns, under ρ
-// and σ only, is divided run by run instead of through the candidate
-// matrix. Every case here runs ÷ and ÷* against plan::Evaluate at threads
-// {1, 2, 3, 8}, at batch sizes {1, 3, 1024} and with tiny morsels, so runs
-// cross batch and chunk boundaries, with spill forced or off and with the
-// recycler on or off; EXPLAIN ANALYZE names the path each division took.
+// a dividend whose quotient attributes A are a prefix of its clustering
+// (its StreamProperties, exec/iterator.hpp) is divided run by run instead
+// of through the candidate matrix. Every case here runs ÷ and ÷* against
+// plan::Evaluate at threads {1, 2, 3, 8}, at batch sizes {1, 3, 1024} and
+// with tiny morsels, so runs cross batch and chunk boundaries, with spill
+// forced or off and with the recycler on or off; EXPLAIN ANALYZE names the
+// path each division took.
 
 #include <gtest/gtest.h>
 
@@ -215,19 +216,25 @@ TEST(ClusteredDivision, NonPrefixAKeepsTheMatrixPath) {
   ExpectAgreement(GreatDivide(catalog, "r1_bfirst", "gd"), catalog, kMatrix);
   EXPECT_EQ(Evaluate(Divide(catalog, "r1_bfirst", "r2"), catalog),
             Evaluate(Divide(catalog, "r1", "r2"), catalog));
-  // A projection reorders nothing but is not ρ or σ: also the matrix path.
-  // Over the same row order both paths emit the same stream.
+  // A union with an empty side keeps the row order but claims no
+  // clustering: the matrix path. A projection keeping the clustering
+  // prefix is clustered. Over the same row order all paths emit the same
+  // stream.
   for (bool great : {false, true}) {
     SCOPED_TRACE(great ? "great divide" : "small divide");
     PlanPtr divisor = LogicalOp::Scan(catalog, great ? "gd" : "r2");
     PlanPtr scan = LogicalOp::Scan(catalog, "r1");
+    PlanPtr unioned =
+        LogicalOp::Union(scan, LogicalOp::Values(Relation(catalog.Get("r1").schema())));
     PlanPtr projected = LogicalOp::Project(scan, {"a", "b"});
-    PlanPtr matrix = great ? LogicalOp::GreatDivide(projected, divisor)
-                           : LogicalOp::Divide(projected, divisor);
-    PlanPtr clustered =
-        great ? LogicalOp::GreatDivide(scan, divisor) : LogicalOp::Divide(scan, divisor);
-    ExpectAgreement(matrix, catalog, kMatrix);
-    EXPECT_TRUE(Stream(matrix, catalog) == Stream(clustered, catalog));
+    auto divide = [&](const PlanPtr& dividend) {
+      return great ? LogicalOp::GreatDivide(dividend, divisor)
+                   : LogicalOp::Divide(dividend, divisor);
+    };
+    ExpectAgreement(divide(unioned), catalog, kMatrix);
+    ExpectAgreement(divide(projected), catalog, kClustered);
+    EXPECT_TRUE(Stream(divide(unioned), catalog) == Stream(divide(scan), catalog));
+    EXPECT_TRUE(Stream(divide(projected), catalog) == Stream(divide(scan), catalog));
   }
 }
 

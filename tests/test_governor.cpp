@@ -294,7 +294,9 @@ TEST(GovernorTest, ClusteredCompositeKeyDivisionChargesOneRun) {
 // π, ∪, ∩ and − number every distinct key they see, and that state lives
 // until the statement ends, so it is charged like grouping's: 8 bytes per
 // key column of every key numbered. t(a, b) has 200k distinct (b, a) keys
-// (3.2 MB charged) over 5,120 distinct a values.
+// (3.2 MB charged by ∪) and 200k distinct b values (1.6 MB charged by π)
+// over 5,120 distinct a values. A π that keeps a key of its input numbers
+// nothing and charges nothing.
 constexpr int64_t kDedupRows = 200000;
 
 Relation DedupTable(int64_t salt) {
@@ -311,21 +313,32 @@ TEST(GovernorTest, DedupKeySetsAreCharged) {
     // budgeted statements below are charged for their own state only.
     Session owner;
     ASSERT_TRUE(owner.CreateTable("t", DedupTable(0)).ok());
-    Result<QueryResult> distinct = owner.Execute("SELECT DISTINCT b, a FROM t");
+    // π(b) drops a, which is no key of t: it numbers every b.
+    Result<QueryResult> distinct = owner.Execute("SELECT DISTINCT b FROM t");
     ASSERT_TRUE(distinct.ok()) << distinct.error();
     EXPECT_EQ(distinct.value().rows.size(), size_t{kDedupRows});
-    EXPECT_GE(distinct.value().profile.rows_charged_bytes, size_t{kDedupRows} * 2 * 8);
+    EXPECT_GE(distinct.value().profile.rows_charged_bytes, size_t{kDedupRows} * 8);
+    EXPECT_NE(distinct.value().profile.explain.find("dedup=ids"), std::string::npos)
+        << distinct.value().profile.explain;
 
     SessionOptions budgeted;
     budgeted.memory_budget_bytes = 64 << 10;
     Session limited(owner.database(), budgeted);
     for (const char* sql :
-         {"SELECT DISTINCT b, a FROM t", "SELECT a, COUNT(b) AS n FROM t GROUP BY a"}) {
+         {"SELECT DISTINCT b FROM t", "SELECT a, COUNT(b) AS n FROM t GROUP BY a"}) {
       SCOPED_TRACE(sql);
       Result<QueryResult> tripped = limited.Execute(sql);
       ASSERT_FALSE(tripped.ok());
       EXPECT_EQ(tripped.status().code(), StatusCode::kResourceExhausted);
     }
+    // π(b, a) keeps t's key, every column of the set: it passes rows
+    // through and fits the same budget.
+    Result<QueryResult> kept = limited.Execute("SELECT DISTINCT b, a FROM t");
+    ASSERT_TRUE(kept.ok()) << kept.error();
+    EXPECT_EQ(kept.value().rows.size(), size_t{kDedupRows});
+    EXPECT_EQ(kept.value().profile.rows_charged_bytes, 0u);
+    EXPECT_NE(kept.value().profile.explain.find("dedup=pass"), std::string::npos)
+        << kept.value().profile.explain;
 
     // ∪, ∩ and − of t and a table overlapping it in half its keys.
     Catalog catalog;

@@ -7,7 +7,9 @@
 
 #include "algebra/generator.hpp"
 #include "core/laws.hpp"
+#include "core/rules.hpp"
 #include "core/theorems.hpp"
+#include "plan/evaluate.hpp"
 
 namespace quotient {
 namespace {
@@ -243,6 +245,36 @@ TEST_P(LawPropertyTest, Law15GroupPredicate) {
   Relation r2 = RandomGreatDivisor();
   ExprPtr p = Expr::ColCmp("c", CmpOp::kLe, V(gen_.UniformInt(0, 4)));
   EXPECT_EQ(Law15Lhs(r1, r2, p), Law15Rhs(r1, r2, p));
+}
+
+TEST_P(LawPropertyTest, Laws14And15SplitAMixedConjunction) {
+  // σ(pA ∧ pC ∧ pAC)(r1 ÷* r2) = σ(pAC)(σ(pA)(r1) ÷* σ(pC)(r2)): each law
+  // moves the conjuncts over its own attributes, and a conjunct over A and
+  // C together stays above the ÷*. The rules must build exactly that.
+  Relation r1 = RandomDividend();
+  Relation r2 = RandomGreatDivisor();
+  ExprPtr pa = Expr::ColCmp("a", CmpOp::kGe, V(gen_.UniformInt(0, 10)));
+  ExprPtr pc = Expr::ColCmp("c", CmpOp::kLe, V(gen_.UniformInt(0, 4)));
+  ExprPtr pac = Expr::Or(Expr::ColCmp("a", CmpOp::kLt, V(gen_.UniformInt(0, 10))),
+                         Expr::ColCmp("c", CmpOp::kGt, V(gen_.UniformInt(0, 4))));
+  ExprPtr p = Expr::AndAll({pc, pa, pac});
+  Relation lhs = Select(GreatDivide(r1, r2), p);
+  EXPECT_EQ(lhs, Select(GreatDivide(Select(r1, pa), Select(r2, pc)), pac));
+
+  Catalog catalog;
+  PlanPtr plan = LogicalOp::Select(
+      LogicalOp::GreatDivide(LogicalOp::Values(r1, "r1"), LogicalOp::Values(r2, "r2")), p);
+  PlanPtr law14 = MakeLaw14SelectionPushdownRule()->Apply(plan, RewriteContext{});
+  ASSERT_NE(law14, nullptr);
+  ASSERT_EQ(law14->kind(), LogicalOp::Kind::kSelect);  // pC ∧ pAC stay above
+  EXPECT_EQ(Evaluate(law14, catalog), lhs);
+  PlanPtr both = MakeLaw15DivisorSelectionRule()->Apply(law14, RewriteContext{});
+  ASSERT_NE(both, nullptr);
+  ASSERT_EQ(both->kind(), LogicalOp::Kind::kSelect);  // pAC stays above
+  EXPECT_TRUE(both->predicate()->Equals(*pac)) << both->ToString();
+  EXPECT_EQ(Evaluate(both, catalog), lhs);
+  EXPECT_EQ(MakeLaw14SelectionPushdownRule()->Apply(both, RewriteContext{}), nullptr);
+  EXPECT_EQ(MakeLaw15DivisorSelectionRule()->Apply(both, RewriteContext{}), nullptr);
 }
 
 TEST_P(LawPropertyTest, Law16BPredicate) {

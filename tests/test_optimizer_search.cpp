@@ -19,6 +19,7 @@
 #include "opt/optimizer.hpp"
 #include "paper_fixtures.hpp"
 #include "plan/evaluate.hpp"
+#include "sql/interp.hpp"
 
 namespace quotient {
 namespace {
@@ -234,6 +235,45 @@ TEST(OptimizerStatsTest, LawFiresAndSearchTalliesAggregateAcrossCompiles) {
   uint64_t total_again = 0;
   for (const auto& [rule, fires] : again.optimizer.law_fires) total_again += fires;
   EXPECT_EQ(total_again, after_first);
+}
+
+TEST(OptimizerStatsTest, MixedConjunctionOverAGreatDivideSplitsAcrossLaws14And15) {
+  // A σ mixing a quotient conjunct (s#) and a divisor-group conjunct
+  // (color): Law 14 pushes s# > 2 into the dividend, where it becomes a
+  // range scan, and Law 15 pushes color = 'blue' into the divisor. Results
+  // must match the oracle at every thread count.
+  std::vector<Tuple> supplies;
+  for (int64_t s = 1; s <= 6; ++s) {
+    for (int64_t p = 1; p <= 4; ++p) {
+      if (s % 2 == 0 || p % 2 == 1) supplies.push_back({V(s), V(p)});
+    }
+  }
+  Catalog catalog;
+  catalog.Put("supplies", Relation(Schema::Parse("s#:int, p#:int"), supplies));
+  catalog.Put("parts", paper::PartsTable());
+  const std::string sql =
+      "SELECT s#, color FROM supplies AS s DIVIDE BY parts AS p ON s.p# = p.p# "
+      "WHERE color = 'blue' AND s# > 2";
+  Result<Relation> oracle = sql::ExecuteSql(sql, catalog);
+  ASSERT_TRUE(oracle.ok()) << oracle.error();
+  ASSERT_FALSE(oracle.value().empty());
+  for (size_t threads : {size_t{1}, size_t{4}}) {
+    SCOPED_TRACE("threads=" + std::to_string(threads));
+    ScopedExecThreads scoped(threads);
+    Session session;
+    ASSERT_TRUE(session.CreateTable("supplies", catalog.Get("supplies")).ok());
+    ASSERT_TRUE(session.CreateTable("parts", catalog.Get("parts")).ok());
+    Result<QueryResult> result = session.Execute(sql);
+    ASSERT_TRUE(result.ok()) << result.error();
+    EXPECT_EQ(result.value().rows, oracle.value());
+    std::vector<std::string> rules;
+    for (const RewriteStep& step : result.value().compile.rewrites) rules.push_back(step.rule);
+    EXPECT_EQ(rules, (std::vector<std::string>{"law14-selection-pushdown",
+                                               "law15-divisor-selection"}));
+    const std::string& explain = result.value().profile.explain;
+    EXPECT_NE(explain.find("RangeScan"), std::string::npos) << explain;
+    EXPECT_NE(explain.find("path=clustered"), std::string::npos) << explain;
+  }
 }
 
 TEST(OptimizerStatsTest, FallbackExecutionsTallyByReason) {

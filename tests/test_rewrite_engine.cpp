@@ -201,6 +201,16 @@ TEST_F(RewriteTest, Laws14And15RouteByPredicateAttributes) {
   EXPECT_NE(MakeLaw15DivisorSelectionRule()->Apply(select_c, context), nullptr);
   ApplyAndCheck(MakeLaw14SelectionPushdownRule(), select_a);
   ApplyAndCheck(MakeLaw15DivisorSelectionRule(), select_c);
+  // A conjunction over A and C: each law pushes its own conjunct and keeps
+  // the other in a σ above the ÷*.
+  PlanPtr select_mixed = LogicalOp::Select(
+      gd, Expr::And(Expr::ColCmp("a", CmpOp::kGe, V(2)), Expr::ColCmp("c", CmpOp::kEq, V(2))));
+  for (const RulePtr& rule : {MakeLaw14SelectionPushdownRule(), MakeLaw15DivisorSelectionRule()}) {
+    PlanPtr rewritten = ApplyAndCheck(rule, select_mixed);
+    ASSERT_NE(rewritten, nullptr);
+    ASSERT_EQ(rewritten->kind(), LogicalOp::Kind::kSelect);
+    EXPECT_EQ(rewritten->child(0)->kind(), LogicalOp::Kind::kGreatDivide);
+  }
 }
 
 TEST_F(RewriteTest, Law16ReplicatesDivisorBSelection) {
