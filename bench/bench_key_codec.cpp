@@ -1,12 +1,12 @@
-// Encode cost vs. probe savings of the key codec, on int-keyed and
-// string-keyed division workloads.
+// Encode cost vs. probe savings of key encoding (IncrementalKeyEncoder), on
+// int-keyed and string-keyed division workloads.
 //
-// "TupleKeyed" benchmarks measure the pre-codec discipline — hash tables
+// "TupleKeyed" benchmarks measure the pre-encoding discipline — hash tables
 // keyed by materialized Tuples (a ProjectTuple allocation per probe plus
-// variant-walking hash/equality). "Encoded" benchmarks measure the codec
-// discipline: dictionary-encode once, then probe flat uint32/uint64 keys.
-// EncodeOnly isolates the build cost the codec adds up front; DivisionE2E
-// shows the end-to-end effect on the hash division itself.
+// variant-walking hash/equality). "Encoded" benchmarks measure the encoder:
+// number the build keys once, then probe flat uint32/uint64 keys.
+// EncodeOnly isolates the numbering cost up front; DivisionE2E shows the
+// end-to-end effect on the hash division itself.
 
 #include <unordered_map>
 #include <unordered_set>
@@ -30,24 +30,22 @@ bench::DivisionWorkload MakeWorkload(size_t groups, bool string_b) {
   return workload;
 }
 
-/// Encode cost alone: dictionary-build + seal over the dividend's (a, b).
+/// Encode cost alone: numbering the dividend's a and b keys.
 void BM_EncodeOnly(benchmark::State& state, bool string_b) {
   auto workload = MakeWorkload(static_cast<size_t>(state.range(0)), string_b);
   const std::vector<size_t> a_idx = {0};
   const std::vector<size_t> b_idx = {1};
   for (auto _ : state) {
-    KeyCodec a_codec(1);
-    KeyCodec b_codec(1);
-    a_codec.Reserve(workload.dividend.size());
-    b_codec.Reserve(workload.dividend.size());
+    IncrementalKeyEncoder a_keys(1);
+    IncrementalKeyEncoder b_keys(1);
+    uint64_t ids = 0;
     for (const Tuple& t : workload.dividend.tuples()) {
-      a_codec.Add(t, a_idx);
-      b_codec.Add(t, b_idx);
+      ids += a_keys.InternRow(t, a_idx);
+      ids += b_keys.InternRow(t, b_idx);
     }
-    a_codec.Seal();
-    b_codec.Seal();
-    benchmark::DoNotOptimize(a_codec);
-    benchmark::DoNotOptimize(b_codec);
+    benchmark::DoNotOptimize(ids);
+    benchmark::DoNotOptimize(a_keys);
+    benchmark::DoNotOptimize(b_keys);
   }
   state.counters["rows"] = static_cast<double>(workload.dividend.size());
 }
@@ -69,22 +67,18 @@ void BM_TupleKeyedProbes(benchmark::State& state, bool string_b) {
   state.counters["rows"] = static_cast<double>(workload.dividend.size());
 }
 
-/// The codec discipline for the same membership test: encode the divisor
-/// once, then probe the dictionary per dividend row.
+/// The encoded discipline for the same membership test: number the divisor
+/// keys once, then probe the dictionary per dividend row.
 void BM_EncodedProbes(benchmark::State& state, bool string_b) {
   auto workload = MakeWorkload(static_cast<size_t>(state.range(0)), string_b);
   const std::vector<size_t> divisor_idx = {0};
   const std::vector<size_t> b_idx = {1};
   for (auto _ : state) {
-    KeyCodec codec(1);
-    codec.Reserve(workload.divisor.size());
-    for (const Tuple& t : workload.divisor.tuples()) codec.Add(t, divisor_idx);
-    codec.Seal();
-    KeyNumbering numbering;
-    numbering.Build(codec);
+    IncrementalKeyEncoder keys(1);
+    for (const Tuple& t : workload.divisor.tuples()) keys.InternRow(t, divisor_idx);
     size_t hits = 0;
     for (const Tuple& t : workload.dividend.tuples()) {
-      hits += numbering.Probe(t, b_idx) != KeyNumbering::kNotFound;
+      hits += keys.FindRow(t, b_idx) != IncrementalKeyEncoder::kNotFound;
     }
     benchmark::DoNotOptimize(hits);
   }

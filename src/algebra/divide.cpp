@@ -44,42 +44,36 @@ Relation DivideCodd(const Relation& r1, const Relation& r2) {
   std::vector<size_t> b_idx = r1.schema().IndicesOfOrThrow(attrs.b);
   std::vector<size_t> divisor_idx = r2.schema().IndicesOfOrThrow(attrs.b);
 
-  // Key-encode the dividend's A and B columns and number both key spaces.
-  KeyCodec a_codec(a_idx.size());
-  KeyCodec b_codec(b_idx.size());
-  a_codec.Reserve(r1.size());
-  b_codec.Reserve(r1.size());
+  // Number the dividend's A and B keys.
+  IncrementalKeyEncoder a_keys(a_idx.size());
+  IncrementalKeyEncoder b_keys(b_idx.size());
+  std::vector<uint32_t> row_a;
+  std::vector<uint32_t> row_b;
+  row_a.reserve(r1.size());
+  row_b.reserve(r1.size());
   for (const Tuple& t : r1.tuples()) {
-    a_codec.Add(t, a_idx);
-    b_codec.Add(t, b_idx);
+    row_a.push_back(a_keys.InternRow(t, a_idx));
+    row_b.push_back(b_keys.InternRow(t, b_idx));
   }
-  a_codec.Seal();
-  b_codec.Seal();
-  KeyNumbering a_num;
-  KeyNumbering b_num;
-  a_num.Build(a_codec);
-  b_num.Build(b_codec);
 
   // Each A-group's image set over B, as one bitmap row per candidate.
-  BitmapMatrix images(b_num.count(), a_num.count());
-  for (size_t i = 0; i < r1.size(); ++i) {
-    images.Set(a_num.row_ids()[i], b_num.row_ids()[i]);
-  }
+  BitmapMatrix images(b_keys.size(), a_keys.size());
+  for (size_t i = 0; i < r1.size(); ++i) images.Set(row_a[i], row_b[i]);
 
   // Resolve the divisor to dividend B numbers. A divisor tuple absent from
   // every image empties the quotient.
   std::vector<uint32_t> divisor;
   divisor.reserve(r2.size());
   for (const Tuple& t : r2.tuples()) {
-    uint32_t id = b_num.Probe(t, divisor_idx);
-    if (id == KeyNumbering::kNotFound) {
+    uint32_t id = b_keys.FindRow(t, divisor_idx);
+    if (id == IncrementalKeyEncoder::kNotFound) {
       return Relation(r1.schema().Project(attrs.a));
     }
     divisor.push_back(id);
   }
 
   std::vector<Tuple> quotient;
-  for (uint32_t cand = 0; cand < a_num.count(); ++cand) {
+  for (uint32_t cand = 0; cand < a_keys.size(); ++cand) {
     bool contains_all = true;
     for (uint32_t d : divisor) {
       if (!images.Test(cand, d)) {
@@ -87,7 +81,7 @@ Relation DivideCodd(const Relation& r1, const Relation& r2) {
         break;
       }
     }
-    if (contains_all) quotient.push_back(a_num.KeyTuple(cand));
+    if (contains_all) quotient.push_back(a_keys.KeyTuple(cand));
   }
   return Relation(r1.schema().Project(attrs.a), std::move(quotient));
 }
@@ -129,32 +123,19 @@ Relation DivideCounting(const Relation& r1, const Relation& r2) {
   // divisor's B tuples are the dictionary build side, candidates are
   // numbered densely, and the per-candidate counts live in a flat array.
   // Relations are sets, so plain counts are distinct counts.
-  KeyCodec b_codec(divisor_idx.size());
-  b_codec.Reserve(r2.size());
-  for (const Tuple& t : r2.tuples()) b_codec.Add(t, divisor_idx);
-  b_codec.Seal();
-  KeyNumbering b_num;
-  b_num.Build(b_codec);
+  IncrementalKeyEncoder b_keys(divisor_idx.size());
+  for (const Tuple& t : r2.tuples()) b_keys.InternRow(t, divisor_idx);
 
-  KeyCodec a_codec(a_idx.size());
-  a_codec.Reserve(r1.size());
-  std::vector<bool> row_matched;
-  row_matched.reserve(r1.size());
+  IncrementalKeyEncoder a_keys(a_idx.size());
+  std::vector<uint32_t> counts;
   for (const Tuple& t : r1.tuples()) {
-    a_codec.Add(t, a_idx);
-    row_matched.push_back(b_num.Probe(t, b_idx) != KeyNumbering::kNotFound);
-  }
-  a_codec.Seal();
-  KeyNumbering a_num;
-  a_num.Build(a_codec);
-
-  std::vector<uint32_t> counts(a_num.count(), 0);
-  for (size_t i = 0; i < row_matched.size(); ++i) {
-    if (row_matched[i]) counts[a_num.row_ids()[i]] += 1;
+    uint32_t cand = a_keys.InternRow(t, a_idx);
+    if (cand == counts.size()) counts.push_back(0);
+    if (b_keys.FindRow(t, b_idx) != IncrementalKeyEncoder::kNotFound) counts[cand] += 1;
   }
   std::vector<Tuple> quotient;
-  for (uint32_t cand = 0; cand < a_num.count(); ++cand) {
-    if (counts[cand] == b_num.count()) quotient.push_back(a_num.KeyTuple(cand));
+  for (uint32_t cand = 0; cand < a_keys.size(); ++cand) {
+    if (counts[cand] == b_keys.size()) quotient.push_back(a_keys.KeyTuple(cand));
   }
   return Relation(r1.schema().Project(attrs.a), std::move(quotient));
 }

@@ -46,103 +46,11 @@ void Batch::ToTuple(size_t row, Tuple* out) const {
   for (const BatchColumn& col : columns_) out->push_back(col.At(row));
 }
 
-void BatchCodecAppender::Append(const Batch& batch) {
-  size_t n = batch.ActiveRows();
-  if (n == 0) return;
-  size_t nc = indices_->size();
-  scratch_.resize(n * nc);
-  for (size_t c = 0; c < nc; ++c) {
-    size_t col = (*indices_)[c];
-    uint32_t* dst = scratch_.data() + c;
-    if (const BatchColumn* enc = batch.EncodedColumn(col)) {
-      const uint32_t* src = enc->ids.data();
-      IdTranslator& xlat = xlat_[c];
-      xlat.Bind(*enc->dict);
-      for (size_t i = 0; i < n; ++i, dst += nc) {
-        *dst = xlat.Lookup(src[batch.RowAt(i)],
-                           [&](const Value& v) { return codec_->InternValue(c, v); });
-      }
-    } else {
-      for (size_t i = 0; i < n; ++i, dst += nc) {
-        *dst = codec_->InternValue(c, batch.At(batch.RowAt(i), col));
-      }
-    }
-  }
-  codec_->AppendRows(scratch_.data(), n);
-}
-
-void BatchKeyProbe::Resolve(const Batch& batch, std::vector<uint32_t>* out) {
-  size_t n = batch.ActiveRows();
-  if (n == 0) return;
-  size_t nc = indices_->size();
-
-  // Single-column keys (the dominant case) go straight from source ids to
-  // dense numbers through one translation array.
-  if (nc == 1) {
-    size_t col = (*indices_)[0];
-    if (const BatchColumn* enc = batch.EncodedColumn(col)) {
-      const uint32_t* src = enc->ids.data();
-      IdTranslator& xlat = xlat_[0];
-      xlat.Bind(*enc->dict);
-      size_t base = out->size();
-      out->resize(base + n);
-      uint32_t* dst = out->data() + base;
-      auto resolve = [&](const Value& v) {
-        uint32_t cid = codec_->FindValue(0, v);
-        if (cid == ValueDict::kNotFound) return KeyNumbering::kNotFound;
-        return numbering_->ProbeIds(&cid);
-      };
-      if (batch.has_selection()) {
-        for (size_t i = 0; i < n; ++i) dst[i] = xlat.Lookup(src[batch.RowAt(i)], resolve);
-      } else {
-        for (size_t i = 0; i < n; ++i) dst[i] = xlat.Lookup(src[i], resolve);
-      }
-    } else {
-      for (size_t i = 0; i < n; ++i) {
-        uint32_t cid = codec_->FindValue(0, batch.At(batch.RowAt(i), col));
-        out->push_back(cid == ValueDict::kNotFound ? KeyNumbering::kNotFound
-                                                   : numbering_->ProbeIds(&cid));
-      }
-    }
-    return;
-  }
-
-  // Multi-column keys: resolve per column into a row-major scratch (a miss
-  // in any column disqualifies the row), then probe the packed key.
-  scratch_.resize(n * nc);
-  miss_.assign(n, 0);
-  for (size_t c = 0; c < nc; ++c) {
-    size_t col = (*indices_)[c];
-    uint32_t* dst = scratch_.data() + c;
-    if (const BatchColumn* enc = batch.EncodedColumn(col)) {
-      const uint32_t* src = enc->ids.data();
-      IdTranslator& xlat = xlat_[c];
-      xlat.Bind(*enc->dict);
-      for (size_t i = 0; i < n; ++i, dst += nc) {
-        uint32_t id = xlat.Lookup(src[batch.RowAt(i)],
-                                  [&](const Value& v) { return codec_->FindValue(c, v); });
-        *dst = id;
-        miss_[i] |= (id == ValueDict::kNotFound);
-      }
-    } else {
-      for (size_t i = 0; i < n; ++i, dst += nc) {
-        uint32_t id = codec_->FindValue(c, batch.At(batch.RowAt(i), col));
-        *dst = id;
-        miss_[i] |= (id == ValueDict::kNotFound);
-      }
-    }
-  }
-  for (size_t i = 0; i < n; ++i) {
-    out->push_back(miss_[i] ? KeyNumbering::kNotFound
-                            : numbering_->ProbeIds(scratch_.data() + i * nc));
-  }
-}
-
 void BatchIncrementalKeyer::Keys(const Batch& batch, const std::vector<size_t>* col_map,
-                                 std::vector<uint32_t>* ids) {
+                                 std::vector<uint32_t>* ids, const uint32_t* gate) {
   const size_t n = batch.ActiveRows();
   const size_t nc = encoder_.num_cols();
-  const size_t before = encoder_.size();
+  const size_t before = encoder_.ChargedBytes();
   // A one-column key's dictionary id is its key id: resolve straight into
   // `ids`. Wider keys gather row-major per-column ids first.
   uint32_t* base;
@@ -172,9 +80,63 @@ void BatchIncrementalKeyer::Keys(const Batch& batch, const std::vector<size_t>* 
   }
   if (nc != 1) {
     ids->resize(n);
-    for (size_t i = 0; i < n; ++i) (*ids)[i] = encoder_.InternKey(base + i * nc);
+    uint32_t* out = ids->data();
+    if (gate == nullptr) {
+      for (size_t i = 0; i < n; ++i) out[i] = encoder_.InternKey(base + i * nc);
+    } else {
+      for (size_t i = 0; i < n; ++i) {
+        out[i] = gate[i] == IncrementalKeyEncoder::kNotFound
+                     ? IncrementalKeyEncoder::kNotFound
+                     : encoder_.InternKey(base + i * nc);
+      }
+    }
   }
-  GovernorCharge((encoder_.size() - before) * nc * 8);
+  GovernorCharge(encoder_.ChargedBytes() - before);
+}
+
+void BatchKeyProbe::Resolve(const Batch& batch, std::vector<uint32_t>* out) {
+  const size_t n = batch.ActiveRows();
+  if (n == 0) return;
+  const size_t nc = indices_->size();
+  const size_t at = out->size();
+  out->resize(at + n);
+  uint32_t* keys = out->data() + at;
+  // A one-column key's dictionary id is its key id (the dominant case):
+  // resolve straight into `out`. Wider keys gather row-major per-column ids
+  // first.
+  uint32_t* base;
+  if (nc == 1) {
+    base = keys;
+  } else {
+    scratch_.resize(n * nc);
+    base = scratch_.data();
+  }
+  for (size_t c = 0; c < nc; ++c) {
+    size_t col = (*indices_)[c];
+    uint32_t* dst = base + c;
+    const ValueDict& dict = keys_->dict(c);
+    auto find = [&](const Value& v) { return dict.Find(v); };
+    if (const BatchColumn* enc = batch.EncodedColumn(col)) {
+      const uint32_t* src = enc->ids.data();
+      IdTranslator& xlat = xlat_[c];
+      xlat.Bind(*enc->dict);
+      if (batch.has_selection()) {
+        for (size_t i = 0; i < n; ++i, dst += nc) *dst = xlat.Lookup(src[batch.RowAt(i)], find);
+      } else {
+        for (size_t i = 0; i < n; ++i, dst += nc) *dst = xlat.Lookup(src[i], find);
+      }
+    } else {
+      for (size_t i = 0; i < n; ++i, dst += nc) *dst = find(batch.At(batch.RowAt(i), col));
+    }
+  }
+  if (nc == 1) return;
+  // A miss in any column disqualifies the row; the others find whole keys.
+  for (size_t i = 0; i < n; ++i) {
+    const uint32_t* ids = base + i * nc;
+    bool miss = false;
+    for (size_t c = 0; c < nc; ++c) miss |= ids[c] == IncrementalKeyEncoder::kNotFound;
+    keys[i] = miss ? IncrementalKeyEncoder::kNotFound : keys_->FindKey(ids);
+  }
 }
 
 void MarkKeyChanges(const Batch& batch, const std::vector<size_t>& cols, const Tuple* prev,

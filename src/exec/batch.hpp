@@ -8,10 +8,9 @@
 // joins, grouping, deduplication — run tight per-batch array loops instead
 // of one virtual call per tuple. Dictionary ids come from per-table
 // column dictionaries (TableEncoding, cached by plan/catalog), and batch-
-// level key packing reuses the key_codec machinery of PR 1: translation
-// arrays map a table dictionary's ids straight into an operator's KeyCodec /
-// IncrementalKeyEncoder id space, replacing a Value hash per row with an
-// array load per row.
+// level keying reuses exec/key_codec.hpp: translation arrays map a table
+// dictionary's ids straight into an operator's IncrementalKeyEncoder id
+// space, replacing a Value hash per row with an array load per row.
 //
 // NextBatch() is the only pull contract between operators; the pipeline
 // executor (exec/pipeline.hpp) drains breakers serially, except a clustered
@@ -186,7 +185,7 @@ class Batch {
 /// Lazily-filled mapping from one dictionary's dense ids to another id
 /// space: the core of batch-level key packing. The first time a source id is
 /// seen its Value is resolved through the supplied callback (an intern or a
-/// find against the operator's codec); afterwards the per-row cost is one
+/// find against the operator's encoder); afterwards the per-row cost is one
 /// array load. Rebinding to a different source dictionary clears the cache.
 class IdTranslator {
  public:
@@ -217,66 +216,29 @@ class IdTranslator {
   std::vector<uint32_t> map_;
 };
 
-/// Appends a batch's key columns into a building (unsealed) KeyCodec:
-/// encoded columns go through per-column translation arrays, Value columns
-/// fall back to one dictionary intern per row.
-class BatchCodecAppender {
- public:
-  BatchCodecAppender(KeyCodec* codec, const std::vector<size_t>* indices)
-      : codec_(codec), indices_(indices), xlat_(indices->size()) {}
-
-  void Append(const Batch& batch);
-
- private:
-  KeyCodec* codec_;
-  const std::vector<size_t>* indices_;
-  std::vector<IdTranslator> xlat_;
-  std::vector<uint32_t> scratch_;  // row-major ids, ActiveRows x num key cols
-};
-
-/// Resolves each batch row's key columns to the dense id of a sealed,
-/// numbered build side (divisor numbers, join keys, semi-join membership):
-/// per-column translate/find, then a packed probe. Misses yield
-/// KeyNumbering::kNotFound, exactly like KeyNumbering::Probe on a Tuple.
-class BatchKeyProbe {
- public:
-  void Bind(const KeyNumbering* numbering, const KeyCodec* codec,
-            const std::vector<size_t>* indices) {
-    numbering_ = numbering;
-    codec_ = codec;
-    indices_ = indices;
-    xlat_.assign(indices->size(), IdTranslator{});
-  }
-
-  /// Appends one dense id (or kNotFound) per active row to `out`.
-  void Resolve(const Batch& batch, std::vector<uint32_t>* out);
-
- private:
-  const KeyNumbering* numbering_ = nullptr;
-  const KeyCodec* codec_ = nullptr;
-  const std::vector<size_t>* indices_ = nullptr;
-  std::vector<IdTranslator> xlat_;
-  std::vector<uint32_t> scratch_;
-  std::vector<uint8_t> miss_;
-};
-
 /// Dense per-row key ids in an IncrementalKeyEncoder's numbering (the one
-/// dedup and grouping discipline): translation arrays for encoded columns,
-/// per-row interning otherwise, then IncrementalKeyEncoder::InternKey. The
-/// ids are canonical — identical to interning each row's values with
-/// InternValue and numbering them with InternKey — so batches of mixed
-/// provenance (dictionaries, row views) dedup consistently. Ids are numbered
-/// in first-seen order, so a row is the first occurrence of its key in the
-/// stream iff its id is the next unseen one.
+/// key discipline): translation arrays for encoded columns, per-row
+/// interning otherwise, then IncrementalKeyEncoder::InternKey. The ids are
+/// canonical — identical to numbering each row with InternRow — so batches
+/// of mixed provenance (dictionaries, row views) key consistently. Ids are
+/// numbered in first-seen order, so a row is the first occurrence of its
+/// key in the stream iff its id is the next unseen one. Build sides number
+/// their keys with it while they drain, then keep its encoder
+/// (TakeEncoder) for BatchKeyProbe to find keys in.
 class BatchIncrementalKeyer {
  public:
   explicit BatchIncrementalKeyer(size_t num_cols = 0) : encoder_(num_cols), xlat_(num_cols) {}
 
   /// Writes one key id per active row of `batch` into `ids` (resized to
   /// ActiveRows()). `col_map` maps encoder column c to batch column
-  /// (*col_map)[c]; nullptr means the identity. Charges the governor 8
-  /// bytes per key column for every key numbered here.
-  void Keys(const Batch& batch, const std::vector<size_t>* col_map, std::vector<uint32_t>* ids);
+  /// (*col_map)[c]; nullptr means the identity. With `gate`, a key of two
+  /// or more columns is numbered only on rows i whose gate[i] is not
+  /// kNotFound; the others still enter every column dictionary and get
+  /// kNotFound. (A one-column key's dictionary is its numbering, so every
+  /// row gets its id.) Charges the governor 8 bytes per key column for
+  /// every key numbered here.
+  void Keys(const Batch& batch, const std::vector<size_t>* col_map, std::vector<uint32_t>* ids,
+            const uint32_t* gate = nullptr);
 
   /// Distinct keys numbered so far; ids run 0..size()-1.
   size_t size() const { return encoder_.size(); }
@@ -284,8 +246,35 @@ class BatchIncrementalKeyer {
   /// Appends the column Values of key `id` to `out`.
   void Decode(uint32_t id, Tuple* out) const { encoder_.DecodeKey(id, out); }
 
+  /// Hands over the numbering; the keyer is left empty.
+  IncrementalKeyEncoder TakeEncoder() { return std::move(encoder_); }
+
  private:
   IncrementalKeyEncoder encoder_;
+  std::vector<IdTranslator> xlat_;
+  std::vector<uint32_t> scratch_;  // row-major ids, ActiveRows x num key cols
+};
+
+/// Resolves each batch row's key columns to its id in a built numbering
+/// (divisor keys, join keys, semi-join membership): per-column translate
+/// and find, then IncrementalKeyEncoder::FindKey. A value missing from any
+/// column's dictionary, or a combination never numbered, yields kNotFound.
+/// Only finds, never inserts: the encoder is shared and immutable, so each
+/// concurrent fold keeps a probe of its own.
+class BatchKeyProbe {
+ public:
+  void Bind(const IncrementalKeyEncoder* keys, const std::vector<size_t>* indices) {
+    keys_ = keys;
+    indices_ = indices;
+    xlat_.assign(indices->size(), IdTranslator{});
+  }
+
+  /// Appends one key id (or kNotFound) per active row to `out`.
+  void Resolve(const Batch& batch, std::vector<uint32_t>* out);
+
+ private:
+  const IncrementalKeyEncoder* keys_ = nullptr;
+  const std::vector<size_t>* indices_ = nullptr;
   std::vector<IdTranslator> xlat_;
   std::vector<uint32_t> scratch_;  // row-major ids, ActiveRows x num key cols
 };

@@ -41,12 +41,11 @@ DivisionRunSink::DivisionRunSink(const DivisionBuildArtifact& build,
                                  std::vector<Tuple>* results)
     : a_indices_(a_indices),
       b_indices_(b_indices),
-      numbering_(&build.numbers),
-      b_codec_(&build.codec),
-      keys_(build.numbers.count()),
+      b_keys_(&build.keys),
+      keys_(build.keys.size()),
       results_(results),
       serial_(std::make_unique<Part>()) {
-  serial_->probe.Bind(numbering_, b_codec_, b_indices_);
+  serial_->probe.Bind(b_keys_, b_indices_);
   GovernorCharge(RunBytes());
 }
 
@@ -56,13 +55,12 @@ DivisionRunSink::DivisionRunSink(const GreatDivideBuildArtifact& build,
                                  std::vector<Tuple>* results)
     : a_indices_(a_indices),
       b_indices_(b_indices),
-      numbering_(&build.b),
-      b_codec_(&build.b_codec),
-      keys_(build.b.count()),
+      b_keys_(&build.b),
+      keys_(build.b.size()),
       groups_(&build),
       results_(results),
       serial_(std::make_unique<Part>()) {
-  serial_->probe.Bind(numbering_, b_codec_, b_indices_);
+  serial_->probe.Bind(b_keys_, b_indices_);
   GovernorCharge(RunBytes());
 }
 
@@ -120,7 +118,7 @@ void DivisionRunSink::Fold(Part& part, const Batch& batch, Close&& close) {
   if (batch.ActiveRows() == 0) return;
   part.keys.clear();
   part.probe.Resolve(batch, &part.keys);
-  // Misses (KeyNumbering::kNotFound) clamp to keys_: a spare bit (÷) or
+  // Misses (kNotFound) clamp to keys_: a spare bit (÷) or
   // an empty member range (÷*), so the row loops carry no miss branch.
   if (groups_ == nullptr) {
     FoldRuns(part, batch, close,
@@ -183,7 +181,7 @@ void DivisionRunSink::Consume(const Batch& batch) {
 
 std::unique_ptr<DivisionRunSink::Chunk> DivisionRunSink::MakeChunk() {
   auto chunk = std::make_unique<Chunk>();
-  chunk->probe.Bind(numbering_, b_codec_, b_indices_);
+  chunk->probe.Bind(b_keys_, b_indices_);
   GovernorCharge(2 * RunBytes());  // the held first run and the open one
   return chunk;
 }

@@ -9,9 +9,10 @@
 // per-C-group counters (÷*) for the current run then replaces the
 // candidate matrix: each row's B columns resolve to a divisor key number,
 // the number sets a bit or bumps the counters of the C groups containing
-// it, and the candidate is emitted when its run closes. No A codec, no
-// per-row divisor-key store and no candidate numbering are built, so there
-// is no probe state to recycle.
+// it, and the candidate is emitted when its run closes. Neither the
+// candidate numbering nor the per-row stores of the matrix path are built,
+// so there is no probe state to recycle and nothing to spill; the divisor
+// keys are the only build state.
 // This is Graefe & Cole's hash-division specialised to grouped input, the
 // case Rantzau's classification of division algorithms (DMKD 2003) gives
 // one bitmap row per group.
@@ -72,8 +73,7 @@ class DivisionRunSink : public PipelineSink {
 
   const std::vector<size_t>* a_indices_;
   const std::vector<size_t>* b_indices_;
-  const KeyNumbering* numbering_;  // divisor keys (÷) or divisor B keys (÷*)
-  const KeyCodec* b_codec_;
+  const IncrementalKeyEncoder* b_keys_;  // divisor keys (÷) or divisor B keys (÷*)
   size_t keys_;  // divisor key numbers are 0..keys_-1; keys_ takes misses
   const GreatDivideBuildArtifact* groups_ = nullptr;  // ÷* only
   std::vector<Tuple>* results_;

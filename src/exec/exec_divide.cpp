@@ -1,7 +1,5 @@
 #include "exec/exec_divide.hpp"
 
-#include <type_traits>
-
 #include "exec/division_runs.hpp"
 #include "exec/exec_basic.hpp"
 #include "exec/pipeline.hpp"
@@ -13,49 +11,31 @@ namespace quotient {
 
 namespace {
 
-/// r1 ÷ ∅ = πA(r1): emit every distinct candidate.
-template <typename AView, typename Numbering>
-void EmitDistinctCandidates(const AView& aview, Numbering& candidates, size_t rows,
-                            std::vector<Tuple>* results) {
-  for (size_t i = 0; i < rows; ++i) candidates.Intern(aview.RowKey(i));
-  for (uint32_t id = 0; id < candidates.size(); ++id) {
-    results->push_back(aview.codec->DecodeTuple(candidates.At(id)));
-  }
-}
-
-// Hash-division: divisor tuples are numbered 0..n-1; each quotient candidate
+// Hash-division: divisor keys are numbered 0..n-1; each quotient candidate
 // keeps a bitmap of the divisor numbers seen in its group. Candidates are
-// numbered densely (identity when A is a single dictionary column, interned
-// otherwise), so the bitmaps live in one contiguous matrix.
-template <typename AView, typename Numbering>
-void RunHash(const AView& aview, Numbering& candidates, const SpilledU32Store& row_b,
-             size_t rows, size_t n, std::vector<Tuple>* results) {
+// numbered densely as the dividend drained (row_a), so the bitmaps live in
+// one contiguous matrix, in candidate order.
+void RunHash(const DivisionProbeArtifact& probe, std::vector<Tuple>* results) {
+  const IncrementalKeyEncoder& a = probe.a;
+  const size_t n = probe.divisor_count;
+  if (n == 0) {
+    // r1 ÷ ∅ = πA(r1) under Codd's semantics: every row's candidate was
+    // numbered.
+    for (uint32_t id = 0; id < a.size(); ++id) results->push_back(a.KeyTuple(id));
+    return;
+  }
   GovernorFaultPoint("divide.bitmap_fill");
-  // The seen-bitmap matrix. Dense numbering knows every candidate up front;
-  // an interner learns them in the loop, so rows past the pre-charged ones
-  // are charged as they are added.
-  size_t row_bytes = (n + 7) / 8;
-  size_t charged_rows = candidates.size();
-  GovernorCharge(charged_rows * row_bytes);
-  BitmapMatrix seen(n);
-  seen.Reserve(charged_rows);
+  GovernorCharge(a.size() * ((n + 7) / 8));  // the seen-bitmap matrix
+  BitmapMatrix seen(n, a.size());
   GovernorTicker ticker;
-  for (size_t i = 0; i < rows; ++i) {
+  for (size_t i = 0; i < probe.row_b.rows(); ++i) {
     ticker.Tick();
-    uint32_t b = row_b.At(i);
-    if (b == KeyNumbering::kNotFound) continue;  // b not in divisor: cannot help
-    uint32_t cand = candidates.Intern(aview.RowKey(i));
-    while (cand >= seen.rows()) {
-      if (seen.rows() == charged_rows) {
-        GovernorCharge(row_bytes);
-        ++charged_rows;
-      }
-      seen.AddRow();
-    }
-    seen.Set(cand, b);
+    uint32_t b = probe.row_b.At(i);
+    if (b == IncrementalKeyEncoder::kNotFound) continue;  // b not in divisor: cannot help
+    seen.Set(probe.row_a.At(i), b);
   }
   for (uint32_t id = 0; id < seen.rows(); ++id) {
-    if (seen.RowAll(id)) results->push_back(aview.codec->DecodeTuple(candidates.At(id)));
+    if (seen.RowAll(id)) results->push_back(a.KeyTuple(id));
   }
 }
 
@@ -74,16 +54,13 @@ DivisionIterator::DivisionIterator(IterPtr dividend, IterPtr divisor)
 }
 
 std::shared_ptr<DivisionBuildArtifact> DivisionIterator::BuildDivisorArtifact() {
-  // Build pipeline: dictionary-encode the divisor's B tuples
-  // (exec/pipeline.hpp).
+  // Build pipeline: number the divisor's B keys (exec/pipeline.hpp).
   auto art = std::make_shared<DivisionBuildArtifact>();
   divisor_->Open();
-  art->codec = KeyCodec(divisor_idx_.size());
-  art->codec.Reserve(divisor_->EstimatedRows());
-  CodecAppendSink sink(&art->codec, &divisor_idx_);
+  BatchIncrementalKeyer keyer(divisor_idx_.size());
+  KeyerSink sink(&keyer, &divisor_idx_);
   RecordPipelineDop(RunPipeline(*divisor_, sink).dop);
-  art->codec.Seal();
-  art->numbers.Build(art->codec);
+  art->keys = keyer.TakeEncoder();
   return art;
 }
 
@@ -99,20 +76,21 @@ std::shared_ptr<const DivisionBuildArtifact> DivisionIterator::GetDivisorArtifac
 
 std::shared_ptr<DivisionProbeArtifact> DivisionIterator::BuildProbeArtifact(
     const DivisionBuildArtifact& build) {
-  // Probe pipeline: drain the dividend once, interning A keys and
-  // resolving each row's B columns to a divisor number (kNotFound when any
-  // value never occurs in the divisor).
+  // Probe pipeline: drain the dividend once, resolving each row's B
+  // columns to a divisor number (kNotFound when it is no divisor key) and
+  // numbering its A key. Over a nonempty divisor only rows that hit number
+  // a candidate (a one-column A numbers each value as its dictionary does).
   auto art = std::make_shared<DivisionProbeArtifact>();
   dividend_->Open();
-  art->a_codec = KeyCodec(a_idx_.size());
+  art->divisor_count = build.keys.size();
   size_t expected = dividend_->EstimatedRows();
-  art->a_codec.Reserve(expected);
+  art->row_a.Reserve(expected);
   art->row_b.Reserve(expected);
-  ProbeAppendSink sink(&art->a_codec, &a_idx_, &build.numbers, &build.codec, &b_idx_,
-                       &art->row_b);
+  BatchIncrementalKeyer keyer(a_idx_.size());
+  ProbeAppendSink sink(&keyer, &a_idx_, /*a_hits_only=*/art->divisor_count > 0, &build.keys,
+                       &b_idx_, &art->row_a, &art->row_b);
   RecordPipelineDop(RunPipeline(*dividend_, sink).dop);
-  art->a_codec.Seal();
-  art->divisor_count = build.numbers.count();
+  art->a = keyer.TakeEncoder();
   return art;
 }
 
@@ -147,30 +125,7 @@ void DivisionIterator::Open() {
     probe_ = BuildProbeArtifact(*GetDivisorArtifact());
   }
 
-  const KeyCodec& a_codec = probe_->a_codec;
-  const SpilledU32Store& row_b = probe_->row_b;
-  size_t rows = a_codec.rows();
-  size_t n = probe_->divisor_count;
-  WithKeyView(a_codec, [&](auto aview) {
-    using K = typename decltype(aview)::Key;
-    auto run = [&](auto& candidates) {
-      if (n == 0) {
-        // r1 ÷ ∅ = πA(r1) under Codd's semantics.
-        EmitDistinctCandidates(aview, candidates, rows, &results_);
-        return;
-      }
-      RunHash(aview, candidates, row_b, rows, n, &results_);
-    };
-    if constexpr (std::is_same_v<K, uint64_t>) {
-      if (a_codec.keys_are_dense_ids()) {
-        DenseNumbering candidates{a_codec.dict(0).size()};
-        run(candidates);
-        return;
-      }
-    }
-    KeyInterner<K> candidates;
-    run(candidates);
-  });
+  RunHash(*probe_, &results_);
 }
 
 bool DivisionIterator::NextBatch(Batch* out) {

@@ -18,23 +18,24 @@ namespace quotient {
 /// Input streams are assumed duplicate-free (set semantics); every operator
 /// in this engine preserves that invariant.
 ///
-/// Execution is key-encoded (see docs/key_encoding.md): Open() dictionary-
-/// encodes the divisor's B tuples and numbers them densely 0..n-1, then
-/// drains the dividend once, interning each row's A key and resolving its B
-/// columns to a divisor number (or a miss). The bitmaps are then filled from
-/// two flat arrays — per-row A keys and per-row divisor numbers — instead of
-/// hash tables keyed by materialized Tuples.
+/// Execution is key-encoded (see docs/key_encoding.md): Open() numbers the
+/// divisor's B keys densely 0..n-1 as the divisor drains, then drains the
+/// dividend once, numbering each row's A key and resolving its B columns
+/// to a divisor number (or a miss). The bitmaps are then filled from two
+/// flat per-row arrays — candidate numbers and divisor numbers — instead
+/// of hash tables keyed by materialized Tuples.
 ///
 /// Both drains consume encoded batches: dictionary ids from the scans
-/// translate into the division's codecs through per-column translation
+/// translate into the division's encoders through per-column translation
 /// arrays (see docs/batched_execution.md), so the per-row probe cost is an
 /// array load, not a Value hash. Each drain is a serial pipeline
 /// (exec/pipeline.hpp).
 ///
 /// A dividend grouped on A (a prefix of its clustering, exec/iterator.hpp:
 /// e.g. a scan whose leading columns are A, under σ, ρ, ⋉ or a join's
-/// probe side) skips the A codec, the per-row store and the matrix: it is
-/// divided run by run in one streaming pass (exec/division_runs.hpp).
+/// probe side) skips the candidate numbering, the per-row stores and the
+/// matrix: it is divided run by run in one streaming pass
+/// (exec/division_runs.hpp).
 /// EXPLAIN ANALYZE shows which path ran.
 class DivisionIterator : public Iterator {
  public:
@@ -80,8 +81,8 @@ class DivisionIterator : public Iterator {
   std::vector<Tuple> results_;
   size_t position_ = 0;
   // Encoded state (valid between Open and Close), possibly shared with
-  // concurrent executions through the recycler: the dividend's per-row A
-  // keys + divisor numbers, and the divisor build table behind them.
+  // concurrent executions through the recycler: the candidates and the
+  // dividend's per-row candidate and divisor numbers.
   std::shared_ptr<const DivisionProbeArtifact> probe_;
 };
 

@@ -29,38 +29,32 @@ GreatDivideIterator::GreatDivideIterator(IterPtr dividend, IterPtr divisor)
 }
 
 std::shared_ptr<GreatDivideBuildArtifact> GreatDivideIterator::BuildDivisorArtifact() {
-  // Build pipeline: dictionary-encode the divisor's B and C columns (one
-  // pass feeding both codecs) and number both key spaces densely
-  // (exec/pipeline.hpp).
+  // Build pipeline: number the divisor's B and C keys densely in one pass
+  // (exec/pipeline.hpp), recording each row's pair of numbers.
   auto art = std::make_shared<GreatDivideBuildArtifact>();
   divisor_->Open();
-  art->b_codec = KeyCodec(divisor_b_idx_.size());
-  art->c_codec = KeyCodec(divisor_c_idx_.size());
-  size_t divisor_expected = divisor_->EstimatedRows();
-  art->b_codec.Reserve(divisor_expected);
-  art->c_codec.Reserve(divisor_expected);
-  CodecAppendSink sink(&art->b_codec, &divisor_b_idx_);
-  sink.AddTarget(&art->c_codec, &divisor_c_idx_);
+  BatchIncrementalKeyer b_keyer(divisor_b_idx_.size());
+  BatchIncrementalKeyer c_keyer(divisor_c_idx_.size());
+  std::vector<uint32_t> row_b;
+  std::vector<uint32_t> row_c;
+  KeyerSink sink(&b_keyer, &divisor_b_idx_, &row_b);
+  sink.AddTarget(&c_keyer, &divisor_c_idx_, &row_c);
   RecordPipelineDop(RunPipeline(*divisor_, sink).dop);
-  art->b_codec.Seal();
-  art->c_codec.Seal();
+  art->b = b_keyer.TakeEncoder();
+  art->c = c_keyer.TakeEncoder();
 
-  art->b.Build(art->b_codec);
-  art->c.Build(art->c_codec);
-  art->group_sizes.assign(art->c.count(), 0);
-  art->member_begin.assign(art->b.count() + 2, 0);
-  for (size_t i = 0; i < art->b_codec.rows(); ++i) {
-    art->group_sizes[art->c.row_ids()[i]] += 1;
-    art->member_begin[art->b.row_ids()[i] + 1] += 1;
+  art->group_sizes.assign(art->c.size(), 0);
+  art->member_begin.assign(art->b.size() + 2, 0);
+  for (size_t i = 0; i < row_b.size(); ++i) {
+    art->group_sizes[row_c[i]] += 1;
+    art->member_begin[row_b[i] + 1] += 1;
   }
   for (size_t j = 1; j < art->member_begin.size(); ++j) {
     art->member_begin[j] += art->member_begin[j - 1];
   }
-  art->member_groups.resize(art->b_codec.rows());
+  art->member_groups.resize(row_b.size());
   std::vector<uint32_t> fill(art->member_begin.begin(), art->member_begin.end() - 1);
-  for (size_t i = 0; i < art->b_codec.rows(); ++i) {
-    art->member_groups[fill[art->b.row_ids()[i]]++] = art->c.row_ids()[i];
-  }
+  for (size_t i = 0; i < row_b.size(); ++i) art->member_groups[fill[row_b[i]]++] = row_c[i];
   return art;
 }
 
@@ -83,18 +77,17 @@ std::shared_ptr<GreatDivideProbeArtifact> GreatDivideIterator::BuildProbeArtifac
     art->build = art->owned_build;
   }
 
-  // Probe pipeline: drain the dividend once, interning A keys and
-  // resolving each row's B columns to a divisor B number (or a miss).
+  // Probe pipeline: drain the dividend once, numbering every row's A key
+  // and resolving its B columns to a divisor B number (or a miss).
   dividend_->Open();
-  art->a_codec = KeyCodec(a_idx_.size());
   size_t expected = dividend_->EstimatedRows();
-  art->a_codec.Reserve(expected);
+  art->row_a.Reserve(expected);
   art->row_b.Reserve(expected);
-  ProbeAppendSink sink(&art->a_codec, &a_idx_, &art->build->b, &art->build->b_codec, &b_idx_,
-                       &art->row_b);
+  BatchIncrementalKeyer keyer(a_idx_.size());
+  ProbeAppendSink sink(&keyer, &a_idx_, /*a_hits_only=*/false, &art->build->b, &b_idx_,
+                       &art->row_a, &art->row_b);
   RecordPipelineDop(RunPipeline(*dividend_, sink).dop);
-  art->a_codec.Seal();
-  art->a.Build(art->a_codec);
+  art->a = keyer.TakeEncoder();
   return art;
 }
 
@@ -134,20 +127,20 @@ void GreatDivideIterator::RunHash(const GreatDivideBuildArtifact& build,
                                   const GreatDivideProbeArtifact& probe) {
   // One pass over the dividend maintaining a (candidate × group) match-count
   // matrix; each divisor B number knows which C groups it belongs to.
-  size_t k = build.c.count();
-  size_t candidates = probe.a.count();
+  size_t k = build.c.size();
+  size_t candidates = probe.a.size();
   if (k == 0) return;  // empty divisor: no C groups, empty result
   GovernorFaultPoint("divide.bitmap_fill");
   GovernorCharge(candidates * k * sizeof(uint32_t));  // the match-count matrix
   std::vector<uint32_t> counts(candidates * k, 0);
   const uint32_t* begin = build.member_begin.data();
   const uint32_t* members = build.member_groups.data();
-  size_t misses = build.b.count();  // the empty member range
+  size_t misses = build.b.size();  // the empty member range
   GovernorTicker ticker;
   for (size_t i = 0; i < probe.row_b.rows(); ++i) {
     ticker.Tick();
     size_t b = std::min<size_t>(probe.row_b.At(i), misses);
-    uint32_t* row = &counts[size_t{probe.a.row_ids()[i]} * k];
+    uint32_t* row = &counts[size_t{probe.row_a.At(i)} * k];
     for (uint32_t j = begin[b]; j < begin[b + 1]; ++j) row[members[j]] += 1;
   }
   for (uint32_t cand = 0; cand < candidates; ++cand) {

@@ -21,7 +21,7 @@ size_t JoinEmitBatch(Iterator& left, BatchKeyProbe& probe, PairCursor& st,
       },
       [&](size_t i) -> const std::vector<Tuple>* {
         uint32_t key = st.keys[i];
-        return key == KeyNumbering::kNotFound ? nullptr : &buckets[key];
+        return key == IncrementalKeyEncoder::kNotFound ? nullptr : &buckets[key];
       },
       [](const Batch&, uint32_t, const Tuple&) { return true; }, out);
 }
@@ -113,25 +113,18 @@ std::unique_ptr<EquiJoinIterator> EquiJoinIterator::Natural(IterPtr left, IterPt
 std::shared_ptr<JoinBuildArtifact> EquiJoinIterator::BuildArtifact() {
   auto art = std::make_shared<JoinBuildArtifact>();
   right_->Open();
-  art->codec = KeyCodec(right_key_.size());
-  art->codec.Reserve(right_->EstimatedRows());
-  std::vector<Tuple> right_rows;
-  right_rows.reserve(right_->EstimatedRows());
-  // Build pipeline: key columns into the codec plus each build row's
-  // emitted columns (whole rows when every right column is emitted).
-  JoinBuildSink sink(&art->codec, &right_key_, whole_right_rows_ ? nullptr : &right_out_,
-                     &right_rows);
+  // Build pipeline: number the key columns and file each build row's
+  // emitted columns (whole rows when every right column is emitted) into
+  // its key's bucket, in one pass.
+  BatchIncrementalKeyer keyer(right_key_.size());
+  JoinBuildSink sink(&keyer, &right_key_, whole_right_rows_ ? nullptr : &right_out_,
+                     &art->buckets);
   PipelineStats stats = RunPipeline(*right_, sink);
   RecordPipelineDop(stats.dop);
   // Mirror the sink's materialized-tuple charge so publication can hand
   // it from the building query to the recycler's budget.
   art->extra_charge = stats.rows * (right_out_.size() + 2) * 8;
-  art->codec.Seal();
-  art->numbering.Build(art->codec);
-  art->buckets.assign(art->numbering.count(), {});
-  for (size_t i = 0; i < right_rows.size(); ++i) {
-    art->buckets[art->numbering.row_ids()[i]].push_back(std::move(right_rows[i]));
-  }
+  art->keys = keyer.TakeEncoder();
   return art;
 }
 
@@ -148,7 +141,7 @@ void EquiJoinIterator::Open() {
     if (cached) build_ = std::static_pointer_cast<const JoinBuildArtifact>(cached);
   }
   if (!build_) build_ = BuildArtifact();
-  probe_.Bind(&build_->numbering, &build_->codec, &left_key_);
+  probe_.Bind(&build_->keys, &left_key_);
   cursor_.Reset();
 }
 
@@ -177,15 +170,13 @@ HashSemiJoinIterator::HashSemiJoinIterator(IterPtr left, IterPtr right, bool ant
 std::shared_ptr<JoinBuildArtifact> HashSemiJoinIterator::BuildArtifact() {
   auto art = std::make_shared<JoinBuildArtifact>();
   right_->Open();
-  art->codec = KeyCodec(right_key_.size());
-  art->codec.Reserve(right_->EstimatedRows());
-  // Build pipeline: the key codec doubles as the membership set.
-  CodecAppendSink sink(&art->codec, &right_key_);
+  // Build pipeline: the key numbering doubles as the membership set.
+  BatchIncrementalKeyer keyer(right_key_.size());
+  KeyerSink sink(&keyer, &right_key_);
   PipelineStats stats = RunPipeline(*right_, sink);
   RecordPipelineDop(stats.dop);
   art->right_empty = stats.rows == 0;
-  art->codec.Seal();
-  art->numbering.Build(art->codec);
+  art->keys = keyer.TakeEncoder();
   return art;
 }
 
@@ -200,7 +191,7 @@ void HashSemiJoinIterator::Open() {
     if (cached) build_ = std::static_pointer_cast<const JoinBuildArtifact>(cached);
   }
   if (!build_) build_ = BuildArtifact();
-  probe_.Bind(&build_->numbering, &build_->codec, &left_key_);
+  probe_.Bind(&build_->keys, &left_key_);
 }
 
 bool HashSemiJoinIterator::NextBatch(Batch* out) {
@@ -213,7 +204,7 @@ bool HashSemiJoinIterator::NextBatch(Batch* out) {
       batch_keys_.clear();
       probe_.Resolve(*out, &batch_keys_);
       out->Narrow([&](size_t i, uint32_t) {
-        return (batch_keys_[i] != KeyNumbering::kNotFound) != anti_;
+        return (batch_keys_[i] != IncrementalKeyEncoder::kNotFound) != anti_;
       });
     }
     if (out->ActiveRows() > 0) {

@@ -46,11 +46,12 @@ class NestedLoopJoinIterator : public Iterator {
 /// columns. With no key columns it degenerates to a cross product.
 ///
 /// The build side is key-encoded: right keys are dictionary-compressed and
-/// numbered densely, so the "hash table" is a plain bucket vector indexed by
-/// key number, and probes are dictionary lookups (a probe value unseen
-/// during build cannot match). NextBatch() probes a whole left batch at a
-/// time and emits columnar output: left columns stay dictionary-encoded
-/// when the input batch is, right columns are copied Values.
+/// numbered densely as the right side drains, so the "hash table" is a
+/// plain bucket vector indexed by key number, and probes are dictionary
+/// lookups (a probe value unseen during build cannot match). NextBatch()
+/// probes a whole left batch at a time and emits columnar output: left
+/// columns stay dictionary-encoded when the input batch is, right columns
+/// are copied Values.
 class EquiJoinIterator : public Iterator {
  public:
   EquiJoinIterator(IterPtr left, IterPtr right, std::vector<std::string> left_keys,
@@ -69,7 +70,7 @@ class EquiJoinIterator : public Iterator {
   std::vector<size_t> BlockingInputs() override { return {1}; }
 
   /// Attaches the planner-composed recycling directive (exec/recycler.hpp):
-  /// Open() then adopts the cached build side — the codec, numbering, and
+  /// Open() then adopts the cached build side — the key numbering and the
   /// per-key buckets of emitted right rows — instead of draining the right
   /// child.
   void SetRecycle(RecycleSpec spec) { recycle_ = std::move(spec); }
@@ -85,9 +86,10 @@ class EquiJoinIterator : public Iterator {
   std::vector<size_t> right_out_;
   bool whole_right_rows_;  // right_out_ is every right column, in order
   RecycleSpec recycle_;
-  // The build side: codec, numbering, and per right-key number the matching
-  // rows' right_out_ projections (projected once at build, not per emitted
-  // row). Possibly shared with concurrent executions through the recycler.
+  // The build side: the key numbering, and per right-key number the
+  // matching rows' right_out_ projections (projected once at build, not per
+  // emitted row). Possibly shared with concurrent executions through the
+  // recycler.
   std::shared_ptr<const JoinBuildArtifact> build_;
   BatchKeyProbe probe_;
   PairCursor cursor_;

@@ -5,23 +5,15 @@
 //
 // Keying a hash table by a full Tuple (vector<variant>) makes every probe
 // re-walk variants and strings and every projected key a fresh heap
-// allocation. Instead, each operator Open() dictionary-encodes the distinct
-// Values of its key columns into dense uint32_t ids and packs a
-// multi-attribute key into one flat 64-bit integer, so the hot hash tables
-// are flat open-addressing tables of uint64_t keys (FlatInterner) with
-// trivial hash/equality and zero per-probe allocation. When the per-column id widths do not fit in 64 bits
-// the codec spills to SmallByteKey, an inline byte string of the raw ids.
-//
-// Two encoding disciplines are provided (see docs/key_encoding.md):
-//   KeyCodec               — two-phase "build then probe": ingest all build
-//                            rows, Seal() to fix per-column bit widths, then
-//                            read back packed keys and probe foreign tuples
-//                            (a probe value unseen during build cannot match
-//                            any built key, so TryEncode may simply fail).
-//   IncrementalKeyEncoder  — growable dictionaries with fixed 32-bit fields
-//                            and a dense numbering of whole keys, for
-//                            streaming deduplication and grouping where keys
-//                            must be numbered before the input is exhausted.
+// allocation. Instead, each operator dictionary-encodes the distinct Values
+// of its key columns into dense uint32_t ids and numbers whole keys densely
+// (IncrementalKeyEncoder, see docs/key_encoding.md): a one-column key's id
+// is its dictionary id, a two-column key packs into one flat uint64_t, and
+// wider keys become a SmallByteKey, an inline byte string of the raw ids.
+// The hot hash tables are flat open-addressing tables (FlatInterner) with
+// zero per-probe allocation. Build sides number their keys while they
+// drain; probe sides only find them (BatchKeyProbe, exec/batch.hpp), and a
+// probe value unseen during the build cannot match any built key.
 
 #include <array>
 #include <cstdint>
@@ -30,7 +22,6 @@
 #include <vector>
 
 #include "algebra/tuple.hpp"
-#include "exec/spill.hpp"
 
 namespace quotient {
 
@@ -233,193 +224,29 @@ class ValueDict {
   FlatInterner<Value, ValueHash> interner_;
 };
 
-/// Two-phase key codec for blocking build sides.
-///
-/// Build phase: Add() every build row (interns each key column's Value and
-/// records the id row-major). Seal() then assigns each column the minimal
-/// bit width for its dictionary and lays the columns out in one uint64_t;
-/// if the widths sum past 64 bits the codec is `spilled()` and keys are
-/// SmallByteKeys of the raw ids instead.
-///
-/// Probe phase (after Seal): TryEncode() encodes a foreign tuple against the
-/// frozen dictionaries; it fails iff some column value was never seen during
-/// build, in which case the key cannot equal any built key.
-class KeyCodec {
- public:
-  KeyCodec() = default;
-  explicit KeyCodec(size_t num_cols) : dicts_(num_cols), ids_(num_cols) {}
-
-  size_t num_cols() const { return dicts_.size(); }
-  size_t rows() const { return num_rows_; }
-  bool sealed() const { return sealed_; }
-  bool spilled() const { return spilled_; }
-  const ValueDict& dict(size_t col) const { return dicts_[col]; }
-
-  /// True when packed keys coincide with dense dictionary ids (single key
-  /// column): the id space is exactly 0..dict(0).size()-1, so consumers can
-  /// index arrays by key directly instead of interning.
-  bool keys_are_dense_ids() const { return dicts_.size() == 1 && !spilled_; }
-
-  void Reserve(size_t expected_rows) { ids_.Reserve(expected_rows); }
-
-  /// Ingests the key columns of `t` selected by `indices` (build phase).
-  void Add(const Tuple& t, const std::vector<size_t>& indices) {
-    scratch_.clear();
-    for (size_t c = 0; c < dicts_.size(); ++c) {
-      scratch_.push_back(dicts_[c].GetOrAdd(t[indices[c]]));
-    }
-    ids_.Append(scratch_.data(), 1);
-    ++num_rows_;
-  }
-
-  /// Ingests an already-projected key tuple (all positions, in order).
-  void AddKey(const Tuple& key) {
-    scratch_.clear();
-    for (size_t c = 0; c < dicts_.size(); ++c) scratch_.push_back(dicts_[c].GetOrAdd(key[c]));
-    ids_.Append(scratch_.data(), 1);
-    ++num_rows_;
-  }
-
-  /// Batch build path: interns `v` into column `c`'s dictionary without
-  /// appending a row (BatchCodecAppender resolves ids per column, then
-  /// appends whole rows of pre-resolved ids via AppendRows).
-  uint32_t InternValue(size_t c, const Value& v) { return dicts_[c].GetOrAdd(v); }
-
-  /// Batch probe path: id of `v` in column `c`'s dictionary, or
-  /// ValueDict::kNotFound.
-  uint32_t FindValue(size_t c, const Value& v) const { return dicts_[c].Find(v); }
-
-  /// Appends `nrows` build rows of pre-resolved ids, row-major
-  /// (nrows * num_cols() ids).
-  void AppendRows(const uint32_t* ids, size_t nrows) {
-    ids_.Append(ids, nrows);
-    num_rows_ += nrows;
-  }
-
-  /// True when some build rows were flushed to the query's spill file; such
-  /// a codec reads through a per-query temp file and cannot be shared.
-  bool rows_on_disk() const { return ids_.on_disk(); }
-
-  /// Releases the row store's charge and detaches it from the building
-  /// query's governor, so the codec can be cached beyond the query
-  /// (exec/recycler.hpp). Only valid when !rows_on_disk().
-  void DetachRowCharges() { ids_.DetachCharges(); }
-
-  /// Coarse resident-size estimate for recycler LRU accounting: 8 bytes per
-  /// stored id (matching the governor's charge formula) plus a per-distinct-
-  /// value allowance for the dictionaries.
-  size_t ApproxBytes() const {
-    size_t bytes = num_rows_ * dicts_.size() * 8;
-    for (const ValueDict& d : dicts_) bytes += d.size() * 32;
-    return bytes;
-  }
-
-  /// Packs pre-resolved per-column ids into a flat key. Valid after Seal()
-  /// when !spilled(); every id must come from this codec's dictionaries.
-  uint64_t PackIds(const uint32_t* ids) const {
-    uint64_t key = 0;
-    for (size_t c = 0; c < dicts_.size(); ++c) key |= uint64_t{ids[c]} << shifts_[c];
-    return key;
-  }
-
-  /// Spill form of PackIds, for sealed codecs with spilled() layouts.
-  void SpillFromIds(const uint32_t* ids, SmallByteKey* out) const {
-    out->Clear();
-    for (size_t c = 0; c < dicts_.size(); ++c) out->PushId(ids[c]);
-  }
-
-  /// Freezes dictionaries and chooses the packed layout.
-  void Seal();
-
-  /// Packed key of build row `i`. Valid after Seal() when !spilled().
-  uint64_t PackedKey(size_t i) const {
-    const uint32_t* ids = ids_.Row(i);
-    uint64_t key = 0;
-    for (size_t c = 0; c < dicts_.size(); ++c) key |= uint64_t{ids[c]} << shifts_[c];
-    return key;
-  }
-
-  /// Spill key of build row `i`. Valid after Seal() when spilled().
-  SmallByteKey SpillKey(size_t i) const {
-    const uint32_t* ids = ids_.Row(i);
-    SmallByteKey key;
-    for (size_t c = 0; c < dicts_.size(); ++c) key.PushId(ids[c]);
-    return key;
-  }
-
-  /// Probe-only encode of a foreign tuple. False iff some column value was
-  /// never seen during build.
-  bool TryEncode(const Tuple& t, const std::vector<size_t>& indices, uint64_t* out) const {
-    uint64_t key = 0;
-    for (size_t c = 0; c < dicts_.size(); ++c) {
-      uint32_t id = dicts_[c].Find(t[indices[c]]);
-      if (id == ValueDict::kNotFound) return false;
-      key |= uint64_t{id} << shifts_[c];
-    }
-    *out = key;
-    return true;
-  }
-
-  bool TryEncodeSpill(const Tuple& t, const std::vector<size_t>& indices,
-                      SmallByteKey* out) const {
-    out->Clear();
-    for (size_t c = 0; c < dicts_.size(); ++c) {
-      uint32_t id = dicts_[c].Find(t[indices[c]]);
-      if (id == ValueDict::kNotFound) return false;
-      out->PushId(id);
-    }
-    return true;
-  }
-
-  /// Appends the column Values of a packed key to `out`.
-  void Decode(uint64_t key, Tuple* out) const {
-    for (size_t c = 0; c < dicts_.size(); ++c) {
-      out->push_back(dicts_[c].At(static_cast<uint32_t>((key >> shifts_[c]) & masks_[c])));
-    }
-  }
-  void Decode(const SmallByteKey& key, Tuple* out) const {
-    for (size_t c = 0; c < dicts_.size(); ++c) out->push_back(dicts_[c].At(key.IdAt(c)));
-  }
-
-  template <typename K>
-  Tuple DecodeTuple(const K& key) const {
-    Tuple t;
-    t.reserve(dicts_.size());
-    Decode(key, &t);
-    return t;
-  }
-
- private:
-  std::vector<ValueDict> dicts_;
-  // Row-major build-row ids (num_cols() per row) in a store that flushes to
-  // the current query's spill file past the governor's soft watermark.
-  SpilledU32Store ids_;
-  std::vector<uint32_t> scratch_;  // one row of ids, assembled before Append
-  std::vector<uint32_t> shifts_;   // per-column bit offset in the packed key
-  std::vector<uint64_t> masks_;    // per-column id mask in the packed key
-  size_t num_rows_ = 0;
-  bool sealed_ = false;
-  bool spilled_ = false;
-};
-
-/// Interns flat keys into dense uint32 ids (candidate numbering, divisor
-/// numbering, whole-key numbering). Works for both key representations.
+/// Interns flat keys into dense uint32 ids (whole-key numbering). Works for
+/// both key representations.
 template <typename K>
 using KeyInterner = FlatInterner<K, FlatKeyHash>;
 
-/// Growable encoder for streaming deduplication (π, ∪, ∩, −) and grouping:
-/// dictionaries accept new values at any time, so each column gets a fixed
-/// 32-bit field. Keys of up to two columns fit the flat uint64_t; wider keys
-/// spill.
+/// The one key discipline: growable dictionaries with fixed 32-bit fields
+/// and a dense numbering of whole keys. Every operator that keys rows uses
+/// it: π, ∪, ∩, − and grouping to deduplicate, and the build sides of ÷,
+/// ÷* and the joins, which number their keys as they drain (exec/batch.hpp,
+/// BatchIncrementalKeyer) and are then probed without inserting (FindKey,
+/// BatchKeyProbe).
 ///
-/// InternKey numbers whole keys densely, in first-seen order: this is the
-/// one set discipline of those operators. A one-column key's id is its
-/// dictionary id, dense already, so nothing is hashed; wider keys are
-/// interned into a flat open-addressing table (KeyInterner). Because ids
-/// run 0, 1, 2, ... in the order keys first appear, a stream's row is the
-/// first occurrence of its key iff its id is the next unseen one.
+/// InternKey numbers whole keys densely, in first-seen order. A one-column
+/// key's id is its dictionary id, dense already, so nothing is hashed; keys
+/// of two columns pack into a flat uint64_t and wider ones into a
+/// SmallByteKey, each interned into a flat open-addressing table
+/// (KeyInterner). Because ids run 0, 1, 2, ... in the order keys first
+/// appear, a stream's row is the first occurrence of its key iff its id is
+/// the next unseen one.
 class IncrementalKeyEncoder {
  public:
+  static constexpr uint32_t kNotFound = ValueDict::kNotFound;
+
   IncrementalKeyEncoder() = default;
   explicit IncrementalKeyEncoder(size_t num_cols) : dicts_(num_cols) {}
 
@@ -439,10 +266,59 @@ class IncrementalKeyEncoder {
     return keys_spill_.Intern(spill_scratch_);
   }
 
+  /// Dense id of the key whose per-column dictionary ids are `ids`, or
+  /// kNotFound if it was never numbered. Never inserts.
+  uint32_t FindKey(const uint32_t* ids) const {
+    if (dicts_.size() == 1) return ids[0];
+    if (fits64()) return keys64_.Find(PackIds(ids));
+    SmallByteKey key;
+    SpillFromIds(ids, &key);
+    return keys_spill_.Find(key);
+  }
+
+  /// Numbers the key formed by the columns `indices` of `t` (row at a
+  /// time; the batch path is BatchIncrementalKeyer).
+  uint32_t InternRow(const Tuple& t, const std::vector<size_t>& indices) {
+    row_scratch_.resize(dicts_.size());
+    for (size_t c = 0; c < dicts_.size(); ++c) row_scratch_[c] = InternValue(c, t[indices[c]]);
+    return InternKey(row_scratch_.data());
+  }
+
+  /// Id of the key formed by the columns `indices` of `t`, or kNotFound
+  /// when some column value, or the whole key, was never numbered.
+  uint32_t FindRow(const Tuple& t, const std::vector<size_t>& indices) const {
+    if (dicts_.size() == 1) return dicts_[0].Find(t[indices[0]]);
+    uint64_t packed = 0;
+    SmallByteKey wide;
+    for (size_t c = 0; c < dicts_.size(); ++c) {
+      uint32_t id = dicts_[c].Find(t[indices[c]]);
+      if (id == kNotFound) return kNotFound;
+      if (fits64()) {
+        packed |= uint64_t{id} << (32 * c);
+      } else {
+        wide.PushId(id);
+      }
+    }
+    return fits64() ? keys64_.Find(packed) : keys_spill_.Find(wide);
+  }
+
   /// Distinct keys numbered so far (for one column: the dictionary size).
   size_t size() const {
     if (dicts_.size() == 1) return dicts_[0].size();
     return fits64() ? keys64_.size() : keys_spill_.size();
+  }
+
+  /// Governor bytes for the keys numbered so far: 8 per key column per key.
+  /// BatchIncrementalKeyer charges them as it numbers; a build published
+  /// to the recycler releases them.
+  size_t ChargedBytes() const { return size() * dicts_.size() * 8; }
+
+  /// Coarse resident size for recycler LRU accounting: the charged bytes
+  /// plus an allowance per dictionary value.
+  size_t ApproxBytes() const {
+    size_t bytes = ChargedBytes();
+    for (const ValueDict& d : dicts_) bytes += d.size() * 32;
+    return bytes;
   }
 
   /// Appends the column Values of key `id` to `out`.
@@ -454,6 +330,14 @@ class IncrementalKeyEncoder {
     } else {
       Decode(keys_spill_.At(id), out);
     }
+  }
+
+  /// Key `id` as a Tuple.
+  Tuple KeyTuple(uint32_t id) const {
+    Tuple t;
+    t.reserve(dicts_.size());
+    DecodeKey(id, &t);
+    return t;
   }
 
   /// Packs pre-resolved per-column ids into the fixed 32-bit-field layout.
@@ -485,130 +369,7 @@ class IncrementalKeyEncoder {
   KeyInterner<uint64_t> keys64_;          // two columns (or none)
   KeyInterner<SmallByteKey> keys_spill_;  // three or more columns
   SmallByteKey spill_scratch_;
-};
-
-/// Drop-in replacement for KeyInterner<uint64_t> when the codec's packed
-/// keys are already dense ids (keys_are_dense_ids()): numbering is the
-/// identity, so the hot loop performs no hashing at all. size() is the full
-/// id space (dictionary size) rather than the number of keys seen.
-struct DenseNumbering {
-  static constexpr uint32_t kNotFound = UINT32_MAX;
-  size_t n = 0;  // id space: dict(0).size()
-
-  uint32_t Intern(uint64_t key) { return static_cast<uint32_t>(key); }
-  uint32_t Find(uint64_t key) const { return static_cast<uint32_t>(key); }
-  uint64_t At(uint32_t id) const { return id; }
-  size_t size() const { return n; }
-};
-
-/// Typed views over a sealed codec, so algorithms can be written once and
-/// instantiated for both the packed-64 and the spill representation.
-struct PackedKeyView {
-  using Key = uint64_t;
-  const KeyCodec* codec;
-  Key RowKey(size_t i) const { return codec->PackedKey(i); }
-  bool TryEncode(const Tuple& t, const std::vector<size_t>& indices, Key* out) const {
-    return codec->TryEncode(t, indices, out);
-  }
-  void Decode(const Key& key, Tuple* out) const { codec->Decode(key, out); }
-};
-
-struct SpillKeyView {
-  using Key = SmallByteKey;
-  const KeyCodec* codec;
-  Key RowKey(size_t i) const { return codec->SpillKey(i); }
-  bool TryEncode(const Tuple& t, const std::vector<size_t>& indices, Key* out) const {
-    return codec->TryEncodeSpill(t, indices, out);
-  }
-  void Decode(const Key& key, Tuple* out) const { codec->Decode(key, out); }
-};
-
-/// Calls `f` with the view matching the sealed codec's representation.
-template <typename F>
-void WithKeyView(const KeyCodec& codec, F&& f) {
-  if (codec.spilled()) {
-    f(SpillKeyView{&codec});
-  } else {
-    f(PackedKeyView{&codec});
-  }
-}
-
-/// Dense numbering of a sealed codec's build keys behind one non-template
-/// interface: picks the identity (single dictionary column), packed-64, or
-/// spill representation once at Build() time. Used where a branch per probe
-/// is cheap enough (great divide, joins, grouping); hash-division stays
-/// fully templated on the key representation instead.
-class KeyNumbering {
- public:
-  static constexpr uint32_t kNotFound = UINT32_MAX;
-
-  /// Numbers the codec's build rows; ids are dense, in first-seen order.
-  void Build(const KeyCodec& codec) {
-    codec_ = &codec;
-    dense_ = codec.keys_are_dense_ids();
-    row_ids_.clear();
-    row_ids_.reserve(codec.rows());
-    if (dense_) {
-      count_ = codec.dict(0).size();
-      for (size_t i = 0; i < codec.rows(); ++i) {
-        row_ids_.push_back(static_cast<uint32_t>(codec.PackedKey(i)));
-      }
-    } else if (!codec.spilled()) {
-      interner64_.Reserve(codec.rows());
-      for (size_t i = 0; i < codec.rows(); ++i) {
-        row_ids_.push_back(interner64_.Intern(codec.PackedKey(i)));
-      }
-      count_ = interner64_.size();
-    } else {
-      for (size_t i = 0; i < codec.rows(); ++i) {
-        row_ids_.push_back(interner_spill_.Intern(codec.SpillKey(i)));
-      }
-      count_ = interner_spill_.size();
-    }
-  }
-
-  /// Dense id of build row `i`.
-  const std::vector<uint32_t>& row_ids() const { return row_ids_; }
-  /// Number of distinct keys.
-  size_t count() const { return count_; }
-
-  /// Dense id of a foreign tuple's key, or kNotFound if it cannot equal any
-  /// built key.
-  uint32_t Probe(const Tuple& t, const std::vector<size_t>& indices) const {
-    if (dense_) return codec_->dict(0).Find(t[indices[0]]);
-    if (!codec_->spilled()) {
-      uint64_t key;
-      return codec_->TryEncode(t, indices, &key) ? interner64_.Find(key) : kNotFound;
-    }
-    SmallByteKey key;
-    return codec_->TryEncodeSpill(t, indices, &key) ? interner_spill_.Find(key) : kNotFound;
-  }
-
-  /// Batch-path probe: dense id for a key given as per-column codec
-  /// dictionary ids (every id already resolved, no misses). BatchKeyProbe
-  /// handles the miss detection before calling this.
-  uint32_t ProbeIds(const uint32_t* ids) const {
-    if (dense_) return ids[0];
-    if (!codec_->spilled()) return interner64_.Find(codec_->PackIds(ids));
-    SmallByteKey key;
-    codec_->SpillFromIds(ids, &key);
-    return interner_spill_.Find(key);
-  }
-
-  /// Decodes key `id` back into a Tuple.
-  Tuple KeyTuple(uint32_t id) const {
-    if (dense_) return codec_->DecodeTuple(uint64_t{id});
-    if (!codec_->spilled()) return codec_->DecodeTuple(interner64_.At(id));
-    return codec_->DecodeTuple(interner_spill_.At(id));
-  }
-
- private:
-  const KeyCodec* codec_ = nullptr;
-  bool dense_ = false;
-  size_t count_ = 0;
-  std::vector<uint32_t> row_ids_;
-  KeyInterner<uint64_t> interner64_;
-  KeyInterner<SmallByteKey> interner_spill_;
+  std::vector<uint32_t> row_scratch_;     // InternRow's per-column ids
 };
 
 }  // namespace quotient

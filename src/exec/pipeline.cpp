@@ -81,44 +81,48 @@ PipelineStats RunPipeline(Iterator& child, PipelineSink& sink) {
 
 // ---------------------------------------------------------------- sinks
 
-void CodecAppendSink::AddTarget(KeyCodec* target, const std::vector<size_t>* indices) {
-  appenders_.emplace_back(target, indices);
-}
-
-void CodecAppendSink::Consume(const Batch& batch) {
+void KeyerSink::Consume(const Batch& batch) {
   GovernorFaultPoint("sink.codec_append");
-  // The target codecs' row stores charge (and spill) their own bytes.
-  for (BatchCodecAppender& appender : appenders_) appender.Append(batch);
+  for (Target& target : targets_) {
+    target.keyer->Keys(batch, target.indices, &ids_);
+    if (target.row_ids != nullptr) {
+      target.row_ids->insert(target.row_ids->end(), ids_.begin(), ids_.end());
+    }
+  }
 }
 
-ProbeAppendSink::ProbeAppendSink(KeyCodec* a_codec, const std::vector<size_t>* a_indices,
-                                 const KeyNumbering* numbering, const KeyCodec* b_codec,
-                                 const std::vector<size_t>* b_indices,
+ProbeAppendSink::ProbeAppendSink(BatchIncrementalKeyer* a_keyer,
+                                 const std::vector<size_t>* a_indices, bool a_hits_only,
+                                 const IncrementalKeyEncoder* b_keys,
+                                 const std::vector<size_t>* b_indices, SpilledU32Store* row_a,
                                  SpilledU32Store* row_b)
-    : row_b_(row_b), append_(a_codec, a_indices) {
-  probe_.Bind(numbering, b_codec, b_indices);
+    : a_keyer_(a_keyer),
+      a_indices_(a_indices),
+      a_hits_only_(a_hits_only),
+      row_a_(row_a),
+      row_b_(row_b) {
+  probe_.Bind(b_keys, b_indices);
 }
 
 void ProbeAppendSink::Consume(const Batch& batch) {
   GovernorFaultPoint("sink.probe_append");
-  // The a-codec's store and row_b_ itself charge (and spill) their bytes.
-  append_.Append(batch);
-  scratch_.clear();
-  probe_.Resolve(batch, &scratch_);
-  row_b_->Append(scratch_.data(), scratch_.size());
+  // The keyer charges new A keys; row_a_ and row_b_ charge (and spill)
+  // their ids.
+  b_ids_.clear();
+  probe_.Resolve(batch, &b_ids_);
+  a_keyer_->Keys(batch, a_indices_, &a_ids_, a_hits_only_ ? b_ids_.data() : nullptr);
+  row_a_->Append(a_ids_.data(), a_ids_.size());
+  row_b_->Append(b_ids_.data(), b_ids_.size());
 }
-
-JoinBuildSink::JoinBuildSink(KeyCodec* codec, const std::vector<size_t>* key_indices,
-                             const std::vector<size_t>* proj, std::vector<Tuple>* rows)
-    : proj_(proj), rows_(rows), append_(codec, key_indices) {}
 
 void JoinBuildSink::Consume(const Batch& batch) {
   GovernorFaultPoint("sink.join_build");
-  // Key bytes are charged by the codec's row store; charge the materialized
-  // build tuples here (retained for the statement's lifetime).
+  // The keyer charges new keys; charge the materialized build tuples here
+  // (retained for the statement's lifetime).
   size_t row_cols = proj_ != nullptr ? proj_->size() : batch.num_columns();
   GovernorCharge(batch.ActiveRows() * (row_cols + 2) * 8);
-  append_.Append(batch);
+  keyer_->Keys(batch, key_indices_, &ids_);
+  buckets_->resize(keyer_->size());
   size_t n = batch.ActiveRows();
   for (size_t i = 0; i < n; ++i) {
     uint32_t row = batch.RowAt(i);
@@ -129,7 +133,7 @@ void JoinBuildSink::Consume(const Batch& batch) {
     } else {
       batch.ToTuple(row, &t);
     }
-    rows_->push_back(std::move(t));
+    (*buckets_)[ids_[i]].push_back(std::move(t));
   }
 }
 

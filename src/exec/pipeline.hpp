@@ -4,9 +4,10 @@
 //
 // A physical plan decomposes into pipelines at its breaker edges — child
 // streams a blocking operator fully drains during Open(): hash-table
-// builds, division codec drains, grouping, set-operation build sides. Each
-// such drain is "source → streaming ops → sink", and RunPipeline folds its
-// batches straight into the sink on the calling thread.
+// builds, division divisor and dividend drains, grouping, set-operation
+// build sides. Each such drain is "source → streaming ops → sink", and
+// RunPipeline folds its batches straight into the sink on the calling
+// thread.
 //
 // One sink fans out: the dividend drain of a clustered division
 // (DivisionRunSink, exec/division_runs.hpp). Its own RunPipeline overload
@@ -25,6 +26,7 @@
 #include "exec/batch.hpp"
 #include "exec/iterator.hpp"
 #include "exec/key_codec.hpp"
+#include "exec/spill.hpp"
 
 namespace quotient {
 
@@ -102,56 +104,77 @@ PipelineStats RunPipeline(Iterator& child, PipelineSink& sink);
 // ---------------------------------------------------------------- sinks
 // Reusable sinks for the standard drain shapes.
 
-/// Appends the stream's key columns into one or more target KeyCodecs
-/// (division divisor drains, semi-join builds; the great divide's divisor
-/// feeds its B and C codecs from one pass via AddTarget).
-class CodecAppendSink : public PipelineSink {
+/// Numbers the stream's key columns with one or more keyers (divisor
+/// drains, semi-join builds); a target given `row_ids` also records each
+/// row's key id there, in row order (the great divide's divisor feeds its
+/// B and C keyers from one pass). The keyers charge the keys they number.
+class KeyerSink : public PipelineSink {
  public:
-  CodecAppendSink(KeyCodec* target, const std::vector<size_t>* indices) {
-    AddTarget(target, indices);
+  KeyerSink(BatchIncrementalKeyer* keyer, const std::vector<size_t>* indices,
+            std::vector<uint32_t>* row_ids = nullptr) {
+    AddTarget(keyer, indices, row_ids);
   }
-  void AddTarget(KeyCodec* target, const std::vector<size_t>* indices);
+  void AddTarget(BatchIncrementalKeyer* keyer, const std::vector<size_t>* indices,
+                 std::vector<uint32_t>* row_ids = nullptr) {
+    targets_.push_back(Target{keyer, indices, row_ids});
+  }
 
   void Consume(const Batch& batch) override;
 
  private:
-  std::vector<BatchCodecAppender> appenders_;
+  struct Target {
+    BatchIncrementalKeyer* keyer;
+    const std::vector<size_t>* indices;
+    std::vector<uint32_t>* row_ids;  // nullptr: not recorded
+  };
+  std::vector<Target> targets_;
+  std::vector<uint32_t> ids_;  // one batch's key ids
 };
 
-/// The probe-side drain of ÷ and ÷*: appends the dividend's A columns into
-/// `a_codec` and resolves each row's B columns against a sealed divisor
-/// numbering into `row_b` (KeyNumbering::kNotFound = miss), both in row
-/// order. `row_b` is a stride-1 SpilledU32Store, so huge probe columns
-/// flush to disk past the governor's spill watermark.
+/// The probe-side drain of the unclustered ÷ and ÷*: resolves each row's B
+/// columns against the divisor's keys into `row_b` (kNotFound = miss) and
+/// numbers its A columns with `a_keyer` into `row_a`, both in row order and
+/// both spilling past the governor's watermark. With `a_hits_only` (÷ over
+/// a nonempty divisor) an A key of two or more columns is numbered only on
+/// rows whose B hits, so candidates are numbered in the order of their
+/// first hit (BatchIncrementalKeyer::Keys, `gate`).
 class ProbeAppendSink : public PipelineSink {
  public:
-  ProbeAppendSink(KeyCodec* a_codec, const std::vector<size_t>* a_indices,
-                  const KeyNumbering* numbering, const KeyCodec* b_codec,
-                  const std::vector<size_t>* b_indices, SpilledU32Store* row_b);
+  ProbeAppendSink(BatchIncrementalKeyer* a_keyer, const std::vector<size_t>* a_indices,
+                  bool a_hits_only, const IncrementalKeyEncoder* b_keys,
+                  const std::vector<size_t>* b_indices, SpilledU32Store* row_a,
+                  SpilledU32Store* row_b);
 
   void Consume(const Batch& batch) override;
 
  private:
+  BatchIncrementalKeyer* a_keyer_;
+  const std::vector<size_t>* a_indices_;
+  bool a_hits_only_;
+  SpilledU32Store* row_a_;
   SpilledU32Store* row_b_;
-  std::vector<uint32_t> scratch_;  // per-batch resolved ids before Append
-  BatchCodecAppender append_;
+  std::vector<uint32_t> a_ids_;  // per-batch ids before Append
+  std::vector<uint32_t> b_ids_;
   BatchKeyProbe probe_;
 };
 
-/// Hash-join build drain: key columns into `codec`, plus one materialized
-/// Tuple per build row into `rows` (projected to `proj` when given, the
-/// whole row otherwise), in row order.
+/// Hash-join build drain: numbers the key columns with `keyer` and files
+/// one materialized Tuple per build row (projected to `proj` when given,
+/// the whole row otherwise) into its key's bucket, in row order.
 class JoinBuildSink : public PipelineSink {
  public:
-  JoinBuildSink(KeyCodec* codec, const std::vector<size_t>* key_indices,
-                const std::vector<size_t>* proj, std::vector<Tuple>* rows);
+  JoinBuildSink(BatchIncrementalKeyer* keyer, const std::vector<size_t>* key_indices,
+                const std::vector<size_t>* proj, std::vector<std::vector<Tuple>>* buckets)
+      : keyer_(keyer), key_indices_(key_indices), proj_(proj), buckets_(buckets) {}
 
   void Consume(const Batch& batch) override;
 
  private:
+  BatchIncrementalKeyer* keyer_;
+  const std::vector<size_t>* key_indices_;
   const std::vector<size_t>* proj_;  // nullptr = materialize whole rows
-  std::vector<Tuple>* rows_;
-  BatchCodecAppender append_;
+  std::vector<std::vector<Tuple>>* buckets_;
+  std::vector<uint32_t> ids_;  // one batch's key ids
 };
 
 // -------------------------------------------- plan-level decomposition

@@ -20,7 +20,7 @@ const std::vector<std::string> kKnownSites = {
     "pipeline.drain",       // serial drains, per batch (exec/{pipeline,iterator,exec_basic}.cpp)
     "pipeline.morsel",      // parallel morsel read, per batch (exec/division_runs.cpp)
     "pipeline.merge",       // chunk-ordered run-sink merge (exec/division_runs.cpp)
-    "sink.codec_append",    // divisor/build codec appends (exec/pipeline.cpp)
+    "sink.codec_append",    // divisor/build key numbering (exec/pipeline.cpp)
     "sink.probe_append",    // dividend probe drains (exec/{pipeline,division_runs}.cpp)
     "sink.join_build",      // hash-join build drains (exec/pipeline.cpp)
     "sink.aggregate",       // grouping drains (exec/exec_agg.cpp)

@@ -30,9 +30,27 @@ uint64_t MixShape(uint64_t h) {
 
 }  // namespace
 
+void DivisionBuildArtifact::DetachBuildCharges() { GovernorRelease(keys.ChargedBytes()); }
+
+void DivisionProbeArtifact::DetachBuildCharges() {
+  GovernorRelease(a.ChargedBytes());
+  row_a.DetachCharges();
+  row_b.DetachCharges();
+}
+
+void GreatDivideBuildArtifact::DetachBuildCharges() {
+  GovernorRelease(b.ChargedBytes() + c.ChargedBytes());
+}
+
+void GreatDivideProbeArtifact::DetachBuildCharges() {
+  GovernorRelease(a.ChargedBytes());
+  row_a.DetachCharges();
+  row_b.DetachCharges();
+  if (owned_build) owned_build->DetachBuildCharges();
+}
+
 void JoinBuildArtifact::DetachBuildCharges() {
-  codec.DetachRowCharges();
-  GovernorRelease(extra_charge);
+  GovernorRelease(keys.ChargedBytes() + extra_charge);
 }
 
 void GroupingArtifact::DetachBuildCharges() { GovernorRelease(extra_charge); }

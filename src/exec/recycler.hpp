@@ -4,8 +4,8 @@
 //
 // The plan cache (api/database.hpp) amortizes compilation, but a repeated
 // point query still pays the dominant remaining cost every execution:
-// division, join, and grouping rebuild their hash tables, codec state, and
-// divisor encodings from scratch even when the build side is an unchanged
+// division, join, and grouping rebuild their hash tables, key numberings
+// and divisor encodings from scratch even when the build side is an unchanged
 // base table. The ArtifactRecycler is a Database-level, mutex-sharded LRU
 // of those built sink states — divisor build tables for the small divides
 // and the great divides, hash/equi/semi join build sides, and grouping
@@ -48,13 +48,16 @@
 //
 // MEMORY. Cached artifacts are accounted against the recycler's own byte
 // budget (DatabaseOptions::recycler_memory_bytes), not any query's: on
-// publication the builder detaches the build's governor charges
-// (SpilledU32Store::DetachCharges) and the artifact's ApproxBytes joins a
-// global total. Before a publication inserts, it makes room by popping
-// least-recently-used entries (own shard first, then a cross-shard sweep)
-// until the total, with the new artifact, fits. Builds that
-// spilled to disk are never published — their row reads go through a
-// per-query temp file and a mutable page cache. A query adopting a cached
+// publication the builder releases the build's governor charges (its
+// keyers' per-key charges, SpilledU32Store::DetachCharges for per-row
+// stores) and the artifact's ApproxBytes joins a global total. Before a
+// publication inserts, it makes room by popping least-recently-used
+// entries (own shard first, then a cross-shard sweep) until the total,
+// with the new artifact, fits. Only the division probe artifacts keep
+// per-row stores that can spill; a probe build that spilled to disk is
+// never published — its row reads go through a per-query temp file and a
+// mutable page cache. Divisor and join builds keep no such store, so they
+// are published under any spill watermark. A query adopting a cached
 // artifact performs no Appends and therefore no Charges against its own
 // budget.
 //
@@ -112,69 +115,54 @@ inline size_t ApproxTupleBytes(const std::vector<Tuple>& rows) {
 }
 
 /// Divisor build side of the small divides (exec/exec_divide.cpp): the
-/// sealed divisor key codec plus its dense key numbering.
+/// divisor's B keys, numbered densely as the divisor drained.
 struct DivisionBuildArtifact : RecycledArtifact {
-  KeyCodec codec;        // sealed divisor key codec
-  KeyNumbering numbers;  // built in place against `codec`
+  IncrementalKeyEncoder keys;
 
-  size_t ApproxBytes() const override {
-    return codec.ApproxBytes() + numbers.row_ids().size() * 4;
-  }
-  bool SpilledToDisk() const override { return codec.rows_on_disk(); }
-  void DetachBuildCharges() override { codec.DetachRowCharges(); }
+  size_t ApproxBytes() const override { return keys.ApproxBytes(); }
+  bool SpilledToDisk() const override { return false; }
+  void DetachBuildCharges() override;  // releases the keyer's charge
 };
 
 /// Dividend probe state of the small divides' matrix path (a dividend
-/// clustered on A is divided run by run and leaves none): the sealed
-/// dividend codec and the per-row divisor-key column. A probe hit skips
-/// BOTH drains (the divisor drain too — divisor_count carries the only
-/// divisor-side fact the kernel needs beyond what row_b encodes).
+/// clustered on A is divided run by run and leaves none): the candidates'
+/// A keys and, per dividend row, its candidate and its divisor key. A probe
+/// hit skips BOTH drains (the divisor drain too — divisor_count carries the
+/// only divisor-side fact the kernel needs beyond what row_b encodes).
 struct DivisionProbeArtifact : RecycledArtifact {
-  KeyCodec a_codec;          // sealed dividend key codec
-  SpilledU32Store row_b{1};  // per dividend row: divisor key id (or miss)
+  IncrementalKeyEncoder a;   // candidate keys
+  SpilledU32Store row_a;     // per dividend row: A key id (kNotFound: not numbered)
+  SpilledU32Store row_b;     // per dividend row: divisor key id (or miss)
   size_t divisor_count = 0;  // distinct divisor keys at build time
 
   size_t ApproxBytes() const override {
-    return a_codec.ApproxBytes() + row_b.rows() * 8;
+    return a.ApproxBytes() + (row_a.rows() + row_b.rows()) * 8;
   }
-  bool SpilledToDisk() const override {
-    return a_codec.rows_on_disk() || row_b.on_disk();
-  }
-  void DetachBuildCharges() override {
-    a_codec.DetachRowCharges();
-    row_b.DetachCharges();
-  }
+  bool SpilledToDisk() const override { return row_a.on_disk() || row_b.on_disk(); }
+  void DetachBuildCharges() override;  // and the stores' charges
 };
 
 /// Divisor-side build state of the great divides (exec/exec_great_divide.cpp):
-/// both divisor codecs, their numberings, and the per-group membership
-/// structure derived from them.
+/// the divisor's B and C keys, numbered densely as the divisor drained, and
+/// the per-group membership structure derived from them.
 struct GreatDivideBuildArtifact : RecycledArtifact {
-  KeyCodec b_codec;  // divisor B-attribute codec
-  KeyCodec c_codec;  // divisor C-attribute codec
-  KeyNumbering b;
-  KeyNumbering c;
+  IncrementalKeyEncoder b;  // divisor B keys
+  IncrementalKeyEncoder c;  // divisor C keys: the groups
   std::vector<uint32_t> group_sizes;  // per c-id distinct b count
   // The c-ids containing each b-id, flattened: b-id j's groups are
   // member_groups[member_begin[j] .. member_begin[j + 1]). One more, empty
-  // range at j = b.count() takes misses (KeyNumbering::kNotFound clamped
-  // to b.count()), so the kernels' row loops need no miss branch.
-  std::vector<uint32_t> member_begin;  // b.count() + 2 offsets
+  // range at j = b.size() takes misses (kNotFound clamped to b.size()), so
+  // the kernels' row loops need no miss branch.
+  std::vector<uint32_t> member_begin;  // b.size() + 2 offsets
   std::vector<uint32_t> member_groups;
 
   size_t ApproxBytes() const override {
-    size_t bytes = b_codec.ApproxBytes() + c_codec.ApproxBytes();
-    bytes += (b.row_ids().size() + c.row_ids().size() + group_sizes.size()) * 4;
+    size_t bytes = b.ApproxBytes() + c.ApproxBytes() + group_sizes.size() * 4;
     bytes += (member_begin.size() + member_groups.size()) * 4;
     return bytes;
   }
-  bool SpilledToDisk() const override {
-    return b_codec.rows_on_disk() || c_codec.rows_on_disk();
-  }
-  void DetachBuildCharges() override {
-    b_codec.DetachRowCharges();
-    c_codec.DetachRowCharges();
-  }
+  bool SpilledToDisk() const override { return false; }
+  void DetachBuildCharges() override;  // releases both keyers' charges
 };
 
 /// Dividend probe state of the great divides. Unlike the small divide —
@@ -183,9 +171,9 @@ struct GreatDivideBuildArtifact : RecycledArtifact {
 /// probe artifact pins the build artifact it was probed against: a probe
 /// hit skips both drains.
 struct GreatDivideProbeArtifact : RecycledArtifact {
-  KeyCodec a_codec;
-  KeyNumbering a;
-  SpilledU32Store row_b{1};  // per dividend row: divisor b-id (or miss)
+  IncrementalKeyEncoder a;  // candidate keys, numbered on every row
+  SpilledU32Store row_a;    // per dividend row: A key id
+  SpilledU32Store row_b;    // per dividend row: divisor b-id (or miss)
   std::shared_ptr<const GreatDivideBuildArtifact> build;  // probed-against state
   // Set (aliasing `build`) iff the divisor side was built privately rather
   // than adopted from the cache: publication must detach ITS charges too,
@@ -193,37 +181,30 @@ struct GreatDivideProbeArtifact : RecycledArtifact {
   std::shared_ptr<GreatDivideBuildArtifact> owned_build;
 
   size_t ApproxBytes() const override {
-    size_t bytes = a_codec.ApproxBytes() + a.row_ids().size() * 4 + row_b.rows() * 8;
+    size_t bytes = a.ApproxBytes() + (row_a.rows() + row_b.rows()) * 8;
     if (owned_build) bytes += owned_build->ApproxBytes();
     return bytes;
   }
-  bool SpilledToDisk() const override {
-    return a_codec.rows_on_disk() || row_b.on_disk() || (build && build->SpilledToDisk());
-  }
-  void DetachBuildCharges() override {
-    a_codec.DetachRowCharges();
-    row_b.DetachCharges();
-    if (owned_build) owned_build->DetachBuildCharges();
-  }
+  bool SpilledToDisk() const override { return row_a.on_disk() || row_b.on_disk(); }
+  void DetachBuildCharges() override;  // and the stores' and owned build's
 };
 
 /// Build side of the hash joins (exec/exec_join.cpp). One shape serves
-/// natural, equi, semi, and anti joins: the key codec, its numbering, and
-/// the per-key row buckets (payload rows for natural joins, full right rows
-/// for equi joins, empty for semi/anti which only probe existence).
+/// natural, equi, semi, and anti joins: the key numbering and the per-key
+/// row buckets (payload rows for natural joins, full right rows for equi
+/// joins, empty for semi/anti which only probe existence).
 struct JoinBuildArtifact : RecycledArtifact {
-  KeyCodec codec;
-  KeyNumbering numbering;
+  IncrementalKeyEncoder keys;
   std::vector<std::vector<Tuple>> buckets;  // key id -> build rows
   bool right_empty = false;                 // degenerate no-key semi-join path
   size_t extra_charge = 0;                  // bucket bytes charged by the build
 
   size_t ApproxBytes() const override {
-    size_t bytes = codec.ApproxBytes() + numbering.row_ids().size() * 4;
+    size_t bytes = keys.ApproxBytes();
     for (const auto& bucket : buckets) bytes += 24 + ApproxTupleBytes(bucket);
     return bytes;
   }
-  bool SpilledToDisk() const override { return codec.rows_on_disk(); }
+  bool SpilledToDisk() const override { return false; }
   void DetachBuildCharges() override;  // releases extra_charge too
 };
 

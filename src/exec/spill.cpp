@@ -109,7 +109,6 @@ SpilledU32Store& SpilledU32Store::operator=(SpilledU32Store&& other) noexcept {
   // Charges travel with the rows they account for; the overwritten state's
   // charge stays with its ctx (released by whoever owned it, or absorbed as
   // permanent build-state accounting).
-  stride_ = other.stride_;
   rows_ = other.rows_;
   mem_first_row_ = other.mem_first_row_;
   mem_ = std::move(other.mem_);
@@ -120,7 +119,6 @@ SpilledU32Store& SpilledU32Store::operator=(SpilledU32Store&& other) noexcept {
   cache_ = std::move(other.cache_);
   cache_first_row_ = other.cache_first_row_;
   cache_rows_ = other.cache_rows_;
-  other.stride_ = 0;
   other.rows_ = 0;
   other.mem_first_row_ = 0;
   other.runs_.clear();
@@ -132,27 +130,22 @@ SpilledU32Store& SpilledU32Store::operator=(SpilledU32Store&& other) noexcept {
 }
 
 void SpilledU32Store::Reserve(size_t rows) {
-  if (stride_ == 0) return;
   if (QueryContext* ctx = CurrentQueryContext()) {
     size_t watermark = ctx->spill_watermark_bytes();
-    if (watermark > 0) {
-      size_t max_rows = watermark / (stride_ * sizeof(uint32_t));
-      rows = std::min(rows, max_rows);
-    }
+    if (watermark > 0) rows = std::min(rows, watermark / sizeof(uint32_t));
   }
-  mem_.reserve(rows * stride_);
+  mem_.reserve(rows);
 }
 
 void SpilledU32Store::Append(const uint32_t* ids, size_t nrows) {
   if (nrows == 0) return;
   rows_ += nrows;
-  if (stride_ == 0) return;  // inert store: row count only
   // Record the charge before Charge() so a budget trip mid-append still
   // releases the full amount on the owner's unwind path.
   if (charge_ctx_ == nullptr) charge_ctx_ = CurrentQueryContext();
-  mem_.insert(mem_.end(), ids, ids + nrows * stride_);
+  mem_.insert(mem_.end(), ids, ids + nrows);
   if (charge_ctx_ != nullptr) {
-    size_t bytes = nrows * stride_ * 8;  // coarse: ids + hash/aux overhead
+    size_t bytes = nrows * 8;  // coarse: ids + hash/aux overhead
     charged_ += bytes;
     charge_ctx_->Charge(bytes);
   }
@@ -170,7 +163,7 @@ void SpilledU32Store::Flush() {
   if (spill == nullptr) return;
   uint64_t offset = spill->Write(mem_.data(), mem_.size() * sizeof(uint32_t));
   spill_ = spill;
-  size_t nrows = mem_.size() / stride_;
+  size_t nrows = mem_.size();
   runs_.push_back(Run{offset, mem_first_row_, nrows});
   mem_first_row_ += nrows;
   mem_.clear();
@@ -181,15 +174,9 @@ void SpilledU32Store::Flush() {
   }
 }
 
-const uint32_t* SpilledU32Store::Row(size_t row) const {
-  if (stride_ == 0) return nullptr;
-  if (row >= mem_first_row_) return mem_.data() + (row - mem_first_row_) * stride_;
-  return SpilledRow(row);
-}
-
-const uint32_t* SpilledU32Store::SpilledRow(size_t row) const {
+uint32_t SpilledU32Store::SpilledAt(size_t row) const {
   if (row >= cache_first_row_ && row < cache_first_row_ + cache_rows_) {
-    return cache_.data() + (row - cache_first_row_) * stride_;
+    return cache_[row - cache_first_row_];
   }
   // Find the run containing `row`: last run with first_row <= row.
   auto it = std::upper_bound(runs_.begin(), runs_.end(), row,
@@ -197,12 +184,12 @@ const uint32_t* SpilledU32Store::SpilledRow(size_t row) const {
   const Run& run = *(it - 1);
   size_t in_run = row - run.first_row;
   size_t page_rows = std::min(kCacheRows, run.nrows - in_run);
-  cache_.resize(page_rows * stride_);
-  spill_->Read(cache_.data(), page_rows * stride_ * sizeof(uint32_t),
-               run.offset + static_cast<uint64_t>(in_run) * stride_ * sizeof(uint32_t));
+  cache_.resize(page_rows);
+  spill_->Read(cache_.data(), page_rows * sizeof(uint32_t),
+               run.offset + static_cast<uint64_t>(in_run) * sizeof(uint32_t));
   cache_first_row_ = row;
   cache_rows_ = page_rows;
-  return cache_.data();
+  return cache_[0];
 }
 
 void SpilledU32Store::Clear() {

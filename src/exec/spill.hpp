@@ -5,10 +5,10 @@
 // PR 6's governor turned memory pressure into a clean kResourceExhausted
 // trip; this subsystem turns it into graceful degradation instead. A
 // statement configured with SessionOptions::spill_watermark_bytes gets a
-// per-query SpillManager hanging off its QueryContext, and every governed
-// uint32 id-column build (the codec row stores behind CodecAppendSink /
-// ProbeAppendSink / JoinBuildSink, and the division operators' probe
-// columns) lives in a SpilledU32Store: a flat append-only array that, when
+// per-query SpillManager hanging off its QueryContext, and every per-row
+// uint32 id column of a build (the unclustered division operators' probe
+// columns row_a and row_b, filled by ProbeAppendSink) lives in a
+// SpilledU32Store: a flat append-only array that, when
 // the governor's OUTSTANDING byte account crosses the soft watermark,
 // flushes its complete rows to the statement's anonymous temp file,
 // releases their charge, and keeps appending. Reads transparently page
@@ -79,23 +79,17 @@ class SpillManager {
   std::atomic<size_t> bytes_written_{0};
 };
 
-/// An append-only array of fixed-stride uint32 rows that spills its prefix
+/// An append-only array of uint32 ids, one per row, that spills its prefix
 /// to the current query's SpillManager when the governor crosses the soft
-/// watermark. Appends charge the governor (8 bytes per id, matching the
-/// coarse accounting the sinks used before); a flush releases the charge
-/// for the rows it moved to disk.
-///
-/// The default-constructed store has stride 0 and is inert (supports
-/// zero-key-column codecs: Row() returns nullptr, rows() counts only what
-/// callers Append with nrows > 0 — which for stride 0 is nothing).
+/// watermark. Appends charge the governor (8 bytes per id: the id plus
+/// hash/aux overhead); a flush releases the charge for the rows it moved to
+/// disk.
 ///
 /// Writes are single-threaded per store; reads are single-threaded per
-/// store (a mutable page cache serves spilled rows). Row(i) stays valid
-/// only until the next Row/At call.
+/// store (a mutable page cache serves spilled rows).
 class SpilledU32Store {
  public:
   SpilledU32Store() = default;
-  explicit SpilledU32Store(size_t stride) : stride_(stride) {}
   ~SpilledU32Store() = default;  // never releases charges: may outlive the ctx
 
   SpilledU32Store(SpilledU32Store&& other) noexcept { *this = std::move(other); }
@@ -107,19 +101,16 @@ class SpilledU32Store {
   /// watermark when one is active (no point reserving what will flush).
   void Reserve(size_t rows);
 
-  /// Appends `nrows` complete rows (nrows * stride ids), then flushes to
-  /// disk if the governor is past the watermark.
+  /// Appends `nrows` ids, then flushes to disk if the governor is past the
+  /// watermark.
   void Append(const uint32_t* ids, size_t nrows);
 
-  /// Pointer to row `row`'s `stride` ids; for spilled rows, served from a
-  /// page cache and valid only until the next Row/At call.
-  const uint32_t* Row(size_t row) const;
-
-  /// Stride-1 convenience read.
-  uint32_t At(size_t row) const { return *Row(row); }
+  /// The id of row `row`; spilled rows are served from a page cache.
+  uint32_t At(size_t row) const {
+    return row >= mem_first_row_ ? mem_[row - mem_first_row_] : SpilledAt(row);
+  }
 
   size_t rows() const { return rows_; }
-  size_t stride() const { return stride_; }
 
   /// Drops all rows (memory and spilled-run bookkeeping). Does NOT release
   /// governor charges — see DetachCharges().
@@ -146,9 +137,8 @@ class SpilledU32Store {
 
   void MaybeSpill();
   void Flush();
-  const uint32_t* SpilledRow(size_t row) const;
+  uint32_t SpilledAt(size_t row) const;
 
-  size_t stride_ = 0;
   size_t rows_ = 0;            // total rows (spilled + in memory)
   size_t mem_first_row_ = 0;   // global index of mem_'s first row
   std::vector<uint32_t> mem_;

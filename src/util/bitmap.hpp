@@ -69,7 +69,7 @@ class Bitmap {
 
 /// A growable stack of equal-width bitmaps in one contiguous allocation.
 /// Hash-division keeps one bitmap per quotient candidate; with candidates
-/// numbered densely by the key codec, a matrix row per candidate replaces a
+/// numbered densely by their key encoder, a matrix row per candidate replaces a
 /// hash map of Bitmap objects (one allocation and no per-candidate hashing).
 class BitmapMatrix {
  public:

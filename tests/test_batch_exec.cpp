@@ -182,7 +182,7 @@ TEST(BatchExecProperty, StringKeysAndMixedTypes) {
 }
 
 TEST(BatchExecProperty, WideKeysHitSpillPath) {
-  // 18 B columns with large per-column domains force the divisor codec past
+  // 18 B columns with large per-column domains put the divisor keys past
   // 64 bits into SmallByteKey spill keys — in both modes, at odd batch sizes.
   DataGen gen(0x5B111);
   constexpr size_t kNumB = 18;

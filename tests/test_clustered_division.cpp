@@ -238,6 +238,59 @@ TEST(ClusteredDivision, NonPrefixAKeepsTheMatrixPath) {
   }
 }
 
+TEST(ClusteredDivision, MatrixPathStreamOrderIsPinned) {
+  // The matrix path's cursor order, pinned. The dividend is a projection
+  // of t in k order (first-seen, so unsorted and unclustered on A) with a
+  // two-column A; candidate (7, 7) first appears on a row whose B misses
+  // the divisor. ÷ numbers a candidate at its first hit, so (5, 5) leads;
+  // ÷ over an empty divisor and ÷* number every row, so (7, 7) leads.
+  Session session;
+  ASSERT_TRUE(session
+                  .CreateTable("t", Relation::Parse("k, b, a1, a2",
+                                                    "1,1,7,7; 2,2,5,5; 3,2,7,7; 4,3,7,7; "
+                                                    "5,3,5,5; 6,2,1,1; 7,3,1,1; 8,1,3,3"))
+                  .ok());
+  ASSERT_TRUE(session.CreateTable("r2", Relation::Parse("b", "2; 3")).ok());
+  ASSERT_TRUE(session.CreateTable("r0", Relation(Schema::Parse("b"))).ok());
+  ASSERT_TRUE(session.CreateTable("g", Relation::Parse("b, c", "2,10; 3,10; 1,20; 2,30")).ok());
+  const std::string dividend = " FROM (SELECT b, a1, a2 FROM t) AS x DIVIDE BY ";
+  struct Case {
+    std::string sql;
+    std::vector<Tuple> stream;
+  };
+  const std::vector<Case> cases = {
+      {"SELECT a1, a2" + dividend + "r2 AS y ON x.b = y.b",
+       {{V(5), V(5)}, {V(7), V(7)}, {V(1), V(1)}}},
+      {"SELECT a1, a2" + dividend + "r0 AS y ON x.b = y.b",
+       {{V(7), V(7)}, {V(5), V(5)}, {V(1), V(1)}, {V(3), V(3)}}},
+      {"SELECT a1, a2, c" + dividend + "g AS y ON x.b = y.b",
+       {{V(7), V(7), V(20)},
+        {V(7), V(7), V(10)},
+        {V(7), V(7), V(30)},
+        {V(5), V(5), V(10)},
+        {V(5), V(5), V(30)},
+        {V(1), V(1), V(10)},
+        {V(1), V(1), V(30)},
+        {V(3), V(3), V(20)}}},
+  };
+  for (const Case& c : cases) {
+    for (size_t threads : {size_t{1}, size_t{4}}) {
+      SCOPED_TRACE(c.sql + " threads=" + std::to_string(threads));
+      ScopedExecThreads scoped(threads);
+      Result<ResultCursor> opened = session.Query(c.sql);
+      ASSERT_TRUE(opened.ok()) << opened.error();
+      ResultCursor cursor = std::move(opened).value();
+      std::vector<Tuple> stream;
+      Tuple row;
+      while (cursor.Next(&row)) stream.push_back(row);
+      EXPECT_TRUE(cursor.status().ok()) << cursor.status().message();
+      EXPECT_EQ(stream, c.stream);
+      EXPECT_NE(cursor.Profile().explain.find(kMatrix), std::string::npos)
+          << cursor.Profile().explain;
+    }
+  }
+}
+
 TEST(ClusteredDivision, RecyclerPublishesNoProbeArtifact) {
   // Three runs each: the divisor build is published once on both paths;
   // only the matrix path publishes a dividend probe artifact as well.

@@ -112,7 +112,7 @@ TEST(HashDivisionTest, RandomizedMixedTypeBAgainstReference) {
 
 TEST(HashDivisionTest, WideBKeysExerciseSpillPath) {
   // 17+ B columns over a 10-value domain overflow the 64-bit key layout, so
-  // the divisor codec takes the spill (SmallByteKey) representation.
+  // the divisor keys take the spill (SmallByteKey) representation.
   DataGen gen(0x5B111ull);
   for (int round = 0; round < 3; ++round) {
     constexpr size_t kNumB = 18;
@@ -136,7 +136,7 @@ TEST(HashDivisionTest, WideBKeysExerciseSpillPath) {
 }
 
 TEST(HashDivisionTest, WideAKeysExerciseSpillPath) {
-  // Many A columns: the candidate (quotient) codec spills instead.
+  // Many A columns: the candidate (quotient) keys spill instead.
   DataGen gen(0x5A111ull);
   for (int round = 0; round < 3; ++round) {
     Relation r1 = gen.DividendWide(/*groups=*/40, /*num_a=*/18, /*num_b=*/1,

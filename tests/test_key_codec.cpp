@@ -1,5 +1,6 @@
-// Unit tests for the key-encoding subsystem: dictionaries, 64-bit packing,
-// the spill path, incremental encoding, and key numbering.
+// Unit tests for the key-encoding subsystem: dictionaries, wide (spill)
+// keys, the incremental encoder's numbering, and its probes (FindKey,
+// FindRow, BatchKeyProbe).
 
 #include <gtest/gtest.h>
 
@@ -8,6 +9,7 @@
 #include <vector>
 
 #include "algebra/relation.hpp"
+#include "exec/batch.hpp"
 #include "exec/key_codec.hpp"
 #include "util/bitmap.hpp"
 
@@ -70,99 +72,226 @@ TEST(SmallByteKeyTest, InlineAndHeap) {
   EXPECT_EQ(a.num_ids(), 20u);
 }
 
-TEST(KeyCodecTest, PacksMultiColumnKeysInto64Bits) {
-  // 3 columns with small dictionaries: widths sum well under 64.
-  Relation r = Relation::Parse("x, y, z",
-                               "1,10,100; 1,20,100; 2,10,200; 2,20,100; 1,10,200");
-  KeyCodec codec(3);
-  for (const Tuple& t : r.tuples()) codec.Add(t, Iota(3));
-  codec.Seal();
-  ASSERT_FALSE(codec.spilled());
-  EXPECT_EQ(codec.rows(), r.size());
+// ---------------------------------------------------------------------------
+// KeyEncoderProbeTest: build sides number keys with IncrementalKeyEncoder;
+// probes (FindKey, FindRow, BatchKeyProbe) only find them.
+// ---------------------------------------------------------------------------
 
-  // Distinct rows get distinct keys; Decode is the inverse of packing.
-  std::vector<uint64_t> keys;
-  for (size_t i = 0; i < codec.rows(); ++i) {
-    keys.push_back(codec.PackedKey(i));
-    EXPECT_EQ(codec.DecodeTuple(keys.back()), r.tuples()[i]);
+/// How a test batch carries its columns.
+enum class Layout { kEncoded, kValues, kRowView };
+
+/// One batch holding every row of `r`: dictionary-encoded columns from
+/// `enc`, plain Value columns, or row views.
+Batch MakeBatch(const Relation& r, const TableEncoding& enc, Layout layout) {
+  Batch batch;
+  if (layout == Layout::kRowView) {
+    batch.ResetRows();
+    for (const Tuple& t : r.tuples()) batch.AppendRowRef(&t);
+    return batch;
   }
-  std::sort(keys.begin(), keys.end());
-  EXPECT_EQ(std::unique(keys.begin(), keys.end()), keys.end());
-
-  // Probing re-encodes build tuples identically and rejects unseen values.
-  uint64_t probe;
-  ASSERT_TRUE(codec.TryEncode(r.tuples()[2], Iota(3), &probe));
-  EXPECT_EQ(probe, codec.PackedKey(2));
-  EXPECT_FALSE(codec.TryEncode({V(1), V(10), V(999)}, Iota(3), &probe));
+  const size_t nc = r.schema().size();
+  batch.Reset(nc);
+  for (size_t c = 0; c < nc; ++c) {
+    BatchColumn& col = batch.column(c);
+    if (layout == Layout::kEncoded) {
+      col.dict = &enc.columns[c].dict;
+      col.ids = enc.columns[c].ids;
+    } else {
+      for (const Tuple& t : r.tuples()) col.values.push_back(t[c]);
+    }
+  }
+  batch.set_rows(r.size());
+  return batch;
 }
 
-TEST(KeyCodecTest, SpillsWhenWidthsOverflow) {
-  // 17 columns × 4-bit dictionaries = 68 bits > 64: must spill.
+/// Numbers the `idx` columns of every row of `r` with a batch keyer, as a
+/// build side's drain does, and returns the finished encoder.
+IncrementalKeyEncoder BuildKeys(const Relation& r, const std::vector<size_t>& idx) {
+  auto enc = TableEncoding::Build(r);
+  BatchIncrementalKeyer keyer(idx.size());
+  std::vector<uint32_t> ids;
+  keyer.Keys(MakeBatch(r, *enc, Layout::kEncoded), &idx, &ids);
+  return keyer.TakeEncoder();
+}
+
+/// Probes every row of `r` in `layout` and returns one id per row.
+std::vector<uint32_t> Probe(const IncrementalKeyEncoder& keys, const std::vector<size_t>& idx,
+                            const Relation& r, Layout layout) {
+  auto enc = TableEncoding::Build(r);
+  Batch batch = MakeBatch(r, *enc, layout);
+  BatchKeyProbe probe;
+  probe.Bind(&keys, &idx);
+  std::vector<uint32_t> out;
+  probe.Resolve(batch, &out);
+  return out;
+}
+
+/// Sizes that a probe must leave alone: whole keys and every dictionary.
+std::vector<size_t> Sizes(const IncrementalKeyEncoder& keys) {
+  std::vector<size_t> sizes = {keys.size()};
+  for (size_t c = 0; c < keys.num_cols(); ++c) sizes.push_back(keys.dict(c).size());
+  return sizes;
+}
+
+TEST(KeyEncoderProbeTest, ThreeColumnKeysNumberDecodeAndProbe) {
+  Relation r = Relation::Parse("x, y, z",
+                               "1,10,100; 1,20,100; 2,10,200; 2,20,100; 1,10,200");
+  IncrementalKeyEncoder keys(3);
+  ASSERT_FALSE(keys.fits64());
+  std::vector<uint32_t> ids;
+  for (const Tuple& t : r.tuples()) ids.push_back(keys.InternRow(t, Iota(3)));
+
+  // Distinct rows get distinct ids, densely in first-seen order; KeyTuple
+  // is the inverse of numbering.
+  EXPECT_EQ(keys.size(), r.size());
+  for (size_t i = 0; i < ids.size(); ++i) {
+    EXPECT_EQ(ids[i], i);
+    EXPECT_EQ(keys.KeyTuple(ids[i]), r.tuples()[i]);
+  }
+  // Probing finds build tuples again and rejects unseen values.
+  EXPECT_EQ(keys.FindRow(r.tuples()[2], Iota(3)), ids[2]);
+  EXPECT_EQ(keys.FindRow({V(1), V(10), V(999)}, Iota(3)), IncrementalKeyEncoder::kNotFound);
+}
+
+TEST(KeyEncoderProbeTest, WideKeysNumberAndProbe) {
+  // 17 columns take the SmallByteKey path (past the heap threshold too).
   constexpr size_t kCols = 17;
-  KeyCodec codec(kCols);
+  IncrementalKeyEncoder keys(kCols);
   std::vector<Tuple> rows;
+  std::vector<uint32_t> ids;
   for (int64_t v = 0; v < 10; ++v) {
     Tuple t;
     for (size_t c = 0; c < kCols; ++c) t.push_back(V((v + static_cast<int64_t>(c)) % 10));
     rows.push_back(t);
-    codec.Add(rows.back(), Iota(kCols));
+    ids.push_back(keys.InternRow(rows.back(), Iota(kCols)));
   }
-  codec.Seal();
-  ASSERT_TRUE(codec.spilled());
-
-  std::vector<SmallByteKey> keys;
-  for (size_t i = 0; i < codec.rows(); ++i) {
-    keys.push_back(codec.SpillKey(i));
-    EXPECT_EQ(codec.DecodeTuple(keys.back()), rows[i]);
-  }
-  SmallByteKey probe;
-  ASSERT_TRUE(codec.TryEncodeSpill(rows[3], Iota(kCols), &probe));
-  EXPECT_EQ(probe, keys[3]);
+  ASSERT_EQ(keys.size(), rows.size());
+  for (size_t i = 0; i < rows.size(); ++i) EXPECT_EQ(keys.KeyTuple(ids[i]), rows[i]);
+  EXPECT_EQ(keys.FindRow(rows[3], Iota(kCols)), ids[3]);
   Tuple foreign = rows[3];
   foreign[5] = V(12345);
-  EXPECT_FALSE(codec.TryEncodeSpill(foreign, Iota(kCols), &probe));
+  EXPECT_EQ(keys.FindRow(foreign, Iota(kCols)), IncrementalKeyEncoder::kNotFound);
+  // Every value seen, in a combination never numbered.
+  Tuple mixed = rows[3];
+  mixed[5] = rows[4][5];
+  EXPECT_EQ(keys.FindRow(mixed, Iota(kCols)), IncrementalKeyEncoder::kNotFound);
 }
 
-TEST(KeyCodecTest, SingleColumnKeysAreDenseIds) {
-  KeyCodec codec(1);
-  Relation r = Relation::Parse("b", "5; 9; 2");
-  for (const Tuple& t : r.tuples()) codec.Add(t, Iota(1));
-  codec.Seal();
-  EXPECT_TRUE(codec.keys_are_dense_ids());
-  for (size_t i = 0; i < codec.rows(); ++i) EXPECT_EQ(codec.PackedKey(i), i);
-}
-
-TEST(KeyCodecTest, ZeroColumnKeysDegenerate) {
-  // A zero-column key (degenerate join on no common attributes): every row
-  // has the same (empty) key.
-  KeyCodec codec(0);
-  codec.AddKey({});
-  codec.AddKey({});
-  codec.Seal();
-  EXPECT_EQ(codec.rows(), 2u);
-  EXPECT_FALSE(codec.spilled());
-  EXPECT_EQ(codec.PackedKey(0), codec.PackedKey(1));
-  uint64_t probe;
-  EXPECT_TRUE(codec.TryEncode({V(1)}, {}, &probe));
-  EXPECT_EQ(probe, codec.PackedKey(0));
-}
-
-TEST(KeyNumberingTest, NumbersAndProbes) {
-  Relation build = Relation::Parse("x, y", "1,10; 2,10; 1,20; 2,10");
-  KeyCodec codec(2);
-  for (const Tuple& t : build.tuples()) codec.Add(t, Iota(2));
-  codec.Seal();
-  KeyNumbering num;
-  num.Build(codec);
-  EXPECT_EQ(num.count(), 3u);  // canonical storage dedups the build rows
-  for (size_t i = 0; i < codec.rows(); ++i) {
-    EXPECT_EQ(num.KeyTuple(num.row_ids()[i]), build.tuples()[i]);
-    EXPECT_EQ(num.Probe(build.tuples()[i], Iota(2)), num.row_ids()[i]);
+TEST(KeyEncoderProbeTest, SingleColumnKeysAreDictionaryIds) {
+  IncrementalKeyEncoder keys(1);
+  Relation r = Relation::Parse("b", "5; 9; 2; 9");
+  for (const Tuple& t : r.tuples()) keys.InternRow(t, Iota(1));
+  EXPECT_EQ(keys.size(), 3u);
+  for (const Tuple& t : r.tuples()) {
+    uint32_t id = keys.dict(0).Find(t[0]);
+    EXPECT_EQ(keys.FindKey(&id), id);
+    EXPECT_EQ(keys.FindRow(t, Iota(1)), id);
   }
-  EXPECT_EQ(num.Probe({V(3), V(10)}, Iota(2)), KeyNumbering::kNotFound);
-  // Per-column values seen, but the combination never built: probe encodes
-  // and then misses in the numbering.
-  EXPECT_EQ(num.Probe({V(2), V(20)}, Iota(2)), KeyNumbering::kNotFound);
+}
+
+TEST(KeyEncoderProbeTest, ZeroColumnKeysDegenerate) {
+  // A zero-column key (a join on no common attributes): every row has the
+  // same (empty) key, and nothing is found before it is numbered.
+  IncrementalKeyEncoder keys(0);
+  EXPECT_EQ(keys.FindRow({V(1)}, {}), IncrementalKeyEncoder::kNotFound);
+  EXPECT_EQ(keys.InternRow({V(1)}, {}), 0u);
+  EXPECT_EQ(keys.InternRow({V(2)}, {}), 0u);
+  EXPECT_EQ(keys.size(), 1u);
+  EXPECT_EQ(keys.FindRow({V(3)}, {}), 0u);
+  EXPECT_TRUE(keys.KeyTuple(0).empty());
+}
+
+TEST(KeyEncoderProbeTest, NumbersAndProbes) {
+  Relation build = Relation::Parse("x, y", "1,10; 2,10; 1,20; 2,10");
+  IncrementalKeyEncoder keys(2);
+  std::vector<uint32_t> ids;
+  for (const Tuple& t : build.tuples()) ids.push_back(keys.InternRow(t, Iota(2)));
+  EXPECT_EQ(keys.size(), 3u);  // canonical storage dedups the build rows
+  for (size_t i = 0; i < ids.size(); ++i) {
+    EXPECT_EQ(keys.KeyTuple(ids[i]), build.tuples()[i]);
+    EXPECT_EQ(keys.FindRow(build.tuples()[i], Iota(2)), ids[i]);
+  }
+  EXPECT_EQ(keys.FindRow({V(3), V(10)}, Iota(2)), IncrementalKeyEncoder::kNotFound);
+  // Per-column values seen, but the combination never built: every column
+  // resolves and the whole key then misses.
+  EXPECT_EQ(keys.FindRow({V(2), V(20)}, Iota(2)), IncrementalKeyEncoder::kNotFound);
+}
+
+TEST(KeyEncoderProbeTest, ProbesNeverInsert) {
+  Relation build = Relation::Parse("w, x:string, y, z:string", "1,a,10,p; 2,b,20,q; 1,b,10,q");
+  // Unseen values in every column, and unseen combinations of seen ones.
+  Relation foreign =
+      Relation::Parse("w, x:string, y, z:string", "7,c,70,r; 2,a,20,p; 1,b,20,p; 9,a,10,p");
+  for (size_t nc : {size_t{0}, size_t{1}, size_t{2}, size_t{3}, size_t{4}}) {
+    SCOPED_TRACE("columns=" + std::to_string(nc));
+    IncrementalKeyEncoder keys = BuildKeys(build, Iota(nc));
+    const std::vector<size_t> sizes = Sizes(keys);
+    for (Layout layout : {Layout::kEncoded, Layout::kValues, Layout::kRowView}) {
+      Probe(keys, Iota(nc), foreign, layout);
+      EXPECT_EQ(Sizes(keys), sizes);
+    }
+    std::vector<uint32_t> ids(nc, 0);
+    for (const Tuple& t : foreign.tuples()) {
+      keys.FindRow(t, Iota(nc));
+      if (nc > 0) keys.FindKey(ids.data());
+    }
+    EXPECT_EQ(Sizes(keys), sizes);
+  }
+}
+
+TEST(KeyEncoderProbeTest, MissInAnyColumnIsNotFound) {
+  Relation build = Relation::Parse("w, x:string, y", "1,a,10; 2,b,20");
+  for (size_t nc : {size_t{1}, size_t{2}, size_t{3}}) {
+    SCOPED_TRACE("columns=" + std::to_string(nc));
+    IncrementalKeyEncoder keys = BuildKeys(build, Iota(nc));
+    // Row 0 of the probe matches build row 0; row 1 + c replaces column c
+    // of it with a value that column never holds.
+    std::vector<Tuple> rows = {build.tuples()[0]};
+    const Tuple unseen = {V(99), V("zz"), V(990)};
+    for (size_t c = 0; c < nc; ++c) {
+      Tuple t = build.tuples()[0];
+      t[c] = unseen[c];
+      rows.push_back(t);
+    }
+    Relation probe(build.schema(), rows);
+    // Relation canonicalizes its rows: look the match up by value.
+    for (Layout layout : {Layout::kEncoded, Layout::kValues, Layout::kRowView}) {
+      std::vector<uint32_t> ids = Probe(keys, Iota(nc), probe, layout);
+      ASSERT_EQ(ids.size(), probe.size());
+      for (size_t i = 0; i < probe.size(); ++i) {
+        bool match = probe.tuples()[i] == build.tuples()[0];
+        EXPECT_EQ(ids[i], match ? 0u : IncrementalKeyEncoder::kNotFound) << i;
+      }
+    }
+  }
+}
+
+TEST(KeyEncoderProbeTest, LayoutsAndForeignDictionariesResolveAlike) {
+  const char* schema = "w, x:string, y, z:string";
+  Relation build = Relation::Parse(schema, "3,c,30,r; 1,a,10,p; 2,b,20,q; 1,b,10,q; 2,a,30,p");
+  // Another table over the same values plus some of its own: its first
+  // (canonical) row holds new values, so every column's dictionary numbers
+  // the shared values in another order.
+  Relation other = Relation::Parse(
+      schema, "0,c,40,s; 9,z,90,s; 2,a,30,p; 1,b,10,q; 2,b,20,q; 1,b,20,q; 3,c,30,r; 1,a,10,p");
+  for (size_t nc : {size_t{0}, size_t{1}, size_t{2}, size_t{3}, size_t{4}}) {
+    SCOPED_TRACE("columns=" + std::to_string(nc));
+    IncrementalKeyEncoder keys = BuildKeys(build, Iota(nc));
+    for (const Relation* r : {&build, &other}) {
+      std::vector<uint32_t> expected;
+      for (const Tuple& t : r->tuples()) expected.push_back(keys.FindRow(t, Iota(nc)));
+      for (Layout layout : {Layout::kEncoded, Layout::kValues, Layout::kRowView}) {
+        EXPECT_EQ(Probe(keys, Iota(nc), *r, layout), expected);
+      }
+    }
+    // Every build row is found, as the id the keyer gave it.
+    for (const Tuple& t : build.tuples()) {
+      uint32_t id = keys.FindRow(t, Iota(nc));
+      ASSERT_NE(id, IncrementalKeyEncoder::kNotFound);
+      Tuple key = keys.KeyTuple(id);
+      EXPECT_EQ(key, Tuple(t.begin(), t.begin() + static_cast<std::ptrdiff_t>(nc)));
+    }
+  }
 }
 
 /// Interns every column of `t` into `enc`'s dictionaries (growing them as

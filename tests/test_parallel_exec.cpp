@@ -211,8 +211,8 @@ TEST(ParallelExecProperty, StringKeysAndSpillPath) {
                                             LogicalOp::Scan(catalog, "r2s")),
                           catalog, /*batch_rows=*/2, /*morsel_rows=*/2);
 
-  // 18 wide B columns force the divisor codec past 64 bits into
-  // SmallByteKey spill keys; the run sink's chunks must resolve those too.
+  // 18 wide B columns put the divisor keys past 64 bits into SmallByteKey
+  // spill keys; the run sink's chunks must resolve those too.
   DataGen wide_gen(0x5B111);
   constexpr size_t kNumB = 18;
   Relation wide = wide_gen.DividendWide(/*groups=*/8, /*num_a=*/1, kNumB,
@@ -228,7 +228,7 @@ TEST(ParallelExecProperty, StringKeysAndSpillPath) {
   catalog.Put("wide", wide);
   catalog.Put("wide_divisor", Relation(wide.schema().Project(b_names), std::move(divisor_rows)));
   // One-row morsels: the ~100-row divisor clears the break-even, yet its
-  // codec drain stays serial.
+  // key-numbering drain stays serial.
   ExpectParallelAgreement(LogicalOp::Divide(LogicalOp::Scan(catalog, "wide"),
                                             LogicalOp::Scan(catalog, "wide_divisor")),
                           catalog, /*batch_rows=*/1, /*morsel_rows=*/1);
@@ -277,7 +277,7 @@ TEST(ParallelExecUnit, OtherSinksDrainSeriallyPastTheBreakEven) {
   PlanPtr r1 = LogicalOp::Scan(catalog, "r1");
   PlanPtr r2 = LogicalOp::Scan(catalog, "r2");
   // The same sizes that fan the run sink out above: the candidate-matrix
-  // division over the B-first twin (codec + probe sinks), a join build, a
+  // division over the B-first twin (keyer + probe sinks), a join build, a
   // semi-join build and a grouping drain all stay serial.
   ScopedMorselRows morsels(4);
   ScopedBatchRows batches(4);
